@@ -7,8 +7,7 @@ from .certify import (Certificate, ExclusionWitness, FailureReport,
                       exclude_small_degrees, find_prime_for_k,
                       lemma_exclusion_check, verify_certificate)
 from .laguerre import (Alpha, HypothesisViolation, LaguerreInstance,
-                       build_instance, coefficient_ratio, laguerre_coefficients,
-                       valuation_vector)
+                       build_instance, coefficient_ratio, laguerre_coefficients)
 from .oracle import (DegreePattern, DegreeSet, FactorWitness, Verdict,
                      degree_pattern, oracle_verdict, possible_degrees,
                      search_reducible_witness, verify_witness)

@@ -2,11 +2,14 @@
 
 A certificate consists of one prime excluding factor degrees below the
 base degree, plus one (prime, slope) witness per k in 1..m//2 excluding
-factor degrees in [k*deg(phi), (k+1)*deg(phi)).  Witness search is tiered
-and deterministic, so equal inputs always yield identical certificates.
-Verification recomputes everything from scratch - coefficients, prime
-properties, valuations, the polygon, the interval coverage - and trusts
-nothing from the producer.
+factor degrees in [k*deg(phi), (k+1)*deg(phi)).  For a fixed prime the
+slope does not depend on k and the divisibility range only grows with k,
+so each prime witnesses one contiguous range of k; the certifier computes
+that range once per prime and gives every k its smallest witness prime, so
+equal inputs always yield identical certificates.  Verification recomputes
+everything from scratch - coefficients, prime properties, the polygon of
+each distinct prime, the interval coverage - and trusts nothing from the
+producer.
 """
 
 from __future__ import annotations
@@ -18,36 +21,7 @@ from fractions import Fraction
 from .laguerre import HypothesisViolation, LaguerreInstance
 from .polygon import PhiExpansion, build_polygon, rightmost_slope
 from .polyring import Poly, content, format_poly, gauss_valuation, is_irreducible_mod_p, parse_poly
-from .primes import is_prime, sieve_primes
-
-# substitute witness primes for k = 1 when no prime >= u+2 divides m(m+u)
-K1_SUBSTITUTES = {
-    2: {4: 2, 16: 2, 6: 3},
-    3: {3: 3, 6: 3, 9: 3, 24: 3},
-    4: {2: 3, 8: 3, 12: 3, 32: 3, 36: 3, 96: 3, 16: 2, 5: 5, 20: 5, 60: 5, 320: 5},
-}
-
-# substitute witness primes for k >= 2 when the consecutive-product route
-# yields nothing large enough, keyed by (u, k, m).  The (4, 2, 5) entry is 5:
-# the once-recorded value 11 divides none of the coefficients, and 5 is the
-# unique prime <= m+u passing both witness checks.
-K_GE2_SUBSTITUTES = {
-    (1, 2, 8): 7,
-    (2, 2, 7): 7,
-    (2, 3, 8): 7,
-    (3, 2, 6): 5,
-    (3, 3, 7): 7,
-    (3, 2, 7): 7,
-    (3, 2, 13): 13,
-    (3, 2, 22): 7,
-    (3, 2, 78): 7,
-    (4, 2, 5): 5,
-    (4, 2, 12): 11,
-    (4, 2, 21): 7,
-    (4, 2, 77): 7,
-    (4, 3, 12): 11,
-    (4, 3, 46): 23,
-}
+from .primes import factorize, is_prime, sieve_primes
 
 
 class NoSmallDegreePrime(Exception):
@@ -98,7 +72,7 @@ def exclude_small_degrees(instance: LaguerreInstance) -> int:
     bound = instance.prime_bound
     if abs(bound) < 2:
         raise NoSmallDegreePrime(f"vm+u = {bound} has no prime divisor")
-    p = _smallest_prime_factor(abs(bound))
+    p = min(factorize(bound))
     if instance.a_m % p == 0:
         raise NoSmallDegreePrime(f"prime {p} divides the leading multiplier")
     if any(bj.numerator % p != 0 or bj.denominator % p == 0
@@ -109,78 +83,59 @@ def exclude_small_degrees(instance: LaguerreInstance) -> int:
     return p
 
 
-def _smallest_prime_factor(n: int) -> int:
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 1
-    return n
+def witness_range(vec) -> tuple[int, int, Fraction]:
+    """The k range a valuation vector witnesses, and its rightmost slope.
 
-
-def slope_from_vector(vec, k: int) -> tuple[Fraction, bool]:
-    """Rightmost slope from the valuation vector, with the dual form.
-
-    slope = max_j (V0 - Vj)/j.  The bound slope < 1/k is equivalent to
-    V0 - Vj < j/k for every j; both forms are evaluated and must agree.
+    vec holds v_p(b_0), ..., v_p(b_m).  The witness conditions at k are
+    v_p(b_j) >= 1 for j <= m-k and slope < 1/k, where
+    slope = max_j (V0 - Vj)/j.  With vec[0..J] >= 1 the longest leading
+    run, the first holds exactly for k >= k_lo = max(1, m-J); the second
+    exactly for k <= k_hi, the largest k with k*slope < 1 (m when the slope
+    is not positive).  The range is empty when k_lo > k_hi.  The bound is
+    cross-checked against the dual form V0 - Vj < j/k for every j.
     """
+    m = len(vec) - 1
+    run = 0
+    while run <= m and vec[run] >= 1:
+        run += 1
+    k_lo = max(1, m - run + 1)
     v0 = vec[0]
-    slope = max(Fraction(v0 - vec[j], j) for j in range(1, len(vec)))
-    below = slope < Fraction(1, k)
-    below_dual = all(k * (v0 - vec[j]) < j for j in range(1, len(vec)))
-    assert below == below_dual, "slope criterion forms must agree"
-    return slope, below
+    slope = max(Fraction(v0 - vec[j], j) for j in range(1, m + 1))
+    k_hi = m if slope <= 0 else (slope.denominator - 1) // slope.numerator
+
+    def dual(k):
+        return all(k * (v0 - vec[j]) < j for j in range(1, m + 1))
+
+    if (k_hi >= 1 and not dual(k_hi)) or (k_hi < m and dual(k_hi + 1)):
+        raise ArithmeticError("slope criterion forms disagree")
+    return k_lo, k_hi, slope
+
+
+def _prime_qualifies(instance: LaguerreInstance, p: int) -> bool:
+    """The k-independent witness conditions on p."""
+    if instance.v % p == 0 or instance.a_m % p == 0:
+        return False
+    if not instance.a_parts[0].is_zero and content(instance.a_parts[0]) % p == 0:
+        return False
+    return is_irreducible_mod_p(instance.phi, p)
 
 
 def witness_slope(instance: LaguerreInstance, k: int, p: int) -> Fraction | None:
     """The witness slope when (k, p) satisfies every witness condition, else None."""
-    if instance.v % p == 0 or instance.a_m % p == 0:
+    if not _prime_qualifies(instance, p):
         return None
-    if not instance.a_parts[0].is_zero and content(instance.a_parts[0]) % p == 0:
-        return None
-    vec = instance.valuation_vector(p)
-    if any(vec[j] < 1 for j in range(instance.m - k + 1)):
-        return None
-    if not is_irreducible_mod_p(instance.phi, p):
-        return None
-    slope, below = slope_from_vector(vec, k)
-    return slope if below else None
+    k_lo, k_hi, slope = witness_range(instance.valuation_vector(p))
+    return slope if k_lo <= k <= k_hi else None
 
 
 def find_prime_for_k(instance: LaguerreInstance, k: int) -> ExclusionWitness | None:
-    """Deterministic tiered search for a witness prime at a given k.
-
-    Tiers, each scanned in ascending prime order, each candidate fully
-    validated before acceptance:
-      1. k >= 2: primes >= k+u+1 dividing (m-k+u+1)...(m+u);
-      2. k == 1: primes >= u+2 dividing m(vm+u);
-      3. tabulated substitute primes;
-      4. every prime <= vm+u coprime to v, a_m and the content of a_0.
-    Tiers 1-3 presuppose an integer parameter and are skipped when v > 1.
-    """
-    m, u, v = instance.m, instance.u, instance.v
-    if not 1 <= k <= m // 2:
+    """The smallest prime <= vm+u that witnesses k, or None."""
+    if not 1 <= k <= instance.m // 2:
         raise ValueError("k must lie in [1, m//2]")
-    bound = instance.prime_bound
-    primes = sieve_primes(bound)
-    tiers: list[list[int]] = []
-    if v == 1:
-        if k >= 2:
-            lo, hi = m - k + u + 1, m + u
-            tiers.append([q for q in primes
-                          if q >= k + u + 1 and (hi // q) * q >= lo])
-        else:
-            prod = m * bound
-            tiers.append([q for q in primes if q >= u + 2 and prod % q == 0])
-        sub = (K_GE2_SUBSTITUTES.get((u, k, m)) if k >= 2
-               else K1_SUBSTITUTES.get(u, {}).get(m))
-        tiers.append([sub] if sub else [])
-    tiers.append(primes)
-    for tier in tiers:
-        for p in tier:
-            slope = witness_slope(instance, k, p)
-            if slope is not None:
-                return ExclusionWitness(k=k, p=p, slope=slope)
+    for p in sieve_primes(instance.prime_bound):
+        slope = witness_slope(instance, k, p)
+        if slope is not None:
+            return ExclusionWitness(k=k, p=p, slope=slope)
     return None
 
 
@@ -192,14 +147,20 @@ def certify(instance: LaguerreInstance) -> Certificate | FailureReport:
         p0 = exclude_small_degrees(instance)
     except NoSmallDegreePrime:
         p0 = None
-    witnesses = []
-    uncovered = []
-    for k in range(1, instance.m // 2 + 1):
-        w = find_prime_for_k(instance, k)
-        if w is None:
-            uncovered.append(k)
-        else:
-            witnesses.append(w)
+    half = instance.m // 2
+    chosen: dict[int, ExclusionWitness] = {}
+    # ascending primes, so each k keeps its smallest witness, exactly the
+    # answer of find_prime_for_k
+    for p in sieve_primes(instance.prime_bound):
+        if len(chosen) == half:
+            break
+        if not _prime_qualifies(instance, p):
+            continue
+        k_lo, k_hi, slope = witness_range(instance.valuation_vector(p))
+        for k in range(k_lo, min(k_hi, half) + 1):
+            chosen.setdefault(k, ExclusionWitness(k=k, p=p, slope=slope))
+    witnesses = [chosen[k] for k in sorted(chosen)]
+    uncovered = [k for k in range(1, half + 1) if k not in chosen]
     if p0 is not None and not uncovered:
         return Certificate(m=instance.m, u=instance.u, v=instance.v,
                            phi=instance.phi, small_degree_prime=p0,
@@ -288,12 +249,28 @@ def _monic_model_expansion(instance: LaguerreInstance) -> PhiExpansion:
     return expansion
 
 
+def _polygon_facts(instance: LaguerreInstance, expansion: PhiExpansion,
+                   p: int) -> tuple[Fraction, int] | None:
+    """(rightmost slope, largest abscissa of valuation below 1) of the
+    polygon at p, or None when p fails a k-independent witness condition.
+
+    Only these two numbers are kept, not the polygon: at large m the
+    polygons of every witness prime would dominate the verifier's memory.
+    """
+    if not (is_prime(p) and _prime_qualifies(instance, p)):
+        return None
+    polygon = build_polygon(expansion, p)
+    last_unit = max(i for i, h in polygon.points if h < 1)
+    return rightmost_slope(polygon), last_unit
+
+
 def verify_certificate(cert: Certificate, instance: LaguerreInstance) -> bool:
     """Re-derive every certificate claim from first principles.
 
     Checks instance consistency and hypotheses, the small-degree prime,
-    each witness (primality, coprimality, coefficient divisibility, slope
-    bound recomputed through the polygon module), and interval coverage.
+    each witness (primality, coprimality, coefficient divisibility and
+    slope bound, both read off the polygon of the big-integer expansion,
+    built once per distinct prime), and interval coverage.
     Returns False on any discrepancy; never raises for a bad certificate.
     """
     try:
@@ -315,22 +292,20 @@ def verify_certificate(cert: Certificate, instance: LaguerreInstance) -> bool:
             return False
 
         expansion = _monic_model_expansion(instance)
+        per_prime: dict = {}
         seen_ks = []
         for w in cert.witnesses:
-            if not (is_prime(w.p) and w.divisibility_checked):
+            if not (w.divisibility_checked and 1 <= w.k <= instance.m // 2):
                 return False
-            if not 1 <= w.k <= instance.m // 2:
+            if w.p not in per_prime:
+                per_prime[w.p] = _polygon_facts(instance, expansion, w.p)
+            if per_prime[w.p] is None:
                 return False
-            if instance.v % w.p == 0 or instance.a_m % w.p == 0:
+            polygon_slope, last_unit = per_prime[w.p]
+            # b_0..b_{m-k} sit at abscissas k..m, so all have valuation >= 1
+            # exactly when the last point of valuation below 1 lies left of k
+            if w.k <= last_unit:
                 return False
-            if content(instance.a_parts[0]) % w.p == 0:
-                return False
-            if not is_irreducible_mod_p(instance.phi, w.p):
-                return False
-            vec = instance.valuation_vector(w.p)
-            if any(vec[j] < 1 for j in range(instance.m - w.k + 1)):
-                return False
-            polygon_slope = rightmost_slope(build_polygon(expansion, w.p))
             if polygon_slope != w.slope or not polygon_slope < Fraction(1, w.k):
                 return False
             seen_ks.append(w.k)

@@ -263,8 +263,3 @@ def build_instance(m, alpha, a_m, a_parts, phi, relaxed: bool = False) -> Laguer
     if violations and not relaxed:
         raise HypothesisViolation(violations)
     return LaguerreInstance(m, alpha, a_m, a_parts, phi, violations)
-
-
-def valuation_vector(instance: LaguerreInstance, p: int) -> tuple:
-    """Module-level alias for the instance method."""
-    return instance.valuation_vector(p)

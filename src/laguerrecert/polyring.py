@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .primes import INFINITY, _require_prime, sieve_primes, vp_rat
+from .primes import INFINITY, _require_prime, factorize, sieve_primes, vp_rat
 
 
 def _canon(c):
@@ -390,7 +390,7 @@ def is_irreducible_mod_p(phi: Poly, p: int) -> bool:
     target = _fp_divmod(x, mod, p)[1]
     if stages[d] != target:
         return False
-    for q in _small_prime_divisors(d):
+    for q in factorize(d):
         diff = _fp_trim([(a - b) % p for a, b in _zip_pad(stages[d // q], x)])
         if _fp_gcd(mod[:], diff, p) != [1]:
             return False
@@ -401,20 +401,6 @@ def _zip_pad(a: list[int], b: list[int]):
     n = max(len(a), len(b))
     for i in range(n):
         yield (a[i] if i < len(a) else 0), (b[i] if i < len(b) else 0)
-
-
-def _small_prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def check_phi(phi: Poly, bound: int) -> bool:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .certify import K1_SUBSTITUTES, K_GE2_SUBSTITUTES, slope_from_vector
+from .certify import witness_range
 from .laguerre import Alpha, build_instance, laguerre_coefficients
 from .polyring import Poly, parse_poly
 from .primes import largest_prime_factor, sieve_primes, vp_rat
@@ -98,6 +98,12 @@ K1_QUOTED_SETS = {
     4: frozenset({2, 4, 5, 8, 12, 16, 20, 32, 36, 60, 96, 320}),
 }
 K1_KNOWN_OMISSIONS = {2: frozenset({2}), 4: frozenset({6, 50})}
+# tabulated k = 1 witness primes, per u and m, for the quoted m values
+K1_SUBSTITUTES = {
+    2: {4: 2, 16: 2, 6: 3},
+    3: {3: 3, 6: 3, 9: 3, 24: 3},
+    4: {2: 3, 8: 3, 12: 3, 32: 3, 36: 3, 96: 3, 16: 2, 5: 5, 20: 5, 60: 5, 320: 5},
+}
 # (u, m) with no valid k=1 witness prime at all
 K1_UNCOVERABLE = frozenset({(2, 2), (4, 4)})
 
@@ -276,10 +282,8 @@ def monic_valuation_vector(m: int, u: int, p: int) -> tuple:
 
 def k_witness_valid(m: int, u: int, k: int, p: int) -> tuple[bool, Fraction]:
     """Divisibility up to m-k plus rightmost slope below 1/k."""
-    vec = monic_valuation_vector(m, u, p)
-    divisible = all(vec[j] >= 1 for j in range(m - k + 1))
-    slope, below = slope_from_vector(vec, k)
-    return divisible and below, slope
+    k_lo, k_hi, slope = witness_range(monic_valuation_vector(m, u, p))
+    return k_lo <= k <= k_hi, slope
 
 
 def witness_primes(m: int, u: int, k: int) -> list[int]:

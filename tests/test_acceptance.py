@@ -12,7 +12,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from laguerrecert.certify import (Certificate, FailureReport, certify,
-                                  slope_from_vector, verify_certificate)
+                                  verify_certificate)
 from laguerrecert.laguerre import build_instance, laguerre_coefficients
 from laguerrecert.oracle import (oracle_verdict, search_reducible_witness,
                                  verify_witness)

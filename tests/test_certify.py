@@ -1,15 +1,19 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from laguerrecert.certify import (Certificate, ExclusionWitness, FailureReport,
                                   NoSmallDegreePrime, certificate_from_json,
                                   certificate_to_json, certify, coverage_complete,
                                   exclude_small_degrees, find_prime_for_k,
-                                  lemma_exclusion_check, slope_from_vector,
-                                  verify_certificate)
-from laguerrecert.laguerre import HypothesisViolation, build_instance
-from laguerrecert.polyring import Poly, parse_poly
+                                  lemma_exclusion_check, verify_certificate,
+                                  witness_range)
+from laguerrecert.laguerre import Alpha, HypothesisViolation, build_instance
+from laguerrecert.polyring import (Poly, construct_phi, content,
+                                   is_irreducible_mod_p, parse_poly)
+from laguerrecert.primes import sieve_primes, vp_rat
+from laguerrecert.tables import k_witness_valid
 
 
 def ones(phi, m, u, a_m=1, relaxed=False):
@@ -36,16 +40,14 @@ def test_find_prime_tabulated_rows(phi17):
     w = find_prime_for_k(ones(phi17, 8, 2), 3)
     assert (w.k, w.p) == (3, 7) and w.slope < Fraction(1, 3)
 
-    from laguerrecert.polyring import construct_phi
-
     base = construct_phi(2, 53)  # m+u = 50 needs a base good beyond 17
     w = find_prime_for_k(ones(base, 46, 4), 3)
-    assert (w.k, w.p) == (3, 23) and w.slope < Fraction(1, 3)
+    assert (w.k, w.p) == (3, 11) and w.slope < Fraction(1, 3)
+    # the tabulated prime 23 still witnesses k = 3; 11 is merely smaller
+    assert k_witness_valid(46, 4, 3, 23)[0]
 
 
 def test_find_prime_corrected_row():
-    from laguerrecert.polyring import construct_phi
-
     base = construct_phi(2, 11)
     w = find_prime_for_k(ones(base, 5, 4), 2)
     assert (w.k, w.p) == (2, 5)
@@ -67,12 +69,71 @@ def test_find_prime_range_check(phi17):
 
 
 def test_slope_dual_form():
-    slope, below = slope_from_vector((1, 1, 1, 0), 1)
-    assert slope == Fraction(1, 3) and below
-    slope, below = slope_from_vector((2, 1, 1, 0), 1)
-    assert slope == Fraction(1) and not below
-    slope, below = slope_from_vector((2, 3, 0), 1)
-    assert slope == Fraction(1) and not below
+    assert witness_range((1, 1, 1, 0)) == (1, 2, Fraction(1, 3))
+    assert witness_range((2, 1, 1, 0)) == (1, 0, Fraction(1))
+    assert witness_range((2, 3, 0)) == (1, 0, Fraction(1))
+    assert witness_range((0, 1, 1, 0)) == (4, 3, Fraction(0))
+    assert witness_range((1, 1, 1, 1, 0, 0)) == (2, 3, Fraction(1, 4))
+
+
+@given(st.lists(st.integers(0, 4), min_size=2, max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_witness_range_matches_per_k_dual_form(vec):
+    m = len(vec) - 1
+    k_lo, k_hi, slope = witness_range(vec)
+    for k in range(1, m + 1):
+        divisible = all(vec[j] >= 1 for j in range(m - k + 1))
+        dual = all(k * (vec[0] - vec[j]) < j for j in range(1, m + 1))
+        assert (k_lo <= k <= k_hi) == (divisible and dual), k
+        assert dual == (slope < Fraction(1, k))
+
+
+def _smallest_valid_prime(inst, k, vectors):
+    """Smallest witness prime for k by direct per-k checks on vp_rat."""
+    for p in sieve_primes(inst.prime_bound):
+        if inst.v % p == 0 or inst.a_m % p == 0 or content(inst.a_parts[0]) % p == 0:
+            continue
+        if not is_irreducible_mod_p(inst.phi, p):
+            continue
+        if p not in vectors:
+            vectors[p] = [vp_rat(p, b) for b in inst.b]
+        vec = vectors[p]
+        if not all(vec[j] >= 1 for j in range(inst.m - k + 1)):
+            continue
+        slope = max(Fraction(vec[0] - vec[j], j) for j in range(1, inst.m + 1))
+        if slope < Fraction(1, k):
+            return p, slope
+    return None
+
+
+def test_certify_picks_smallest_valid_prime_per_k():
+    base = construct_phi(2, 3 * 40 + 4)
+    checked = 0
+    for v in (1, 2, 3):
+        for u in range(-2, 5):
+            try:
+                alpha = Alpha(u, v)
+            except ValueError:
+                continue
+            for m in range(1, 41):
+                inst = ones(base, m, alpha)
+                result = certify(inst)
+                chosen = {w.k: (w.p, w.slope) for w in result.witnesses}
+                vectors = {}
+                uncovered = []
+                for k in range(1, m // 2 + 1):
+                    expected = _smallest_valid_prime(inst, k, vectors)
+                    assert chosen.get(k) == expected, (m, u, v, k)
+                    found = find_prime_for_k(inst, k)
+                    assert (found and (found.p, found.slope)) == expected
+                    if expected is None:
+                        uncovered.append(k)
+                if isinstance(result, FailureReport):
+                    assert result.uncovered == tuple(uncovered)
+                else:
+                    assert not uncovered
+                checked += 1
+    assert checked == 13 * 40
 
 
 # -- full certification -------------------------------------------------------------
@@ -112,7 +173,7 @@ def test_certify_deterministic(phi17):
 
 
 def test_certify_rational_parameter(phi17):
-    # v >= 2 skips the tabulated tiers and certifies through the fallback
+    # v >= 2: witnesses come from primes coprime to v
     inst = build_instance(3, Fraction(1, 2), 1, [Poly.const(1)] * 3, phi17)
     assert inst.b == (Fraction(105, 8), Fraction(105, 4), Fraction(21, 2), 1)
     cert = certify(inst)
@@ -245,6 +306,42 @@ def test_verify_rejects_prime_dividing_lead(phi17):
             ExclusionWitness(k=w.k, p=7, slope=w.slope)
             for w in cert.witnesses))
     assert not verify_certificate(bad, inst)
+
+
+def test_verify_accepts_any_valid_witness_prime():
+    # (m, u, k) = (46, 4, 3) once carried its tabulated prime 23; the
+    # certifier now picks 11, and a certificate with 23 must still verify
+    base = construct_phi(2, 53)
+    inst = ones(base, 46, 4)
+    cert = certify(inst)
+    assert isinstance(cert, Certificate)
+    ok, slope = k_witness_valid(46, 4, 3, 23)
+    assert ok
+    witnesses = tuple(ExclusionWitness(k=3, p=23, slope=slope) if w.k == 3 else w
+                      for w in cert.witnesses)
+    assert witnesses != cert.witnesses
+    older = Certificate(m=cert.m, u=cert.u, v=cert.v, phi=cert.phi,
+                        small_degree_prime=cert.small_degree_prime,
+                        witnesses=witnesses)
+    assert verify_certificate(older, inst)
+    assert verify_certificate(certificate_from_json(certificate_to_json(older)), inst)
+
+
+def test_verify_rejects_prime_valid_only_for_larger_k(phi17):
+    # at (m, u) = (8, 1) the prime 5 witnesses k = 4 with slope 1/5 < 1/3,
+    # but 5 does not divide b_5, so it cannot witness k = 3
+    inst = ones(phi17, 8, 1)
+    cert = certify(inst)
+    assert verify_certificate(cert, inst)
+    assert [(w.k, w.p) for w in cert.witnesses][-1] == (4, 5)
+    slope = cert.witnesses[-1].slope
+    assert slope < Fraction(1, 3)
+    forged = Certificate(
+        m=cert.m, u=cert.u, v=cert.v, phi=cert.phi,
+        small_degree_prime=cert.small_degree_prime,
+        witnesses=tuple(ExclusionWitness(k=3, p=5, slope=slope) if w.k == 3 else w
+                        for w in cert.witnesses))
+    assert not verify_certificate(forged, inst)
 
 
 def test_verify_rejects_wrong_instance(phi17):

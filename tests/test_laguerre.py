@@ -5,7 +5,7 @@ import pytest
 
 from laguerrecert.laguerre import (Alpha, HypothesisViolation, LaguerreInstance,
                                    build_instance, coefficient_ratio,
-                                   laguerre_coefficients, valuation_vector)
+                                   laguerre_coefficients)
 from laguerrecert.polyring import Poly, parse_poly, phi_expand
 from laguerrecert.primes import INFINITY, factorial_valuation, vp_rat
 
@@ -165,7 +165,7 @@ def test_valuation_vector_rejects_bad_prime(phi17):
     with pytest.raises(ValueError):
         inst.valuation_vector(2)
     with pytest.raises(ValueError):
-        valuation_vector(inst, 4)
+        inst.valuation_vector(4)
 
 
 def test_primes_of_bound_divide_lower_coefficients():
