@@ -5,7 +5,8 @@ remainders of smaller degree.  Attaching to each part its minimal p-adic
 coefficient valuation gives a cloud of points whose lower boundary - the
 valuation polygon - controls how the polynomial can factor.  This script
 builds a few polygons, prints their exact rational slopes, and shows that
-the greedy construction agrees with the brute-force pairwise definition.
+the monotone-chain construction agrees with the brute-force pairwise
+definition.
 """
 
 from laguerrecert import (bruteforce_lower_hull, build_polygon, parse_poly,
@@ -35,4 +36,4 @@ for p in (2, 5):
           f"slopes {[str(s) for s in polygon.slopes]}")
     brute = bruteforce_lower_hull(polygon.points)
     assert brute.vertices == polygon.vertices
-print("greedy construction matches the brute-force lower hull on both")
+print("monotone-chain construction matches the brute-force lower hull on both")

@@ -100,7 +100,11 @@ def witness_range(vec) -> tuple[int, int, Fraction]:
         run += 1
     k_lo = max(1, m - run + 1)
     v0 = vec[0]
-    slope = max(Fraction(v0 - vec[j], j) for j in range(1, m + 1))
+    num, den = v0 - vec[1], 1
+    for j in range(2, m + 1):
+        if (v0 - vec[j]) * den > num * j:
+            num, den = v0 - vec[j], j
+    slope = Fraction(num, den)
     k_hi = m if slope <= 0 else (slope.denominator - 1) // slope.numerator
 
     def dual(k):
@@ -245,7 +249,8 @@ def _monic_model_expansion(instance: LaguerreInstance) -> PhiExpansion:
         from .polyring import phi_expand
 
         redone = phi_expand(expansion.reassemble(), instance.phi)
-        assert redone.parts == expansion.parts
+        if redone.parts != expansion.parts:
+            raise ArithmeticError("monic model expansion differs on re-expansion")
     return expansion
 
 

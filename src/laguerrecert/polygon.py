@@ -50,29 +50,30 @@ class NewtonPolygon:
 
 
 def polygon_from_points(points) -> NewtonPolygon:
-    """Lower boundary by the greedy minimal-slope rule (ties: largest index)."""
+    """Lower boundary by Andrew's monotone chain on integer cross products.
+
+    Scanning left to right, the last vertex is dropped while the chord from
+    the one before it to the new point does not rise above it, so
+    collinear points are absorbed into one edge (the greedy minimal-slope
+    rule with ties going to the largest index yields the same vertices).
+    """
     pts = sorted(points)
     if not pts:
         raise ValueError("need at least one point")
     if len({i for i, _ in pts}) != len(pts):
         raise ValueError("indices must be distinct")
-    vertices = [pts[0]]
-    pos = 0
-    while pos < len(pts) - 1:
-        i0, h0 = pts[pos]
-        best = None
-        best_slope = None
-        for j in range(pos + 1, len(pts)):
-            i1, h1 = pts[j]
-            s = Fraction(h1 - h0, i1 - i0)
-            # <= keeps the farthest point on ties (pts sorted by index)
-            if best_slope is None or s <= best_slope:
-                best, best_slope = j, s
-        vertices.append(pts[best])
-        pos = best
-    slopes = [Fraction(h1 - h0, i1 - i0)
-              for (i0, h0), (i1, h1) in zip(vertices, vertices[1:])]
-    assert all(a < b for a, b in zip(slopes, slopes[1:])), "slopes must increase"
+    vertices: list[Point] = []
+    for i, h in pts:
+        while len(vertices) >= 2:
+            (i0, h0), (i1, h1) = vertices[-2], vertices[-1]
+            if (h1 - h0) * (i - i0) >= (h - h0) * (i1 - i0):
+                vertices.pop()
+            else:
+                break
+        vertices.append((i, h))
+    for (i0, h0), (i1, h1), (i2, h2) in zip(vertices, vertices[1:], vertices[2:]):
+        if (h1 - h0) * (i2 - i1) >= (h2 - h1) * (i1 - i0):
+            raise ArithmeticError("polygon slopes must strictly increase")
     return NewtonPolygon(points=tuple(pts), vertices=tuple(vertices))
 
 
@@ -103,7 +104,7 @@ def build_polygon(expansion: PhiExpansion, p: int) -> NewtonPolygon:
 def bruteforce_lower_hull(points) -> NewtonPolygon:
     """Lower boundary recomputed from the pairwise-slope definition.
 
-    Test oracle, O(n^2) and independent of the greedy construction: a point
+    Test oracle, O(n^2) and independent of the monotone chain: a point
     lies on the lower boundary iff its maximal slope from the left does not
     exceed its minimal slope to the right (no chord passes strictly below
     it), and it is a vertex iff that inequality is strict (equality means
@@ -130,13 +131,18 @@ def rightmost_slope(polygon: NewtonPolygon) -> Fraction:
     """Slope of the final edge; cross-checked against the chord maximum.
 
     The final edge slope equals the maximum over all earlier points of the
-    chord slope to the last vertex; both are computed and must agree.
+    chord slope to the last vertex; both are compared by integer cross
+    multiplication and must agree.
     """
-    edges = polygon.edges
-    if not edges:
+    vertices = polygon.vertices
+    if len(vertices) < 2:
         raise ValueError("polygon has no edges")
-    last = edges[-1][2]
-    iN, hN = polygon.vertices[-1]
-    chord_max = max(Fraction(hN - h, iN - i) for i, h in polygon.points if i < iN)
-    assert last == chord_max, "final edge must realize the maximal chord slope"
-    return last
+    (i0, h0), (iN, hN) = vertices[-2], vertices[-1]
+    num, den = hN - h0, iN - i0
+    chord = None
+    for i, h in polygon.points:
+        if i < iN and (chord is None or (hN - h) * chord[1] > chord[0] * (iN - i)):
+            chord = (hN - h, iN - i)
+    if chord is None or num * chord[1] != chord[0] * den:
+        raise ArithmeticError("final edge must realize the maximal chord slope")
+    return Fraction(num, den)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .primes import INFINITY, _require_prime, factorize, sieve_primes, vp_rat
+from .primes import INFINITY, _require_prime, factorize, sieve_primes, vp_int, vp_rat
 
 
 def _canon(c):
@@ -260,7 +260,9 @@ def gauss_valuation(p: int, f: Poly) -> int | float:
     """min over coefficients of the p-adic valuation; inf for the zero poly."""
     if f.is_zero:
         return INFINITY
-    return min(vp_rat(p, c) for c in f.coeffs if c != 0)
+    # integer coefficients skip the Fraction wrapper of vp_rat
+    return min(vp_int(p, c) if isinstance(c, int) else vp_rat(p, c)
+               for c in f.coeffs if c != 0)
 
 
 # ---------------------------------------------------------------------------

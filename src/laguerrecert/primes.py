@@ -70,19 +70,35 @@ def vp_int(p: int, n: int) -> int | float:
     _require_prime(p)
     if n == 0:
         return INFINITY
-    n = abs(n)
-    e = 0
+    q, r = divmod(n, p)
+    if r:
+        return 0
+    # gallop: divide by p^2, p^4, ... while each divides, then step back
+    # down through the same powers; O(log e) big-integer divisions, not e
+    n, e = abs(q), 1
+    powers = [(p, 1)]
+    pk, w = p * p, 2
     while True:
-        q, r = divmod(n, p)
+        q, r = divmod(n, pk)
         if r:
-            return e
-        n = q
-        e += 1
+            break
+        n, e = q, e + w
+        powers.append((pk, w))
+        pk, w = pk * pk, 2 * w
+    # what remains has valuation below w, which is also the valuation of
+    # its remainder r mod p^w: one pass down over that small r collects it
+    n = r
+    for pk, w in reversed(powers):
+        q, r = divmod(n, pk)
+        if not r:
+            n, e = q, e + w
+    return e
 
 
 def vp_rat(p: int, q: Fraction | int) -> int | float:
     """Valuation of a rational, independent of representation; inf for 0."""
-    q = Fraction(q)
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
     if q == 0:
         return INFINITY
     return vp_int(p, q.numerator) - vp_int(p, q.denominator)

@@ -175,7 +175,7 @@ def test_criterion_07_k1_subcases():
 
 
 def test_criterion_08_polygon_property_suite():
-    with criterion(8, 10.0, "1000 random expansions: greedy equals "
+    with criterion(8, 10.0, "1000 random expansions: monotone chain equals "
                             "brute force, slopes increase, points stay "
                             "above, rightmost equals the chord maximum"):
         rng = random.Random(1008)

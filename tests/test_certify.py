@@ -1,3 +1,7 @@
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -74,6 +78,19 @@ def test_slope_dual_form():
     assert witness_range((2, 3, 0)) == (1, 0, Fraction(1))
     assert witness_range((0, 1, 1, 0)) == (4, 3, Fraction(0))
     assert witness_range((1, 1, 1, 1, 0, 0)) == (2, 3, Fraction(1, 4))
+
+
+def test_witness_range_slope_ties():
+    # the slope maximum is reached at two different j; the integer
+    # cross-multiplication must return the same reduced Fraction
+    cases = {(2, 1, 0): (1, 0, Fraction(1)),
+             (3, 3, 2, 3, 1): (1, 1, Fraction(1, 2)),
+             (0, 2, 4): (3, 2, Fraction(-2)),
+             (6, 5, 4, 6, 3, 6, 0): (1, 0, Fraction(1))}
+    for vec, expected in cases.items():
+        assert witness_range(vec) == expected, vec
+        assert expected[2] == max(Fraction(vec[0] - vec[j], j)
+                                  for j in range(1, len(vec)))
 
 
 @given(st.lists(st.integers(0, 4), min_size=2, max_size=12))
@@ -293,6 +310,51 @@ def test_verify_rejects_tampered_slope(phi17):
             ExclusionWitness(k=w.k, p=w.p, slope=Fraction(1, w.k))
             for w in cert.witnesses))
     assert not verify_certificate(tampered, inst)
+
+
+_OPTIMIZED_ROUND_TRIP = """
+import importlib
+from fractions import Fraction
+from laguerrecert.polygon import NewtonPolygon
+from laguerrecert.polyring import Poly, parse_poly
+from laguerrecert.laguerre import build_instance
+
+assert not __debug__
+cm = importlib.import_module("laguerrecert.certify")
+phi = parse_poly("x^2 - x + 17")
+inst = build_instance(12, 2, 1, [Poly.const(1)] * 12, phi)
+cert = cm.certify(inst)
+print("verify", cm.verify_certificate(cert, inst))
+tampered = cm.Certificate(
+    m=cert.m, u=cert.u, v=cert.v, phi=cert.phi,
+    small_degree_prime=cert.small_degree_prime,
+    witnesses=tuple(cm.ExclusionWitness(k=w.k, p=w.p, slope=w.slope + Fraction(1, 10**6))
+                    for w in cert.witnesses))
+print("tampered", cm.verify_certificate(tampered, inst))
+# a stray point far below makes the chord maximum miss the last edge; the
+# explicit cross-check in rightmost_slope trips and the verifier says False
+real = cm.build_polygon
+
+def broken(expansion, p):
+    polygon = real(expansion, p)
+    return NewtonPolygon(((-1, -10**6),) + polygon.points, polygon.vertices)
+
+cm.build_polygon = broken
+print("broken polygon", cm.verify_certificate(cert, inst))
+"""
+
+
+def test_verify_cross_checks_survive_optimized_mode():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_ROUND_TRIP],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout.split("\n")[:3] == [
+        "verify True", "tampered False", "broken polygon False"]
 
 
 def test_verify_rejects_prime_dividing_lead(phi17):

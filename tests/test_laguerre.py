@@ -6,8 +6,10 @@ import pytest
 from laguerrecert.laguerre import (Alpha, HypothesisViolation, LaguerreInstance,
                                    build_instance, coefficient_ratio,
                                    laguerre_coefficients)
-from laguerrecert.polyring import Poly, parse_poly, phi_expand
-from laguerrecert.primes import INFINITY, factorial_valuation, vp_rat
+from laguerrecert.polyring import Poly, X, parse_poly, phi_expand
+from laguerrecert.primes import (INFINITY, factorial_valuation, sieve_primes,
+                                 vp_int, vp_rat)
+from laguerrecert.tables import monic_valuation_vector
 
 
 def const_parts(*values):
@@ -166,6 +168,47 @@ def test_valuation_vector_rejects_bad_prime(phi17):
         inst.valuation_vector(2)
     with pytest.raises(ValueError):
         inst.valuation_vector(4)
+
+
+def _admissible_alphas(vs, us):
+    for v in vs:
+        for u in us:
+            try:
+                yield Alpha(u, v)
+            except ValueError:
+                continue
+
+
+def test_additive_valuation_vector_matches_vp_rat():
+    # the additive route (Legendre binomial term plus the progression sum)
+    # against vp_rat on the Fractions b_j; for integer parameters that is
+    # tables.monic_valuation_vector, the table checker's own route
+    checked = 0
+    for alpha in _admissible_alphas((1, 2, 3, 5), range(-7, 8)):
+        for m in range(1, 61):
+            b = laguerre_coefficients(m, alpha)
+            inst = LaguerreInstance(m, alpha, 1, const_parts(*[1] * m), X)
+            for p in sieve_primes(alpha.v * m + alpha.u + 10):
+                if alpha.v % p == 0:
+                    continue
+                if alpha.v == 1:
+                    # vp_rat on the b_j, through the table checker's route
+                    expected = monic_valuation_vector(m, alpha.u, p)
+                else:
+                    expected = tuple(vp_rat(p, bj) for bj in b) + (0,)
+                assert inst.valuation_vector(p) == expected, (m, alpha, p)
+                checked += 1
+    assert checked == 55_962
+
+
+def test_additive_valuation_vector_large_m():
+    for alpha in (Alpha(2), Alpha(2, 3), Alpha(-7, 5)):
+        b = laguerre_coefficients(800, alpha)
+        inst = LaguerreInstance(800, alpha, 12, const_parts(*[1] * 800), X)
+        for p in (2, 3, 7, 797):
+            if alpha.v % p:
+                expected = tuple(vp_rat(p, bj) for bj in b) + (vp_int(p, 12),)
+                assert inst.valuation_vector(p) == expected, (alpha, p)
 
 
 def test_primes_of_bound_divide_lower_coefficients():

@@ -115,3 +115,56 @@ def test_greedy_matches_bruteforce(seed):
     chord = max(Fraction(greedy.vertices[-1][1] - h, greedy.vertices[-1][0] - i)
                 for i, h in points if i < greedy.vertices[-1][0])
     assert rightmost_slope(greedy) == chord
+
+
+def _random_hull_input(rng):
+    """Distinct abscissas in 0..1000, heights of either sign, and often a
+    long run of collinear points (sometimes nothing else)."""
+    points = {}
+    if rng.random() < 0.6:
+        dx, dh = rng.randrange(1, 40), rng.randrange(-20, 21)
+        length = rng.randrange(2, 40)
+        i0, h0 = rng.randrange(0, 200), rng.randrange(-50, 51)
+        for t in range(length):
+            if i0 + t * dx > 1000:
+                break
+            points[i0 + t * dx] = h0 + t * dh
+    if not points or rng.random() < 0.8:
+        for i in rng.sample(range(0, 1001), rng.randrange(1, 40)):
+            points.setdefault(i, rng.randrange(-60, 61))
+    return sorted(points.items())
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_monotone_chain_matches_bruteforce_wide(seed):
+    rng = random.Random(seed)
+    points = _random_hull_input(rng)
+    polygon = polygon_from_points(points)
+    if len(points) == 1:
+        assert polygon.vertices == tuple(points)
+        with pytest.raises(ValueError):
+            rightmost_slope(polygon)
+        return
+    assert polygon.vertices == bruteforce_lower_hull(points).vertices
+    slopes = polygon.slopes
+    assert all(a < b for a, b in zip(slopes, slopes[1:]))
+    iN, hN = polygon.vertices[-1]
+    chord = max(Fraction(hN - h, iN - i) for i, h in points if i < iN)
+    assert rightmost_slope(polygon) == chord
+
+
+def test_monotone_chain_absorbs_collinear_runs():
+    run = [(3 * t, 7 - 2 * t) for t in range(200)]
+    polygon = polygon_from_points(run)
+    assert polygon.vertices == (run[0], run[-1])
+    assert rightmost_slope(polygon) == Fraction(-2, 3)
+    # a point below the middle of the run splits it into two edges
+    polygon = polygon_from_points(run[:100] + [(300, -200)] + run[101:])
+    assert polygon.vertices == (run[0], (300, -200), run[-1])
+    assert polygon.vertices == bruteforce_lower_hull(polygon.points).vertices
+
+
+def test_single_point_polygon():
+    polygon = polygon_from_points([(5, -3)])
+    assert polygon.vertices == ((5, -3),) and polygon.slopes == ()

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from laguerrecert.primes import (INFINITY, factorial_valuation, factorize,
                                  is_prime, largest_prime_factor, prime_in_ap,
@@ -41,6 +41,32 @@ def test_vp_int_examples():
 def test_vp_int_rejects_composite_base():
     with pytest.raises(ValueError):
         vp_int(6, 12)
+
+
+def _naive_vp(p, n):
+    n, e = abs(n), 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 13, 97, 1009, 7919, 1_000_003]),
+       st.integers(min_value=0, max_value=500),
+       st.integers(min_value=-10**12, max_value=10**12).filter(bool))
+def test_vp_int_matches_naive_division(p, e, c):
+    n = c * p**e
+    assert vp_int(p, n) == _naive_vp(p, n) == e + _naive_vp(p, c)
+    assert vp_int(p, -n) == vp_int(p, n)
+
+
+def test_vp_int_every_exponent_up_to_500():
+    for p in (2, 3, 11, 1009):
+        for e in range(501):
+            for unit in (1, -1, p + 1, -(p - 1) * (2 * p + 1)):
+                assert vp_int(p, unit * p**e) == e, (p, e, unit)
+    assert vp_int(2, 0) == vp_int(1009, 0) == INFINITY
 
 
 def test_vp_rat_examples():
