@@ -8,14 +8,14 @@ from .certify import (Certificate, ExclusionWitness, FailureReport,
                       lemma_exclusion_check, verify_certificate)
 from .laguerre import (Alpha, HypothesisViolation, LaguerreInstance,
                        build_instance, coefficient_ratio, laguerre_coefficients)
-from .oracle import (DegreePattern, DegreeSet, FactorWitness, Verdict,
-                     degree_pattern, oracle_verdict, possible_degrees,
-                     search_reducible_witness, verify_witness)
+from .oracle import (DegreeSet, FactorWitness, Verdict, oracle_verdict,
+                     possible_degrees, search_reducible_witness, verify_witness)
 from .polygon import (NewtonPolygon, bruteforce_lower_hull, build_polygon,
                       polygon_from_points, rightmost_slope)
-from .polyring import (PhiExpansion, Poly, X, check_phi, construct_phi, content,
-                       format_poly, gauss_valuation, is_irreducible_mod_p,
-                       parse_poly, phi_expand, primitive_part, reduce_mod_p)
+from .polyring import (DegreePattern, PhiExpansion, Poly, X, check_phi, construct_phi,
+                       content, degree_pattern, format_poly, gauss_valuation,
+                       is_irreducible_mod_p, parse_poly, phi_expand, primitive_part,
+                       reduce_mod_p)
 from .primes import (INFINITY, factorial_valuation, factorize, is_prime,
                      largest_prime_factor, prime_in_ap, product_lpf,
                      sieve_primes, vp_int, vp_rat)

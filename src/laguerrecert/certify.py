@@ -62,6 +62,23 @@ class FailureReport:
     witnesses: tuple[ExclusionWitness, ...]
 
 
+def _small_degree_failure(instance: LaguerreInstance, p: int) -> str | None:
+    """Why the prime p cannot exclude degrees below deg phi, or None if it can.
+
+    A prime dividing vm+u does not divide v (gcd(u, v) = 1), so it divides
+    the integer v**m b_j exactly when it divides b_j.
+    """
+    if instance.prime_bound % p != 0:
+        return f"prime {p} does not divide vm+u = {instance.prime_bound}"
+    if instance.a_m % p == 0:
+        return f"prime {p} divides the leading multiplier"
+    if any(c % p for c in instance.cleared):
+        return f"prime {p} misses a lower coefficient"
+    if not is_irreducible_mod_p(instance.phi, p):
+        return f"base polynomial is reducible modulo {p}"
+    return None
+
+
 def exclude_small_degrees(instance: LaguerreInstance) -> int:
     """A prime excluding nonconstant factors of degree below deg phi.
 
@@ -73,13 +90,9 @@ def exclude_small_degrees(instance: LaguerreInstance) -> int:
     if abs(bound) < 2:
         raise NoSmallDegreePrime(f"vm+u = {bound} has no prime divisor")
     p = min(factorize(bound))
-    if instance.a_m % p == 0:
-        raise NoSmallDegreePrime(f"prime {p} divides the leading multiplier")
-    if any(bj.numerator % p != 0 or bj.denominator % p == 0
-           for bj in instance.b_lower):
-        raise NoSmallDegreePrime(f"prime {p} misses a lower coefficient")
-    if not is_irreducible_mod_p(instance.phi, p):
-        raise NoSmallDegreePrime(f"base polynomial is reducible modulo {p}")
+    reason = _small_degree_failure(instance, p)
+    if reason is not None:
+        raise NoSmallDegreePrime(reason)
     return p
 
 
@@ -242,8 +255,7 @@ def _monic_model_expansion(instance: LaguerreInstance) -> PhiExpansion:
     expansion of the reassembled polynomial; small cases re-expand and
     compare as a spot check.
     """
-    vm = instance.v ** instance.m
-    parts = [Poly.const(int(vm * bj)) for bj in instance.b_lower] + [Poly.const(1)]
+    parts = [Poly.const(c) for c in instance.cleared] + [Poly.const(1)]
     expansion = PhiExpansion(phi=instance.phi, parts=tuple(parts))
     if instance.m * instance.phi.degree <= 40:
         from .polyring import phi_expand
@@ -286,14 +298,7 @@ def verify_certificate(cert: Certificate, instance: LaguerreInstance) -> bool:
         if cert.phi != instance.phi or not instance.is_valid:
             return False
         p0 = cert.small_degree_prime
-        if not is_prime(p0) or instance.prime_bound % p0 != 0:
-            return False
-        if instance.a_m % p0 == 0:
-            return False
-        if any(bj.numerator % p0 != 0 or bj.denominator % p0 == 0
-               for bj in instance.b_lower):
-            return False
-        if not is_irreducible_mod_p(instance.phi, p0):
+        if not is_prime(p0) or _small_degree_failure(instance, p0) is not None:
             return False
 
         expansion = _monic_model_expansion(instance)
@@ -349,14 +354,18 @@ def certificate_to_json(cert: Certificate) -> str:
 
 
 def certificate_from_json(text: str) -> Certificate:
-    data = json.loads(text)
-    witnesses = tuple(
-        ExclusionWitness(k=w["k"], p=w["p"],
-                         slope=Fraction(w["slope"]),
-                         divisibility_checked=w["divisibility_range"] == [0, data["m"] - w["k"]])
-        for w in data["witnesses"]
-    )
-    return Certificate(m=data["m"], u=data["u"], v=data["v"],
-                       phi=parse_poly(data["phi"]),
-                       small_degree_prime=data["small_degree_prime"],
-                       witnesses=witnesses)
+    """Parse a certificate; any malformed input raises ValueError."""
+    try:
+        data = json.loads(text)
+        witnesses = tuple(
+            ExclusionWitness(k=w["k"], p=w["p"],
+                             slope=Fraction(w["slope"]),
+                             divisibility_checked=w["divisibility_range"] == [0, data["m"] - w["k"]])
+            for w in data["witnesses"]
+        )
+        return Certificate(m=data["m"], u=data["u"], v=data["v"],
+                           phi=parse_poly(data["phi"]),
+                           small_degree_prime=data["small_degree_prime"],
+                           witnesses=witnesses)
+    except (KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed certificate: {type(exc).__name__}: {exc}") from exc

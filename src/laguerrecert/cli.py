@@ -189,8 +189,12 @@ def _cmd_certify(args) -> int:
         print(f"invalid instance: {exc}", file=sys.stderr)
         return EXIT_INVALID
     if args.verify:
-        with open(args.verify, "r", encoding="utf-8") as fh:
-            cert = certificate_from_json(fh.read())
+        try:
+            with open(args.verify, "r", encoding="utf-8") as fh:
+                cert = certificate_from_json(fh.read())
+        except (OSError, ValueError) as exc:
+            print(f"invalid certificate file: {exc}", file=sys.stderr)
+            return EXIT_INVALID
         ok = verify_certificate(cert, inst)
         if args.json:
             print(json.dumps({"verified": ok}))
@@ -226,34 +230,38 @@ def _cmd_certify(args) -> int:
 
 def _cmd_tables(args) -> int:
     report = Report()
-    if args.only is None:
-        report = verify_reference_tables(pair_bound=args.st_bound,
-                                         exponent_bound=args.exp_bound,
-                                         subcase_bound=args.subcase_bound)
-    elif args.only in ("s1", "s2", "s3", "s4"):
-        from .tables import EXPECTED_PAIR_SETS, product_lpf_pairs
+    try:
+        if args.only is None:
+            report = verify_reference_tables(pair_bound=args.st_bound,
+                                             exponent_bound=args.exp_bound,
+                                             subcase_bound=args.subcase_bound)
+        elif args.only in ("s1", "s2", "s3", "s4"):
+            from .tables import EXPECTED_PAIR_SETS, product_lpf_pairs
 
-        t = int(args.only[1])
-        got = product_lpf_pairs(t, args.st_bound).pairs
-        report.add(f"pairs-t{t}", got == EXPECTED_PAIR_SETS[t],
-                   f"{len(got)} pairs up to {args.st_bound}")
-    elif args.only == "equations":
-        from .tables import verify_equations
+            t = int(args.only[1])
+            got = product_lpf_pairs(t, args.st_bound).pairs
+            report.add(f"pairs-t{t}", got == EXPECTED_PAIR_SETS[t],
+                       f"{len(got)} pairs up to {args.st_bound}")
+        elif args.only == "equations":
+            from .tables import verify_equations
 
-        verify_equations(report, args.exp_bound)
-    elif args.only == "factors":
-        from .tables import verify_factor_rows
+            verify_equations(report, args.exp_bound)
+        elif args.only == "factors":
+            from .tables import verify_factor_rows
 
-        verify_factor_rows(report)
-    elif args.only == "witness":
-        from .tables import verify_witness_prime_rows
+            verify_factor_rows(report)
+        elif args.only == "witness":
+            from .tables import verify_witness_prime_rows
 
-        verify_witness_prime_rows(report)
-    elif args.only == "subcases":
-        for u in range(5):
-            report.checks.extend(verify_k1_subcases(u, args.subcase_bound).checks)
-    elif args.only == "root3":
-        report = verify_nonconstant_leading_counterexample()
+            verify_witness_prime_rows(report)
+        elif args.only == "subcases":
+            for u in range(5):
+                report.checks.extend(verify_k1_subcases(u, args.subcase_bound).checks)
+        elif args.only == "root3":
+            report = verify_nonconstant_leading_counterexample()
+    except ValueError as exc:  # a bound out of range
+        print(f"invalid bound: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     if args.json:
         print(json.dumps({"passed": report.passed,
                           "checks": [{"id": c.check_id, "passed": c.passed,
@@ -279,8 +287,8 @@ def _cmd_oracle(args) -> int:
     else:
         print("need --f or full instance parameters", file=sys.stderr)
         return EXIT_INVALID
-    if f.is_zero or f.degree < 1:
-        print("need a nonconstant polynomial", file=sys.stderr)
+    if f.is_zero or f.degree < 1 or not f.is_integral:
+        print("need a nonconstant polynomial with integer coefficients", file=sys.stderr)
         return EXIT_INVALID
     f = primitive_part(f)
     verdict = oracle_verdict(f, args.prime_budget)
@@ -313,7 +321,8 @@ def _cmd_witness_search(args) -> int:
             print("none-found within bound")
         return EXIT_OK
     inst, witness = found
-    assert verify_witness(inst.f, witness)
+    if not verify_witness(inst.f, witness):
+        raise ArithmeticError("reducibility witness does not reproduce f")
     if args.json:
         print(json.dumps({
             "found": True,

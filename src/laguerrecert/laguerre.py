@@ -5,7 +5,8 @@ integer), an integer leading multiplier, lower multiplier polynomials of
 degree below the base, and the base polynomial itself.  The canonical
 integer object is v**m times the assembled polynomial, so that every
 prime not dividing v sees the same valuations on the expansion parts as
-on the coefficients themselves.
+on the coefficients themselves.  Its integer coefficients v**m b_j are
+computed here, once per (m, parameter), next to the b_j themselves.
 """
 
 from __future__ import annotations
@@ -69,34 +70,39 @@ def laguerre_coefficients(m: int, alpha) -> tuple[Fraction, ...]:
     """Coefficients b_0..b_{m-1}, cross-checked through both closed forms.
 
     b_j = C(m,j) (m+a)(m-1+a)...(j+1+a), and equivalently
-    b_j = C(m,j) (vm+u)(v(m-1)+u)...(v(j+1)+u) / v**(m-j).
+    v**m b_j = C(m,j) v**j (vm+u)(v(m-1)+u)...(v(j+1)+u), an integer.
     Both are evaluated exactly and must agree.  No b_j vanishes because
     the parameter is never a negative integer.
     """
     alpha = Alpha.coerce(alpha)
     if m < 1:
         raise ValueError("m must be positive")
-    return _coefficients_cached(m, alpha)
+    return _coefficients_cached(m, alpha)[0]
 
 
 @lru_cache(maxsize=4096)
-def _coefficients_cached(m: int, alpha: Alpha) -> tuple[Fraction, ...]:
+def _coefficients_cached(m: int, alpha: Alpha) -> tuple[tuple, tuple]:
+    """(b_0..b_{m-1}, c_0..c_{m-1}) with c_j = v**m b_j, from one loop."""
     a = alpha.value
+    u, v = alpha.u, alpha.v
+    vm = v ** m
     b: list[Fraction] = [Fraction(0)] * m
-    prod = Fraction(1)
+    c: list[int] = [0] * m
+    prod = Fraction(1)  # (j+1+a) ... (m+a)
+    iprod = 1  # (v(j+1)+u) ... (vm+u)
+    vj = vm  # v**j
     for j in range(m - 1, -1, -1):
         prod *= j + 1 + a
-        b[j] = comb(m, j) * prod
-    # progression form on integers
-    iprod = 1
-    for j in range(m - 1, -1, -1):
-        iprod *= alpha.v * (j + 1) + alpha.u
-        check = Fraction(comb(m, j) * iprod, alpha.v ** (m - j))
-        if check != b[j]:  # pragma: no cover
-            raise AssertionError(f"coefficient forms disagree at j={j}")
-    if any(x == 0 for x in b):  # pragma: no cover
-        raise AssertionError("coefficients cannot vanish for admissible alpha")
-    return tuple(b)
+        iprod *= v * (j + 1) + u
+        vj //= v
+        cmj = comb(m, j)
+        b[j] = cmj * prod
+        c[j] = cmj * vj * iprod
+        if b[j].numerator * vm != c[j] * b[j].denominator:
+            raise ArithmeticError(f"coefficient forms disagree at j={j}")
+        if c[j] == 0:
+            raise ArithmeticError("coefficients cannot vanish for admissible alpha")
+    return tuple(b), tuple(c)
 
 
 def coefficient_ratio(m: int, alpha, j: int) -> Fraction:
@@ -115,7 +121,7 @@ def coefficient_ratio(m: int, alpha, j: int) -> Fraction:
     b = laguerre_coefficients(m, alpha) + (Fraction(1),)
     direct = b[0] / b[j]
     if closed != direct:  # pragma: no cover
-        raise AssertionError("ratio forms disagree")
+        raise ArithmeticError("ratio forms disagree")
     return closed
 
 
@@ -130,6 +136,8 @@ class LaguerreInstance:
         self.phi = phi
         self.violations = tuple(violations)
         self.b_lower = laguerre_coefficients(m, alpha)
+        # c_j = v**m b_j as ints; the parts of f in powers of phi are c_j * a_j
+        self.cleared = _coefficients_cached(m, Alpha.coerce(alpha))[1]
         self._f = None
         self._vp_cache: dict[int, tuple] = {}
 
@@ -159,24 +167,20 @@ class LaguerreInstance:
     def f(self) -> Poly:
         """v**m times the assembled polynomial; integer coefficients.
 
-        Its expansion parts in powers of phi are exactly v**m * b_j * a_j.
+        Its expansion parts in powers of phi are exactly cleared[j] * a_j,
+        with cleared[j] = v**m * b_j.
         """
         if self._f is None:
-            vm = self.v ** self.m
-            acc = Poly.const(vm * self.a_m)
+            acc = Poly.const(self.v ** self.m * self.a_m)
             for j in range(self.m - 1, -1, -1):
-                cj = vm * self.b_lower[j]
-                if cj.denominator != 1:
-                    raise ArithmeticError(f"v**m * b_{j} is not an integer")
-                acc = acc * self.phi + int(cj) * self.a_parts[j]
+                acc = acc * self.phi + self.cleared[j] * self.a_parts[j]
             self._f = acc
         return self._f
 
     @property
     def laguerre_polynomial(self) -> Poly:
         """The rational polynomial f / (v**m * m!)."""
-        scale = Fraction(1, self.v ** self.m * math.factorial(self.m))
-        return self.f.map_coeffs(lambda c: _canonical_fraction(c * scale))
+        return self.f * Fraction(1, self.v ** self.m * math.factorial(self.m))
 
     def valuation_vector(self, p: int) -> tuple:
         """Exact valuations (v_p(b_0), ..., v_p(b_{m-1}), v_p(a_m)).
@@ -231,11 +235,6 @@ class LaguerreInstance:
         flag = "" if self.is_valid else f", violations={list(self.violations)!r}"
         return (f"LaguerreInstance(m={self.m}, alpha={self.alpha}, "
                 f"a_m={self.a_m}, phi={format_poly(self.phi)!r}{flag})")
-
-
-def _canonical_fraction(c):
-    c = Fraction(c)
-    return int(c) if c.denominator == 1 else c
 
 
 def build_instance(m, alpha, a_m, a_parts, phi, relaxed: bool = False) -> LaguerreInstance:

@@ -1,11 +1,12 @@
 """Certificate-free reducibility evidence.
 
-Factor-degree patterns modulo primes narrow the possible factor degrees;
-bounded searches (rational roots, low-degree interpolation, base-power
-factor candidates) produce explicit witnesses.  Verdicts are sound and
-sometimes silent: "irreducible" means the degree sets ruled everything
-out, "reducible" always carries an exactly verified factorization, and
-anything else is "inconclusive".
+Factor-degree patterns modulo primes (``polyring.degree_pattern``, the
+same distinct-degree splitting that decides irreducibility mod p) narrow
+the possible factor degrees; bounded searches (rational roots, low-degree
+interpolation, base-power factor candidates) produce explicit witnesses.
+Verdicts are sound and sometimes silent: "irreducible" means the degree
+sets ruled everything out, "reducible" always carries an exactly verified
+factorization, and anything else is "inconclusive".
 """
 
 from __future__ import annotations
@@ -16,21 +17,14 @@ from fractions import Fraction
 from itertools import product as _cartesian
 
 from .laguerre import LaguerreInstance, build_instance
-from .polyring import (Poly, content, phi_expand, primitive_part,
-                       _fp_divmod, _fp_from_poly, _fp_gcd, _fp_powmod, _fp_trim)
+from .polyring import (DegreePattern, Poly, content, degree_pattern,  # noqa: F401
+                       phi_expand, primitive_part)
 from .primes import factorize, sieve_primes
 
 _DIVISOR_CAP = 4096
 _FACTOR_VALUE_CAP = 10**15
 _PAIR_CAP = 60_000
 _TRIPLE_CAP = 400_000
-
-
-@dataclass(frozen=True)
-class DegreePattern:
-    p: int
-    degrees: tuple[int, ...]
-    usable: bool
 
 
 @dataclass(frozen=True)
@@ -54,39 +48,6 @@ class Verdict:
     kind: str  # "irreducible" | "reducible" | "inconclusive"
     witness: FactorWitness | None
     degree_set: DegreeSet
-
-
-def degree_pattern(f: Poly, p: int) -> DegreePattern:
-    """Multiset of irreducible-factor degrees of f mod p by distinct-degree
-    splitting; unusable when the reduction is not squarefree."""
-    if f.lead % p == 0:
-        raise ValueError("p must not divide the leading coefficient")
-    fp = _fp_from_poly(f, p)
-    deriv = _fp_trim([i * c % p for i, c in enumerate(fp)][1:])
-    if _fp_gcd(fp[:], deriv, p) != [1]:
-        return DegreePattern(p=p, degrees=(), usable=False)
-    inv = pow(fp[-1], -1, p)
-    rest = [c * inv % p for c in fp]
-    degrees = []
-    w = [0, 1]
-    d = 0
-    while len(rest) - 1 > 0:
-        d += 1
-        if 2 * d > len(rest) - 1:
-            degrees.append(len(rest) - 1)
-            break
-        w = _fp_powmod(w, p, rest, p)
-        size = max(len(w), 2)
-        diff = _fp_trim([((w[i] if i < len(w) else 0) - (1 if i == 1 else 0)) % p
-                         for i in range(size)])
-        g = _fp_gcd(rest[:], diff, p)
-        if len(g) - 1 > 0:
-            degrees.extend([d] * ((len(g) - 1) // d))
-            rest, rem = _fp_divmod(rest, g, p)
-            assert not rem
-            if len(rest) - 1 > 0:
-                w = _fp_divmod(w, rest, p)[1]
-    return DegreePattern(p=p, degrees=tuple(sorted(degrees)), usable=True)
 
 
 def _subset_sums(degrees, n: int) -> int:
@@ -243,7 +204,8 @@ def oracle_verdict(f: Poly, prime_budget: int = 200) -> Verdict:
     if witness is None and 2 in degs.possible:
         witness = _quadratic_factor_witness(f)
     if witness is not None:
-        assert verify_witness(f, witness)
+        if not verify_witness(f, witness):
+            raise ArithmeticError("reducibility witness does not reproduce f")
         return Verdict(kind="reducible", witness=witness, degree_set=degs)
     return Verdict(kind="inconclusive", witness=None, degree_set=degs)
 
@@ -346,6 +308,7 @@ def search_reducible_witness(m: int, alpha, phi: Poly, coefficient_bound: int,
                 w = _base_power_factor(fp, phi, m // 2)
             if w is not None:
                 w = _rescale_witness(f, w)
-                assert verify_witness(f, w)
+                if not verify_witness(f, w):
+                    raise ArithmeticError("reducibility witness does not reproduce f")
                 return inst, w
     return None

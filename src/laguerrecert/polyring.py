@@ -3,7 +3,8 @@
 Coefficients are Python ints or Fractions, ascending degree, no trailing
 zeros (the zero polynomial has an empty tuple).  Includes the shared text
 format, expansion in powers of a monic polynomial, reduction mod p, and
-an irreducibility test over the p-element field.
+the factor degrees of a polynomial over the p-element field by
+distinct-degree splitting, which also decides irreducibility mod p.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .primes import INFINITY, _require_prime, factorize, sieve_primes, vp_int, vp_rat
+from .primes import INFINITY, _require_prime, sieve_primes, vp_int, vp_rat
 
 
 def _canon(c):
@@ -367,42 +368,58 @@ def reduce_mod_p(f: Poly, p: int) -> Poly:
     return Poly(_fp_from_poly(f, p))
 
 
+@dataclass(frozen=True)
+class DegreePattern:
+    p: int
+    degrees: tuple[int, ...]
+    usable: bool
+
+
+def degree_pattern(f: Poly, p: int) -> DegreePattern:
+    """Multiset of irreducible-factor degrees of f mod p by distinct-degree
+    splitting; unusable (no degrees) when the reduction is not squarefree."""
+    if f.lead % p == 0:
+        raise ValueError("p must not divide the leading coefficient")
+    fp = _fp_from_poly(f, p)
+    deriv = _fp_trim([i * c % p for i, c in enumerate(fp)][1:])
+    if _fp_gcd(fp[:], deriv, p) != [1]:
+        return DegreePattern(p=p, degrees=(), usable=False)
+    inv = pow(fp[-1], -1, p)
+    rest = [c * inv % p for c in fp]
+    degrees = []
+    w = [0, 1]
+    d = 0
+    while len(rest) - 1 > 0:
+        d += 1
+        if 2 * d > len(rest) - 1:
+            degrees.append(len(rest) - 1)
+            break
+        # w = x**(p**d) mod rest; gcd(w - x, rest) is the degree-d part
+        w = _fp_powmod(w, p, rest, p)
+        size = max(len(w), 2)
+        diff = _fp_trim([((w[i] if i < len(w) else 0) - (1 if i == 1 else 0)) % p
+                         for i in range(size)])
+        g = _fp_gcd(rest[:], diff, p)
+        if len(g) - 1 > 0:
+            degrees.extend([d] * ((len(g) - 1) // d))
+            rest, rem = _fp_divmod(rest, g, p)
+            if rem:
+                raise ArithmeticError("distinct-degree part does not divide")
+            if len(rest) - 1 > 0:
+                w = _fp_divmod(w, rest, p)[1]
+    return DegreePattern(p=p, degrees=tuple(sorted(degrees)), usable=True)
+
+
 @lru_cache(maxsize=1 << 14)
 def is_irreducible_mod_p(phi: Poly, p: int) -> bool:
-    """Irreducibility of a monic polynomial over the p-element field.
-
-    Uses the standard criterion: x**(p**d) == x mod (phi, p) for d = deg phi,
-    together with gcd(x**(p**(d//q)) - x, phi) == 1 for each prime q | d.
-    """
+    """Irreducibility of a monic polynomial over the p-element field: its
+    factor-degree pattern is the single degree deg phi (squarefree)."""
     _require_prime(p)
     if not phi.is_monic:
         raise ValueError("irreducibility test requires a monic polynomial")
-    d = phi.degree
-    if d < 1:
+    if phi.degree < 1:
         raise ValueError("degree must be at least 1")
-    if d == 1:
-        return True
-    mod = _fp_from_poly(phi, p)
-    x = [0, 1]
-    stages = {0: x[:]}
-    w = x[:]
-    for e in range(1, d + 1):
-        w = _fp_powmod(w, p, mod, p)
-        stages[e] = w[:]
-    target = _fp_divmod(x, mod, p)[1]
-    if stages[d] != target:
-        return False
-    for q in factorize(d):
-        diff = _fp_trim([(a - b) % p for a, b in _zip_pad(stages[d // q], x)])
-        if _fp_gcd(mod[:], diff, p) != [1]:
-            return False
-    return True
-
-
-def _zip_pad(a: list[int], b: list[int]):
-    n = max(len(a), len(b))
-    for i in range(n):
-        yield (a[i] if i < len(a) else 0), (b[i] if i < len(b) else 0)
+    return degree_pattern(phi, p).degrees == (phi.degree,)
 
 
 def check_phi(phi: Poly, bound: int) -> bool:

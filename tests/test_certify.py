@@ -1,5 +1,6 @@
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from laguerrecert.certify import (Certificate, ExclusionWitness, FailureReport,
-                                  NoSmallDegreePrime, certificate_from_json,
+                                  NoSmallDegreePrime, _small_degree_failure,
+                                  certificate_from_json,
                                   certificate_to_json, certify, coverage_complete,
                                   exclude_small_degrees, find_prime_for_k,
                                   lemma_exclusion_check, verify_certificate,
@@ -31,6 +33,54 @@ def test_small_degree_examples(phi17):
     assert exclude_small_degrees(ones(phi17, 2, 2, relaxed=True)) == 2
     with pytest.raises(NoSmallDegreePrime):
         exclude_small_degrees(ones(phi17, 1, 0))
+    # each other reason a real instance can reach: vm+u = 3 divides a_m = 3,
+    # and x^2 - x + 17 = x(x - 1) modulo 17 = vm+u
+    with pytest.raises(NoSmallDegreePrime, match="^prime 3 divides the leading multiplier$"):
+        exclude_small_degrees(ones(phi17, 3, 0, a_m=3, relaxed=True))
+    with pytest.raises(NoSmallDegreePrime, match="^base polynomial is reducible modulo 17$"):
+        exclude_small_degrees(ones(phi17, 17, 0, relaxed=True))
+    with pytest.raises(NoSmallDegreePrime, match="^base polynomial is reducible modulo 17$"):
+        exclude_small_degrees(ones(phi17, 7, Fraction(3, 2), relaxed=True))
+
+
+def _fraction_small_degree_failure(inst, p):
+    # the predicate on Fraction numerators and denominators, as the
+    # certifier and the verifier each spelled it before the integer model
+    if inst.prime_bound % p != 0:
+        return f"prime {p} does not divide vm+u = {inst.prime_bound}"
+    if inst.a_m % p == 0:
+        return f"prime {p} divides the leading multiplier"
+    if any(bj.numerator % p != 0 or bj.denominator % p == 0 for bj in inst.b_lower):
+        return f"prime {p} misses a lower coefficient"
+    if not is_irreducible_mod_p(inst.phi, p):
+        return f"base polynomial is reducible modulo {p}"
+    return None
+
+
+def test_small_degree_failure_matches_fraction_predicate(phi17):
+    reasons = set()
+    for v in (1, 2, 3, 5):
+        for u in range(-7, 8):
+            try:
+                alpha = Alpha(u, v)
+            except ValueError:
+                continue
+            for m in range(1, 31):
+                for a_m in (1, 6):
+                    inst = build_instance(m, alpha, a_m, [Poly.const(1)] * m, phi17,
+                                          relaxed=True)
+                    for p in sieve_primes(v * m + u + 10):
+                        got = _small_degree_failure(inst, p)
+                        assert got == _fraction_small_degree_failure(inst, p), (m, alpha, a_m, p)
+                        reasons.add(got if got is None else re.sub(r"-?\d+", "#", got))
+                        if v % p:
+                            # off the vm+u divisors too: p | v**m b_j iff v_p(b_j) >= 1
+                            assert (any(c % p for c in inst.cleared)
+                                    == any(bj.numerator % p != 0 or bj.denominator % p == 0
+                                           for bj in inst.b_lower)), (m, alpha, p)
+    assert reasons == {None, "prime # does not divide vm+u = #",
+                       "prime # divides the leading multiplier",
+                       "base polynomial is reducible modulo #"}
 
 
 def test_small_degree_prime_is_smallest_factor(phi17):
@@ -341,6 +391,14 @@ def broken(expansion, p):
 
 cm.build_polygon = broken
 print("broken polygon", cm.verify_certificate(cert, inst))
+# the oracle re-checks every reducibility witness with an explicit raise
+om = importlib.import_module("laguerrecert.oracle")
+om._rational_root_witness = lambda f: om.FactorWitness(
+    g=parse_poly("x + 2"), h=parse_poly("x - 2"), c=Fraction(1))
+try:
+    print("bogus witness", om.oracle_verdict(parse_poly("x^2 - 1")).kind)
+except ArithmeticError:
+    print("bogus witness raises")
 """
 
 
@@ -353,8 +411,9 @@ def test_verify_cross_checks_survive_optimized_mode():
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
-    assert proc.stdout.split("\n")[:3] == [
-        "verify True", "tampered False", "broken polygon False"]
+    assert proc.stdout.split("\n")[:4] == [
+        "verify True", "tampered False", "broken polygon False",
+        "bogus witness raises"]
 
 
 def test_verify_rejects_prime_dividing_lead(phi17):

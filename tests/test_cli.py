@@ -191,3 +191,37 @@ def test_witness_search_json(capsys):
     assert code == 3
     data = json.loads(out)
     assert data["found"] is True and "g" in data
+
+
+
+_INSTANCE = ("-m", "5", "-u", "2", "--am", "1", "--phi", "x^2-x+17")
+
+
+def _verify_argv(tmp_path, text=None, edit=None):
+    """certify --verify on a file holding text, or a good certificate after edit."""
+    path = tmp_path / "cert.json"
+    if text is None:
+        main(["certify", *_INSTANCE, "--out", str(path)])
+        data = json.loads(path.read_text())
+        edit(data)
+        text = json.dumps(data)
+    path.write_text(text)
+    return ["certify", *_INSTANCE, "--verify", str(path)]
+
+
+@pytest.mark.parametrize("make_argv", [
+    lambda t: ["certify", *_INSTANCE, "--verify", str(t / "missing.json")],
+    lambda t: _verify_argv(t, text='{"m": 5'),
+    lambda t: _verify_argv(t, edit=lambda d: d.pop("witnesses")),
+    lambda t: _verify_argv(t, edit=lambda d: d["witnesses"][0].update(slope="1/0")),
+    lambda t: _verify_argv(t, edit=lambda d: d.update(m="5")),
+    lambda t: ["oracle", "--f", "1/2x^2+1"],
+    lambda t: ["tables", "--st-bound", "1"],
+], ids=["missing-file", "not-json", "no-witnesses", "slope-1/0", "m-string",
+        "oracle-fraction", "tables-st-bound-1"])
+def test_malformed_input_exits_invalid(tmp_path, capsys, make_argv):
+    argv = make_argv(tmp_path)
+    capsys.readouterr()
+    code, _, err = run(capsys, *argv)
+    assert code == 4
+    assert err.count("\n") == 1 and err.strip(), err

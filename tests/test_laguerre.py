@@ -179,6 +179,18 @@ def _admissible_alphas(vs, us):
                 continue
 
 
+def test_cleared_coefficients_are_exact():
+    # the integers v**m b_j that f, the verifier's expansion and the
+    # small-degree test read, against the Fractions b_j
+    for alpha in _admissible_alphas((1, 2, 3, 5), range(-7, 8)):
+        for m in range(1, 31):
+            b = laguerre_coefficients(m, alpha)
+            inst = LaguerreInstance(m, alpha, 1, const_parts(*[1] * m), X)
+            assert len(inst.cleared) == m
+            for j, c in enumerate(inst.cleared):
+                assert type(c) is int and c == alpha.v ** m * b[j], (m, alpha, j)
+
+
 def test_additive_valuation_vector_matches_vp_rat():
     # the additive route (Legendre binomial term plus the progression sum)
     # against vp_rat on the Fractions b_j; for integer parameters that is

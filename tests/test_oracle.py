@@ -44,12 +44,23 @@ def test_pattern_quartic(phi17):
 def test_pattern_matches_constructed_factorizations(rng):
     # build f as a product of known irreducibles mod p; the pattern must
     # recover exactly their degrees whenever the product is squarefree
-    from laguerrecert.polyring import is_irreducible_mod_p, reduce_mod_p
+    from itertools import product
+
+    from laguerrecert.polyring import reduce_mod_p
+
+    def has_monic_divisor(cand, p):
+        # brute force: divisibility by every monic g mod p, 1 <= deg g <= deg/2,
+        # independent of the distinct-degree routine under test
+        for e in range(1, cand.degree // 2 + 1):
+            for lower in product(range(p), repeat=e):
+                if reduce_mod_p(cand % Poly(lower + (1,)), p).is_zero:
+                    return True
+        return False
 
     def random_irreducible(p, d):
         while True:
             cand = Poly([rng.randrange(p) for _ in range(d)] + [1])
-            if cand.degree == d and is_irreducible_mod_p(cand, p):
+            if not has_monic_divisor(cand, p):
                 return cand
 
     for _ in range(60):

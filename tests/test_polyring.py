@@ -5,10 +5,11 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from laguerrecert.polyring import (Poly, X, check_phi, construct_phi, content,
-                                   format_poly, gauss_valuation,
-                                   is_irreducible_mod_p, parse_poly, phi_expand,
-                                   primitive_part, reduce_mod_p)
+from laguerrecert.polyring import (DegreePattern, Poly, X, check_phi, construct_phi,
+                                   content, degree_pattern, format_poly,
+                                   gauss_valuation, is_irreducible_mod_p,
+                                   parse_poly, phi_expand, primitive_part,
+                                   reduce_mod_p)
 from laguerrecert.primes import INFINITY
 
 
@@ -227,6 +228,34 @@ def test_irreducibility_matches_enumeration():
             for f in _monic_polys(p, d):
                 assert is_irreducible_mod_p(f, p) == _irreducible_by_enumeration(f, p), \
                     f"disagreement at p={p}, f={f}"
+
+
+def test_degree_pattern_and_irreducibility_match_sympy():
+    # sympy's factorization over the p-element field is the independent
+    # reference for the one distinct-degree routine behind both answers
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(4417)
+    primes = [p for p in range(2, 102) if all(p % q for q in range(2, p))]
+    checked = reducible = unusable = 0
+    for _ in range(1500):
+        p = rng.choice(primes)
+        d = rng.randrange(1, 7)
+        f = Poly([rng.randrange(-p, 2 * p) for _ in range(d)] + [1])
+        _, factors = sympy.Poly(list(reversed(f.coeffs)), x, modulus=p).factor_list()
+        squarefree = all(e == 1 for _, e in factors)
+        degrees = tuple(sorted(g.degree() for g, e in factors for _ in range(e)))
+        pattern = degree_pattern(f, p)
+        if squarefree:
+            assert pattern == DegreePattern(p, degrees, True), (f, p)
+        else:
+            assert pattern == DegreePattern(p, (), False), (f, p)
+            unusable += 1
+        irreducible = len(factors) == 1 and factors[0][1] == 1
+        assert is_irreducible_mod_p(f, p) == irreducible, (f, p)
+        reducible += not irreducible
+        checked += 1
+    assert checked == 1500 and reducible > 300 and unusable > 30
 
 
 def test_check_phi_examples(phi17):
