@@ -7,20 +7,22 @@ slope does not depend on k and the divisibility range only grows with k,
 so each prime witnesses one contiguous range of k; the certifier computes
 that range once per prime and gives every k its smallest witness prime, so
 equal inputs always yield identical certificates.  Verification recomputes
-everything from scratch - coefficients, prime properties, the polygon of
-each distinct prime, the interval coverage - and trusts nothing from the
+everything from scratch - coefficients, the exclusion lemma's hypotheses
+on the polygon of each distinct prime (exclusion_bounds, not the
+certifier's gates), the interval coverage - and trusts nothing from the
 producer.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .laguerre import HypothesisViolation, LaguerreInstance
 from .polygon import PhiExpansion, build_polygon, rightmost_slope
-from .polyring import Poly, content, format_poly, gauss_valuation, is_irreducible_mod_p, parse_poly
+from .polyring import Poly, content, format_poly, is_irreducible_mod_p, parse_poly
 from .primes import factorize, is_prime, sieve_primes
 
 
@@ -187,6 +189,28 @@ def certify(instance: LaguerreInstance) -> Certificate | FailureReport:
                          witnesses=tuple(witnesses))
 
 
+def exclusion_bounds(expansion: PhiExpansion, multipliers,
+                     p: int) -> tuple[int, Fraction] | None:
+    """The prime-dependent hypotheses of the exclusion lemma, at p.
+
+    For f = sum f_i phi**i with multipliers a_0..a_m: None when p divides
+    the content of a_0 or the leading coefficient of a_m, else (k_lo, the
+    rightmost slope of the polygon of f at p), where f_0..f_{m-k} (at
+    abscissas k..m) all have positive valuation exactly when k >= k_lo.
+    Raises ValueError unless p is prime and phi irreducible modulo p.
+    """
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if not is_irreducible_mod_p(expansion.phi, p):
+        raise ValueError("base must be irreducible modulo p")
+    a0, am = multipliers[0], multipliers[-1]
+    if a0.is_zero or content(a0) % p == 0 or am.is_zero or am.lead % p == 0:
+        return None
+    polygon = build_polygon(expansion, p)
+    k_lo = 1 + max(i for i, h in polygon.points if h < 1)
+    return k_lo, rightmost_slope(polygon)
+
+
 def lemma_exclusion_check(f: Poly, phi: Poly, p: int, ell: int, k: int,
                           multipliers) -> bool:
     """Degree-interval exclusion hypotheses, checked on an explicit expansion.
@@ -199,45 +223,29 @@ def lemma_exclusion_check(f: Poly, phi: Poly, p: int, ell: int, k: int,
       - deg a_i < deg phi - deg f_i for every i,
       - the content of a_0 is prime to p,
       - the leading coefficient of a_m is prime to p.
-    Returns whether all five hold.  Range and shape violations raise.
+    Returns whether all five hold; the degree conditions do not involve p,
+    the other four are exclusion_bounds.  Range and shape violations raise.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
     if not (phi.is_monic and phi.degree >= 1):
         raise ValueError("base must be monic of degree >= 1")
-    if not is_irreducible_mod_p(phi, p):
-        raise ValueError("base must be irreducible modulo p")
     if not f.is_monic:
         raise ValueError("expanded polynomial must be monic")
     from .polyring import phi_expand
 
     expansion = phi_expand(f, phi)
-    parts = expansion.parts
     m = expansion.n
     if not (0 <= ell < k and 2 * k <= m):
         raise ValueError("need 0 <= ell < k <= m/2")
-    if parts[0].is_zero:
+    if expansion.parts[0].is_zero:
         raise ValueError("polynomial is divisible by the base")
     multipliers = [mp if isinstance(mp, Poly) else Poly.const(mp) for mp in multipliers]
     if len(multipliers) != m + 1:
         raise ValueError(f"expected {m + 1} multipliers")
-
-    for i in range(m - ell):
-        # a vanishing part has infinite valuation and passes vacuously
-        if not parts[i].is_zero and gauss_valuation(p, parts[i]) <= 0:
-            return False
-    if rightmost_slope(build_polygon(expansion, p)) >= Fraction(1, k):
-        return False
-    for i, mult in enumerate(multipliers):
-        fi_deg = parts[i].degree if i < len(parts) and not parts[i].is_zero else 0
-        if not mult.is_zero and mult.degree >= phi.degree - fi_deg:
-            return False
-    a0 = multipliers[0]
-    if a0.is_zero or content(a0) % p == 0:
-        return False
-    if multipliers[m].is_zero or multipliers[m].lead % p == 0:
-        return False
-    return True
+    degrees_ok = all(mult.is_zero or mult.degree < phi.degree - max(part.degree, 0)
+                     for mult, part in zip(multipliers, expansion.parts))
+    bounds = exclusion_bounds(expansion, multipliers, p)
+    return (degrees_ok and bounds is not None
+            and bounds[0] <= ell + 1 and bounds[1] < Fraction(1, k))
 
 
 def coverage_complete(m: int, deg_phi: int, ks) -> bool:
@@ -266,32 +274,19 @@ def _monic_model_expansion(instance: LaguerreInstance) -> PhiExpansion:
     return expansion
 
 
-def _polygon_facts(instance: LaguerreInstance, expansion: PhiExpansion,
-                   p: int) -> tuple[Fraction, int] | None:
-    """(rightmost slope, largest abscissa of valuation below 1) of the
-    polygon at p, or None when p fails a k-independent witness condition.
-
-    Only these two numbers are kept, not the polygon: at large m the
-    polygons of every witness prime would dominate the verifier's memory.
-    """
-    if not (is_prime(p) and _prime_qualifies(instance, p)):
-        return None
-    polygon = build_polygon(expansion, p)
-    last_unit = max(i for i, h in polygon.points if h < 1)
-    return rightmost_slope(polygon), last_unit
-
-
 def verify_certificate(cert: Certificate, instance: LaguerreInstance) -> bool:
     """Re-derive every certificate claim from first principles.
 
-    Checks instance consistency and hypotheses, the small-degree prime,
-    each witness (primality, coprimality, coefficient divisibility and
-    slope bound, both read off the polygon of the big-integer expansion,
-    built once per distinct prime), and interval coverage.
+    Checks field types, instance consistency and hypotheses, the
+    small-degree prime, each witness against exclusion_bounds (once per
+    distinct prime, on the monic model with multipliers
+    a_0..a_{m-1}, v**m a_m), and interval coverage.
     Returns False on any discrepancy; never raises for a bad certificate.
     """
     try:
-        if not isinstance(cert, Certificate):
+        if not isinstance(cert, Certificate) or not all(
+                type(n) is int for n in (cert.m, cert.u, cert.v, cert.small_degree_prime,
+                                         *(n for w in cert.witnesses for n in (w.k, w.p)))):
             return False
         if (cert.m, cert.u, cert.v) != (instance.m, instance.u, instance.v):
             return False
@@ -301,28 +296,27 @@ def verify_certificate(cert: Certificate, instance: LaguerreInstance) -> bool:
         if not is_prime(p0) or _small_degree_failure(instance, p0) is not None:
             return False
 
+        m = instance.m
         expansion = _monic_model_expansion(instance)
+        multipliers = instance.a_parts + (Poly.const(instance.v ** m * instance.a_m),)
         per_prime: dict = {}
         seen_ks = []
         for w in cert.witnesses:
-            if not (w.divisibility_checked and 1 <= w.k <= instance.m // 2):
+            if not (w.divisibility_checked and 1 <= w.k <= m // 2):
                 return False
             if w.p not in per_prime:
-                per_prime[w.p] = _polygon_facts(instance, expansion, w.p)
+                per_prime[w.p] = exclusion_bounds(expansion, multipliers, w.p)
             if per_prime[w.p] is None:
                 return False
-            polygon_slope, last_unit = per_prime[w.p]
-            # b_0..b_{m-k} sit at abscissas k..m, so all have valuation >= 1
-            # exactly when the last point of valuation below 1 lies left of k
-            if w.k <= last_unit:
-                return False
-            if polygon_slope != w.slope or not polygon_slope < Fraction(1, w.k):
+            k_lo, slope = per_prime[w.p]
+            if w.k < k_lo or type(w.slope) is not Fraction or slope != w.slope \
+                    or not slope < Fraction(1, w.k):
                 return False
             seen_ks.append(w.k)
-        if sorted(seen_ks) != list(range(1, instance.m // 2 + 1)):
+        if sorted(seen_ks) != list(range(1, m // 2 + 1)):
             return False
-        return coverage_complete(instance.m, instance.phi.degree, seen_ks)
-    except (ValueError, ZeroDivisionError, ArithmeticError):
+        return coverage_complete(m, instance.phi.degree, seen_ks)
+    except (ValueError, TypeError, AttributeError, ZeroDivisionError, ArithmeticError):
         return False
 
 
@@ -353,19 +347,40 @@ def certificate_to_json(cert: Certificate) -> str:
     return json.dumps(certificate_to_jsonable(cert), indent=2)
 
 
+def _typed(record: dict, key: str, kind: type):
+    """record[key], which must be exactly of the given type (no bool for int)."""
+    value = record[key]
+    if type(value) is not kind:
+        raise ValueError(f"malformed certificate: {key} must be {kind.__name__}, "
+                         f"got {value!r}")
+    return value
+
+
 def certificate_from_json(text: str) -> Certificate:
-    """Parse a certificate; any malformed input raises ValueError."""
+    """Parse a certificate; any malformed input raises ValueError.
+
+    m, u, v, small_degree_prime, k and p must be JSON integers, phi and
+    slope strings (the slope written a/b), and divisibility_range a list of
+    two integers.
+    """
     try:
         data = json.loads(text)
-        witnesses = tuple(
-            ExclusionWitness(k=w["k"], p=w["p"],
-                             slope=Fraction(w["slope"]),
-                             divisibility_checked=w["divisibility_range"] == [0, data["m"] - w["k"]])
-            for w in data["witnesses"]
-        )
-        return Certificate(m=data["m"], u=data["u"], v=data["v"],
-                           phi=parse_poly(data["phi"]),
-                           small_degree_prime=data["small_degree_prime"],
-                           witnesses=witnesses)
+        m = _typed(data, "m", int)
+        witnesses = []
+        for w in _typed(data, "witnesses", list):
+            k, slope = _typed(w, "k", int), _typed(w, "slope", str)
+            if not re.fullmatch(r"-?[0-9]+/[0-9]+", slope):
+                raise ValueError(f"malformed certificate: slope {slope!r} is not a/b")
+            divisibility = _typed(w, "divisibility_range", list)
+            if len(divisibility) != 2 or any(type(n) is not int for n in divisibility):
+                raise ValueError("malformed certificate: divisibility_range must be "
+                                 f"two integers, got {divisibility!r}")
+            witnesses.append(ExclusionWitness(k=k, p=_typed(w, "p", int),
+                                              slope=Fraction(slope),
+                                              divisibility_checked=divisibility == [0, m - k]))
+        return Certificate(m=m, u=_typed(data, "u", int), v=_typed(data, "v", int),
+                           phi=parse_poly(_typed(data, "phi", str)),
+                           small_degree_prime=_typed(data, "small_degree_prime", int),
+                           witnesses=tuple(witnesses))
     except (KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed certificate: {type(exc).__name__}: {exc}") from exc

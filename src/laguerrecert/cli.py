@@ -204,8 +204,12 @@ def _cmd_certify(args) -> int:
     result = certify(inst)
     if isinstance(result, Certificate):
         path = _cert_output_path(args, inst)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(certificate_to_json(result) + "\n")
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(certificate_to_json(result) + "\n")
+        except OSError as exc:
+            print(f"cannot write certificate: {exc}", file=sys.stderr)
+            return EXIT_INVALID
         if args.json:
             print(json.dumps({"certificate": certificate_to_jsonable(result),
                               "path": path}, indent=2))
@@ -340,6 +344,8 @@ def _cmd_witness_search(args) -> int:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # large instances print huge integers
+        sys.set_int_max_str_digits(0)
     args = _build_parser().parse_args(argv)
     handler = {
         "construct": _cmd_construct,

@@ -279,6 +279,8 @@ def search_reducible_witness(m: int, alpha, phi: Poly, coefficient_bound: int,
     m//2.  None-found is a meaningful result: the search space is exactly
     the stated one.
     """
+    if m < 1:
+        raise ValueError("need m >= 1")
     if coefficient_bound < 1:
         raise ValueError("coefficient bound must be positive")
     from .laguerre import Alpha

@@ -3,6 +3,7 @@ import pathlib
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,12 +13,12 @@ from laguerrecert.certify import (Certificate, ExclusionWitness, FailureReport,
                                   NoSmallDegreePrime, _small_degree_failure,
                                   certificate_from_json,
                                   certificate_to_json, certify, coverage_complete,
-                                  exclude_small_degrees, find_prime_for_k,
-                                  lemma_exclusion_check, verify_certificate,
-                                  witness_range)
+                                  exclude_small_degrees, exclusion_bounds,
+                                  find_prime_for_k, lemma_exclusion_check,
+                                  verify_certificate, witness_range, witness_slope)
 from laguerrecert.laguerre import Alpha, HypothesisViolation, build_instance
 from laguerrecert.polyring import (Poly, construct_phi, content,
-                                   is_irreducible_mod_p, parse_poly)
+                                   is_irreducible_mod_p, parse_poly, phi_expand)
 from laguerrecert.primes import sieve_primes, vp_rat
 from laguerrecert.tables import k_witness_valid
 
@@ -320,6 +321,11 @@ def test_lemma_exclusion_on_monic_model(phi17):
             phi17**8)
     multipliers = list(inst.a_parts) + [Poly.const(1)]
     assert lemma_exclusion_check(g, phi17, 7, 1, 2, multipliers)
+    # deg a_i < deg phi - deg f_i: a linear a_1 passes, a quadratic one fails
+    linear = multipliers[:1] + [Poly([1, 1])] + multipliers[2:]
+    assert lemma_exclusion_check(g, phi17, 7, 1, 2, linear)
+    quadratic = multipliers[:1] + [Poly([0, 0, 1])] + multipliers[2:]
+    assert not lemma_exclusion_check(g, phi17, 7, 1, 2, quadratic)
     # an even multiplier at position 0 breaks the content hypothesis at p=2
     bad = [Poly.const(2)] + multipliers[1:]
     assert not lemma_exclusion_check(g, phi17, 7, 1, 2,
@@ -347,7 +353,65 @@ def test_lemma_exclusion_slope_failure(phi17):
                                      [Poly.const(1)] * 3)
 
 
+def test_lemma_agrees_with_certifier_witnesses():
+    # the lemma on the reassembled monic model, with the leading multiplier
+    # v**m, holds exactly where the certifier's witness predicate does
+    cases = 0
+    for v in (1, 2, 3):
+        for u in range(-2, 5):
+            try:
+                alpha = Alpha(u, v)
+            except ValueError:
+                continue
+            for m in range(2, 15):
+                phi = construct_phi(2, v * m + u)
+                inst = ones(phi, m, alpha)
+                f = sum((c * phi**j for j, c in enumerate(inst.cleared)), phi**m)
+                multipliers = [1] * m + [v**m]
+                for p in sieve_primes(inst.prime_bound):
+                    for k in range(1, m // 2 + 1):
+                        expected = witness_slope(inst, k, p) is not None
+                        try:
+                            held = lemma_exclusion_check(f, phi, p, k - 1, k, multipliers)
+                        except ValueError:  # phi reducible modulo p
+                            assert not is_irreducible_mod_p(phi, p)
+                            held = False
+                        assert held == expected, (m, u, v, p, k)
+                        cases += 1
+    assert cases == 4906
+
+
+def test_exclusion_bounds_gates(phi17):
+    g = phi17**2 + 8 * phi17 + 12  # parts 12, 8, 1: valuations 2, 3, 0 at 2; 1, 0, 0 at 3
+    expansion = phi_expand(g, phi17)
+    ones3 = [Poly.const(1)] * 3
+    assert exclusion_bounds(expansion, ones3, 2) == (1, Fraction(1))
+    assert exclusion_bounds(expansion, ones3, 3) == (2, Fraction(1))
+    assert exclusion_bounds(expansion, [Poly.const(6)] + ones3[1:], 2) is None
+    assert exclusion_bounds(expansion, ones3[:2] + [Poly.const(4)], 2) is None
+    with pytest.raises(ValueError):
+        exclusion_bounds(expansion, ones3, 4)  # not prime
+    with pytest.raises(ValueError):
+        exclusion_bounds(expansion, ones3, 17)  # x^2 - x + 17 = x(x - 1) mod 17
+
+
 # -- verification and serialization ---------------------------------------------------
+
+def test_verify_rejects_mistyped_fields(phi17):
+    inst = ones(phi17, 5, 2)
+    cert = certify(inst)
+    assert verify_certificate(cert, inst)
+    w0 = cert.witnesses[0]
+    bad_fields = [{"m": "5"}, {"small_degree_prime": 7.0}, {"small_degree_prime": 2.5},
+                  {"witnesses": (replace(w0, p=float(w0.p)),) + cert.witnesses[1:]},
+                  {"witnesses": (replace(w0, p=2.5),) + cert.witnesses[1:]},
+                  {"witnesses": (replace(w0, p=str(w0.p)),) + cert.witnesses[1:]},
+                  {"witnesses": (replace(w0, k=True),) + cert.witnesses[1:]},
+                  {"witnesses": (replace(w0, slope=float(w0.slope)),) + cert.witnesses[1:]},
+                  {"witnesses": None}, {"witnesses": (None,)}]
+    for fields in bad_fields:
+        assert not verify_certificate(replace(cert, **fields), inst), fields
+
 
 def test_verify_rejects_tampered_slope(phi17):
     inst = ones(phi17, 5, 1)

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from laguerrecert.cli import main
+from laguerrecert.laguerre import build_instance
+from laguerrecert.polyring import Poly, construct_phi, format_poly, parse_poly
 
 
 def run(capsys, *argv):
@@ -193,7 +195,6 @@ def test_witness_search_json(capsys):
     assert data["found"] is True and "g" in data
 
 
-
 _INSTANCE = ("-m", "5", "-u", "2", "--am", "1", "--phi", "x^2-x+17")
 
 
@@ -215,9 +216,21 @@ def _verify_argv(tmp_path, text=None, edit=None):
     lambda t: _verify_argv(t, edit=lambda d: d.pop("witnesses")),
     lambda t: _verify_argv(t, edit=lambda d: d["witnesses"][0].update(slope="1/0")),
     lambda t: _verify_argv(t, edit=lambda d: d.update(m="5")),
+    lambda t: _verify_argv(t, edit=lambda d: d.update(m="5", witnesses=[])),
+    lambda t: _verify_argv(t, edit=lambda d: d["witnesses"][0].update(p=2.5)),
+    lambda t: _verify_argv(t, edit=lambda d: d["witnesses"][0].update(p="7")),
+    lambda t: _verify_argv(t, edit=lambda d: d["witnesses"][0].update(p=True)),
+    lambda t: _verify_argv(t, edit=lambda d: d.update(small_degree_prime=2.5)),
+    lambda t: _verify_argv(t, edit=lambda d: d["witnesses"][0].update(slope="0.5")),
+    lambda t: _verify_argv(t, edit=lambda d: d["witnesses"][0].update(
+        divisibility_range=[0, float(d["witnesses"][0]["divisibility_range"][1])])),
+    lambda t: ["certify", *_INSTANCE, "--out", str(t / "missing" / "c.json")],
+    lambda t: ["witness-search", "-m", "0", "-u", "1", "--phi", "x^2-x+17"],
     lambda t: ["oracle", "--f", "1/2x^2+1"],
     lambda t: ["tables", "--st-bound", "1"],
 ], ids=["missing-file", "not-json", "no-witnesses", "slope-1/0", "m-string",
+        "m-string-no-witnesses", "p-float", "p-string", "p-bool", "small-degree-prime-float",
+        "slope-decimal", "divisibility-range-float", "out-dir-missing", "witness-search-m-0",
         "oracle-fraction", "tables-st-bound-1"])
 def test_malformed_input_exits_invalid(tmp_path, capsys, make_argv):
     argv = make_argv(tmp_path)
@@ -225,3 +238,15 @@ def test_malformed_input_exits_invalid(tmp_path, capsys, make_argv):
     code, _, err = run(capsys, *argv)
     assert code == 4
     assert err.count("\n") == 1 and err.strip(), err
+
+
+def test_construct_prints_integers_of_any_size(capsys):
+    # over this base, f at m=200 has coefficients of more than 4300 digits
+    phi = construct_phi(2, 202)
+    code, out, _ = run(capsys, "construct", "-m", "200", "-u", "2", "--am", "1",
+                       "--phi", format_poly(phi))
+    assert code == 0
+    inst = build_instance(200, 2, 1, [Poly.const(1)] * 200, phi)
+    assert max(abs(c) for c in inst.f.coeffs) > 10**4300
+    f_line, = [line for line in out.splitlines() if line.startswith("f: ")]
+    assert parse_poly(f_line[len("f: "):]) == inst.f
