@@ -7,7 +7,7 @@ from .certify import (Certificate, ExclusionWitness, FailureReport,
                       exclude_small_degrees, find_prime_for_k,
                       lemma_exclusion_check, verify_certificate)
 from .laguerre import (Alpha, HypothesisViolation, LaguerreInstance,
-                       build_instance, coefficient_ratio, laguerre_coefficients)
+                       build_instance, laguerre_coefficients)
 from .oracle import (DegreeSet, FactorWitness, Verdict, oracle_verdict,
                      possible_degrees, search_reducible_witness, verify_witness)
 from .polygon import (NewtonPolygon, bruteforce_lower_hull, build_polygon,
@@ -17,7 +17,7 @@ from .polyring import (DegreePattern, PhiExpansion, Poly, X, check_phi, construc
                        is_irreducible_mod_p, parse_poly, phi_expand, primitive_part,
                        reduce_mod_p)
 from .primes import (INFINITY, factorial_valuation, factorize, is_prime,
-                     largest_prime_factor, prime_in_ap, product_lpf,
+                     largest_prime_factor, product_lpf,
                      sieve_primes, vp_int, vp_rat)
 from .tables import (EXPECTED_EQUATION_SOLUTIONS, EXPECTED_PAIR_SETS,
                      K1_QUOTED_SETS, Report, k1_no_good_prime_set,

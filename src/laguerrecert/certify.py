@@ -10,7 +10,11 @@ equal inputs always yield identical certificates.  Verification recomputes
 everything from scratch - coefficients, the exclusion lemma's hypotheses
 on the polygon of each distinct prime (exclusion_bounds, not the
 certifier's gates), the interval coverage - and trusts nothing from the
-producer.
+producer.  Its polygon heights are telescoped from the coefficient ratio,
+which is checked exactly on the big integers once per instance: one
+big-integer valuation per prime, small-integer valuations for the rest,
+and an exact big-integer anchor at every polygon vertex.  This valuation
+route shares no code with the certifier's Legendre sums.
 """
 
 from __future__ import annotations
@@ -21,9 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .laguerre import HypothesisViolation, LaguerreInstance
-from .polygon import PhiExpansion, build_polygon, rightmost_slope
+from .polygon import NewtonPolygon, anchored_polygon, build_polygon, rightmost_slope
 from .polyring import Poly, content, format_poly, is_irreducible_mod_p, parse_poly
-from .primes import factorize, is_prime, sieve_primes
+from .primes import factorize, is_prime, sieve_primes, vp_int
 
 
 class NoSmallDegreePrime(Exception):
@@ -189,24 +193,26 @@ def certify(instance: LaguerreInstance) -> Certificate | FailureReport:
                          witnesses=tuple(witnesses))
 
 
-def exclusion_bounds(expansion: PhiExpansion, multipliers,
-                     p: int) -> tuple[int, Fraction] | None:
+def exclusion_bounds(phi: Poly, multipliers, p: int,
+                     polygon_at) -> tuple[int, Fraction] | None:
     """The prime-dependent hypotheses of the exclusion lemma, at p.
 
     For f = sum f_i phi**i with multipliers a_0..a_m: None when p divides
     the content of a_0 or the leading coefficient of a_m, else (k_lo, the
     rightmost slope of the polygon of f at p), where f_0..f_{m-k} (at
     abscissas k..m) all have positive valuation exactly when k >= k_lo.
+    The caller supplies the heights: polygon_at(p) is that polygon, leading
+    part at abscissa 0, and is called only once every gate has passed.
     Raises ValueError unless p is prime and phi irreducible modulo p.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if not is_irreducible_mod_p(expansion.phi, p):
+    if not is_irreducible_mod_p(phi, p):
         raise ValueError("base must be irreducible modulo p")
     a0, am = multipliers[0], multipliers[-1]
     if a0.is_zero or content(a0) % p == 0 or am.is_zero or am.lead % p == 0:
         return None
-    polygon = build_polygon(expansion, p)
+    polygon = polygon_at(p)
     k_lo = 1 + max(i for i, h in polygon.points if h < 1)
     return k_lo, rightmost_slope(polygon)
 
@@ -243,7 +249,8 @@ def lemma_exclusion_check(f: Poly, phi: Poly, p: int, ell: int, k: int,
         raise ValueError(f"expected {m + 1} multipliers")
     degrees_ok = all(mult.is_zero or mult.degree < phi.degree - max(part.degree, 0)
                      for mult, part in zip(multipliers, expansion.parts))
-    bounds = exclusion_bounds(expansion, multipliers, p)
+    bounds = exclusion_bounds(phi, multipliers, p,
+                              lambda q: build_polygon(expansion, q))
     return (degrees_ok and bounds is not None
             and bounds[0] <= ell + 1 and bounds[1] < Fraction(1, k))
 
@@ -256,22 +263,48 @@ def coverage_complete(m: int, deg_phi: int, ks) -> bool:
     return all(d in covered for d in range(1, m * deg_phi // 2 + 1))
 
 
-def _monic_model_expansion(instance: LaguerreInstance) -> PhiExpansion:
-    """Expansion of phi**m + sum (v**m b_j) phi**j, built part by part.
+def _monic_model_parts(instance: LaguerreInstance) -> tuple[int, ...]:
+    """The parts c_0..c_m of the monic model: c_j = v**m b_j, c_m = v**m.
 
-    The parts are constants below deg phi, so by uniqueness this IS the
-    expansion of the reassembled polynomial; small cases re-expand and
-    compare as a spot check.
+    Checks the ratio identity c_j (m-j) v = c_{j+1} (j+1) (v(j+1)+u)
+    exactly at every j < m.  With c_m = v**m it determines every c_j, so
+    valuations telescoped along it are the valuations of these integers.
     """
-    parts = [Poly.const(c) for c in instance.cleared] + [Poly.const(1)]
-    expansion = PhiExpansion(phi=instance.phi, parts=tuple(parts))
-    if instance.m * instance.phi.degree <= 40:
-        from .polyring import phi_expand
+    m, u, v = instance.m, instance.u, instance.v
+    parts = tuple(instance.cleared) + (v ** m,)
+    if len(parts) != m + 1:
+        raise ArithmeticError(f"expected {m} cleared coefficients")
+    for j in range(m):
+        step = v * (j + 1) + u
+        if step == 0 or parts[j] * (m - j) * v != parts[j + 1] * (j + 1) * step:
+            raise ArithmeticError(f"coefficient ratio identity fails at j={j}")
+    return parts
 
-        redone = phi_expand(expansion.reassemble(), instance.phi)
-        if redone.parts != expansion.parts:
-            raise ArithmeticError("monic model expansion differs on re-expansion")
-    return expansion
+
+def _telescoped_polygon(parts, u: int, v: int, p: int) -> NewtonPolygon:
+    """Polygon at p of the parts from _monic_model_parts, leading at abscissa 0.
+
+    One big-integer valuation, h_0 = v_p(c_0); by the ratio identity
+    h_{j+1} = h_j + v_p(m-j) + v_p(v) - v_p(j+1) - v_p(v(j+1)+u), on small
+    integers.  Every vertex height is re-checked by vp_int on its big c_j.
+    """
+    m = len(parts) - 1
+    h = vp_int(p, parts[0])
+    h_v = vp_int(p, v)
+    heights = [h]
+    for j in range(m):
+        # each test saves a call where the valuation is 0
+        up, down, step = m - j, j + 1, v * (j + 1) + u
+        h += h_v
+        if up % p == 0:
+            h += vp_int(p, up)
+        if down % p == 0:
+            h -= vp_int(p, down)
+        if step % p == 0:
+            h -= vp_int(p, step)
+        heights.append(h)
+    heights.reverse()  # abscissa i carries c_{m-i}
+    return anchored_polygon(heights, lambda i: vp_int(p, parts[m - i]))
 
 
 def verify_certificate(cert: Certificate, instance: LaguerreInstance) -> bool:
@@ -280,7 +313,9 @@ def verify_certificate(cert: Certificate, instance: LaguerreInstance) -> bool:
     Checks field types, instance consistency and hypotheses, the
     small-degree prime, each witness against exclusion_bounds (once per
     distinct prime, on the monic model with multipliers
-    a_0..a_{m-1}, v**m a_m), and interval coverage.
+    a_0..a_{m-1}, v**m a_m; the gates leave p prime to v, so the monic
+    leading part 1 and c_m = v**m have the same height 0), and interval
+    coverage.
     Returns False on any discrepancy; never raises for a bad certificate.
     """
     try:
@@ -297,15 +332,20 @@ def verify_certificate(cert: Certificate, instance: LaguerreInstance) -> bool:
             return False
 
         m = instance.m
-        expansion = _monic_model_expansion(instance)
+        parts = _monic_model_parts(instance)
         multipliers = instance.a_parts + (Poly.const(instance.v ** m * instance.a_m),)
+
+        def polygon_at(p):
+            return _telescoped_polygon(parts, instance.u, instance.v, p)
+
         per_prime: dict = {}
         seen_ks = []
         for w in cert.witnesses:
             if not (w.divisibility_checked and 1 <= w.k <= m // 2):
                 return False
             if w.p not in per_prime:
-                per_prime[w.p] = exclusion_bounds(expansion, multipliers, w.p)
+                per_prime[w.p] = exclusion_bounds(instance.phi, multipliers, w.p,
+                                                  polygon_at)
             if per_prime[w.p] is None:
                 return False
             k_lo, slope = per_prime[w.p]

@@ -105,26 +105,6 @@ def _coefficients_cached(m: int, alpha: Alpha) -> tuple[tuple, tuple]:
     return tuple(b), tuple(c)
 
 
-def coefficient_ratio(m: int, alpha, j: int) -> Fraction:
-    """b_0/b_j by the closed form (j+u)...(1+u)/C(m,j), integer parameter only.
-
-    Also evaluated as the direct quotient; the two must agree.  b_m is 1
-    here (monic normalization), so j = m returns b_0 itself.
-    """
-    alpha = Alpha.coerce(alpha)
-    if alpha.v != 1:
-        raise ValueError("closed form requires an integer parameter")
-    if not 1 <= j <= m:
-        raise ValueError("j out of range")
-    u = alpha.u
-    closed = Fraction(math.prod(i + u for i in range(1, j + 1)), comb(m, j))
-    b = laguerre_coefficients(m, alpha) + (Fraction(1),)
-    direct = b[0] / b[j]
-    if closed != direct:  # pragma: no cover
-        raise ArithmeticError("ratio forms disagree")
-    return closed
-
-
 class LaguerreInstance:
     """Immutable bundle of instance data with lazily assembled polynomials."""
 

@@ -77,6 +77,20 @@ def polygon_from_points(points) -> NewtonPolygon:
     return NewtonPolygon(points=tuple(pts), vertices=tuple(vertices))
 
 
+def anchored_polygon(heights, exact_height) -> NewtonPolygon:
+    """Polygon of the points (i, heights[i]), each vertex re-checked.
+
+    The heights are claimed valuations from some cheaper route;
+    exact_height(i) recomputes the one at abscissa i directly.  Raises
+    ArithmeticError unless the two agree at every vertex.
+    """
+    polygon = polygon_from_points(enumerate(heights))
+    for i, h in polygon.vertices:
+        if exact_height(i) != h:
+            raise ArithmeticError(f"height {h} at abscissa {i} disagrees with its anchor")
+    return polygon
+
+
 def build_polygon(expansion: PhiExpansion, p: int) -> NewtonPolygon:
     """Polygon of an expansion with respect to p, leading part at abscissa 0.
 

@@ -192,18 +192,3 @@ def product_lpf(m: int, k: int) -> int:
         raise ValueError("need m >= k >= 2")
     return max(largest_prime_factor(m + i) for i in range(1, k + 1))
 
-
-def prime_in_ap(x: int, h: int, u: int, v: int) -> int | None:
-    """Some prime p in (x-h, x] with p == u (mod v), or None.
-
-    Searches downward from x, so the largest qualifying prime is returned.
-    """
-    if v <= 0:
-        raise ValueError("v must be positive")
-    if math.gcd(u, v) != 1:
-        raise ValueError("u and v must be coprime")
-    lo = max(x - h, 1)
-    for n in range(x, lo, -1):
-        if n % v == u % v and is_prime(n):
-            return n
-    return None

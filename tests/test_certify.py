@@ -1,3 +1,5 @@
+import importlib
+import math
 import os
 import pathlib
 import re
@@ -10,17 +12,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from laguerrecert.certify import (Certificate, ExclusionWitness, FailureReport,
-                                  NoSmallDegreePrime, _small_degree_failure,
+                                  NoSmallDegreePrime, _monic_model_parts,
+                                  _small_degree_failure, _telescoped_polygon,
                                   certificate_from_json,
                                   certificate_to_json, certify, coverage_complete,
                                   exclude_small_degrees, exclusion_bounds,
                                   find_prime_for_k, lemma_exclusion_check,
                                   verify_certificate, witness_range, witness_slope)
 from laguerrecert.laguerre import Alpha, HypothesisViolation, build_instance
-from laguerrecert.polyring import (Poly, construct_phi, content,
+from laguerrecert.polygon import anchored_polygon, build_polygon
+from laguerrecert.polyring import (PhiExpansion, Poly, construct_phi, content,
                                    is_irreducible_mod_p, parse_poly, phi_expand)
-from laguerrecert.primes import sieve_primes, vp_rat
+from laguerrecert.primes import sieve_primes, vp_int, vp_rat
 from laguerrecert.tables import k_witness_valid
+
+# the package re-exports the function certify, which shadows the module name
+cm = importlib.import_module("laguerrecert.certify")
 
 
 def ones(phi, m, u, a_m=1, relaxed=False):
@@ -384,15 +391,125 @@ def test_lemma_agrees_with_certifier_witnesses():
 def test_exclusion_bounds_gates(phi17):
     g = phi17**2 + 8 * phi17 + 12  # parts 12, 8, 1: valuations 2, 3, 0 at 2; 1, 0, 0 at 3
     expansion = phi_expand(g, phi17)
+    built = []
+
+    def polygon_at(p):
+        built.append(p)
+        return build_polygon(expansion, p)
+
     ones3 = [Poly.const(1)] * 3
-    assert exclusion_bounds(expansion, ones3, 2) == (1, Fraction(1))
-    assert exclusion_bounds(expansion, ones3, 3) == (2, Fraction(1))
-    assert exclusion_bounds(expansion, [Poly.const(6)] + ones3[1:], 2) is None
-    assert exclusion_bounds(expansion, ones3[:2] + [Poly.const(4)], 2) is None
+    assert exclusion_bounds(phi17, ones3, 2, polygon_at) == (1, Fraction(1))
+    assert exclusion_bounds(phi17, ones3, 3, polygon_at) == (2, Fraction(1))
+    assert exclusion_bounds(phi17, [Poly.const(6)] + ones3[1:], 2, polygon_at) is None
+    assert exclusion_bounds(phi17, ones3[:2] + [Poly.const(4)], 2, polygon_at) is None
     with pytest.raises(ValueError):
-        exclusion_bounds(expansion, ones3, 4)  # not prime
+        exclusion_bounds(phi17, ones3, 4, polygon_at)  # not prime
     with pytest.raises(ValueError):
-        exclusion_bounds(expansion, ones3, 17)  # x^2 - x + 17 = x(x - 1) mod 17
+        exclusion_bounds(phi17, ones3, 17, polygon_at)  # x^2 - x + 17 = x(x - 1) mod 17
+    assert built == [2, 3]  # the heights are read only once every gate passed
+
+
+# -- the verifier's telescoped heights ---------------------------------------------
+
+def _big_integer_polygon_at(inst):
+    """The big-integer route: gauss valuations of the explicit monic model
+    phi**m + sum (v**m b_j) phi**j, every part valued on its own."""
+    parts = tuple(Poly.const(c) for c in inst.cleared) + (Poly.const(1),)
+    expansion = PhiExpansion(phi=inst.phi, parts=parts)
+    return lambda p: build_polygon(expansion, p)
+
+
+def _telescoped_polygon_at(inst):
+    parts = _monic_model_parts(inst)
+    return lambda p: _telescoped_polygon(parts, inst.u, inst.v, p)
+
+
+def _verifier_multipliers(inst):
+    return inst.a_parts + (Poly.const(inst.v ** inst.m * inst.a_m),)
+
+
+def test_telescoped_heights_match_big_integer_route():
+    # the 780-instance all-ones grid, every prime p <= vm+u with p prime to v
+    # and phi irreducible modulo p: same points, same (k_lo, slope) or None
+    instances = primes_checked = 0
+    for v in (1, 2, 3):
+        for u in range(-2, 5):
+            try:
+                alpha = Alpha(u, v)
+            except ValueError:
+                continue
+            for m in range(1, 61):
+                inst = ones(construct_phi(2, v * m + u), m, alpha)
+                telescoped = _telescoped_polygon_at(inst)
+                big = _big_integer_polygon_at(inst)
+                multipliers = _verifier_multipliers(inst)
+                parts = _monic_model_parts(inst)
+                for p in sieve_primes(inst.prime_bound):
+                    if v % p == 0:
+                        # outside the lemma's gates the heights still value c_0..c_m
+                        assert telescoped(p).points == tuple(
+                            (i, vp_int(p, parts[m - i])) for i in range(m + 1))
+                        continue
+                    if not is_irreducible_mod_p(inst.phi, p):
+                        continue
+                    assert telescoped(p).points == big(p).points, (m, u, v, p)
+                    assert (exclusion_bounds(inst.phi, multipliers, p, telescoped)
+                            == exclusion_bounds(inst.phi, multipliers, p, big)), (m, u, v, p)
+                    primes_checked += 1
+                instances += 1
+    assert (instances, primes_checked) == (780, 12880)
+
+
+def test_telescoped_heights_spot_checks_at_m800():
+    inst = ones(construct_phi(2, 802), 800, 2)
+    telescoped = _telescoped_polygon_at(inst)
+    big = _big_integer_polygon_at(inst)
+    multipliers = _verifier_multipliers(inst)
+    for p in (2, 3, 7, 797):
+        assert telescoped(p).points == big(p).points, p
+        bounds = exclusion_bounds(inst.phi, multipliers, p, telescoped)
+        assert bounds is not None and bounds == exclusion_bounds(inst.phi, multipliers, p, big)
+
+
+def test_ratio_identity_rejects_changed_cleared_coefficient():
+    inst = ones(construct_phi(2, 42), 40, 2)
+    cert = certify(inst)
+    assert verify_certificate(cert, inst)
+    # q is a multiple of every prime up to vm+u, so c_j (1 + q) keeps every
+    # valuation there: no gate and no vertex anchor can see the change
+    q = math.prod(sieve_primes(inst.prime_bound))
+    j = 20
+    for changed in (inst.cleared[j] * (1 + q), inst.cleared[j] + q,
+                    inst.cleared[j] + 1, inst.cleared[j] - 1):
+        forged = ones(construct_phi(2, 42), 40, 2)
+        forged.cleared = forged.cleared[:j] + (changed,) + forged.cleared[j + 1:]
+        with pytest.raises(ArithmeticError, match="ratio identity"):
+            _monic_model_parts(forged)
+        assert not verify_certificate(cert, forged), changed
+
+
+def test_height_disagreeing_with_its_anchor_is_refused(monkeypatch):
+    with pytest.raises(ArithmeticError, match="anchor"):
+        anchored_polygon([0, 1, 3], lambda i: (0, 1, 2)[i])
+    # an interior vertex off the last edge, which the rightmost slope ignores
+    with pytest.raises(ArithmeticError, match="anchor"):
+        anchored_polygon([0, -5, -8, -10], lambda i: (0, -4, -8, -10)[i])
+    assert anchored_polygon([0, 1, 2], lambda i: i).vertices == ((0, 0), (2, 2))
+
+    inst = ones(construct_phi(2, 42), 40, 2)
+    cert = certify(inst)
+    assert verify_certificate(cert, inst)
+    real = cm.anchored_polygon
+
+    def off_by_one(heights, exact_height):
+        heights = list(heights)
+        heights[-1] += 1  # the rightmost point, always a vertex
+        return real(heights, exact_height)
+
+    monkeypatch.setattr(cm, "anchored_polygon", off_by_one)
+    with pytest.raises(ArithmeticError, match="anchor"):
+        _telescoped_polygon(_monic_model_parts(inst), inst.u, inst.v, 7)
+    assert not verify_certificate(cert, inst)
 
 
 # -- verification and serialization ---------------------------------------------------
@@ -445,15 +562,26 @@ tampered = cm.Certificate(
     witnesses=tuple(cm.ExclusionWitness(k=w.k, p=w.p, slope=w.slope + Fraction(1, 10**6))
                     for w in cert.witnesses))
 print("tampered", cm.verify_certificate(tampered, inst))
+# the ratio identity and the vertex anchors are explicit raises too
+# (1 + q keeps every valuation at the primes up to vm+u = 14)
+q = 2 * 3 * 5 * 7 * 11 * 13
+forged = build_instance(12, 2, 1, [Poly.const(1)] * 12, phi)
+forged.cleared = forged.cleared[:5] + (forged.cleared[5] * (1 + q),) + forged.cleared[6:]
+print("changed coefficient", cm.verify_certificate(cert, forged))
+real_anchored = cm.anchored_polygon
+cm.anchored_polygon = lambda heights, exact: real_anchored(
+    list(heights[:-1]) + [heights[-1] + 1], exact)
+print("bad anchor", cm.verify_certificate(cert, inst))
+cm.anchored_polygon = real_anchored
 # a stray point far below makes the chord maximum miss the last edge; the
 # explicit cross-check in rightmost_slope trips and the verifier says False
-real = cm.build_polygon
+real = cm._telescoped_polygon
 
-def broken(expansion, p):
-    polygon = real(expansion, p)
+def broken(parts, u, v, p):
+    polygon = real(parts, u, v, p)
     return NewtonPolygon(((-1, -10**6),) + polygon.points, polygon.vertices)
 
-cm.build_polygon = broken
+cm._telescoped_polygon = broken
 print("broken polygon", cm.verify_certificate(cert, inst))
 # the oracle re-checks every reducibility witness with an explicit raise
 om = importlib.import_module("laguerrecert.oracle")
@@ -475,9 +603,9 @@ def test_verify_cross_checks_survive_optimized_mode():
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
-    assert proc.stdout.split("\n")[:4] == [
-        "verify True", "tampered False", "broken polygon False",
-        "bogus witness raises"]
+    assert proc.stdout.split("\n")[:6] == [
+        "verify True", "tampered False", "changed coefficient False", "bad anchor False",
+        "broken polygon False", "bogus witness raises"]
 
 
 def test_verify_rejects_prime_dividing_lead(phi17):

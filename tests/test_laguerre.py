@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 
 from laguerrecert.laguerre import (Alpha, HypothesisViolation, LaguerreInstance,
-                                   build_instance, coefficient_ratio,
-                                   laguerre_coefficients)
+                                   build_instance, laguerre_coefficients)
 from laguerrecert.polyring import Poly, X, parse_poly, phi_expand
 from laguerrecert.primes import (INFINITY, factorial_valuation, sieve_primes,
                                  vp_int, vp_rat)
@@ -55,22 +54,6 @@ def test_coefficient_forms_agree_on_grid():
                 continue
             for m in (1, 2, 3, 7, 25):
                 assert len(laguerre_coefficients(m, Fraction(u, v))) == m
-
-
-def test_coefficient_ratio_examples():
-    assert coefficient_ratio(2, 2, 1) == Fraction(3, 2)
-    assert coefficient_ratio(2, 0, 2) == 2
-    for m in (1, 2, 5, 9):
-        assert coefficient_ratio(m, 0, m) == math.factorial(m)
-
-
-def test_coefficient_ratio_rejects():
-    with pytest.raises(ValueError):
-        coefficient_ratio(2, Fraction(1, 2), 1)
-    with pytest.raises(ValueError):
-        coefficient_ratio(2, 1, 3)
-    with pytest.raises(ValueError):
-        coefficient_ratio(2, 1, 0)
 
 
 # -- instances -----------------------------------------------------------------

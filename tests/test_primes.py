@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from laguerrecert.primes import (INFINITY, factorial_valuation, factorize,
-                                 is_prime, largest_prime_factor, prime_in_ap,
-                                 product_lpf, sieve_primes, vp_int, vp_rat)
+                                 is_prime, largest_prime_factor, product_lpf,
+                                 sieve_primes, vp_int, vp_rat)
 
 
 def trial_division_primes(bound):
@@ -157,21 +157,3 @@ def test_product_lpf_lower_bound_sampled(rng):
         k = rng.randrange(2, 12)
         m = rng.randrange(k, 10_000)
         assert product_lpf(m, k) >= k + 1
-
-
-def test_prime_in_ap_examples():
-    assert prime_in_ap(100, 10, 1, 4) == 97
-    assert prime_in_ap(10, 5, 1, 2) == 7
-    assert prime_in_ap(6, 1, 1, 1) is None
-
-
-def test_prime_in_ap_rejects_common_factor():
-    with pytest.raises(ValueError):
-        prime_in_ap(100, 10, 2, 4)
-    with pytest.raises(ValueError):
-        prime_in_ap(100, 10, 1, 0)
-
-
-def test_prime_in_ap_respects_interval_and_class():
-    p = prime_in_ap(1000, 100, 3, 7)
-    assert p is not None and 900 < p <= 1000 and p % 7 == 3 and is_prime(p)
