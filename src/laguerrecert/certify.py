@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .laguerre import HypothesisViolation, LaguerreInstance
+from .laguerre import HypothesisViolation, LaguerreInstance, ratio_identity_parts
 from .polygon import NewtonPolygon, anchored_polygon, build_polygon, rightmost_slope
 from .polyring import Poly, content, format_poly, is_irreducible_mod_p, parse_poly
 from .primes import factorize, is_prime, sieve_primes, vp_int
@@ -266,19 +266,10 @@ def coverage_complete(m: int, deg_phi: int, ks) -> bool:
 def _monic_model_parts(instance: LaguerreInstance) -> tuple[int, ...]:
     """The parts c_0..c_m of the monic model: c_j = v**m b_j, c_m = v**m.
 
-    Checks the ratio identity c_j (m-j) v = c_{j+1} (j+1) (v(j+1)+u)
-    exactly at every j < m.  With c_m = v**m it determines every c_j, so
-    valuations telescoped along it are the valuations of these integers.
+    Re-checked by the ratio identity, which determines every c_j, so valuations
+    telescoped along it are the valuations of these integers.
     """
-    m, u, v = instance.m, instance.u, instance.v
-    parts = tuple(instance.cleared) + (v ** m,)
-    if len(parts) != m + 1:
-        raise ArithmeticError(f"expected {m} cleared coefficients")
-    for j in range(m):
-        step = v * (j + 1) + u
-        if step == 0 or parts[j] * (m - j) * v != parts[j + 1] * (j + 1) * step:
-            raise ArithmeticError(f"coefficient ratio identity fails at j={j}")
-    return parts
+    return ratio_identity_parts(instance.cleared, instance.m, instance.u, instance.v)
 
 
 def _telescoped_polygon(parts, u: int, v: int, p: int) -> NewtonPolygon:

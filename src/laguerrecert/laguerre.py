@@ -5,8 +5,8 @@ integer), an integer leading multiplier, lower multiplier polynomials of
 degree below the base, and the base polynomial itself.  The canonical
 integer object is v**m times the assembled polynomial, so that every
 prime not dividing v sees the same valuations on the expansion parts as
-on the coefficients themselves.  Its integer coefficients v**m b_j are
-computed here, once per (m, parameter), next to the b_j themselves.
+on the coefficients themselves.  Only its integer coefficients v**m b_j
+are stored, once per (m, parameter); the Fractions b_j are views of them.
 """
 
 from __future__ import annotations
@@ -67,42 +67,49 @@ class Alpha:
 
 
 def laguerre_coefficients(m: int, alpha) -> tuple[Fraction, ...]:
-    """Coefficients b_0..b_{m-1}, cross-checked through both closed forms.
+    """Coefficients b_0..b_{m-1}, b_j = C(m,j) (m+a)(m-1+a)...(j+1+a).
 
-    b_j = C(m,j) (m+a)(m-1+a)...(j+1+a), and equivalently
-    v**m b_j = C(m,j) v**j (vm+u)(v(m-1)+u)...(v(j+1)+u), an integer.
-    Both are evaluated exactly and must agree.  No b_j vanishes because
-    the parameter is never a negative integer.
+    A view of the cleared integers: b_j = c_j / v**m, built on each call.
     """
     alpha = Alpha.coerce(alpha)
-    if m < 1:
-        raise ValueError("m must be positive")
-    return _coefficients_cached(m, alpha)[0]
+    vm = alpha.v ** m
+    return tuple(Fraction(c, vm) for c in _cleared_coefficients(m, alpha))
 
 
 @lru_cache(maxsize=4096)
-def _coefficients_cached(m: int, alpha: Alpha) -> tuple[tuple, tuple]:
-    """(b_0..b_{m-1}, c_0..c_{m-1}) with c_j = v**m b_j, from one loop."""
-    a = alpha.value
+def _cleared_coefficients(m: int, alpha: Alpha) -> tuple[int, ...]:
+    """c_j = v**m b_j = C(m,j) v**j (vm+u)(v(m-1)+u)...(v(j+1)+u) for j < m.
+
+    Checked by ratio_identity_parts, a different formula that determines them.
+    """
+    if m < 1:
+        raise ValueError("m must be positive")
     u, v = alpha.u, alpha.v
-    vm = v ** m
-    b: list[Fraction] = [Fraction(0)] * m
-    c: list[int] = [0] * m
-    prod = Fraction(1)  # (j+1+a) ... (m+a)
+    c = [0] * m
     iprod = 1  # (v(j+1)+u) ... (vm+u)
-    vj = vm  # v**j
+    vj = v ** m  # v**j
     for j in range(m - 1, -1, -1):
-        prod *= j + 1 + a
         iprod *= v * (j + 1) + u
         vj //= v
-        cmj = comb(m, j)
-        b[j] = cmj * prod
-        c[j] = cmj * vj * iprod
-        if b[j].numerator * vm != c[j] * b[j].denominator:
-            raise ArithmeticError(f"coefficient forms disagree at j={j}")
-        if c[j] == 0:
-            raise ArithmeticError("coefficients cannot vanish for admissible alpha")
-    return tuple(b), tuple(c)
+        c[j] = comb(m, j) * vj * iprod
+    ratio_identity_parts(c, m, u, v)
+    return tuple(c)
+
+
+def ratio_identity_parts(cleared, m: int, u: int, v: int) -> tuple[int, ...]:
+    """c_0..c_m: the cleared integers c_0..c_{m-1}, then c_m = v**m.
+
+    Raises ArithmeticError unless c_j (m-j) v = c_{j+1} (j+1) (v(j+1)+u)
+    with v(j+1)+u != 0 at every j < m, which proves c_j = v**m b_j != 0.
+    """
+    parts = tuple(cleared) + (v ** m,)
+    if len(parts) != m + 1:
+        raise ArithmeticError(f"expected {m} cleared coefficients")
+    for j in range(m):
+        step = v * (j + 1) + u
+        if step == 0 or parts[j] * (m - j) * v != parts[j + 1] * (j + 1) * step:
+            raise ArithmeticError(f"coefficient ratio identity fails at j={j}")
+    return parts
 
 
 class LaguerreInstance:
@@ -110,14 +117,13 @@ class LaguerreInstance:
 
     def __init__(self, m, alpha, a_m, a_parts, phi, violations=()):
         self.m = m
-        self.alpha = alpha
+        self.alpha = Alpha.coerce(alpha)
         self.a_m = a_m
         self.a_parts = tuple(a_parts)
         self.phi = phi
         self.violations = tuple(violations)
-        self.b_lower = laguerre_coefficients(m, alpha)
         # c_j = v**m b_j as ints; the parts of f in powers of phi are c_j * a_j
-        self.cleared = _coefficients_cached(m, Alpha.coerce(alpha))[1]
+        self.cleared = _cleared_coefficients(m, self.alpha)
         self._f = None
         self._vp_cache: dict[int, tuple] = {}
 
@@ -140,8 +146,9 @@ class LaguerreInstance:
 
     @property
     def b(self) -> tuple[Fraction, ...]:
-        """b_0..b_m with b_m equal to the leading multiplier."""
-        return self.b_lower + (Fraction(self.a_m),)
+        """b_0..b_m with b_m equal to the leading multiplier; b_j = c_j / v**m."""
+        vm = self.v ** self.m
+        return tuple(Fraction(c, vm) for c in self.cleared) + (Fraction(self.a_m),)
 
     @property
     def f(self) -> Poly:

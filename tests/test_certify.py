@@ -51,21 +51,21 @@ def test_small_degree_examples(phi17):
         exclude_small_degrees(ones(phi17, 7, Fraction(3, 2), relaxed=True))
 
 
-def _fraction_small_degree_failure(inst, p):
-    # the predicate on Fraction numerators and denominators, as the
-    # certifier and the verifier each spelled it before the integer model
+def _fraction_small_degree_failure(inst, b, p):
+    # the predicate on the numerators and denominators of the Fractions b,
+    # as the certifier and the verifier each spelled it before the integer model
     if inst.prime_bound % p != 0:
         return f"prime {p} does not divide vm+u = {inst.prime_bound}"
     if inst.a_m % p == 0:
         return f"prime {p} divides the leading multiplier"
-    if any(bj.numerator % p != 0 or bj.denominator % p == 0 for bj in inst.b_lower):
+    if any(bj.numerator % p != 0 or bj.denominator % p == 0 for bj in b):
         return f"prime {p} misses a lower coefficient"
     if not is_irreducible_mod_p(inst.phi, p):
         return f"base polynomial is reducible modulo {p}"
     return None
 
 
-def test_small_degree_failure_matches_fraction_predicate(phi17):
+def test_small_degree_failure_matches_fraction_predicate(phi17, product_form):
     reasons = set()
     for v in (1, 2, 3, 5):
         for u in range(-7, 8):
@@ -74,18 +74,20 @@ def test_small_degree_failure_matches_fraction_predicate(phi17):
             except ValueError:
                 continue
             for m in range(1, 31):
+                b = product_form(m, alpha.value)
                 for a_m in (1, 6):
                     inst = build_instance(m, alpha, a_m, [Poly.const(1)] * m, phi17,
                                           relaxed=True)
                     for p in sieve_primes(v * m + u + 10):
                         got = _small_degree_failure(inst, p)
-                        assert got == _fraction_small_degree_failure(inst, p), (m, alpha, a_m, p)
+                        expected = _fraction_small_degree_failure(inst, b, p)
+                        assert got == expected, (m, alpha, a_m, p)
                         reasons.add(got if got is None else re.sub(r"-?\d+", "#", got))
                         if v % p:
                             # off the vm+u divisors too: p | v**m b_j iff v_p(b_j) >= 1
                             assert (any(c % p for c in inst.cleared)
                                     == any(bj.numerator % p != 0 or bj.denominator % p == 0
-                                           for bj in inst.b_lower)), (m, alpha, p)
+                                           for bj in b)), (m, alpha, p)
     assert reasons == {None, "prime # does not divide vm+u = #",
                        "prime # divides the leading multiplier",
                        "base polynomial is reducible modulo #"}
@@ -324,7 +326,7 @@ def test_certify_with_general_multipliers(phi17, rng):
 
 def test_lemma_exclusion_on_monic_model(phi17):
     inst = ones(phi17, 8, 1)
-    g = sum((int(b) * phi17**j for j, b in enumerate(inst.b_lower)),
+    g = sum((c * phi17**j for j, c in enumerate(inst.cleared)),
             phi17**8)
     multipliers = list(inst.a_parts) + [Poly.const(1)]
     assert lemma_exclusion_check(g, phi17, 7, 1, 2, multipliers)
@@ -342,7 +344,7 @@ def test_lemma_exclusion_on_monic_model(phi17):
 
 def test_lemma_exclusion_range_violations(phi17):
     inst = ones(phi17, 8, 1)
-    g = sum((int(b) * phi17**j for j, b in enumerate(inst.b_lower)),
+    g = sum((c * phi17**j for j, c in enumerate(inst.cleared)),
             phi17**8)
     mult = list(inst.a_parts) + [Poly.const(1)]
     with pytest.raises(ValueError):
@@ -486,6 +488,13 @@ def test_ratio_identity_rejects_changed_cleared_coefficient():
         with pytest.raises(ArithmeticError, match="ratio identity"):
             _monic_model_parts(forged)
         assert not verify_certificate(cert, forged), changed
+    # every coefficient times 1 + q: each ratio c_j / c_{j+1} still holds,
+    # and only the leading part c_m = v**m tells the change
+    forged = ones(construct_phi(2, 42), 40, 2)
+    forged.cleared = tuple(c * (1 + q) for c in forged.cleared)
+    with pytest.raises(ArithmeticError, match="ratio identity fails at j=39"):
+        _monic_model_parts(forged)
+    assert not verify_certificate(cert, forged)
 
 
 def test_height_disagreeing_with_its_anchor_is_refused(monkeypatch):
@@ -568,6 +577,18 @@ q = 2 * 3 * 5 * 7 * 11 * 13
 forged = build_instance(12, 2, 1, [Poly.const(1)] * 12, phi)
 forged.cleared = forged.cleared[:5] + (forged.cleared[5] * (1 + q),) + forged.cleared[6:]
 print("changed coefficient", cm.verify_certificate(cert, forged))
+# a wrong binomial in the progression form is refused when the instance is built
+lm = importlib.import_module("laguerrecert.laguerre")
+real_comb = lm.comb
+lm.comb = lambda n, k: real_comb(n, k) + (k == 3)
+lm._cleared_coefficients.cache_clear()
+try:
+    build_instance(7, 2, 1, [Poly.const(1)] * 7, phi)
+    print("wrong binomial accepted")
+except ArithmeticError:
+    print("wrong binomial raises")
+lm.comb = real_comb
+lm._cleared_coefficients.cache_clear()
 real_anchored = cm.anchored_polygon
 cm.anchored_polygon = lambda heights, exact: real_anchored(
     list(heights[:-1]) + [heights[-1] + 1], exact)
@@ -603,9 +624,9 @@ def test_verify_cross_checks_survive_optimized_mode():
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
-    assert proc.stdout.split("\n")[:6] == [
-        "verify True", "tampered False", "changed coefficient False", "bad anchor False",
-        "broken polygon False", "bogus witness raises"]
+    assert proc.stdout.split("\n")[:7] == [
+        "verify True", "tampered False", "changed coefficient False", "wrong binomial raises",
+        "bad anchor False", "broken polygon False", "bogus witness raises"]
 
 
 def test_verify_rejects_prime_dividing_lead(phi17):

@@ -39,6 +39,15 @@ def test_construct_json_is_deterministic(capsys):
     assert data["hypotheses_ok"] is True
 
 
+def test_construct_json_rational_parameter(capsys):
+    # b_0 = (2 + 1/2)(1 + 1/2), b_1 = 2 (2 + 1/2), b_2 = a_m
+    code, out, _ = run(capsys, "construct", "--json", "-m", "2", "-u", "1", "-v", "2",
+                       "--am", "1", "--phi", "x^2-x+17")
+    data = json.loads(out)
+    assert code == 0 and (data["u"], data["v"]) == (1, 2)
+    assert data["b"] == ["15/4", "5", "1"]
+
+
 def test_construct_rejects_negative_integer_parameter(capsys):
     code, _, err = run(capsys, "construct", "-m", "2", "-u", "-1", "-v", "1",
                        "--am", "1", "--phi", "x^2-x+17")

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from laguerrecert import laguerre
 from laguerrecert.laguerre import (Alpha, HypothesisViolation, LaguerreInstance,
                                    build_instance, laguerre_coefficients)
 from laguerrecert.polyring import Poly, X, parse_poly, phi_expand
@@ -45,15 +46,47 @@ def test_coefficients_rational_parameter():
     assert b == (Fraction(15, 4), Fraction(5))
 
 
-def test_coefficient_forms_agree_on_grid():
-    # the product and progression forms are asserted equal inside the
-    # constructor; this exercises the assertion across a dense grid
+def test_coefficient_forms_agree_on_grid(product_form):
+    # the Fraction views b_j = c_j / v**m against the paper's product form,
+    # written out in the test, across a dense grid
     for v in range(1, 6):
         for u in range(0, 10):
             if math.gcd(u, v) != 1:
                 continue
             for m in (1, 2, 3, 7, 25):
-                assert len(laguerre_coefficients(m, Fraction(u, v))) == m
+                a = Fraction(u, v)
+                assert laguerre_coefficients(m, a) == product_form(m, a), (m, a)
+
+
+def test_wrong_binomial_is_refused_by_the_ratio_identity(monkeypatch, phi17):
+    # one wrong C(m,j) in the progression form; the identity check raises,
+    # and nothing wrong is left in the cache
+    real = laguerre.comb
+    monkeypatch.setattr(laguerre, "comb", lambda n, k: real(n, k) + (k == 3))
+    laguerre._cleared_coefficients.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match="ratio identity fails at j="):
+            build_instance(7, 2, 1, const_parts(*[1] * 7), phi17)
+    finally:
+        laguerre._cleared_coefficients.cache_clear()
+
+
+def test_ratio_identity_checks_every_step_and_the_leading_part():
+    c = laguerre._cleared_coefficients(5, Alpha(2, 3))
+    assert laguerre.ratio_identity_parts(c, 5, 2, 3) == c + (3 ** 5,)
+    bad = [c[:j] + (c[j] + 1,) + c[j + 1:] for j in range(5)]
+    bad.append(tuple(2 * cj for cj in c))  # every ratio holds; c_m = v**m does not
+    bad += [c[:-1], c + (3 ** 5,)]
+    for forged in bad:
+        with pytest.raises(ArithmeticError):
+            laguerre.ratio_identity_parts(forged, 5, 2, 3)
+    # m = 1 has a single step, from c_0 to c_1 = v
+    assert laguerre.ratio_identity_parts((5,), 1, 3, 2) == (5, 2)
+    with pytest.raises(ArithmeticError):
+        laguerre.ratio_identity_parts((6,), 1, 3, 2)
+    # a zero step v(j+1)+u: the parameter -2/1 is excluded, so only forged input gets here
+    with pytest.raises(ArithmeticError):
+        laguerre.ratio_identity_parts((0, 0), 2, -2, 1)
 
 
 # -- instances -----------------------------------------------------------------
@@ -124,7 +157,7 @@ def test_expansion_parts_match_coefficients(phi17, rng):
             parts.append(Poly(c if any(c) else [1]))
         inst = build_instance(m, u, a_m, parts, phi17, relaxed=True)
         expansion = phi_expand(inst.f, phi17)
-        expected = [bj * aj for bj, aj in zip(inst.b_lower, inst.a_parts)]
+        expected = [bj * aj for bj, aj in zip(inst.b, inst.a_parts)]
         expected.append(Poly.const(a_m))
         while expected and expected[-1].is_zero:
             expected.pop()
@@ -162,16 +195,29 @@ def _admissible_alphas(vs, us):
                 continue
 
 
-def test_cleared_coefficients_are_exact():
+def test_cleared_coefficients_are_exact(product_form):
     # the integers v**m b_j that f, the verifier's expansion and the
-    # small-degree test read, against the Fractions b_j
+    # small-degree test read, against the paper's product form of b_j
     for alpha in _admissible_alphas((1, 2, 3, 5), range(-7, 8)):
         for m in range(1, 31):
-            b = laguerre_coefficients(m, alpha)
+            b = product_form(m, alpha.value)
             inst = LaguerreInstance(m, alpha, 1, const_parts(*[1] * m), X)
             assert len(inst.cleared) == m
             for j, c in enumerate(inst.cleared):
                 assert type(c) is int and c == alpha.v ** m * b[j], (m, alpha, j)
+            assert inst.b == b + (1,)
+
+
+def test_instance_constructed_directly_coerces_its_parameter():
+    for alpha in (Fraction(2, 3), (2, 3), (4, 6), Alpha(2, 3)):
+        inst = LaguerreInstance(2, alpha, 1, const_parts(1, 1), X)
+        assert inst.alpha == Alpha(2, 3) and (inst.u, inst.v) == (2, 3)
+        assert inst.prime_bound == 8
+        assert inst.cleared == (8 * 5, 2 * 3 * 8)  # (2v+u)(v+u), C(2,1) v (2v+u)
+        assert inst.valuation_vector(2) == (3, 4, 0)
+    inst = LaguerreInstance(2, 1, 1, const_parts(1, 1), X)
+    assert inst.alpha == Alpha(1) and (inst.u, inst.v) == (1, 1)
+    assert inst.valuation_vector(3) == (1, 1, 0)
 
 
 def test_additive_valuation_vector_matches_vp_rat():
