@@ -6,15 +6,18 @@ factor degrees in [k*deg(phi), (k+1)*deg(phi)).  For a fixed prime the
 slope does not depend on k and the divisibility range only grows with k,
 so each prime witnesses one contiguous range of k; the certifier computes
 that range once per prime and gives every k its smallest witness prime, so
-equal inputs always yield identical certificates.  Verification recomputes
-everything from scratch - coefficients, the exclusion lemma's hypotheses
-on the polygon of each distinct prime (exclusion_bounds, not the
-certifier's gates), the interval coverage - and trusts nothing from the
-producer.  Its polygon heights are telescoped from the coefficient ratio,
-which is checked exactly on the big integers once per instance: one
-big-integer valuation per prime, small-integer valuations for the rest,
-and an exact big-integer anchor at every polygon vertex.  This valuation
-route shares no code with the certifier's Legendre sums.
+equal inputs always yield identical certificates.  It takes only instances
+that meet the hypotheses, which settle the base and content conditions at
+every prime up to vm+u: its one per-prime gate is p not dividing v, and its
+witnesses depend on (m, u, v) alone.  Verification recomputes everything
+from scratch - coefficients, the exclusion lemma's hypotheses on the
+polygon of each distinct prime (exclusion_bounds, not the certifier's
+gate), the interval coverage - and trusts nothing from the producer.  Its
+polygon heights are telescoped from the coefficient ratio, which is checked
+exactly on the big integers once per instance: one big-integer valuation
+per prime, small-integer valuations for the rest, and an exact big-integer
+anchor at every polygon vertex.  This valuation route shares no code with
+the certifier's Legendre sums.
 """
 
 from __future__ import annotations
@@ -134,18 +137,17 @@ def witness_range(vec) -> tuple[int, int, Fraction]:
     return k_lo, k_hi, slope
 
 
-def _prime_qualifies(instance: LaguerreInstance, p: int) -> bool:
-    """The k-independent witness conditions on p."""
-    if instance.v % p == 0 or instance.a_m % p == 0:
-        return False
-    if not instance.a_parts[0].is_zero and content(instance.a_parts[0]) % p == 0:
-        return False
-    return is_irreducible_mod_p(instance.phi, p)
+def _require_valid(instance: LaguerreInstance) -> None:
+    if not instance.is_valid:
+        raise HypothesisViolation(instance.violations)
 
 
 def witness_slope(instance: LaguerreInstance, k: int, p: int) -> Fraction | None:
-    """The witness slope when (k, p) satisfies every witness condition, else None."""
-    if not _prime_qualifies(instance, p):
+    """The witness slope when (k, p), p in 2..vm+u, is a witness, else None."""
+    _require_valid(instance)
+    if not 2 <= p <= instance.prime_bound:
+        raise ValueError(f"p must lie in 2..vm+u = {instance.prime_bound}")
+    if instance.v % p == 0:
         return None
     k_lo, k_hi, slope = witness_range(instance.valuation_vector(p))
     return slope if k_lo <= k <= k_hi else None
@@ -153,6 +155,7 @@ def witness_slope(instance: LaguerreInstance, k: int, p: int) -> Fraction | None
 
 def find_prime_for_k(instance: LaguerreInstance, k: int) -> ExclusionWitness | None:
     """The smallest prime <= vm+u that witnesses k, or None."""
+    _require_valid(instance)
     if not 1 <= k <= instance.m // 2:
         raise ValueError("k must lie in [1, m//2]")
     for p in sieve_primes(instance.prime_bound):
@@ -164,8 +167,7 @@ def find_prime_for_k(instance: LaguerreInstance, k: int) -> ExclusionWitness | N
 
 def certify(instance: LaguerreInstance) -> Certificate | FailureReport:
     """Full certificate, or the list of k values left uncovered."""
-    if not instance.is_valid:
-        raise HypothesisViolation(instance.violations)
+    _require_valid(instance)
     try:
         p0 = exclude_small_degrees(instance)
     except NoSmallDegreePrime:
@@ -177,7 +179,7 @@ def certify(instance: LaguerreInstance) -> Certificate | FailureReport:
     for p in sieve_primes(instance.prime_bound):
         if len(chosen) == half:
             break
-        if not _prime_qualifies(instance, p):
+        if instance.v % p == 0:
             continue
         k_lo, k_hi, slope = witness_range(instance.valuation_vector(p))
         for k in range(k_lo, min(k_hi, half) + 1):
@@ -413,5 +415,5 @@ def certificate_from_json(text: str) -> Certificate:
                            phi=parse_poly(_typed(data, "phi", str)),
                            small_degree_prime=_typed(data, "small_degree_prime", int),
                            witnesses=tuple(witnesses))
-    except (KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, AttributeError, ZeroDivisionError, RecursionError) as exc:
         raise ValueError(f"malformed certificate: {type(exc).__name__}: {exc}") from exc

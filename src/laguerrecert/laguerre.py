@@ -6,7 +6,8 @@ degree below the base, and the base polynomial itself.  The canonical
 integer object is v**m times the assembled polynomial, so that every
 prime not dividing v sees the same valuations on the expansion parts as
 on the coefficients themselves.  Only its integer coefficients v**m b_j
-are stored, once per (m, parameter); the Fractions b_j are views of them.
+are stored, once per (m, parameter); the Fractions b_j are views of them,
+and their valuations have one routine, coefficient_valuations.
 """
 
 from __future__ import annotations
@@ -112,20 +113,60 @@ def ratio_identity_parts(cleared, m: int, u: int, v: int) -> tuple[int, ...]:
     return parts
 
 
-class LaguerreInstance:
-    """Immutable bundle of instance data with lazily assembled polynomials."""
+def coefficient_valuations(m: int, alpha, p: int) -> tuple[int, ...]:
+    """Exact valuations (v_p(b_0), ..., v_p(b_{m-1})) at a prime p not dividing v.
 
-    def __init__(self, m, alpha, a_m, a_parts, phi, violations=()):
+    Additive, on small integers only: v_p(b_j) = v_p(C(m,j)) +
+    sum_{i=j+1..m} v_p(v*i+u), the binomial term by Legendre's formula and
+    the sum in one suffix loop.  Rejected when p divides v, where the
+    cleared integer model no longer has the coefficient valuations.
+    """
+    alpha = Alpha.coerce(alpha)
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if alpha.v % p == 0:
+        raise ValueError("p must not divide v")
+    u, v = alpha.u, alpha.v
+    fact = [factorial_valuation(p, n) for n in range(m + 1)]
+    vec = [0] * m
+    run = 0  # v_p((v(j+1)+u) ... (vm+u))
+    for j in range(m - 1, -1, -1):
+        t = v * (j + 1) + u
+        if t % p == 0:  # saves the call where v_p(t) = 0
+            run += vp_int(p, t)
+        vec[j] = fact[m] - fact[j] - fact[m - j] + run
+    return tuple(vec)
+
+
+class LaguerreInstance:
+    """Immutable bundle of instance data with lazily assembled polynomials.
+
+    It records the standing hypotheses its data break, however it is built.
+    """
+
+    def __init__(self, m, alpha, a_m, a_parts, phi):
         self.m = m
         self.alpha = Alpha.coerce(alpha)
         self.a_m = a_m
         self.a_parts = tuple(a_parts)
         self.phi = phi
+        violations = []
+        for j, part in enumerate(self.a_parts):
+            if part.degree >= phi.degree:
+                violations.append(f"deg a_{j} = {part.degree} is not below deg phi = {phi.degree}")
+        bound = self.prime_bound
+        c = 0 if self.a_parts[0].is_zero else abs(a_m) * content(self.a_parts[0])
+        if not c:
+            violations.append("a_0 is zero, so its content condition cannot hold")
+        for p in sieve_primes(bound):
+            if c and c % p == 0:
+                violations.append(f"content of a_m*a_0 is divisible by {p} <= {bound}")
+            if not is_irreducible_mod_p(phi, p):
+                violations.append(f"phi is reducible modulo {p} <= {bound}")
         self.violations = tuple(violations)
         # c_j = v**m b_j as ints; the parts of f in powers of phi are c_j * a_j
         self.cleared = _cleared_coefficients(m, self.alpha)
         self._f = None
-        self._vp_cache: dict[int, tuple] = {}
 
     @property
     def u(self) -> int:
@@ -170,33 +211,8 @@ class LaguerreInstance:
         return self.f * Fraction(1, self.v ** self.m * math.factorial(self.m))
 
     def valuation_vector(self, p: int) -> tuple:
-        """Exact valuations (v_p(b_0), ..., v_p(b_{m-1}), v_p(a_m)).
-
-        Additive, on small integers only: from the progression form of b_j,
-        v_p(b_j) = v_p(C(m,j)) + sum_{i=j+1..m} v_p(v*i+u) for p not
-        dividing v, with the binomial term by Legendre's formula and the
-        sum accumulated in one suffix loop.  Rejected when p divides v:
-        valuations of the cleared integer model would no longer match the
-        coefficient valuations.
-        """
-        if p in self._vp_cache:
-            return self._vp_cache[p]
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        if self.v % p == 0:
-            raise ValueError("p must not divide v")
-        m, u, v = self.m, self.u, self.v
-        fact = [factorial_valuation(p, n) for n in range(m + 1)]
-        vec = [0] * m
-        run = 0  # v_p((v(j+1)+u) ... (vm+u))
-        for j in range(m - 1, -1, -1):
-            t = v * (j + 1) + u
-            if t % p == 0:  # saves the call where v_p(t) = 0
-                run += vp_int(p, t)
-            vec[j] = fact[m] - fact[j] - fact[m - j] + run
-        vec = tuple(vec) + (vp_int(p, self.a_m),)
-        self._vp_cache[p] = vec
-        return vec
+        """coefficient_valuations at p, then v_p(a_m)."""
+        return coefficient_valuations(self.m, self.alpha, p) + (vp_int(p, self.a_m),)
 
     def to_text(self) -> str:
         lines = [f"m: {self.m}", f"u: {self.u}", f"v: {self.v}", f"a_m: {self.a_m}"]
@@ -225,13 +241,11 @@ class LaguerreInstance:
 
 
 def build_instance(m, alpha, a_m, a_parts, phi, relaxed: bool = False) -> LaguerreInstance:
-    """Validate hypotheses and assemble an instance.
+    """Validate the data and assemble an instance.
 
     Structural errors (wrong shapes, a non-monic base, a parameter that is
-    a negative integer) always raise.  Hypothesis violations - a multiplier
-    degree at least deg phi, a content divisible by a controlled prime, or
-    the base reducible modulo a controlled prime - raise unless
-    ``relaxed``, in which case they are recorded on the instance.
+    a negative integer) always raise.  Hypothesis violations, which the
+    instance records itself, raise unless ``relaxed``.
     """
     alpha = Alpha.coerce(alpha)
     if m < 1:
@@ -245,22 +259,7 @@ def build_instance(m, alpha, a_m, a_parts, phi, relaxed: bool = False) -> Laguer
         raise ValueError("base polynomial must be monic over the integers, degree >= 1")
     if not all(p.is_integral for p in a_parts):
         raise ValueError("multipliers must have integer coefficients")
-
-    violations = []
-    for j, part in enumerate(a_parts):
-        if part.degree >= phi.degree:
-            violations.append(f"deg a_{j} = {part.degree} is not below deg phi = {phi.degree}")
-    bound = alpha.v * m + alpha.u
-    if a_parts[0].is_zero:
-        violations.append("a_0 is zero, so its content condition cannot hold")
-        c = 0
-    else:
-        c = abs(a_m) * content(a_parts[0])
-    for p in sieve_primes(bound):
-        if c and c % p == 0:
-            violations.append(f"content of a_m*a_0 is divisible by {p} <= {bound}")
-        if not is_irreducible_mod_p(phi, p):
-            violations.append(f"phi is reducible modulo {p} <= {bound}")
-    if violations and not relaxed:
-        raise HypothesisViolation(violations)
-    return LaguerreInstance(m, alpha, a_m, a_parts, phi, violations)
+    inst = LaguerreInstance(m, alpha, a_m, a_parts, phi)
+    if inst.violations and not relaxed:
+        raise HypothesisViolation(inst.violations)
+    return inst

@@ -3,9 +3,10 @@
 Every constant here is machine-checked rather than trusted: the smooth-
 window pair sets are recomputed by exhaustive scan, the exponential
 equations by bounded search, the factorization rows by exact expansion,
-and every tabulated witness prime by the same divisibility and slope
-checks the certifier itself performs.  Search bounds are explicit fields
-of every result; nothing claims completeness beyond its bound.
+and every tabulated witness prime by the certifier's own witness rule
+(witness_range) on the certifier's own valuations (coefficient_valuations).
+Search bounds are explicit fields of every result; nothing claims
+completeness beyond its bound.
 """
 
 from __future__ import annotations
@@ -15,9 +16,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .certify import witness_range
-from .laguerre import Alpha, build_instance, laguerre_coefficients
+from .laguerre import Alpha, build_instance, coefficient_valuations
+from .laguerre import laguerre_coefficients  # noqa: F401  (wrapped by bench/tracer.py)
 from .polyring import Poly, parse_poly
-from .primes import largest_prime_factor, sieve_primes, vp_rat
+from .primes import largest_prime_factor, sieve_primes
+from .primes import vp_rat  # noqa: F401  (module attribute wrapped by bench/tracer.py)
 
 # ---------------------------------------------------------------------------
 # reference constants
@@ -274,15 +277,9 @@ def solve_power_equation(equation_id: str, exponent_bound: int) -> EquationSolut
 # ---------------------------------------------------------------------------
 # witness checks shared by several verifiers
 
-def monic_valuation_vector(m: int, u: int, p: int) -> tuple:
-    """(v_p(b_0), ..., v_p(b_{m-1}), 0) for the monic model at parameter u."""
-    b = laguerre_coefficients(m, Alpha(u))
-    return tuple(vp_rat(p, bj) for bj in b) + (0,)
-
-
 def k_witness_valid(m: int, u: int, k: int, p: int) -> tuple[bool, Fraction]:
-    """Divisibility up to m-k plus rightmost slope below 1/k."""
-    k_lo, k_hi, slope = witness_range(monic_valuation_vector(m, u, p))
+    """Divisibility up to m-k plus rightmost slope below 1/k, monic model at u."""
+    k_lo, k_hi, slope = witness_range(coefficient_valuations(m, Alpha(u), p) + (0,))
     return k_lo <= k <= k_hi, slope
 
 

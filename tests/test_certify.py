@@ -19,7 +19,8 @@ from laguerrecert.certify import (Certificate, ExclusionWitness, FailureReport,
                                   exclude_small_degrees, exclusion_bounds,
                                   find_prime_for_k, lemma_exclusion_check,
                                   verify_certificate, witness_range, witness_slope)
-from laguerrecert.laguerre import Alpha, HypothesisViolation, build_instance
+from laguerrecert.laguerre import (Alpha, HypothesisViolation, LaguerreInstance,
+                                   build_instance)
 from laguerrecert.polygon import anchored_polygon, build_polygon
 from laguerrecert.polyring import (PhiExpansion, Poly, construct_phi, content,
                                    is_irreducible_mod_p, parse_poly, phi_expand)
@@ -242,6 +243,38 @@ def test_certify_rejects_invalid_instance(phi17):
                          relaxed=True)
     with pytest.raises(HypothesisViolation):
         certify(bad)
+    # an instance checks its own hypotheses, however it is built: the
+    # constructor reports what build_instance(relaxed=True) reports
+    cases = {
+        (3, 0, 2, 1): "content of a_m*a_0 is divisible by 2 <= 3",
+        (5, 2, 1, 2): "content of a_m*a_0 is divisible by 2 <= 7",
+        (17, 0, 1, 1): "phi is reducible modulo 17 <= 17",
+        (6, 1, 5, 1): "content of a_m*a_0 is divisible by 5 <= 7",
+    }
+    for (m, u, a_m, a_0), violation in cases.items():
+        parts = [Poly.const(a_0)] + [Poly.const(1)] * (m - 1)
+        inst = LaguerreInstance(m, u, a_m, parts, phi17)
+        assert not inst.is_valid
+        assert inst.violations == (violation,)
+        assert inst.violations == build_instance(m, u, a_m, parts, phi17,
+                                                 relaxed=True).violations
+        with pytest.raises(HypothesisViolation, match="^" + re.escape(violation) + "$"):
+            certify(inst)
+
+
+def test_witness_search_refuses_invalid_instances_and_uncontrolled_primes(phi17):
+    bad = ones(phi17, 8, 2, a_m=2, relaxed=True)
+    with pytest.raises(HypothesisViolation, match="divisible by 2"):
+        witness_slope(bad, 3, 7)
+    with pytest.raises(HypothesisViolation, match="divisible by 2"):
+        find_prime_for_k(bad, 3)
+    inst = ones(phi17, 8, 1)  # vm+u = 9
+    assert witness_slope(inst, 2, 7) == Fraction(1, 7)
+    for p in (11, 13, 0, 1, -7):
+        with pytest.raises(ValueError, match="2..vm\\+u = 9"):
+            witness_slope(inst, 1, p)
+    inst = ones(phi17, 6, 1)  # vm+u = 7 is itself a witness prime for k = 1
+    assert witness_slope(inst, 1, 7) == Fraction(1, 6)
 
 
 def test_certify_deterministic(phi17):

@@ -222,6 +222,7 @@ def _verify_argv(tmp_path, text=None, edit=None):
 @pytest.mark.parametrize("make_argv", [
     lambda t: ["certify", *_INSTANCE, "--verify", str(t / "missing.json")],
     lambda t: _verify_argv(t, text='{"m": 5'),
+    lambda t: _verify_argv(t, text='{"m": ' + "[" * 200_000 + "]" * 200_000 + "}"),
     lambda t: _verify_argv(t, edit=lambda d: d.pop("witnesses")),
     lambda t: _verify_argv(t, edit=lambda d: d["witnesses"][0].update(slope="1/0")),
     lambda t: _verify_argv(t, edit=lambda d: d.update(m="5")),
@@ -237,7 +238,7 @@ def _verify_argv(tmp_path, text=None, edit=None):
     lambda t: ["witness-search", "-m", "0", "-u", "1", "--phi", "x^2-x+17"],
     lambda t: ["oracle", "--f", "1/2x^2+1"],
     lambda t: ["tables", "--st-bound", "1"],
-], ids=["missing-file", "not-json", "no-witnesses", "slope-1/0", "m-string",
+], ids=["missing-file", "not-json", "deeply-nested", "no-witnesses", "slope-1/0", "m-string",
         "m-string-no-witnesses", "p-float", "p-string", "p-bool", "small-degree-prime-float",
         "slope-decimal", "divisibility-range-float", "out-dir-missing", "witness-search-m-0",
         "oracle-fraction", "tables-st-bound-1"])

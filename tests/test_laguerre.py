@@ -5,11 +5,11 @@ import pytest
 
 from laguerrecert import laguerre
 from laguerrecert.laguerre import (Alpha, HypothesisViolation, LaguerreInstance,
-                                   build_instance, laguerre_coefficients)
+                                   build_instance, coefficient_valuations,
+                                   laguerre_coefficients)
 from laguerrecert.polyring import Poly, X, parse_poly, phi_expand
 from laguerrecert.primes import (INFINITY, factorial_valuation, sieve_primes,
                                  vp_int, vp_rat)
-from laguerrecert.tables import monic_valuation_vector
 
 
 def const_parts(*values):
@@ -220,24 +220,18 @@ def test_instance_constructed_directly_coerces_its_parameter():
     assert inst.valuation_vector(3) == (1, 1, 0)
 
 
-def test_additive_valuation_vector_matches_vp_rat():
+def test_additive_valuation_vector_matches_vp_rat(product_form):
     # the additive route (Legendre binomial term plus the progression sum)
-    # against vp_rat on the Fractions b_j; for integer parameters that is
-    # tables.monic_valuation_vector, the table checker's own route
+    # against vp_rat on the paper's product form of b_j, for every parameter
     checked = 0
     for alpha in _admissible_alphas((1, 2, 3, 5), range(-7, 8)):
         for m in range(1, 61):
-            b = laguerre_coefficients(m, alpha)
-            inst = LaguerreInstance(m, alpha, 1, const_parts(*[1] * m), X)
+            b = product_form(m, alpha.value)
             for p in sieve_primes(alpha.v * m + alpha.u + 10):
                 if alpha.v % p == 0:
                     continue
-                if alpha.v == 1:
-                    # vp_rat on the b_j, through the table checker's route
-                    expected = monic_valuation_vector(m, alpha.u, p)
-                else:
-                    expected = tuple(vp_rat(p, bj) for bj in b) + (0,)
-                assert inst.valuation_vector(p) == expected, (m, alpha, p)
+                expected = tuple(vp_rat(p, bj) for bj in b)
+                assert coefficient_valuations(m, alpha, p) == expected, (m, alpha, p)
                 checked += 1
     assert checked == 55_962
 

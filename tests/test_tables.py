@@ -2,8 +2,7 @@ import pytest
 
 from laguerrecert.tables import (EXPECTED_EQUATION_SOLUTIONS, EXPECTED_PAIR_SETS,
                                  EXCEPTIONAL_PAIR_TABLE, K1_QUOTED_SETS, Report,
-                                 k1_no_good_prime_set, k_witness_valid,
-                                 monic_valuation_vector, product_lpf_pairs,
+                                 k1_no_good_prime_set, k_witness_valid, product_lpf_pairs,
                                  solve_power_equation, verify_exceptional_pair_table,
                                  verify_factor_rows, verify_k1_subcases,
                                  verify_nonconstant_leading_counterexample,
@@ -99,11 +98,6 @@ def test_prime_free_rows_by_direct_scan():
     assert witness_primes(6, 4, 2) == []
     assert witness_primes(6, 4, 3) == []
     assert witness_primes(6, 4, 1) == [3]
-
-
-def test_monic_vector_shape():
-    vec = monic_valuation_vector(8, 1, 7)
-    assert len(vec) == 9 and vec[-1] == 0
 
 
 # -- exceptional pair table --------------------------------------------------------------
