@@ -266,6 +266,9 @@ def _cmd_tables(args) -> int:
     except ValueError as exc:  # a bound out of range
         print(f"invalid bound: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except MemoryError as exc:  # a bound whose sieve cannot be allocated
+        print(f"bound too large: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     if args.json:
         print(json.dumps({"passed": report.passed,
                           "checks": [{"id": c.check_id, "passed": c.passed,

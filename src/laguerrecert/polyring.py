@@ -191,6 +191,12 @@ def _as_poly(value) -> Poly:
 
 _TERM_RE = re.compile(r"([+-]?)(\d+(?:/\d+)?)?(x(?:\^(\d+))?)?")
 
+# The parsed polynomial is dense, so its cost grows with the largest
+# exponent, not with the length of the text: "x^99999999999" alone would ask
+# for 10^11 coefficient slots.  Every polynomial this library builds or
+# checks has degree m * deg(phi), far below this bound.
+MAX_PARSED_DEGREE = 100_000
+
 
 def format_poly(f: Poly) -> str:
     if f.is_zero:
@@ -228,12 +234,18 @@ def parse_poly(text: str) -> Poly:
         sign, num, xpart, exp = m.groups()
         if num is None and xpart is None:
             raise ValueError(f"cannot parse polynomial near {s[pos:]!r}")
-        c = Fraction(num) if num is not None else Fraction(1)
+        try:
+            c = Fraction(num) if num is not None else Fraction(1)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {num!r}") from None
         if sign == "-":
             c = -c
         e = 0
         if xpart is not None:
             e = int(exp) if exp is not None else 1
+            if e > MAX_PARSED_DEGREE:
+                raise ValueError(f"exponent {e} exceeds the largest accepted degree "
+                                 f"{MAX_PARSED_DEGREE}")
         coeffs[e] = coeffs.get(e, Fraction(0)) + c
         pos = m.end()
     top = max(coeffs)

@@ -11,6 +11,7 @@ completeness beyond its bound.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -156,51 +157,89 @@ class PairSet:
     m_bound: int
 
 
+def _largest_prime_factors(size: int):
+    """(is_prime, lpf) over 0..size as numpy arrays, lpf[n] the largest prime
+    factor of n (1 for n < 2), in int32 whenever size fits.
+
+    Python loops run over the primes up to sqrt(size) and over the cofactors
+    c <= sqrt(size), never over every integer: a prime p <= sqrt(size) is
+    written to all its multiples in ascending order, so the last write is
+    the largest such factor, and then every prime P > sqrt(size), at most
+    one per integer, overwrites its multiples c*P.
+    """
+    import numpy as np
+
+    dtype = np.int32 if size <= np.iinfo(np.int32).max else np.int64
+    root = math.isqrt(size)
+    is_prime = np.ones(size + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, root + 1):
+        if is_prime[p]:
+            is_prime[p * p::p] = False
+    primes = np.flatnonzero(is_prime).astype(dtype)
+    lpf = np.ones(size + 1, dtype=dtype)
+    for p in primes[primes <= root].tolist():
+        lpf[p::p] = p
+    large = primes[primes > root]
+    for c in range(1, size // (root + 1) + 1):
+        cut = large[:np.searchsorted(large, size // c, side="right")]
+        lpf[c * cut] = cut
+    return is_prime, lpf
+
+
+def _open_window_lengths(pi, k_lo: int, k_hi: int):
+    """The k in k_lo..k_hi with no prime in (k+4, 2k], from the prime counts
+    pi[n] = #{primes <= n}: the only k whose windows (m+1)...(m+k) with
+    m <= k+3 can have every prime factor <= k+4."""
+    import numpy as np
+
+    ks = np.arange(k_lo, k_hi + 1)
+    return ks[pi[2 * ks] <= pi[ks + 4]]
+
+
 @lru_cache(maxsize=4)
 def _window_pair_scan(m_bound: int) -> dict[int, frozenset]:
     """All (m, k), m >= k >= 2, m <= m_bound, where the largest prime factor
     of (m+1)...(m+k) is k+t for some t in 1..4.  Exhaustive over every k.
 
-    Windows with k beyond the largest prime gap in range always contain a
-    prime too large to allow t <= 4; that cutoff is recomputed from the
-    sieve here, not assumed, and the residual corner (window hugging k)
-    falls to a prime-counting check with a direct scan as last resort.
+    The sieve runs to size = 2*m_bound + 5, in int32 whenever size fits
+    (int64 otherwise).  One running array holds, for every window start,
+    the largest prime factor over the window; going from k-1 to k is one
+    elementwise maximum with the largest prime factor of the integer that
+    joins each window, so each k up to the cutoff costs O(m_bound) and
+    every window of those lengths is examined.  Windows with k beyond the
+    largest prime gap in range always contain a prime too large to allow
+    t <= 4; that cutoff is recomputed from the sieve here, not assumed, and
+    the residual corner (window hugging k) falls to one prime-counting
+    comparison over every remaining k, with a direct scan of any k it
+    leaves open.
     """
     import numpy as np
-    from numpy.lib.stride_tricks import sliding_window_view
 
     if m_bound < 2:
         return {t: frozenset() for t in (1, 2, 3, 4)}
     size = 2 * m_bound + 5
-    lpf = np.arange(size + 1, dtype=np.int64)
-    lpf[0:2] = 1
-    for p in range(2, size + 1):
-        if lpf[p] == p:
-            lpf[p::p] = p
-    is_pr = lpf[2:] == np.arange(2, size + 1)
-    prime_pos = np.flatnonzero(is_pr) + 2
-    max_gap = int(np.diff(prime_pos).max()) if len(prime_pos) > 1 else 2
+    is_prime, lpf = _largest_prime_factors(size)
+    max_gap = int(np.diff(np.flatnonzero(is_prime)).max())
     k_limit = min(m_bound, max_gap + 4)
 
     pairs: dict[int, set] = {1: set(), 2: set(), 3: set(), 4: set()}
+    # after step k, W[s] is the largest prime factor of s...(s+k-1)
+    stop = m_bound + 2
+    W = lpf[:stop].copy()
     for k in range(2, k_limit + 1):
-        seg = lpf[k + 1: m_bound + k + 1]
-        if len(seg) < k:
-            continue
-        wmax = sliding_window_view(seg, k).max(axis=1)
-        for t in (1, 2, 3, 4):
-            for j in np.flatnonzero(wmax == k + t):
-                pairs[t].add((k + int(j), k))
+        np.maximum(W, lpf[k - 1: stop + k - 1], out=W)
+        seg = W[k + 1:]  # the windows m+1..m+k for m = k..m_bound
+        hits = np.flatnonzero((seg > k) & (seg <= k + 4))
+        for j, top in zip(hits.tolist(), seg[hits].tolist()):
+            pairs[top - k].add((k + j, k))
 
     # k > k_limit: any window starting at m >= k+4 spans more than the
     # largest prime gap, so it contains a prime above the smoothness bound;
     # windows hugging k (m <= k+3) contain every prime in (k+4, 2k].
-    pi = np.zeros(size + 1, dtype=np.int64)
-    pi[2:] = np.cumsum(is_pr)
-    for k in range(k_limit + 1, m_bound + 1):
-        if pi[min(2 * k, size)] - pi[k + 4] > 0:
-            continue
-        for m in range(k, min(k + 4, m_bound + 1)):  # pragma: no cover
+    pi = np.cumsum(is_prime, dtype=lpf.dtype)
+    for k in _open_window_lengths(pi, k_limit + 1, m_bound).tolist():  # pragma: no cover
+        for m in range(k, min(k + 4, m_bound + 1)):
             wmax = int(lpf[m + 1: m + k + 1].max())
             if 1 <= wmax - k <= 4:
                 pairs[wmax - k].add((m, k))

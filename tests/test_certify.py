@@ -1,4 +1,5 @@
 import importlib
+import json
 import math
 import os
 import pathlib
@@ -746,6 +747,46 @@ def test_coverage_arithmetic():
     assert not coverage_complete(6, 2, [1, 3])
     assert coverage_complete(1, 2, [])
     assert not coverage_complete(4, 2, [])
+
+
+_JSON_LEAF = (st.none() | st.booleans() | st.integers() | st.floats()
+              | st.text(max_size=8))
+_JSON_VALUE = st.recursive(
+    _JSON_LEAF, lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=4), kids, max_size=3), max_leaves=6)
+_PHI_TEXT = (st.text(alphabet="x^+-/0123456789 ", max_size=24)
+             | st.builds("{}x^{} + {}".format, st.integers(-9, 9),
+                         st.integers(0, 10**7), st.integers(-99, 99)))
+_GOOD_CERTIFICATE = json.loads(certificate_to_json(certify(
+    ones(parse_poly("x^2 - x + 17"), 5, 2))))
+
+
+def _edited_certificate(fields, phi, witness_fields):
+    data = json.loads(json.dumps(_GOOD_CERTIFICATE))
+    data["witnesses"][0].update(witness_fields)
+    data["phi"] = phi
+    data.update(fields)
+    return json.dumps(data)
+
+
+@settings(max_examples=400, deadline=1000)
+@given(st.text(max_size=80)
+       | st.builds(json.dumps, _JSON_VALUE)
+       | st.builds(_edited_certificate,
+                   st.dictionaries(st.sampled_from(sorted(_GOOD_CERTIFICATE)),
+                                   _JSON_VALUE, max_size=2),
+                   _PHI_TEXT,
+                   st.dictionaries(st.sampled_from(sorted(_GOOD_CERTIFICATE["witnesses"][0])),
+                                   _JSON_VALUE, max_size=2)))
+def test_certificate_parser_fuzz(text):
+    # any text parses to a Certificate or raises ValueError, within the
+    # deadline; exponents reach 100 times the largest accepted degree, so a
+    # parser that allocates before checking one fails here instead of hanging
+    try:
+        cert = certificate_from_json(text)
+    except ValueError:
+        return
+    assert isinstance(cert, Certificate)
 
 
 def test_certificate_json_round_trip(phi17):

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -238,16 +242,42 @@ def _verify_argv(tmp_path, text=None, edit=None):
     lambda t: ["witness-search", "-m", "0", "-u", "1", "--phi", "x^2-x+17"],
     lambda t: ["oracle", "--f", "1/2x^2+1"],
     lambda t: ["tables", "--st-bound", "1"],
+    # a sieve of 1.7 EiB: no machine maps that much, so numpy refuses at once
+    lambda t: ["tables", "--only", "s1", "--st-bound", str(10**18)],
 ], ids=["missing-file", "not-json", "deeply-nested", "no-witnesses", "slope-1/0", "m-string",
         "m-string-no-witnesses", "p-float", "p-string", "p-bool", "small-degree-prime-float",
         "slope-decimal", "divisibility-range-float", "out-dir-missing", "witness-search-m-0",
-        "oracle-fraction", "tables-st-bound-1"])
+        "oracle-fraction", "tables-st-bound-1", "tables-st-bound-unallocatable"])
 def test_malformed_input_exits_invalid(tmp_path, capsys, make_argv):
     argv = make_argv(tmp_path)
     capsys.readouterr()
     code, _, err = run(capsys, *argv)
     assert code == 4
     assert err.count("\n") == 1 and err.strip(), err
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", *_INSTANCE, "--verify", "cert.json"],
+    ["oracle", "--f", "x^99999999999 + 1"],
+], ids=["certificate-phi", "oracle-f"])
+def test_huge_exponent_is_refused_before_allocation(tmp_path, argv):
+    # the dense parser once grew to 770 MB over 60 s on this exponent; a
+    # subprocess with a timeout fails the test instead of hanging the suite
+    # (only the certify case reads the certificate file)
+    main(["certify", *_INSTANCE, "--out", str(tmp_path / "cert.json")])
+    data = json.loads((tmp_path / "cert.json").read_text())
+    data["phi"] = "x^99999999999"
+    (tmp_path / "cert.json").write_text(json.dumps(data))
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-m", "laguerrecert.cli", *argv],
+                          capture_output=True, text=True, env=env, cwd=tmp_path,
+                          timeout=30)
+    assert proc.returncode == 4
+    assert "exponent 99999999999 exceeds" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_construct_prints_integers_of_any_size(capsys):

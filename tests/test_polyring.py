@@ -5,8 +5,8 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from laguerrecert.polyring import (DegreePattern, Poly, X, check_phi, construct_phi,
-                                   content, degree_pattern, format_poly,
+from laguerrecert.polyring import (MAX_PARSED_DEGREE, DegreePattern, Poly, X, check_phi,
+                                   construct_phi, content, degree_pattern, format_poly,
                                    gauss_valuation, is_irreducible_mod_p,
                                    parse_poly, phi_expand, primitive_part,
                                    reduce_mod_p)
@@ -78,10 +78,12 @@ def test_parse_accepts_any_term_order(phi17):
     assert parse_poly("3x^2 - x + 17") == Poly((17, -1, 3))
     assert parse_poly("0") == Poly()
     assert parse_poly("x + x") == Poly((0, 2))
+    assert parse_poly(f"x^{MAX_PARSED_DEGREE}") == Poly.term(1, MAX_PARSED_DEGREE)
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "x^-2", "y+1", "3*x", "x^"):
+    for bad in ("", "x^-2", "y+1", "3*x", "x^", "1/0x", f"x^{MAX_PARSED_DEGREE + 1}",
+                "x^99999999999"):
         with pytest.raises(ValueError):
             parse_poly(bad)
 

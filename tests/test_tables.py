@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
 from laguerrecert.tables import (EXPECTED_EQUATION_SOLUTIONS, EXPECTED_PAIR_SETS,
                                  EXCEPTIONAL_PAIR_TABLE, K1_QUOTED_SETS, Report,
+                                 _largest_prime_factors, _open_window_lengths,
                                  k1_no_good_prime_set, k_witness_valid, product_lpf_pairs,
                                  solve_power_equation, verify_exceptional_pair_table,
                                  verify_factor_rows, verify_k1_subcases,
@@ -22,6 +24,48 @@ def test_pair_sets_at_ten_thousand():
     # nothing new appears between the known pairs and 10^4, for any k
     for t in (1, 2, 3, 4):
         assert product_lpf_pairs(t, 10**4).pairs == EXPECTED_PAIR_SETS[t]
+
+
+def test_pair_sets_at_bench_bound():
+    # the bound of `tables --st-bound 1000000`
+    for t in (1, 2, 3, 4):
+        assert product_lpf_pairs(t, 10**6).pairs == EXPECTED_PAIR_SETS[t]
+
+
+def _lpf_by_trial_division(n):
+    top, d = 1, 2
+    while d * d <= n:
+        while n % d == 0:
+            top, n = d, n // d
+        d += 1
+    return max(top, n)
+
+
+def test_window_pair_scan_matches_brute_force():
+    # 400: the largest prime gap below 2*400+5 is 18, so the scan runs k <= 22
+    # and the prime-count cutoff decides every k in 23..400
+    top_bound = 400
+    lpf = [_lpf_by_trial_division(n) for n in range(2 * top_bound + 6)]
+    reference = {t: set() for t in (1, 2, 3, 4)}
+    for k in range(2, top_bound + 1):
+        for m in range(k, top_bound + 1):
+            top = max(lpf[m + 1: m + k + 1])
+            if k < top <= k + 4:
+                reference[top - k].add((m, k))
+    for m_bound in [*range(2, 61), top_bound]:
+        _, sieved = _largest_prime_factors(2 * m_bound + 5)
+        assert sieved.tolist() == lpf[:2 * m_bound + 6], m_bound
+        for t in (1, 2, 3, 4):
+            expected = {(m, k) for m, k in reference[t] if m <= m_bound}
+            assert product_lpf_pairs(t, m_bound).pairs == expected, (t, m_bound)
+
+    # the cutoff, over every k: open exactly when no prime lies in (k+4, 2k]
+    primes = [n for n in range(2, len(lpf)) if lpf[n] == n]
+    pi = np.array([sum(1 for p in primes if p <= n) for n in range(len(lpf))])
+    open_k = [k for k in range(2, top_bound + 1)
+              if not any(k + 4 < p <= 2 * k for p in primes)]
+    assert open_k[:4] == [2, 3, 4, 5]
+    assert _open_window_lengths(pi, 2, top_bound).tolist() == open_k
 
 
 def test_pair_scan_small_bound_truncates():
