@@ -298,7 +298,12 @@ def _cmd_oracle(args) -> int:
         print("need a nonconstant polynomial with integer coefficients", file=sys.stderr)
         return EXIT_INVALID
     f = primitive_part(f)
-    verdict = oracle_verdict(f, args.prime_budget)
+    try:
+        verdict = oracle_verdict(f, args.prime_budget)
+    except MemoryError:  # a budget whose sieve cannot be allocated
+        print(f"prime budget too large: no memory for a sieve up to {args.prime_budget}",
+              file=sys.stderr)
+        return EXIT_INVALID
     if args.json:
         print(json.dumps(verdict_to_jsonable(verdict), indent=2))
     else:

@@ -5,6 +5,12 @@ zeros (the zero polynomial has an empty tuple).  Includes the shared text
 format, expansion in powers of a monic polynomial, reduction mod p, and
 the factor degrees of a polynomial over the p-element field by
 distinct-degree splitting, which also decides irreducibility mod p.
+
+The splitting computes x**p mod f once per (f, p), by square-and-multiply.
+From degree 2 on it applies the Frobenius map a -> a**p, which is linear
+over the p-element field, as a matrix: the rows x**(i*p) mod f are built
+once, each packed into one integer, and each further degree costs one
+combination of rows instead of another powering.
 """
 
 from __future__ import annotations
@@ -313,7 +319,9 @@ def phi_expand(f: Poly, phi: Poly) -> PhiExpansion:
 
 
 # ---------------------------------------------------------------------------
-# arithmetic over the p-element field (dense int lists, ascending)
+# arithmetic over the p-element field (dense int lists, ascending).  The
+# kernels reduce late: they accumulate plain ints and take one % p per
+# output coefficient, never one per product.
 
 def _fp_trim(a: list[int]) -> list[int]:
     while a and a[-1] == 0:
@@ -325,34 +333,26 @@ def _fp_from_poly(f: Poly, p: int) -> list[int]:
     return _fp_trim([int(c) % p for c in f.coeffs])
 
 
-def _fp_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _fp_trim(out)
-
-
 def _fp_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by b != 0; consumes a."""
     if not b:
         raise ZeroDivisionError
+    top = len(b) - 1
     inv = pow(b[-1], -1, p)
-    r = a[:]
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while len(r) >= len(b):
-        c = r[-1] * inv % p
-        shift = len(r) - len(b)
-        q[shift] = c
-        for i, y in enumerate(b):
-            r[shift + i] = (r[shift + i] - c * y) % p
-        _fp_trim(r)
-    return q, r
+    q = [0] * max(0, len(a) - top)
+    for shift in range(len(a) - 1 - top, -1, -1):
+        # only the leading coefficient is reduced before it is read; the
+        # one it cancels is never read again
+        c = a[shift + top] * inv % p
+        if c:
+            q[shift] = c
+            for i in range(top):
+                a[shift + i] -= c * b[i]
+    return q, _fp_trim([c % p for c in a[:top]])
 
 
 def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd by Euclid's remainders; consumes a."""
     while b:
         a, b = b, _fp_divmod(a, b, p)[1]
     if a:
@@ -361,15 +361,94 @@ def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
-def _fp_powmod(a: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _fp_divmod(a, mod, p)[1]
-    while e:
-        if e & 1:
-            result = _fp_divmod(_fp_mul(result, base, p), mod, p)[1]
-        base = _fp_divmod(_fp_mul(base, base, p), mod, p)[1]
-        e >>= 1
-    return result
+def _fp_pad(a: list[int], n: int) -> list[int]:
+    return a + [0] * (n - len(a))
+
+
+def _fp_times_x(a: list[int], mod: list[int], p: int) -> list[int]:
+    """x*a mod a monic mod, for a padded to length deg(mod); same length."""
+    c = a[-1]
+    shifted = [0] + a[:-1]
+    if not c:
+        return shifted
+    return [(s - c * m) % p for s, m in zip(shifted, mod)]
+
+
+def _fp_mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
+    """a*b mod a monic mod of degree n >= 1, for a and b of length n;
+    n residues."""
+    n = len(mod) - 1
+    out = [0] * (2 * n - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    for k in range(2 * n - 2, n - 1, -1):
+        c = out[k] % p
+        if c:
+            for i in range(n):
+                out[k - n + i] -= c * mod[i]
+    return [c % p for c in out[:n]]
+
+
+def _fp_x_power(e: int, mod: list[int], p: int) -> list[int]:
+    """x**e mod a monic mod of degree n >= 1, e >= 1, as n residues.
+    Left-to-right square-and-multiply: a set bit of e costs one shift, not
+    a product."""
+    w = _fp_times_x(_fp_pad([1], len(mod) - 1), mod, p)
+    for bit in bin(e)[3:]:
+        w = _fp_mulmod(w, w, mod, p)
+        if bit == "1":
+            w = _fp_times_x(w, mod, p)
+    return w
+
+
+def _fp_pack(a: list[int], slot: int) -> int:
+    """Residues a as one integer, a[j] in bits slot*j .. slot*(j+1)-1."""
+    acc = 0
+    for c in reversed(a):
+        acc = acc << slot | c
+    return acc
+
+
+def _fp_unpack(acc: int, slot: int, n: int, p: int) -> list[int]:
+    """The first n slots of a packed integer, each reduced mod p."""
+    mask = (1 << slot) - 1
+    return [(acc >> slot * j & mask) % p for j in range(n)]
+
+
+def _fp_combine(coeffs: list[int], rows: list[int], slot: int, p: int) -> list[int]:
+    """sum_i coeffs[i] * rows[i] mod p, residues of packed rows; the result
+    has len(coeffs) residues.  One big-integer product per row replaces a
+    loop over its coefficients.  No slot carries into the next while slot
+    bits hold len(coeffs) * (p-1)**2, and the one % p per output
+    coefficient comes at the end."""
+    acc = 0
+    for c, row in zip(coeffs, rows):
+        if c:
+            acc += c * row
+    return _fp_unpack(acc, slot, len(coeffs), p)
+
+
+def _frobenius_rows(xp: list[int], mod: list[int], p: int) -> tuple[int, list[int]]:
+    """(slot, rows): rows[i] = x**(i*p) mod a monic mod for i < n =
+    deg(mod), each packed with that slot, from xp = x**p mod mod padded to
+    length n.  The columns x**j * xp mod mod come from n shift-and-reduce
+    steps; then row i is row i-1 times xp, the combination of the columns
+    by the coefficients of row i-1."""
+    n = len(mod) - 1
+    slot = (n * (p - 1) ** 2).bit_length()
+    col = xp
+    cols = [_fp_pack(col, slot)]
+    for _ in range(n - 1):
+        col = _fp_times_x(col, mod, p)
+        cols.append(_fp_pack(col, slot))
+    rows = [1, cols[0]]
+    row = xp
+    while len(rows) < n:
+        row = _fp_combine(row, cols, slot, p)
+        rows.append(_fp_pack(row, slot))
+    return slot, rows[:n]
 
 
 def reduce_mod_p(f: Poly, p: int) -> Poly:
@@ -389,7 +468,20 @@ class DegreePattern:
 
 def degree_pattern(f: Poly, p: int) -> DegreePattern:
     """Multiset of irreducible-factor degrees of f mod p by distinct-degree
-    splitting; unusable (no degrees) when the reduction is not squarefree."""
+    splitting; unusable (no degrees) when the reduction is not squarefree.
+
+    Step d divides rest by gcd(rest, w - x), w = x**(p**d) mod rest, the
+    product of its factors of degree d.  Costs, for n = deg(rest):
+    - d = 1: x**p by square-and-multiply, about log2(p) products mod rest
+      of O(n**2) each.  A base of degree at most 3 needs nothing more.
+    - d = 2: the Frobenius rows x**(i*p) mod rest for i < n, built once
+      from n shift-and-reduce steps and n - 2 combinations.
+    - each step from d = 2 on: one combination w <- sum_i w[i] * row_i
+      (n products of a residue by a packed row) plus the gcd, O(n**2).
+    After a split, w and the rows are reduced modulo the new rest, which
+    divides the old one.
+    """
+    _require_prime(p)
     if f.lead % p == 0:
         raise ValueError("p must not divide the leading coefficient")
     fp = _fp_from_poly(f, p)
@@ -399,26 +491,35 @@ def degree_pattern(f: Poly, p: int) -> DegreePattern:
     inv = pow(fp[-1], -1, p)
     rest = [c * inv % p for c in fp]
     degrees = []
-    w = [0, 1]
+    rows = None
     d = 0
     while len(rest) - 1 > 0:
         d += 1
-        if 2 * d > len(rest) - 1:
-            degrees.append(len(rest) - 1)
+        n = len(rest) - 1
+        if 2 * d > n:
+            degrees.append(n)
             break
-        # w = x**(p**d) mod rest; gcd(w - x, rest) is the degree-d part
-        w = _fp_powmod(w, p, rest, p)
-        size = max(len(w), 2)
-        diff = _fp_trim([((w[i] if i < len(w) else 0) - (1 if i == 1 else 0)) % p
-                         for i in range(size)])
-        g = _fp_gcd(rest[:], diff, p)
+        if d == 1:
+            w = _fp_x_power(p, rest, p)
+        else:
+            if rows is None:
+                slot, rows = _frobenius_rows(w, rest, p)
+            w = _fp_combine(w, rows, slot, p)
+        # gcd(w - x, rest) is the product of the degree-d factors
+        diff = w[:]
+        diff[1] = (diff[1] - 1) % p
+        g = _fp_gcd(rest[:], _fp_trim(diff), p)
         if len(g) - 1 > 0:
             degrees.extend([d] * ((len(g) - 1) // d))
             rest, rem = _fp_divmod(rest, g, p)
             if rem:
                 raise ArithmeticError("distinct-degree part does not divide")
-            if len(rest) - 1 > 0:
-                w = _fp_divmod(w, rest, p)[1]
+            # the new rest divides the old one, so w and the rows reduced
+            # modulo it are still x**(p**d) and x**(i*p) modulo it
+            w = _fp_pad(_fp_divmod(w, rest, p)[1], len(rest) - 1)
+            if rows is not None:
+                rows = [_fp_pack(_fp_divmod(_fp_unpack(row, slot, n, p), rest, p)[1], slot)
+                        for row in rows[:len(rest) - 1]]
     return DegreePattern(p=p, degrees=tuple(sorted(degrees)), usable=True)
 
 

@@ -23,13 +23,15 @@ def sieve_primes(bound: int) -> list[int]:
     """All primes <= bound, ascending.  Empty for bound < 2."""
     if bound < 2:
         return []
-    flags = bytearray(b"\x01") * (bound + 1)
-    flags[0] = flags[1] = 0
+    # zero-filled, so a bound too large to allocate raises MemoryError
+    # alone: CPython 3.11's bytearray repetition also prints a stray
+    # "SystemError: deallocated bytearray" line when it fails
+    composite = bytearray(bound + 1)
     for p in range(2, math.isqrt(bound) + 1):
-        if flags[p]:
+        if not composite[p]:
             start = p * p
-            flags[start::p] = b"\x00" * len(range(start, bound + 1, p))
-    return [i for i in range(2, bound + 1) if flags[i]]
+            composite[start::p] = b"\x01" * len(range(start, bound + 1, p))
+    return [i for i in range(2, bound + 1) if not composite[i]]
 
 
 @lru_cache(maxsize=1 << 16)

@@ -286,12 +286,14 @@ def solve_power_equation(equation_id: str, exponent_bound: int) -> EquationSolut
     elif equation_id in ("ii", "iii"):
         x, y, z = (2, 3, 5) if equation_id == "ii" else (2, 5, 3)
         powers_z = {z ** t: t for t in range(1, B + 1)}
+        top = max(powers_z)
         for r in range(1, B + 1):
             for s in range(1, B + 1):
-                t = powers_z.get(x ** r + y ** s)
+                val = x ** r + y ** s
+                t = powers_z.get(val)
                 if t is not None:
                     found.add((r, s, t))
-                if x ** r + y ** s > max(powers_z):
+                if val > top:
                     break
     elif equation_id in ("iv", "v", "vi"):
         x, y, z = {"iv": (2, 3, 5), "v": (3, 5, 2), "vi": (2, 5, 3)}[equation_id]

@@ -244,10 +244,13 @@ def _verify_argv(tmp_path, text=None, edit=None):
     lambda t: ["tables", "--st-bound", "1"],
     # a sieve of 1.7 EiB: no machine maps that much, so numpy refuses at once
     lambda t: ["tables", "--only", "s1", "--st-bound", str(10**18)],
+    # the oracle's prime sieve of 10^18 flags is refused at once the same way
+    lambda t: ["oracle", "--f", "x^2-x+17", "--prime-budget", str(10**18)],
 ], ids=["missing-file", "not-json", "deeply-nested", "no-witnesses", "slope-1/0", "m-string",
         "m-string-no-witnesses", "p-float", "p-string", "p-bool", "small-degree-prime-float",
         "slope-decimal", "divisibility-range-float", "out-dir-missing", "witness-search-m-0",
-        "oracle-fraction", "tables-st-bound-1", "tables-st-bound-unallocatable"])
+        "oracle-fraction", "tables-st-bound-1", "tables-st-bound-unallocatable",
+        "oracle-budget-unallocatable"])
 def test_malformed_input_exits_invalid(tmp_path, capsys, make_argv):
     argv = make_argv(tmp_path)
     capsys.readouterr()

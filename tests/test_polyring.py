@@ -5,7 +5,8 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from laguerrecert.polyring import (MAX_PARSED_DEGREE, DegreePattern, Poly, X, check_phi,
+from laguerrecert.polyring import (MAX_PARSED_DEGREE, DegreePattern, Poly, X,
+                                   _frobenius_rows, _fp_unpack, _fp_x_power, check_phi,
                                    construct_phi, content, degree_pattern, format_poly,
                                    gauss_valuation, is_irreducible_mod_p,
                                    parse_poly, phi_expand, primitive_part,
@@ -258,6 +259,94 @@ def test_degree_pattern_and_irreducibility_match_sympy():
         reducible += not irreducible
         checked += 1
     assert checked == 1500 and reducible > 300 and unusable > 30
+
+
+_SMALL_PRIMES = [p for p in range(2, 200) if all(p % q for q in range(2, p))]
+
+
+def _sympy_pattern(sympy, f, p):
+    """The DegreePattern sympy's factorization over F_p implies."""
+    x = sympy.Symbol("x")
+    _, factors = sympy.Poly(list(reversed(f.coeffs)), x, modulus=p).factor_list()
+    if any(e > 1 for _, e in factors):
+        return DegreePattern(p, (), False)
+    return DegreePattern(p, tuple(sorted(g.degree() for g, _ in factors)), True)
+
+
+def test_degree_pattern_matches_sympy_up_to_degree_30():
+    # the oracle's range: degree up to 30, primes up to 60, and leading
+    # coefficients other than 1 (prime to p); a few larger primes too
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(3001)
+    usable = 0
+    for _ in range(300):
+        p = rng.choice(_SMALL_PRIMES[:17] * 3 + _SMALL_PRIMES[17:])
+        n = rng.randrange(4, 31)
+        lead = rng.choice([c for c in range(-9, 10) if c % p])
+        f = Poly([rng.randrange(-3 * p, 3 * p) for _ in range(n)] + [lead])
+        pattern = degree_pattern(f, p)
+        assert pattern == _sympy_pattern(sympy, f, p), (f, p)
+        usable += pattern.usable
+    assert usable > 150
+
+
+def _random_irreducible(sympy, rng, degree, p):
+    x = sympy.Symbol("x")
+    while True:
+        coeffs = [1] + [rng.randrange(p) for _ in range(degree)]
+        if sympy.Poly(coeffs, x, modulus=p).is_irreducible:
+            return Poly(list(reversed(coeffs)))
+
+
+def test_degree_pattern_of_products_with_repeated_degrees():
+    # 2 to 6 distinct irreducibles mod p, degrees drawn with repetition, so
+    # rest is split several times at the same or at later degrees and the
+    # Frobenius rows are reduced again after each split; the integer
+    # coefficients are lifted by random multiples of p under a lead prime to p
+    # (p >= 7, so there are at least 6 distinct irreducibles of each degree)
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(1306)
+    multi_split = 0
+    for _ in range(120):
+        p = rng.choice(_SMALL_PRIMES[3:12])
+        count = rng.randrange(2, 7)
+        degrees = sorted(rng.choice((1, 1, 2, 2, 3, 4, 5)) for _ in range(count))
+        factors = set()
+        while len(factors) < count:
+            factors = {_random_irreducible(sympy, rng, d, p) for d in degrees}
+        f = Poly((1,))
+        for g in factors:
+            f = f * g
+        lead = rng.choice([c for c in range(2, 12) if c % p])
+        f = Poly([lead * c + p * rng.randrange(-5, 6) for c in f.coeffs[:-1]]
+                 + [lead * f.coeffs[-1]])
+        expected = DegreePattern(p, tuple(degrees), True)
+        assert degree_pattern(f, p) == expected, (f, p, degrees)
+        assert _sympy_pattern(sympy, f, p) == expected
+        multi_split += len(set(degrees)) >= 3
+    assert multi_split > 20
+
+
+def test_frobenius_rows_match_powers_of_x():
+    # brute force with Poly arithmetic: x**(i*p) % rest, reduced mod p
+    rng = random.Random(5150)
+    for _ in range(40):
+        p = rng.choice(_SMALL_PRIMES[:16])
+        n = rng.randrange(2, 11)
+        rest = [rng.randrange(p) for _ in range(n)] + [1]
+        xp = _fp_x_power(p, rest, p)
+        assert Poly(xp) == reduce_mod_p(X**p % Poly(rest), p), (rest, p)
+        slot, rows = _frobenius_rows(xp, rest, p)
+        assert len(rows) == n
+        for i, row in enumerate(rows):
+            assert Poly(_fp_unpack(row, slot, n, p)) == \
+                reduce_mod_p(X**(i * p) % Poly(rest), p), (rest, p, i)
+
+
+@pytest.mark.parametrize("p", [-3, 0, 1, 4, 9, 15])
+def test_degree_pattern_refuses_non_prime_modulus(p):
+    with pytest.raises(ValueError, match="is not prime"):
+        degree_pattern(X**3 + X + 1, p)
 
 
 def test_check_phi_examples(phi17):
