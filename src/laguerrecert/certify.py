@@ -265,17 +265,8 @@ def coverage_complete(m: int, deg_phi: int, ks) -> bool:
     return all(d in covered for d in range(1, m * deg_phi // 2 + 1))
 
 
-def _monic_model_parts(instance: LaguerreInstance) -> tuple[int, ...]:
-    """The parts c_0..c_m of the monic model: c_j = v**m b_j, c_m = v**m.
-
-    Re-checked by the ratio identity, which determines every c_j, so valuations
-    telescoped along it are the valuations of these integers.
-    """
-    return ratio_identity_parts(instance.cleared, instance.m, instance.u, instance.v)
-
-
 def _telescoped_polygon(parts, u: int, v: int, p: int) -> NewtonPolygon:
-    """Polygon at p of the parts from _monic_model_parts, leading at abscissa 0.
+    """Polygon at p of the monic model's parts c_0..c_m, leading at abscissa 0.
 
     One big-integer valuation, h_0 = v_p(c_0); by the ratio identity
     h_{j+1} = h_j + v_p(m-j) + v_p(v) - v_p(j+1) - v_p(v(j+1)+u), on small
@@ -325,7 +316,9 @@ def verify_certificate(cert: Certificate, instance: LaguerreInstance) -> bool:
             return False
 
         m = instance.m
-        parts = _monic_model_parts(instance)
+        # c_j = v**m b_j and c_m = v**m, re-checked by the ratio identity,
+        # which determines every c_j, so heights telescoped along it are exact
+        parts = ratio_identity_parts(instance.cleared, m, instance.u, instance.v)
         multipliers = instance.a_parts + (Poly.const(instance.v ** m * instance.a_m),)
 
         def polygon_at(p):

@@ -15,14 +15,13 @@ import sys
 
 from .certify import (Certificate, certificate_from_json, certificate_to_json,
                       certificate_to_jsonable, certify, verify_certificate)
-from .laguerre import Alpha, HypothesisViolation, build_instance
+from .laguerre import Alpha, build_instance
 from .oracle import (oracle_verdict, search_reducible_witness, verdict_to_jsonable,
                      verify_witness)
 from .polygon import build_polygon, rightmost_slope
 from .polyring import Poly, format_poly, parse_poly, phi_expand, primitive_part
 from .primes import is_prime
-from .tables import (Report, verify_k1_subcases, verify_nonconstant_leading_counterexample,
-                     verify_reference_tables)
+from .tables import SECTION_NAMES, verify_reference_tables, verify_section
 
 EXIT_OK = 0
 EXIT_UNCOVERED = 2
@@ -50,15 +49,17 @@ def _build_parser() -> _Parser:
                                  "Laguerre-type polynomials over a monic base.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_instance_args(p):
-        p.add_argument("-m", type=int, required=True, help="number of levels")
-        p.add_argument("-u", type=int, required=True, help="parameter numerator")
+    def add_instance_args(p, required=True):
+        # required=False makes -m, -u, --am and --phi optional, --am defaulting to 1
+        p.add_argument("-m", type=int, required=required, help="number of levels")
+        p.add_argument("-u", type=int, required=required, help="parameter numerator")
         p.add_argument("-v", type=int, default=1, help="parameter denominator")
-        p.add_argument("--am", type=int, required=True, help="leading multiplier")
+        p.add_argument("--am", type=int, required=required, default=1,
+                       help="leading multiplier")
         p.add_argument("--a", action="append", default=None, metavar="POLY",
                        help="multipliers a_1..a_{m-1}; one value broadcasts")
         p.add_argument("--a0", default="1", metavar="POLY", help="multiplier a_0")
-        p.add_argument("--phi", type=_poly_arg, required=True, metavar="POLY",
+        p.add_argument("--phi", type=_poly_arg, required=required, metavar="POLY",
                        help="monic base polynomial")
 
     p = sub.add_parser("construct", help="assemble an instance and report checks")
@@ -82,21 +83,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--st-bound", type=int, default=10**5)
     p.add_argument("--exp-bound", type=int, default=60)
     p.add_argument("--subcase-bound", type=int, default=1000)
-    p.add_argument("--only", choices=["s1", "s2", "s3", "s4", "equations",
-                                      "factors", "witness", "subcases", "root3"],
-                   default=None)
+    p.add_argument("--only", choices=SECTION_NAMES, default=None)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("oracle", help="certificate-free verdict on a polynomial "
                                       "or an assembled instance")
     p.add_argument("--f", type=_poly_arg, default=None, metavar="POLY")
-    p.add_argument("-m", type=int, default=None)
-    p.add_argument("-u", type=int, default=None)
-    p.add_argument("-v", type=int, default=1)
-    p.add_argument("--am", type=int, default=1)
-    p.add_argument("--a", action="append", default=None, metavar="POLY")
-    p.add_argument("--a0", default="1", metavar="POLY")
-    p.add_argument("--phi", type=_poly_arg, default=None, metavar="POLY")
+    add_instance_args(p, required=False)
     p.add_argument("--prime-budget", type=int, default=200)
     p.add_argument("--json", action="store_true")
 
@@ -115,8 +108,7 @@ def _instance_from_args(args, relaxed: bool):
     if len(mids) == 1 and args.m > 2:
         mids = mids * (args.m - 1)
     if args.m >= 2 and len(mids) != args.m - 1:
-        raise HypothesisViolation(
-            [f"expected {args.m - 1} values for --a, got {len(mids)}"])
+        raise ValueError(f"expected {args.m - 1} values for --a, got {len(mids)}")
     parts = [parse_poly(args.a0)] + [parse_poly(t) for t in mids][: args.m - 1]
     return build_instance(args.m, Alpha(args.u, args.v), args.am,
                           parts[: args.m], args.phi, relaxed=relaxed)
@@ -125,7 +117,7 @@ def _instance_from_args(args, relaxed: bool):
 def _cmd_construct(args) -> int:
     try:
         inst = _instance_from_args(args, relaxed=True)
-    except (ValueError, HypothesisViolation) as exc:
+    except ValueError as exc:
         print(f"invalid instance: {exc}", file=sys.stderr)
         return EXIT_INVALID
     payload = {
@@ -185,7 +177,7 @@ def _cert_output_path(args, inst) -> str:
 def _cmd_certify(args) -> int:
     try:
         inst = _instance_from_args(args, relaxed=False)
-    except (ValueError, HypothesisViolation) as exc:
+    except ValueError as exc:
         print(f"invalid instance: {exc}", file=sys.stderr)
         return EXIT_INVALID
     if args.verify:
@@ -233,36 +225,11 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_tables(args) -> int:
-    report = Report()
+    bounds = {"pair_bound": args.st_bound, "exponent_bound": args.exp_bound,
+              "subcase_bound": args.subcase_bound}
     try:
-        if args.only is None:
-            report = verify_reference_tables(pair_bound=args.st_bound,
-                                             exponent_bound=args.exp_bound,
-                                             subcase_bound=args.subcase_bound)
-        elif args.only in ("s1", "s2", "s3", "s4"):
-            from .tables import EXPECTED_PAIR_SETS, product_lpf_pairs
-
-            t = int(args.only[1])
-            got = product_lpf_pairs(t, args.st_bound).pairs
-            report.add(f"pairs-t{t}", got == EXPECTED_PAIR_SETS[t],
-                       f"{len(got)} pairs up to {args.st_bound}")
-        elif args.only == "equations":
-            from .tables import verify_equations
-
-            verify_equations(report, args.exp_bound)
-        elif args.only == "factors":
-            from .tables import verify_factor_rows
-
-            verify_factor_rows(report)
-        elif args.only == "witness":
-            from .tables import verify_witness_prime_rows
-
-            verify_witness_prime_rows(report)
-        elif args.only == "subcases":
-            for u in range(5):
-                report.checks.extend(verify_k1_subcases(u, args.subcase_bound).checks)
-        elif args.only == "root3":
-            report = verify_nonconstant_leading_counterexample()
+        report = (verify_reference_tables(**bounds) if args.only is None
+                  else verify_section(args.only, **bounds))
     except ValueError as exc:  # a bound out of range
         print(f"invalid bound: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -288,7 +255,7 @@ def _cmd_oracle(args) -> int:
     elif args.m is not None and args.u is not None and args.phi is not None:
         try:
             f = _instance_from_args(args, relaxed=True).f
-        except (ValueError, HypothesisViolation) as exc:
+        except ValueError as exc:
             print(f"invalid instance: {exc}", file=sys.stderr)
             return EXIT_INVALID
     else:
@@ -323,7 +290,7 @@ def _cmd_witness_search(args) -> int:
     try:
         found = search_reducible_witness(args.m, Alpha(args.u, args.v),
                                          args.phi, args.bound)
-    except (ValueError, HypothesisViolation) as exc:
+    except ValueError as exc:
         print(f"invalid search: {exc}", file=sys.stderr)
         return EXIT_INVALID
     if found is None:

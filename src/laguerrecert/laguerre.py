@@ -141,14 +141,27 @@ def coefficient_valuations(m: int, alpha, p: int) -> tuple[int, ...]:
 class LaguerreInstance:
     """Immutable bundle of instance data with lazily assembled polynomials.
 
-    It records the standing hypotheses its data break, however it is built.
+    Structural errors (wrong shapes, a non-monic base, a parameter that is
+    a negative integer) raise; integer multipliers become constants.  The
+    standing hypotheses its data break are recorded, however it is built.
     """
 
     def __init__(self, m, alpha, a_m, a_parts, phi):
-        self.m = m
         self.alpha = Alpha.coerce(alpha)
+        if m < 1:
+            raise ValueError("m must be positive")
+        if not isinstance(a_m, int) or a_m == 0:
+            raise ValueError("leading multiplier must be a nonzero integer")
+        a_parts = tuple(p if isinstance(p, Poly) else Poly.const(p) for p in a_parts)
+        if len(a_parts) != m:
+            raise ValueError(f"expected {m} lower multipliers, got {len(a_parts)}")
+        if not isinstance(phi, Poly) or not phi.is_monic or phi.degree < 1 or not phi.is_integral:
+            raise ValueError("base polynomial must be monic over the integers, degree >= 1")
+        if not all(p.is_integral for p in a_parts):
+            raise ValueError("multipliers must have integer coefficients")
+        self.m = m
         self.a_m = a_m
-        self.a_parts = tuple(a_parts)
+        self.a_parts = a_parts
         self.phi = phi
         violations = []
         for j, part in enumerate(self.a_parts):
@@ -241,24 +254,8 @@ class LaguerreInstance:
 
 
 def build_instance(m, alpha, a_m, a_parts, phi, relaxed: bool = False) -> LaguerreInstance:
-    """Validate the data and assemble an instance.
-
-    Structural errors (wrong shapes, a non-monic base, a parameter that is
-    a negative integer) always raise.  Hypothesis violations, which the
-    instance records itself, raise unless ``relaxed``.
-    """
-    alpha = Alpha.coerce(alpha)
-    if m < 1:
-        raise ValueError("m must be positive")
-    if not isinstance(a_m, int) or a_m == 0:
-        raise ValueError("leading multiplier must be a nonzero integer")
-    a_parts = tuple(p if isinstance(p, Poly) else Poly.const(p) for p in a_parts)
-    if len(a_parts) != m:
-        raise ValueError(f"expected {m} lower multipliers, got {len(a_parts)}")
-    if not isinstance(phi, Poly) or not phi.is_monic or phi.degree < 1 or not phi.is_integral:
-        raise ValueError("base polynomial must be monic over the integers, degree >= 1")
-    if not all(p.is_integral for p in a_parts):
-        raise ValueError("multipliers must have integer coefficients")
+    """Assemble an instance; its recorded hypothesis violations raise
+    HypothesisViolation unless ``relaxed``."""
     inst = LaguerreInstance(m, alpha, a_m, a_parts, phi)
     if inst.violations and not relaxed:
         raise HypothesisViolation(inst.violations)

@@ -17,8 +17,7 @@ from fractions import Fraction
 from itertools import product as _cartesian
 
 from .laguerre import LaguerreInstance, build_instance
-from .polyring import (DegreePattern, Poly, content, degree_pattern,  # noqa: F401
-                       phi_expand, primitive_part)
+from .polyring import Poly, content, degree_pattern, phi_expand, primitive_part
 from .primes import factorize, sieve_primes
 
 _DIVISOR_CAP = 4096
@@ -109,24 +108,18 @@ def _signed_divisors(n: int) -> list[int] | None:
     return [s * d for d in divs for s in (1, -1)]
 
 
-def _clear_denominators(f: Poly) -> tuple[Poly, int]:
-    den = 1
-    for c in f.coeffs:
-        if isinstance(c, Fraction):
-            den = den * c.denominator // math.gcd(den, c.denominator)
-    return f * den, den
-
-
 def _witness_from_factor(target: Poly, g: Poly) -> FactorWitness | None:
-    """Turn an exact divisor g into a verified witness against target."""
+    """Turn an exact divisor g of an integral target into a verified witness.
+
+    The quotient by the primitive part of g is integral (Gauss's lemma).
+    """
     if g.degree < 1 or g.degree >= target.degree:
         return None
-    q, r = divmod(target, g)
-    if not r.is_zero or q.degree < 1:
-        return None
     gz = primitive_part(g)
-    hz, den = _clear_denominators(divmod(target, gz)[0])
-    hz = primitive_part(hz)
+    q, r = divmod(target, gz)
+    if not r.is_zero:
+        return None
+    hz = primitive_part(q)
     lead_ratio = Fraction(target.lead) / (Fraction(gz.lead) * Fraction(hz.lead))
     w = FactorWitness(g=gz, h=hz, c=lead_ratio)
     return w if verify_witness(target, w) else None

@@ -13,15 +13,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from laguerrecert.certify import (Certificate, ExclusionWitness, FailureReport,
-                                  NoSmallDegreePrime, _monic_model_parts,
-                                  _small_degree_failure, _telescoped_polygon,
+                                  NoSmallDegreePrime, _small_degree_failure,
+                                  _telescoped_polygon,
                                   certificate_from_json,
                                   certificate_to_json, certify, coverage_complete,
                                   exclude_small_degrees, exclusion_bounds,
                                   find_prime_for_k, lemma_exclusion_check,
                                   verify_certificate, witness_range, witness_slope)
 from laguerrecert.laguerre import (Alpha, HypothesisViolation, LaguerreInstance,
-                                   build_instance)
+                                   build_instance, ratio_identity_parts)
 from laguerrecert.polygon import anchored_polygon, build_polygon
 from laguerrecert.polyring import (PhiExpansion, Poly, construct_phi, content,
                                    is_irreducible_mod_p, parse_poly, phi_expand)
@@ -456,7 +456,7 @@ def _big_integer_polygon_at(inst):
 
 
 def _telescoped_polygon_at(inst):
-    parts = _monic_model_parts(inst)
+    parts = ratio_identity_parts(inst.cleared, inst.m, inst.u, inst.v)
     return lambda p: _telescoped_polygon(parts, inst.u, inst.v, p)
 
 
@@ -479,7 +479,7 @@ def test_telescoped_heights_match_big_integer_route():
                 telescoped = _telescoped_polygon_at(inst)
                 big = _big_integer_polygon_at(inst)
                 multipliers = _verifier_multipliers(inst)
-                parts = _monic_model_parts(inst)
+                parts = ratio_identity_parts(inst.cleared, inst.m, inst.u, inst.v)
                 for p in sieve_primes(inst.prime_bound):
                     if v % p == 0:
                         # outside the lemma's gates the heights still value c_0..c_m
@@ -520,14 +520,14 @@ def test_ratio_identity_rejects_changed_cleared_coefficient():
         forged = ones(construct_phi(2, 42), 40, 2)
         forged.cleared = forged.cleared[:j] + (changed,) + forged.cleared[j + 1:]
         with pytest.raises(ArithmeticError, match="ratio identity"):
-            _monic_model_parts(forged)
+            ratio_identity_parts(forged.cleared, forged.m, forged.u, forged.v)
         assert not verify_certificate(cert, forged), changed
     # every coefficient times 1 + q: each ratio c_j / c_{j+1} still holds,
     # and only the leading part c_m = v**m tells the change
     forged = ones(construct_phi(2, 42), 40, 2)
     forged.cleared = tuple(c * (1 + q) for c in forged.cleared)
     with pytest.raises(ArithmeticError, match="ratio identity fails at j=39"):
-        _monic_model_parts(forged)
+        ratio_identity_parts(forged.cleared, forged.m, forged.u, forged.v)
     assert not verify_certificate(cert, forged)
 
 
@@ -550,8 +550,9 @@ def test_height_disagreeing_with_its_anchor_is_refused(monkeypatch):
         return real(heights, exact_height)
 
     monkeypatch.setattr(cm, "anchored_polygon", off_by_one)
+    parts = ratio_identity_parts(inst.cleared, inst.m, inst.u, inst.v)
     with pytest.raises(ArithmeticError, match="anchor"):
-        _telescoped_polygon(_monic_model_parts(inst), inst.u, inst.v, 7)
+        _telescoped_polygon(parts, inst.u, inst.v, 7)
     assert not verify_certificate(cert, inst)
 
 

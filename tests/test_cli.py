@@ -163,6 +163,22 @@ def test_tables_full_default_run(capsys):
     assert "erratum" in out  # the corrected witness row is reported
 
 
+def test_tables_sections_concatenate_to_the_full_run(capsys):
+    # every check line of the full run comes from exactly one --only value
+    code, full, _ = run(capsys, "tables", "--st-bound", "1000")
+    assert code == 0
+    pieces = []
+    for name in ("factors", "witness", "exceptional", "s1", "s2", "s3", "s4",
+                 "equations", "subcases", "root3"):
+        code, out, _ = run(capsys, "tables", "--only", name, "--st-bound", "1000")
+        assert code == 0, name
+        pieces += out.splitlines()[:-1]  # the check lines, not the summary
+    assert pieces == full.splitlines()[:-1]
+    code, out, _ = run(capsys, "tables", "--only", "exceptional")
+    lines = out.splitlines()[:-1]
+    assert len(lines) == 21 and all(line.startswith("PASS pairs-u") for line in lines)
+
+
 def test_oracle_exit_codes(capsys):
     code, out, _ = run(capsys, "oracle", "--f", "x^2-x+17")
     assert code == 0 and "irreducible" in out

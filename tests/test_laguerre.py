@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -127,15 +128,27 @@ def test_phi_reducibility_reported(phi17):
         build_instance(13, 4, 1, const_parts(*[1] * 13), phi17)
 
 
-def test_structural_errors(phi17):
-    with pytest.raises(ValueError):
-        build_instance(0, 0, 1, [], phi17)
-    with pytest.raises(ValueError):
-        build_instance(1, 0, 0, const_parts(1), phi17)
-    with pytest.raises(ValueError):
-        build_instance(1, 0, 1, const_parts(1), parse_poly("2x^2+1"))
-    with pytest.raises(ValueError):
-        build_instance(2, 0, 1, const_parts(1), phi17)
+def test_direct_construction_makes_the_structural_checks(phi17):
+    # the constructor raises what build_instance raises, with its message
+    cases = {
+        (3, 0, 1, (1,), phi17): "expected 3 lower multipliers, got 1",
+        (2, 0, 1, (1, 1, 1), phi17): "expected 2 lower multipliers, got 3",
+        (2, 0, 0, (1, 1), phi17): "leading multiplier must be a nonzero integer",
+        (2, 0, 1, (1, 1), parse_poly("2x^2 - x + 17")):
+            "base polynomial must be monic over the integers, degree >= 1",
+        (0, 0, 1, (), phi17): "m must be positive",
+        (1, 0, 1, (Poly((Fraction(1, 2), 1)),), phi17):
+            "multipliers must have integer coefficients",
+    }
+    for (m, u, a_m, parts, phi), message in cases.items():
+        for make in (LaguerreInstance, build_instance):
+            with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+                make(m, u, a_m, parts, phi)
+    # integer multipliers become constants, as build_instance made them
+    direct = LaguerreInstance(2, 1, 1, [1, 1], phi17)
+    built = build_instance(2, 1, 1, [1, 1], phi17)
+    assert direct.a_parts == built.a_parts == (Poly.const(1), Poly.const(1))
+    assert direct.f == built.f and direct.violations == built.violations == ()
 
 
 def test_non_integer_parameter_denominator_clearing():

@@ -3,10 +3,10 @@ from fractions import Fraction
 import pytest
 
 from laguerrecert.laguerre import build_instance
-from laguerrecert.oracle import (DegreePattern, FactorWitness, degree_pattern,
-                                 oracle_verdict, possible_degrees,
-                                 search_reducible_witness, verify_witness)
-from laguerrecert.polyring import Poly, X, parse_poly, primitive_part
+from laguerrecert.oracle import (FactorWitness, degree_pattern, oracle_verdict,
+                                 possible_degrees, search_reducible_witness,
+                                 verify_witness)
+from laguerrecert.polyring import DegreePattern, Poly, X, parse_poly, primitive_part
 
 
 def const_parts(*values):
