@@ -6,8 +6,8 @@ from .certify import (Certificate, ExclusionWitness, FailureReport,
                       certificate_to_json, certify, coverage_complete,
                       exclude_small_degrees, find_prime_for_k,
                       lemma_exclusion_check, verify_certificate)
-from .laguerre import (Alpha, HypothesisViolation, LaguerreInstance,
-                       build_instance, laguerre_coefficients)
+from .laguerre import (HypothesisViolation, LaguerreInstance, build_instance,
+                       laguerre_coefficients, parameter)
 from .oracle import (DegreeSet, FactorWitness, Verdict, oracle_verdict,
                      possible_degrees, search_reducible_witness, verify_witness)
 from .polygon import (NewtonPolygon, bruteforce_lower_hull, build_polygon,

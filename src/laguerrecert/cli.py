@@ -10,18 +10,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 from .certify import (Certificate, certificate_from_json, certificate_to_json,
                       certificate_to_jsonable, certify, verify_certificate)
-from .laguerre import Alpha, build_instance
+from .laguerre import build_instance, parameter
 from .oracle import (oracle_verdict, search_reducible_witness, verdict_to_jsonable,
                      verify_witness)
 from .polygon import build_polygon, rightmost_slope
 from .polyring import Poly, format_poly, parse_poly, phi_expand, primitive_part
 from .primes import is_prime
-from .tables import SECTION_NAMES, verify_reference_tables, verify_section
+from .tables import (EXPONENT_BOUND, PAIR_BOUND, SECTION_NAMES, SUBCASE_BOUND,
+                     verify_reference_tables, verify_section)
 
 EXIT_OK = 0
 EXIT_UNCOVERED = 2
@@ -80,9 +82,9 @@ def _build_parser() -> _Parser:
                    help="verify this certificate file instead of producing one")
 
     p = sub.add_parser("tables", help="verify the bundled reference tables")
-    p.add_argument("--st-bound", type=int, default=10**5)
-    p.add_argument("--exp-bound", type=int, default=60)
-    p.add_argument("--subcase-bound", type=int, default=1000)
+    p.add_argument("--st-bound", type=int, default=PAIR_BOUND)
+    p.add_argument("--exp-bound", type=int, default=EXPONENT_BOUND)
+    p.add_argument("--subcase-bound", type=int, default=SUBCASE_BOUND)
     p.add_argument("--only", choices=SECTION_NAMES, default=None)
     p.add_argument("--json", action="store_true")
 
@@ -103,15 +105,24 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _parameter_from_args(args):
+    """u/v from -u and -v, which must already be in lowest terms with v > 0."""
+    if args.v <= 0:
+        raise ValueError("v must be positive")
+    if math.gcd(args.u, args.v) != 1:
+        raise ValueError("u and v must be coprime")
+    return parameter((args.u, args.v))
+
+
 def _instance_from_args(args, relaxed: bool):
-    mids = args.a if args.a else ["1"]
-    if len(mids) == 1 and args.m > 2:
+    # a_1..a_{m-1}: ones without --a, one --a value broadcast; the instance
+    # refuses any other count
+    mids = args.a or ["1"] * (args.m - 1)
+    if len(mids) == 1 and args.m >= 3:
         mids = mids * (args.m - 1)
-    if args.m >= 2 and len(mids) != args.m - 1:
-        raise ValueError(f"expected {args.m - 1} values for --a, got {len(mids)}")
-    parts = [parse_poly(args.a0)] + [parse_poly(t) for t in mids][: args.m - 1]
-    return build_instance(args.m, Alpha(args.u, args.v), args.am,
-                          parts[: args.m], args.phi, relaxed=relaxed)
+    parts = [parse_poly(text) for text in [args.a0, *mids]]
+    return build_instance(args.m, _parameter_from_args(args), args.am, parts, args.phi,
+                          relaxed=relaxed)
 
 
 def _cmd_construct(args) -> int:
@@ -288,7 +299,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_witness_search(args) -> int:
     try:
-        found = search_reducible_witness(args.m, Alpha(args.u, args.v),
+        found = search_reducible_witness(args.m, _parameter_from_args(args),
                                          args.phi, args.bound)
     except ValueError as exc:
         print(f"invalid search: {exc}", file=sys.stderr)

@@ -13,12 +13,11 @@ and their valuations have one routine, coefficient_valuations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .polyring import Poly, content, format_poly, is_irreducible_mod_p, parse_poly
+from .polyring import Poly, content, format_poly, is_irreducible_mod_p
 from .primes import factorial_valuation, is_prime, sieve_primes, vp_int
 from .primes import vp_rat  # noqa: F401  (module attribute wrapped by bench/tracer.py)
 
@@ -31,40 +30,24 @@ class HypothesisViolation(ValueError):
         super().__init__("; ".join(self.violations))
 
 
-@dataclass(frozen=True)
-class Alpha:
-    """Rational parameter u/v with gcd(u, v) = 1, v > 0, not a negative integer."""
+def parameter(value) -> Fraction:
+    """The rational parameter alpha = u/v in lowest terms, v > 0.
 
-    u: int
-    v: int = 1
-
-    def __post_init__(self):
-        if self.v <= 0:
-            raise ValueError("v must be positive")
-        if math.gcd(self.u, self.v) != 1:
-            raise ValueError("u and v must be coprime")
-        if self.v == 1 and self.u < 0:
-            raise HypothesisViolation(["alpha is a negative integer"])
-
-    @classmethod
-    def coerce(cls, value) -> "Alpha":
-        if isinstance(value, Alpha):
-            return value
-        if isinstance(value, int):
-            return cls(value, 1)
-        if isinstance(value, Fraction):
-            return cls(value.numerator, value.denominator)
-        if isinstance(value, tuple) and len(value) == 2:
-            f = Fraction(value[0], value[1])
-            return cls(f.numerator, f.denominator)
+    Accepts an int, a Fraction or a pair of ints (u, v); v = 0 raises
+    ValueError, any other value TypeError, and a negative integer
+    HypothesisViolation.
+    """
+    if isinstance(value, tuple) and len(value) == 2 and all(isinstance(n, int) for n in value):
+        if value[1] == 0:
+            raise ValueError("v must be nonzero")
+        value = Fraction(*value)
+    elif isinstance(value, int):
+        value = Fraction(value)
+    elif not isinstance(value, Fraction):
         raise TypeError(f"cannot interpret {value!r} as a rational parameter")
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.u, self.v)
-
-    def __str__(self):
-        return str(self.value)
+    if value.denominator == 1 and value.numerator < 0:
+        raise HypothesisViolation(["alpha is a negative integer"])
+    return value
 
 
 def laguerre_coefficients(m: int, alpha) -> tuple[Fraction, ...]:
@@ -72,20 +55,21 @@ def laguerre_coefficients(m: int, alpha) -> tuple[Fraction, ...]:
 
     A view of the cleared integers: b_j = c_j / v**m, built on each call.
     """
-    alpha = Alpha.coerce(alpha)
-    vm = alpha.v ** m
+    alpha = parameter(alpha)
+    vm = alpha.denominator ** m
     return tuple(Fraction(c, vm) for c in _cleared_coefficients(m, alpha))
 
 
 @lru_cache(maxsize=4096)
-def _cleared_coefficients(m: int, alpha: Alpha) -> tuple[int, ...]:
+def _cleared_coefficients(m: int, alpha) -> tuple[int, ...]:
     """c_j = v**m b_j = C(m,j) v**j (vm+u)(v(m-1)+u)...(v(j+1)+u) for j < m.
 
     Checked by ratio_identity_parts, a different formula that determines them.
     """
     if m < 1:
         raise ValueError("m must be positive")
-    u, v = alpha.u, alpha.v
+    alpha = parameter(alpha)
+    u, v = alpha.numerator, alpha.denominator
     c = [0] * m
     iprod = 1  # (v(j+1)+u) ... (vm+u)
     vj = v ** m  # v**j
@@ -121,12 +105,12 @@ def coefficient_valuations(m: int, alpha, p: int) -> tuple[int, ...]:
     the sum in one suffix loop.  Rejected when p divides v, where the
     cleared integer model no longer has the coefficient valuations.
     """
-    alpha = Alpha.coerce(alpha)
+    alpha = parameter(alpha)
+    u, v = alpha.numerator, alpha.denominator
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if alpha.v % p == 0:
+    if v % p == 0:
         raise ValueError("p must not divide v")
-    u, v = alpha.u, alpha.v
     fact = [factorial_valuation(p, n) for n in range(m + 1)]
     vec = [0] * m
     run = 0  # v_p((v(j+1)+u) ... (vm+u))
@@ -147,7 +131,8 @@ class LaguerreInstance:
     """
 
     def __init__(self, m, alpha, a_m, a_parts, phi):
-        self.alpha = Alpha.coerce(alpha)
+        self.alpha = parameter(alpha)
+        self.u, self.v = self.alpha.numerator, self.alpha.denominator
         if m < 1:
             raise ValueError("m must be positive")
         if not isinstance(a_m, int) or a_m == 0:
@@ -182,14 +167,6 @@ class LaguerreInstance:
         self._f = None
 
     @property
-    def u(self) -> int:
-        return self.alpha.u
-
-    @property
-    def v(self) -> int:
-        return self.alpha.v
-
-    @property
     def is_valid(self) -> bool:
         return not self.violations
 
@@ -201,8 +178,7 @@ class LaguerreInstance:
     @property
     def b(self) -> tuple[Fraction, ...]:
         """b_0..b_m with b_m equal to the leading multiplier; b_j = c_j / v**m."""
-        vm = self.v ** self.m
-        return tuple(Fraction(c, vm) for c in self.cleared) + (Fraction(self.a_m),)
+        return laguerre_coefficients(self.m, self.alpha) + (Fraction(self.a_m),)
 
     @property
     def f(self) -> Poly:
@@ -233,19 +209,6 @@ class LaguerreInstance:
             lines.append(f"a_{j}: {format_poly(part)}")
         lines.append(f"phi: {format_poly(self.phi)}")
         return "\n".join(lines)
-
-    @classmethod
-    def from_text(cls, text: str, relaxed: bool = False) -> "LaguerreInstance":
-        fields = {}
-        for line in text.strip().splitlines():
-            key, _, value = line.partition(":")
-            fields[key.strip()] = value.strip()
-        m = int(fields["m"])
-        alpha = Alpha(int(fields["u"]), int(fields["v"]))
-        a_m = int(fields["a_m"])
-        parts = [parse_poly(fields[f"a_{j}"]) for j in range(m)]
-        return build_instance(m, alpha, a_m, parts, parse_poly(fields["phi"]),
-                              relaxed=relaxed)
 
     def __repr__(self):
         flag = "" if self.is_valid else f", violations={list(self.violations)!r}"

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _cartesian
 
-from .laguerre import LaguerreInstance, build_instance
+from .laguerre import LaguerreInstance, build_instance, parameter
 from .polyring import Poly, content, degree_pattern, phi_expand, primitive_part
 from .primes import factorize, sieve_primes
 
@@ -272,17 +272,15 @@ def search_reducible_witness(m: int, alpha, phi: Poly, coefficient_bound: int,
     m//2.  None-found is a meaningful result: the search space is exactly
     the stated one.
     """
+    alpha = parameter(alpha)
     if m < 1:
         raise ValueError("need m >= 1")
     if coefficient_bound < 1:
         raise ValueError("coefficient bound must be positive")
-    from .laguerre import Alpha
-
-    alpha = Alpha.coerce(alpha)
     B = coefficient_bound
     rng = range(-B, B + 1)
     deg = phi.degree
-    small_primes = sieve_primes(alpha.v * m + alpha.u)
+    small_primes = sieve_primes(alpha.denominator * m + alpha.numerator)
     lead_choices = [a for a in rng if a != 0
                     and all(a % p for p in small_primes)]
     for a_m in lead_choices:

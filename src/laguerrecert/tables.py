@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .certify import witness_range
-from .laguerre import Alpha, build_instance, coefficient_valuations
+from .laguerre import build_instance, coefficient_valuations
 from .laguerre import laguerre_coefficients  # noqa: F401  (wrapped by bench/tracer.py)
 from .polyring import Poly, parse_poly
 from .primes import largest_prime_factor, sieve_primes
@@ -320,7 +320,7 @@ def solve_power_equation(equation_id: str, exponent_bound: int) -> EquationSolut
 
 def k_witness_valid(m: int, u: int, k: int, p: int) -> tuple[bool, Fraction]:
     """Divisibility up to m-k plus rightmost slope below 1/k, monic model at u."""
-    k_lo, k_hi, slope = witness_range(coefficient_valuations(m, Alpha(u), p) + (0,))
+    k_lo, k_hi, slope = witness_range(coefficient_valuations(m, u, p) + (0,))
     return k_lo <= k <= k_hi, slope
 
 
@@ -395,14 +395,14 @@ def verify_exceptional_pair_table(report: Report) -> None:
                        f"({m - k + u}, {k}) lies in the first {u} pair sets")
 
 
-def verify_pair_sets(report: Report, m_bound: int = 10**5) -> None:
+def verify_pair_sets(report: Report, m_bound: int) -> None:
     for t in (1, 2, 3, 4):
         got = product_lpf_pairs(t, m_bound).pairs
         report.add(f"pairs-t{t}", got == EXPECTED_PAIR_SETS[t],
                    f"{len(got)} pairs up to {m_bound}")
 
 
-def verify_equations(report: Report, exponent_bound: int = 60) -> None:
+def verify_equations(report: Report, exponent_bound: int) -> None:
     for eq_id, expected in EXPECTED_EQUATION_SOLUTIONS.items():
         sol = solve_power_equation(eq_id, exponent_bound)
         report.add(f"equation-{eq_id}", sol.solutions == expected,
@@ -423,13 +423,15 @@ def k1_no_good_prime_set(u: int, m_bound: int) -> frozenset:
     return frozenset(out)
 
 
-def verify_k1_subcases(u: int, m_bound: int = 1000) -> Report:
+def verify_k1_subcases(u: int, m_bound: int) -> Report:
     """Confirm the k = 1 branch: for every m either a prime >= u+2 divides
     m(m+u), or m is in the quoted exceptional set (plus the recorded
     omissions), and every exceptional m has a validated substitute prime,
     a validated fallback prime, or is a known uncoverable pair."""
     if not 0 <= u <= 4:
         raise ValueError("u must be in 0..4")
+    if m_bound < 2:
+        raise ValueError("m_bound must be at least 2")
     report = Report()
     computed = k1_no_good_prime_set(u, m_bound)
     quoted = frozenset(m for m in K1_QUOTED_SETS[u] if m <= m_bound)
@@ -496,9 +498,14 @@ SECTIONS = (
 )
 SECTION_NAMES = tuple(name for names, _ in SECTIONS for name in names)
 
+# the default search bounds of the pair sets, the power equations and the
+# k = 1 subcases
+PAIR_BOUND, EXPONENT_BOUND, SUBCASE_BOUND = 10**5, 60, 1000
 
-def verify_reference_tables(pair_bound: int = 10**5, exponent_bound: int = 60,
-                            subcase_bound: int = 1000) -> Report:
+
+def verify_reference_tables(pair_bound: int = PAIR_BOUND,
+                            exponent_bound: int = EXPONENT_BOUND,
+                            subcase_bound: int = SUBCASE_BOUND) -> Report:
     """Run every section in order and merge the outcomes."""
     report = Report()
     for _, run in SECTIONS:

@@ -20,8 +20,8 @@ from laguerrecert.certify import (Certificate, ExclusionWitness, FailureReport,
                                   exclude_small_degrees, exclusion_bounds,
                                   find_prime_for_k, lemma_exclusion_check,
                                   verify_certificate, witness_range, witness_slope)
-from laguerrecert.laguerre import (Alpha, HypothesisViolation, LaguerreInstance,
-                                   build_instance, ratio_identity_parts)
+from laguerrecert.laguerre import (HypothesisViolation, LaguerreInstance, build_instance,
+                                   ratio_identity_parts)
 from laguerrecert.polygon import anchored_polygon, build_polygon
 from laguerrecert.polyring import (PhiExpansion, Poly, construct_phi, content,
                                    is_irreducible_mod_p, parse_poly, phi_expand)
@@ -71,12 +71,11 @@ def test_small_degree_failure_matches_fraction_predicate(phi17, product_form):
     reasons = set()
     for v in (1, 2, 3, 5):
         for u in range(-7, 8):
-            try:
-                alpha = Alpha(u, v)
-            except ValueError:
-                continue
+            if math.gcd(u, v) != 1 or (v == 1 and u < 0):
+                continue  # not in lowest terms, or a negative integer
+            alpha = Fraction(u, v)
             for m in range(1, 31):
-                b = product_form(m, alpha.value)
+                b = product_form(m, alpha)
                 for a_m in (1, 6):
                     inst = build_instance(m, alpha, a_m, [Poly.const(1)] * m, phi17,
                                           relaxed=True)
@@ -190,10 +189,9 @@ def test_certify_picks_smallest_valid_prime_per_k():
     checked = 0
     for v in (1, 2, 3):
         for u in range(-2, 5):
-            try:
-                alpha = Alpha(u, v)
-            except ValueError:
-                continue
+            if math.gcd(u, v) != 1 or (v == 1 and u < 0):
+                continue  # not in lowest terms, or a negative integer
+            alpha = Fraction(u, v)
             for m in range(1, 41):
                 inst = ones(base, m, alpha)
                 result = certify(inst)
@@ -402,10 +400,9 @@ def test_lemma_agrees_with_certifier_witnesses():
     cases = 0
     for v in (1, 2, 3):
         for u in range(-2, 5):
-            try:
-                alpha = Alpha(u, v)
-            except ValueError:
-                continue
+            if math.gcd(u, v) != 1 or (v == 1 and u < 0):
+                continue  # not in lowest terms, or a negative integer
+            alpha = Fraction(u, v)
             for m in range(2, 15):
                 phi = construct_phi(2, v * m + u)
                 inst = ones(phi, m, alpha)
@@ -470,10 +467,9 @@ def test_telescoped_heights_match_big_integer_route():
     instances = primes_checked = 0
     for v in (1, 2, 3):
         for u in range(-2, 5):
-            try:
-                alpha = Alpha(u, v)
-            except ValueError:
-                continue
+            if math.gcd(u, v) != 1 or (v == 1 and u < 0):
+                continue  # not in lowest terms, or a negative integer
+            alpha = Fraction(u, v)
             for m in range(1, 61):
                 inst = ones(construct_phi(2, v * m + u), m, alpha)
                 telescoped = _telescoped_polygon_at(inst)

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from laguerrecert import tables
 from laguerrecert.cli import main
 from laguerrecert.laguerre import build_instance
 from laguerrecert.polyring import Poly, construct_phi, format_poly, parse_poly
@@ -156,6 +157,13 @@ def test_tables_subset(capsys):
     assert code == 0
 
 
+def test_tables_failed_check_exits_2(capsys, monkeypatch):
+    monkeypatch.setitem(tables.EXPECTED_PAIR_SETS, 1, frozenset({(2, 2)}))
+    code, out, _ = run(capsys, "tables", "--only", "s1", "--st-bound", "1000")
+    assert code == 2 and out.startswith("FAIL pairs-t1")
+    assert out.endswith("FAILURES PRESENT (1 checks)\n")
+
+
 def test_tables_full_default_run(capsys):
     code, out, _ = run(capsys, "tables")
     assert code == 0
@@ -239,6 +247,39 @@ def _verify_argv(tmp_path, text=None, edit=None):
     return ["certify", *_INSTANCE, "--verify", str(path)]
 
 
+_BASE = ("--am", "1", "--phi", "x^2-x+17")
+
+# invalid input whose one stderr line is pinned word for word
+_INVALID_LINES = {
+    "construct-m-1-two-a": (["construct", "-m", "1", "-u", "0", "--a", "5", "--a", "7", *_BASE],
+                            "invalid instance: expected 1 lower multipliers, got 3"),
+    "construct-m-1-one-a": (["construct", "-m", "1", "-u", "0", "--a", "5", *_BASE],
+                            "invalid instance: expected 1 lower multipliers, got 2"),
+    "construct-a-count": (["construct", "-m", "4", "-u", "1", "--a", "2", "--a", "3", *_BASE],
+                          "invalid instance: expected 4 lower multipliers, got 3"),
+    "construct-u-2-v-4": (["construct", "-m", "3", "-u", "2", "-v", "4", *_BASE],
+                          "invalid instance: u and v must be coprime"),
+    "construct-v-0": (["construct", "-m", "3", "-u", "1", "-v", "0", *_BASE],
+                      "invalid instance: v must be positive"),
+    "witness-search-u-2-v-4": (["witness-search", "-m", "2", "-u", "2", "-v", "4",
+                                "--phi", "x^2-x+17"],
+                               "invalid search: u and v must be coprime"),
+    "construct-am-0": (["construct", "-m", "3", "-u", "1", "--am", "0", "--phi", "x^2-x+17"],
+                       "invalid instance: leading multiplier must be a nonzero integer"),
+    "certify-hypothesis": (["certify", "-m", "3", "-u", "1", "--a0", "2", *_BASE],
+                           "invalid instance: content of a_m*a_0 is divisible by 2 <= 4"),
+    "tables-subcase-bound-1": (["tables", "--only", "subcases", "--subcase-bound", "1"],
+                               "invalid bound: m_bound must be at least 2"),
+    "tables-exp-bound-0": (["tables", "--only", "equations", "--exp-bound", "0"],
+                           "invalid bound: exponent bound must be positive"),
+}
+
+
+@pytest.mark.parametrize("argv, line", _INVALID_LINES.values(), ids=_INVALID_LINES)
+def test_invalid_input_stderr_line(capsys, argv, line):
+    assert run(capsys, *argv) == (4, "", line + "\n")
+
+
 @pytest.mark.parametrize("make_argv", [
     lambda t: ["certify", *_INSTANCE, "--verify", str(t / "missing.json")],
     lambda t: _verify_argv(t, text='{"m": 5'),
@@ -262,11 +303,12 @@ def _verify_argv(tmp_path, text=None, edit=None):
     lambda t: ["tables", "--only", "s1", "--st-bound", str(10**18)],
     # the oracle's prime sieve of 10^18 flags is refused at once the same way
     lambda t: ["oracle", "--f", "x^2-x+17", "--prime-budget", str(10**18)],
+    *(lambda t, argv=argv: argv for argv, _ in _INVALID_LINES.values()),
 ], ids=["missing-file", "not-json", "deeply-nested", "no-witnesses", "slope-1/0", "m-string",
         "m-string-no-witnesses", "p-float", "p-string", "p-bool", "small-degree-prime-float",
         "slope-decimal", "divisibility-range-float", "out-dir-missing", "witness-search-m-0",
         "oracle-fraction", "tables-st-bound-1", "tables-st-bound-unallocatable",
-        "oracle-budget-unallocatable"])
+        "oracle-budget-unallocatable", *_INVALID_LINES])
 def test_malformed_input_exits_invalid(tmp_path, capsys, make_argv):
     argv = make_argv(tmp_path)
     capsys.readouterr()

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from laguerrecert import laguerre
-from laguerrecert.laguerre import (Alpha, HypothesisViolation, LaguerreInstance,
+from laguerrecert.laguerre import (HypothesisViolation, LaguerreInstance,
                                    build_instance, coefficient_valuations,
-                                   laguerre_coefficients)
+                                   laguerre_coefficients, parameter)
 from laguerrecert.polyring import Poly, X, parse_poly, phi_expand
 from laguerrecert.primes import (INFINITY, factorial_valuation, sieve_primes,
                                  vp_int, vp_rat)
@@ -19,16 +19,20 @@ def const_parts(*values):
 
 # -- parameter ----------------------------------------------------------------
 
-def test_alpha_validation():
-    assert Alpha.coerce(Fraction(3, 2)) == Alpha(3, 2)
-    assert Alpha.coerce(4) == Alpha(4, 1)
-    assert Alpha(-1, 2).value == Fraction(-1, 2)
-    with pytest.raises(ValueError):
-        Alpha(2, 4)
-    with pytest.raises(ValueError):
-        Alpha(1, 0)
-    with pytest.raises(HypothesisViolation):
-        Alpha(-1, 1)
+def test_parameter_validation():
+    assert parameter(Fraction(3, 2)) == Fraction(3, 2)
+    assert parameter(4) == Fraction(4) and type(parameter(4)) is Fraction
+    assert parameter((4, 6)) == Fraction(2, 3)
+    assert parameter((2, -4)) == Fraction(-1, 2)
+    assert parameter(Fraction(-1, 2)) == Fraction(-1, 2)
+    with pytest.raises(ValueError, match="v must be nonzero"):
+        parameter((1, 0))
+    for value in (0.5, "1/2", (1, 2, 3), (1.0, 2), None):
+        with pytest.raises(TypeError):
+            parameter(value)
+    for value in (-1, Fraction(-4, 2), (3, -1)):
+        with pytest.raises(HypothesisViolation, match="alpha is a negative integer"):
+            parameter(value)
 
 
 # -- coefficients --------------------------------------------------------------
@@ -73,7 +77,7 @@ def test_wrong_binomial_is_refused_by_the_ratio_identity(monkeypatch, phi17):
 
 
 def test_ratio_identity_checks_every_step_and_the_leading_part():
-    c = laguerre._cleared_coefficients(5, Alpha(2, 3))
+    c = laguerre._cleared_coefficients(5, Fraction(2, 3))
     assert laguerre.ratio_identity_parts(c, 5, 2, 3) == c + (3 ** 5,)
     bad = [c[:j] + (c[j] + 1,) + c[j + 1:] for j in range(5)]
     bad.append(tuple(2 * cj for cj in c))  # every ratio holds; c_m = v**m does not
@@ -200,12 +204,11 @@ def test_valuation_vector_rejects_bad_prime(phi17):
 
 
 def _admissible_alphas(vs, us):
+    # u/v in lowest terms and not a negative integer
     for v in vs:
         for u in us:
-            try:
-                yield Alpha(u, v)
-            except ValueError:
-                continue
+            if math.gcd(u, v) == 1 and (v > 1 or u >= 0):
+                yield Fraction(u, v)
 
 
 def test_cleared_coefficients_are_exact(product_form):
@@ -213,23 +216,24 @@ def test_cleared_coefficients_are_exact(product_form):
     # small-degree test read, against the paper's product form of b_j
     for alpha in _admissible_alphas((1, 2, 3, 5), range(-7, 8)):
         for m in range(1, 31):
-            b = product_form(m, alpha.value)
+            b = product_form(m, alpha)
             inst = LaguerreInstance(m, alpha, 1, const_parts(*[1] * m), X)
             assert len(inst.cleared) == m
             for j, c in enumerate(inst.cleared):
-                assert type(c) is int and c == alpha.v ** m * b[j], (m, alpha, j)
+                assert type(c) is int and c == alpha.denominator ** m * b[j], (m, alpha, j)
             assert inst.b == b + (1,)
 
 
 def test_instance_constructed_directly_coerces_its_parameter():
-    for alpha in (Fraction(2, 3), (2, 3), (4, 6), Alpha(2, 3)):
+    for alpha in (Fraction(2, 3), (2, 3), (4, 6), Fraction(4, 6)):
         inst = LaguerreInstance(2, alpha, 1, const_parts(1, 1), X)
-        assert inst.alpha == Alpha(2, 3) and (inst.u, inst.v) == (2, 3)
+        assert inst.alpha == Fraction(2, 3) and (inst.u, inst.v) == (2, 3)
+        assert type(inst.u) is int and type(inst.v) is int
         assert inst.prime_bound == 8
         assert inst.cleared == (8 * 5, 2 * 3 * 8)  # (2v+u)(v+u), C(2,1) v (2v+u)
         assert inst.valuation_vector(2) == (3, 4, 0)
     inst = LaguerreInstance(2, 1, 1, const_parts(1, 1), X)
-    assert inst.alpha == Alpha(1) and (inst.u, inst.v) == (1, 1)
+    assert inst.alpha == 1 and type(inst.alpha) is Fraction and (inst.u, inst.v) == (1, 1)
     assert inst.valuation_vector(3) == (1, 1, 0)
 
 
@@ -239,9 +243,9 @@ def test_additive_valuation_vector_matches_vp_rat(product_form):
     checked = 0
     for alpha in _admissible_alphas((1, 2, 3, 5), range(-7, 8)):
         for m in range(1, 61):
-            b = product_form(m, alpha.value)
-            for p in sieve_primes(alpha.v * m + alpha.u + 10):
-                if alpha.v % p == 0:
+            b = product_form(m, alpha)
+            for p in sieve_primes(alpha.denominator * m + alpha.numerator + 10):
+                if alpha.denominator % p == 0:
                     continue
                 expected = tuple(vp_rat(p, bj) for bj in b)
                 assert coefficient_valuations(m, alpha, p) == expected, (m, alpha, p)
@@ -250,11 +254,11 @@ def test_additive_valuation_vector_matches_vp_rat(product_form):
 
 
 def test_additive_valuation_vector_large_m():
-    for alpha in (Alpha(2), Alpha(2, 3), Alpha(-7, 5)):
+    for alpha in (2, (2, 3), Fraction(-7, 5)):
         b = laguerre_coefficients(800, alpha)
         inst = LaguerreInstance(800, alpha, 12, const_parts(*[1] * 800), X)
         for p in (2, 3, 7, 797):
-            if alpha.v % p:
+            if inst.v % p:
                 expected = tuple(vp_rat(p, bj) for bj in b) + (vp_int(p, 12),)
                 assert inst.valuation_vector(p) == expected, (alpha, p)
 
@@ -284,14 +288,3 @@ def test_valuation_difference_bounded_by_factorial(rng):
         v0 = vp_rat(p, b[0])
         for j in range(1, m):
             assert v0 - vp_rat(p, b[j]) <= factorial_valuation(p, v * j + abs(u))
-
-
-def test_instance_text_round_trip(phi17):
-    inst = build_instance(2, 1, 3, [parse_poly("x - 4"), Poly.const(1)],
-                          phi17, relaxed=True)
-    text = inst.to_text()
-    back = LaguerreInstance.from_text(text, relaxed=True)
-    assert back.m == inst.m and back.alpha == inst.alpha
-    assert back.a_m == inst.a_m and back.a_parts == inst.a_parts
-    assert back.phi == inst.phi
-    assert back.to_text() == text
