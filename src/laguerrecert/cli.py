@@ -52,15 +52,14 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_instance_args(p, required=True):
-        # required=False makes -m, -u, --am and --phi optional, --am defaulting to 1
+        # a flag not given reads None; _instance_from_args supplies the defaults
         p.add_argument("-m", type=int, required=required, help="number of levels")
         p.add_argument("-u", type=int, required=required, help="parameter numerator")
-        p.add_argument("-v", type=int, default=1, help="parameter denominator")
-        p.add_argument("--am", type=int, required=required, default=1,
-                       help="leading multiplier")
-        p.add_argument("--a", action="append", default=None, metavar="POLY",
+        p.add_argument("-v", type=int, help="parameter denominator")
+        p.add_argument("--am", type=int, required=required, help="leading multiplier")
+        p.add_argument("--a", action="append", metavar="POLY",
                        help="multipliers a_1..a_{m-1}; one value broadcasts")
-        p.add_argument("--a0", default="1", metavar="POLY", help="multiplier a_0")
+        p.add_argument("--a0", metavar="POLY", help="multiplier a_0")
         p.add_argument("--phi", type=_poly_arg, required=required, metavar="POLY",
                        help="monic base polynomial")
 
@@ -98,7 +97,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("witness-search", help="search for a reducible instance")
     p.add_argument("-m", type=int, required=True)
     p.add_argument("-u", type=int, required=True)
-    p.add_argument("-v", type=int, default=1)
+    p.add_argument("-v", type=int)
     p.add_argument("--phi", type=_poly_arg, required=True, metavar="POLY")
     p.add_argument("--bound", type=int, default=1, help="multiplier coefficient bound")
     p.add_argument("--json", action="store_true")
@@ -106,22 +105,24 @@ def _build_parser() -> _Parser:
 
 
 def _parameter_from_args(args):
-    """u/v from -u and -v, which must already be in lowest terms with v > 0."""
-    if args.v <= 0:
+    """u/v from -u and -v (default 1), which must be in lowest terms with v > 0."""
+    v = 1 if args.v is None else args.v
+    if v <= 0:
         raise ValueError("v must be positive")
-    if math.gcd(args.u, args.v) != 1:
+    if math.gcd(args.u, v) != 1:
         raise ValueError("u and v must be coprime")
-    return parameter((args.u, args.v))
+    return parameter((args.u, v))
 
 
 def _instance_from_args(args, relaxed: bool):
-    # a_1..a_{m-1}: ones without --a, one --a value broadcast; the instance
-    # refuses any other count
+    # a_m and a_0 are 1 when not given; a_1..a_{m-1}: ones without --a, one
+    # --a value broadcast; the instance refuses any other count
     mids = args.a or ["1"] * (args.m - 1)
     if len(mids) == 1 and args.m >= 3:
         mids = mids * (args.m - 1)
-    parts = [parse_poly(text) for text in [args.a0, *mids]]
-    return build_instance(args.m, _parameter_from_args(args), args.am, parts, args.phi,
+    parts = [parse_poly(text) for text in ["1" if args.a0 is None else args.a0, *mids]]
+    a_m = 1 if args.am is None else args.am
+    return build_instance(args.m, _parameter_from_args(args), a_m, parts, args.phi,
                           relaxed=relaxed)
 
 
@@ -262,6 +263,10 @@ def _cmd_tables(args) -> int:
 
 def _cmd_oracle(args) -> int:
     if args.f is not None:
+        instance_flags = (args.m, args.u, args.v, args.am, args.a, args.a0, args.phi)
+        if any(flag is not None for flag in instance_flags):
+            print("--f cannot be combined with instance flags", file=sys.stderr)
+            return EXIT_INVALID
         f = args.f
     elif args.m is not None and args.u is not None and args.phi is not None:
         try:

@@ -267,7 +267,7 @@ def content(f: Poly) -> int:
         raise ValueError("content of the zero polynomial is undefined")
     if not f.is_integral:
         raise ValueError("content requires integer coefficients")
-    return math.gcd(*f.coeffs) if len(f.coeffs) > 1 else abs(f.coeffs[0])
+    return math.gcd(*f.coeffs)
 
 
 def primitive_part(f: Poly) -> Poly:
@@ -330,7 +330,9 @@ def _fp_trim(a: list[int]) -> list[int]:
 
 
 def _fp_from_poly(f: Poly, p: int) -> list[int]:
-    return _fp_trim([int(c) % p for c in f.coeffs])
+    if not f.is_integral:
+        raise ValueError("reduction requires integer coefficients")
+    return _fp_trim([c % p for c in f.coeffs])
 
 
 def _fp_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
@@ -454,8 +456,6 @@ def _frobenius_rows(xp: list[int], mod: list[int], p: int) -> tuple[int, list[in
 def reduce_mod_p(f: Poly, p: int) -> Poly:
     """Coefficientwise reduction into [0, p), canonical form."""
     _require_prime(p)
-    if not f.is_integral:
-        raise ValueError("reduction requires integer coefficients")
     return Poly(_fp_from_poly(f, p))
 
 

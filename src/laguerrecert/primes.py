@@ -68,32 +68,16 @@ def _require_prime(p: int) -> None:
 
 
 def vp_int(p: int, n: int) -> int | float:
-    """Largest e with p**e dividing n (sign ignored); inf for n == 0."""
+    """Largest e with p**e dividing n (sign ignored); inf for n == 0.
+    One divmod by p per unit of e, so the cost grows linearly with e."""
     _require_prime(p)
     if n == 0:
         return INFINITY
+    e = 0
     q, r = divmod(n, p)
-    if r:
-        return 0
-    # gallop: divide by p^2, p^4, ... while each divides, then step back
-    # down through the same powers; O(log e) big-integer divisions, not e
-    n, e = abs(q), 1
-    powers = [(p, 1)]
-    pk, w = p * p, 2
-    while True:
-        q, r = divmod(n, pk)
-        if r:
-            break
-        n, e = q, e + w
-        powers.append((pk, w))
-        pk, w = pk * pk, 2 * w
-    # what remains has valuation below w, which is also the valuation of
-    # its remainder r mod p^w: one pass down over that small r collects it
-    n = r
-    for pk, w in reversed(powers):
-        q, r = divmod(n, pk)
-        if not r:
-            n, e = q, e + w
+    while not r:
+        e += 1
+        q, r = divmod(q, p)
     return e
 
 
@@ -119,31 +103,17 @@ def factorial_valuation(p: int, n: int) -> int:
     return total
 
 
-def _brent_rho(n: int) -> int:
-    """A nontrivial factor of composite odd n, deterministic schedule."""
-    if n % 2 == 0:
-        return 2
+def _rho(n: int) -> int:
+    """A nontrivial factor of composite odd n: Pollard's rho with Floyd's
+    cycle detection on x -> x^2 + c, trying c = 1, 2, ... in turn."""
     for c in range(1, 100):
-        y, m, g, r, q = 2, 128, 1, 1, 1
-        x = ys = y
+        x = y = 2
+        g = 1
         while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            g = math.gcd(x - y, n)
         if g != n:
             return g
     raise ArithmeticError(f"rho failed to split {n}")  # pragma: no cover
@@ -176,7 +146,7 @@ def factorize(n: int) -> dict[int, int]:
             if is_prime(m):
                 out[m] = out.get(m, 0) + 1
                 continue
-            g = _brent_rho(m)
+            g = _rho(m)
             stack.extend((g, m // g))
     return out
 

@@ -161,29 +161,20 @@ def _largest_prime_factors(size: int):
     """(is_prime, lpf) over 0..size as numpy arrays, lpf[n] the largest prime
     factor of n (1 for n < 2), in int32 whenever size fits.
 
-    Python loops run over the primes up to sqrt(size) and over the cofactors
-    c <= sqrt(size), never over every integer: a prime p <= sqrt(size) is
-    written to all its multiples in ascending order, so the last write is
-    the largest such factor, and then every prime P > sqrt(size), at most
-    one per integer, overwrites its multiples c*P.
+    Every prime p, in ascending order, is written to all its multiples with
+    one slice, so the last write to n is its largest prime factor.
     """
     import numpy as np
 
     dtype = np.int32 if size <= np.iinfo(np.int32).max else np.int64
-    root = math.isqrt(size)
     is_prime = np.ones(size + 1, dtype=bool)
     is_prime[:2] = False
-    for p in range(2, root + 1):
+    for p in range(2, math.isqrt(size) + 1):
         if is_prime[p]:
             is_prime[p * p::p] = False
-    primes = np.flatnonzero(is_prime).astype(dtype)
     lpf = np.ones(size + 1, dtype=dtype)
-    for p in primes[primes <= root].tolist():
+    for p in np.flatnonzero(is_prime).tolist():
         lpf[p::p] = p
-    large = primes[primes > root]
-    for c in range(1, size // (root + 1) + 1):
-        cut = large[:np.searchsorted(large, size // c, side="right")]
-        lpf[c * cut] = cut
     return is_prime, lpf
 
 

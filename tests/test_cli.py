@@ -268,6 +268,12 @@ _INVALID_LINES = {
                        "invalid instance: leading multiplier must be a nonzero integer"),
     "certify-hypothesis": (["certify", "-m", "3", "-u", "1", "--a0", "2", *_BASE],
                            "invalid instance: content of a_m*a_0 is divisible by 2 <= 4"),
+    "oracle-f-with-instance": (["oracle", "--f", "x^2-x+17", "-m", "3", "-u", "2", "-v", "4",
+                                "--phi", "x^2+1"],
+                               "--f cannot be combined with instance flags"),
+    # a flag given at its default value is still given
+    "oracle-f-with-v-1": (["oracle", "--f", "x^2-x+17", "-v", "1"],
+                          "--f cannot be combined with instance flags"),
     "tables-subcase-bound-1": (["tables", "--only", "subcases", "--subcase-bound", "1"],
                                "invalid bound: m_bound must be at least 2"),
     "tables-exp-bound-0": (["tables", "--only", "equations", "--exp-bound", "0"],

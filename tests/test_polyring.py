@@ -200,6 +200,15 @@ def test_reduce_mod_p_examples(phi17):
     assert reduce_mod_p(Poly((0, 1, 0, 7)), 7) == Poly((0, 1))
 
 
+def test_mod_p_layer_refuses_rational_coefficients():
+    # x^2 + 7/2 is x^2 + 1 = (x + 2)(x + 3) mod 5; truncating 7/2 to 3 would
+    # give the irreducible x^2 + 3 instead
+    f = Poly((Fraction(7, 2), 0, 1))
+    for reduce in (reduce_mod_p, degree_pattern, is_irreducible_mod_p):
+        with pytest.raises(ValueError, match="integer coefficients"):
+            reduce(f, 5)
+
+
 def test_irreducible_mod_p_examples(phi17):
     assert is_irreducible_mod_p(phi17, 2)
     assert is_irreducible_mod_p(phi17, 13)

@@ -69,6 +69,13 @@ def test_vp_int_every_exponent_up_to_500():
     assert vp_int(2, 0) == vp_int(1009, 0) == INFINITY
 
 
+@pytest.mark.parametrize("p", [2, 3, 1_000_003])
+def test_vp_int_at_exponent_ten_thousand(p):
+    e = 10**4
+    assert vp_int(p, (p + 1) * p**e) == e
+    assert vp_int(p, -(p - 1) * p**e) == e
+
+
 def test_vp_rat_examples():
     assert vp_rat(3, Fraction(9, 2)) == 2
     assert vp_rat(2, Fraction(9, 2)) == -1
@@ -136,6 +143,9 @@ def test_largest_prime_factor_rejects_units():
 def test_largest_prime_factor_splits_big_semiprime():
     p, q = 1_000_003, 1_000_033
     assert largest_prime_factor(p * q) == q
+    # both remainders after trial division are composite, so rho splits them
+    assert factorize(p**3) == {p: 3}
+    assert factorize(p * q * 1_000_037) == {p: 1, q: 1, 1_000_037: 1}
 
 
 def test_product_lpf_examples():
