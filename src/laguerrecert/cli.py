@@ -173,8 +173,10 @@ def _cmd_polygon(args) -> int:
         print("vertices:", " ".join(f"({i},{h})" for i, h in polygon.vertices))
         print("slopes:", " ".join(f"{s.numerator}/{s.denominator}"
                                   for s in polygon.slopes))
+        # a one-point polygon (f of degree below deg phi) has no edge
         print("rightmost slope:",
-              "{0.numerator}/{0.denominator}".format(rightmost_slope(polygon)))
+              "{0.numerator}/{0.denominator}".format(rightmost_slope(polygon))
+              if polygon.slopes else "none")
     return EXIT_OK
 
 
@@ -245,9 +247,6 @@ def _cmd_tables(args) -> int:
     except ValueError as exc:  # a bound out of range
         print(f"invalid bound: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except MemoryError as exc:  # a bound whose sieve cannot be allocated
-        print(f"bound too large: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     if args.json:
         print(json.dumps({"passed": report.passed,
                           "checks": [{"id": c.check_id, "passed": c.passed,
@@ -280,13 +279,7 @@ def _cmd_oracle(args) -> int:
     if f.is_zero or f.degree < 1 or not f.is_integral:
         print("need a nonconstant polynomial with integer coefficients", file=sys.stderr)
         return EXIT_INVALID
-    f = primitive_part(f)
-    try:
-        verdict = oracle_verdict(f, args.prime_budget)
-    except MemoryError:  # a budget whose sieve cannot be allocated
-        print(f"prime budget too large: no memory for a sieve up to {args.prime_budget}",
-              file=sys.stderr)
-        return EXIT_INVALID
+    verdict = oracle_verdict(primitive_part(f), args.prime_budget)
     if args.json:
         print(json.dumps(verdict_to_jsonable(verdict), indent=2))
     else:
@@ -346,7 +339,13 @@ def main(argv=None) -> int:
         "oracle": _cmd_oracle,
         "witness-search": _cmd_witness_search,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except (MemoryError, OverflowError) as exc:
+        # a size no index or allocation can hold (-m, -u, -v, --prime-budget,
+        # a tables bound), wherever it is first used: ["1"] * (m - 1), a sieve
+        print(f"input too large: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":  # pragma: no cover

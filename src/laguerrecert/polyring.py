@@ -6,11 +6,11 @@ format, expansion in powers of a monic polynomial, reduction mod p, and
 the factor degrees of a polynomial over the p-element field by
 distinct-degree splitting, which also decides irreducibility mod p.
 
-The splitting computes x**p mod f once per (f, p), by square-and-multiply.
-From degree 2 on it applies the Frobenius map a -> a**p, which is linear
-over the p-element field, as a matrix: the rows x**(i*p) mod f are built
-once, each packed into one integer, and each further degree costs one
-combination of rows instead of another powering.
+The splitting applies the Frobenius map a -> a**p, which is linear over
+the p-element field, as one matrix modulo f: x**p mod f by
+square-and-multiply, then the rows x**(i*p) mod f, each packed into one
+integer, built once per (f, p).  Every degree costs one combination of
+rows instead of another powering.
 """
 
 from __future__ import annotations
@@ -144,12 +144,12 @@ class Poly:
         other = _as_poly(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        dlead = other.lead
+        monic = other.is_monic
         dn = other.degree
         r = list(self.coeffs)
         qc = [0] * max(0, len(r) - dn)
         while len(r) - 1 >= dn:
-            c = r[-1] if dlead == 1 else _canon(Fraction(r[-1]) / Fraction(dlead))
+            c = r[-1] if monic else _canon(Fraction(r[-1]) / Fraction(other.lead))
             shift = len(r) - 1 - dn
             qc[shift] = c
             for i, b in enumerate(other.coeffs):
@@ -363,10 +363,6 @@ def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
-def _fp_pad(a: list[int], n: int) -> list[int]:
-    return a + [0] * (n - len(a))
-
-
 def _fp_times_x(a: list[int], mod: list[int], p: int) -> list[int]:
     """x*a mod a monic mod, for a padded to length deg(mod); same length."""
     c = a[-1]
@@ -391,18 +387,6 @@ def _fp_mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
             for i in range(n):
                 out[k - n + i] -= c * mod[i]
     return [c % p for c in out[:n]]
-
-
-def _fp_x_power(e: int, mod: list[int], p: int) -> list[int]:
-    """x**e mod a monic mod of degree n >= 1, e >= 1, as n residues.
-    Left-to-right square-and-multiply: a set bit of e costs one shift, not
-    a product."""
-    w = _fp_times_x(_fp_pad([1], len(mod) - 1), mod, p)
-    for bit in bin(e)[3:]:
-        w = _fp_mulmod(w, w, mod, p)
-        if bit == "1":
-            w = _fp_times_x(w, mod, p)
-    return w
 
 
 def _fp_pack(a: list[int], slot: int) -> int:
@@ -432,13 +416,19 @@ def _fp_combine(coeffs: list[int], rows: list[int], slot: int, p: int) -> list[i
     return _fp_unpack(acc, slot, len(coeffs), p)
 
 
-def _frobenius_rows(xp: list[int], mod: list[int], p: int) -> tuple[int, list[int]]:
+def _frobenius_rows(mod: list[int], p: int) -> tuple[int, list[int]]:
     """(slot, rows): rows[i] = x**(i*p) mod a monic mod for i < n =
-    deg(mod), each packed with that slot, from xp = x**p mod mod padded to
-    length n.  The columns x**j * xp mod mod come from n shift-and-reduce
-    steps; then row i is row i-1 times xp, the combination of the columns
-    by the coefficients of row i-1."""
+    deg(mod) >= 1, each packed with that slot.  x**p comes from left-to-right
+    square-and-multiply (a set bit of p costs one shift, not a product);
+    the columns x**j * x**p mod mod from n shift-and-reduce steps; then row
+    i is row i-1 times x**p, the combination of the columns by the
+    coefficients of row i-1."""
     n = len(mod) - 1
+    xp = _fp_times_x([1] + [0] * (n - 1), mod, p)
+    for bit in bin(p)[3:]:
+        xp = _fp_mulmod(xp, xp, mod, p)
+        if bit == "1":
+            xp = _fp_times_x(xp, mod, p)
     slot = (n * (p - 1) ** 2).bit_length()
     col = xp
     cols = [_fp_pack(col, slot)]
@@ -470,16 +460,14 @@ def degree_pattern(f: Poly, p: int) -> DegreePattern:
     """Multiset of irreducible-factor degrees of f mod p by distinct-degree
     splitting; unusable (no degrees) when the reduction is not squarefree.
 
-    Step d divides rest by gcd(rest, w - x), w = x**(p**d) mod rest, the
-    product of its factors of degree d.  Costs, for n = deg(rest):
-    - d = 1: x**p by square-and-multiply, about log2(p) products mod rest
-      of O(n**2) each.  A base of degree at most 3 needs nothing more.
-    - d = 2: the Frobenius rows x**(i*p) mod rest for i < n, built once
-      from n shift-and-reduce steps and n - 2 combinations.
-    - each step from d = 2 on: one combination w <- sum_i w[i] * row_i
-      (n products of a residue by a packed row) plus the gcd, O(n**2).
-    After a split, w and the rows are reduced modulo the new rest, which
-    divides the old one.
+    Step d divides rest by gcd(rest, w - x), w = x**(p**d) mod f, the
+    product of its factors of degree d.  Costs, for n = deg(f):
+    - once: the Frobenius rows x**(i*p) mod f for i < n, from about log2(p)
+      squarings mod f, n shift-and-reduce steps and n - 2 combinations;
+    - each step: one combination w <- sum_i w[i] * row_i (n products of a
+      residue by a packed row) plus the gcd, O(n**2).
+    rest divides f, so w mod f serves every step: nothing is reduced
+    modulo rest after a split.
     """
     _require_prime(p)
     if f.lead % p == 0:
@@ -488,23 +476,21 @@ def degree_pattern(f: Poly, p: int) -> DegreePattern:
     deriv = _fp_trim([i * c % p for i, c in enumerate(fp)][1:])
     if _fp_gcd(fp[:], deriv, p) != [1]:
         return DegreePattern(p=p, degrees=(), usable=False)
+    if len(fp) == 1:  # a unit has no factors, and no matrix of degree 0 exists
+        return DegreePattern(p=p, degrees=(), usable=True)
     inv = pow(fp[-1], -1, p)
     rest = [c * inv % p for c in fp]
+    slot, rows = _frobenius_rows(rest, p)
+    # x as deg(f) residues; the loop combines only when deg(f) >= 2
+    w = [0, 1] + [0] * (len(rest) - 3)
     degrees = []
-    rows = None
     d = 0
     while len(rest) - 1 > 0:
         d += 1
-        n = len(rest) - 1
-        if 2 * d > n:
-            degrees.append(n)
+        if 2 * d > len(rest) - 1:
+            degrees.append(len(rest) - 1)
             break
-        if d == 1:
-            w = _fp_x_power(p, rest, p)
-        else:
-            if rows is None:
-                slot, rows = _frobenius_rows(w, rest, p)
-            w = _fp_combine(w, rows, slot, p)
+        w = _fp_combine(w, rows, slot, p)
         # gcd(w - x, rest) is the product of the degree-d factors
         diff = w[:]
         diff[1] = (diff[1] - 1) % p
@@ -514,12 +500,6 @@ def degree_pattern(f: Poly, p: int) -> DegreePattern:
             rest, rem = _fp_divmod(rest, g, p)
             if rem:
                 raise ArithmeticError("distinct-degree part does not divide")
-            # the new rest divides the old one, so w and the rows reduced
-            # modulo it are still x**(p**d) and x**(i*p) modulo it
-            w = _fp_pad(_fp_divmod(w, rest, p)[1], len(rest) - 1)
-            if rows is not None:
-                rows = [_fp_pack(_fp_divmod(_fp_unpack(row, slot, n, p), rest, p)[1], slot)
-                        for row in rows[:len(rest) - 1]]
     return DegreePattern(p=p, degrees=tuple(sorted(degrees)), usable=True)
 
 
@@ -565,12 +545,10 @@ def construct_phi(d: int, bound: int) -> Poly:
     if d < 1:
         raise ValueError("degree must be at least 1")
     primes = sieve_primes(bound)
-    if d == 1:
-        if primes:
-            raise ValueError("degree 1 with a nontrivial prime bound is rejected")
-        return Poly((0, 1))
     if not primes:
         return Poly((0,) * d + (1,))
+    if d < 2:
+        raise ValueError("degree 1 with a nontrivial prime bound is rejected")
     modulus = math.prod(primes)
     lowers = {p: _first_irreducible_mod_p(d, p) for p in primes}
     coeffs = []

@@ -81,6 +81,15 @@ def test_polygon_json(capsys):
     assert data == {"vertices": [[0, 0], [2, 2]], "slopes": ["1/1"]}
 
 
+@pytest.mark.parametrize("f, phi", [("5", "x"), ("x+3", "x^2+1")])
+def test_polygon_of_one_point_has_no_rightmost_slope(capsys, f, phi):
+    # f of degree below deg phi expands to one part: a polygon without edges
+    code, out, _ = run(capsys, "polygon", "--f", f, "--phi", phi, "-p", "2")
+    assert (code, out) == (0, "vertices: (0,0)\nslopes: \nrightmost slope: none\n")
+    code, out, _ = run(capsys, "polygon", "--f", f, "--phi", phi, "-p", "2", "--json")
+    assert code == 0 and json.loads(out) == {"vertices": [[0, 0]], "slopes": []}
+
+
 def test_construct_single_level_square(capsys):
     code, out, _ = run(capsys, "construct", "-m", "1", "-u", "0", "--am", "1",
                        "--a0", "x - 17", "--phi", "x^2-x+17")
@@ -248,6 +257,10 @@ def _verify_argv(tmp_path, text=None, edit=None):
 
 
 _BASE = ("--am", "1", "--phi", "x^2-x+17")
+# past the index range (at least 2**63), so refused before anything is
+# allocated; values a little below it could allocate gigabytes first
+_HUGE = str(10**20)
+_TOO_LARGE = "input too large: cannot fit 'int' into an index-sized integer"
 
 # invalid input whose one stderr line is pinned word for word
 _INVALID_LINES = {
@@ -278,6 +291,16 @@ _INVALID_LINES = {
                                "invalid bound: m_bound must be at least 2"),
     "tables-exp-bound-0": (["tables", "--only", "equations", "--exp-bound", "0"],
                            "invalid bound: exponent bound must be positive"),
+    **{f"{command}-{flag}-huge": ([command, *argv, *_BASE], _TOO_LARGE)
+       for command in ("construct", "certify", "oracle")
+       for flag, argv in (("m", ("-m", _HUGE, "-u", "1")),
+                          ("u", ("-m", "3", "-u", _HUGE)),
+                          ("v", ("-m", "3", "-u", "1", "-v", _HUGE)))},
+    "witness-search-m-huge": (["witness-search", "-m", _HUGE, "-u", "1", "--phi", "x^2-x+17"],
+                              _TOO_LARGE),
+    "witness-search-u-huge": (["witness-search", "-m", "3", "-u", _HUGE, "--phi", "x^2-x+17"],
+                              _TOO_LARGE),
+    "oracle-budget-huge": (["oracle", "--f", "x^2+1", "--prime-budget", _HUGE], _TOO_LARGE),
 }
 
 

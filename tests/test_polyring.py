@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from laguerrecert.polyring import (MAX_PARSED_DEGREE, DegreePattern, Poly, X,
-                                   _frobenius_rows, _fp_unpack, _fp_x_power, check_phi,
+                                   _frobenius_rows, _fp_unpack, check_phi,
                                    construct_phi, content, degree_pattern, format_poly,
                                    gauss_valuation, is_irreducible_mod_p,
                                    parse_poly, phi_expand, primitive_part,
@@ -309,15 +309,16 @@ def _random_irreducible(sympy, rng, degree, p):
 
 def test_degree_pattern_of_products_with_repeated_degrees():
     # 2 to 6 distinct irreducibles mod p, degrees drawn with repetition, so
-    # rest is split several times at the same or at later degrees and the
-    # Frobenius rows are reduced again after each split; the integer
+    # rest is split several times at the same or at later degrees while w
+    # and the Frobenius rows stay reduced modulo f only; the integer
     # coefficients are lifted by random multiples of p under a lead prime to p
-    # (p >= 7, so there are at least 6 distinct irreducibles of each degree)
+    # (p >= 7, so there are at least 6 distinct irreducibles of each degree;
+    # 1009, 1031 and 65537 give wider packing slots than the small primes)
     sympy = pytest.importorskip("sympy")
     rng = random.Random(1306)
     multi_split = 0
     for _ in range(120):
-        p = rng.choice(_SMALL_PRIMES[3:12])
+        p = rng.choice(_SMALL_PRIMES[3:12] + [1009, 1031, 65537])
         count = rng.randrange(2, 7)
         degrees = sorted(rng.choice((1, 1, 2, 2, 3, 4, 5)) for _ in range(count))
         factors = set()
@@ -337,19 +338,25 @@ def test_degree_pattern_of_products_with_repeated_degrees():
 
 
 def test_frobenius_rows_match_powers_of_x():
-    # brute force with Poly arithmetic: x**(i*p) % rest, reduced mod p
+    # brute force with Poly arithmetic: x**(i*p) % rest, reduced mod p; row 1
+    # is x**p itself, the square-and-multiply result the rows are built from
     rng = random.Random(5150)
     for _ in range(40):
         p = rng.choice(_SMALL_PRIMES[:16])
         n = rng.randrange(2, 11)
         rest = [rng.randrange(p) for _ in range(n)] + [1]
-        xp = _fp_x_power(p, rest, p)
-        assert Poly(xp) == reduce_mod_p(X**p % Poly(rest), p), (rest, p)
-        slot, rows = _frobenius_rows(xp, rest, p)
+        slot, rows = _frobenius_rows(rest, p)
         assert len(rows) == n
         for i, row in enumerate(rows):
             assert Poly(_fp_unpack(row, slot, n, p)) == \
                 reduce_mod_p(X**(i * p) % Poly(rest), p), (rest, p, i)
+
+
+@pytest.mark.parametrize("p", [2, 3, 65537])
+@pytest.mark.parametrize("c", [1, -1, 5, 10**30 + 1])
+def test_degree_pattern_of_nonzero_constant_is_empty(c, p):
+    # a unit mod p has no irreducible factors and is squarefree
+    assert degree_pattern(Poly.const(c), p) == DegreePattern(p, (), True)
 
 
 @pytest.mark.parametrize("p", [-3, 0, 1, 4, 9, 15])
