@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import product as _cartesian
 
 from .laguerre import LaguerreInstance, build_instance, parameter
@@ -138,9 +139,13 @@ def _rational_root_witness(f: Poly) -> FactorWitness | None:
     dens = [d for d in dens if d > 0]
     if len(nums) * len(dens) > _PAIR_CAP:
         return None
+    n = f.degree
     for den in dens:
+        # f(num/den) = 0 exactly when sum c_i num^i den^(n-i) = 0: Horner in
+        # num over the integers c_i den^(n-i), top coefficient first
+        scaled = [c * den ** (n - i) for i, c in enumerate(f.coeffs)][::-1]
         for num in nums:
-            if math.gcd(num, den) == 1 and f(Fraction(num, den)) == 0:
+            if math.gcd(num, den) == 1 and reduce(lambda acc, c: acc * num + c, scaled) == 0:
                 w = _witness_from_factor(f, Poly((-num, den)))
                 if w is not None:
                     return w
@@ -157,8 +162,6 @@ def _quadratic_factor_witness(f: Poly) -> FactorWitness | None:
     if f.degree < 4:
         return None
     y0, y1, y2 = f(0), f(1), f(-1)
-    if y0 == 0 or y1 == 0 or y2 == 0:
-        return _rational_root_witness(f)
     d0s, d1s, d2s = _signed_divisors(y0), _signed_divisors(y1), _signed_divisors(y2)
     if d0s is None or d1s is None or d2s is None:
         return None
@@ -168,7 +171,7 @@ def _quadratic_factor_witness(f: Poly) -> FactorWitness | None:
     f2 = f(2)
     for d1 in d1s:
         for d2 in d2s:
-            if (d1 + d2) % 2 or (d1 - d2) % 2:
+            if (d1 + d2) % 2:
                 continue
             half_sum = (d1 + d2) // 2
             b = (d1 - d2) // 2
@@ -224,45 +227,32 @@ def verdict_to_jsonable(verdict: Verdict) -> dict:
 # ---------------------------------------------------------------------------
 # searching for reducible instances
 
-def _base_power_candidates(f: Poly, phi: Poly, level: int):
-    """Monic candidates phi**level + sum c_i phi**i, constants bounded by the
-    expansion norm, filtered by divisibility of evaluations at x = 2."""
+def _base_power_factor(f: Poly, phi: Poly, max_level: int) -> FactorWitness | None:
+    """First factor phi**level + sum c_i phi**i, level 1..max_level, among
+    monic candidates whose constants are bounded by the expansion norm of f,
+    filtered by divisibility of evaluations at x = 2."""
+    if max_level < 1:
+        return None
     expansion = phi_expand(f, phi)
     if not expansion.parts or expansion.parts[0].is_zero:
-        return
-    bound = 1
-    for part in expansion.parts[:-1]:
-        if not part.is_zero:
-            bound = max(bound, max(abs(c) for c in part.coeffs))
-    bound += 1
-    if (2 * bound + 1) ** level > 2_000_000:
-        return
+        return None
+    bound = 1 + max((abs(c) for part in expansion.parts[:-1] for c in part.coeffs), default=1)
     f2 = f(2)
     phi2 = phi(2)
-    powers = [phi2**i for i in range(level + 1)]
-    for consts in _cartesian(range(-bound, bound + 1), repeat=level):
-        g2 = powers[level] + sum(c * powers[i] for i, c in enumerate(consts))
-        if g2 == 0 or (f2 != 0 and f2 % g2 != 0):
-            continue
-        g = phi ** level
-        for i, c in enumerate(consts):
-            if c:
-                g = g + c * phi ** i
-        yield g
-
-
-def _base_power_factor(f: Poly, phi: Poly, max_level: int) -> FactorWitness | None:
     for level in range(1, max_level + 1):
-        for g in _base_power_candidates(f, phi, level):
+        if (2 * bound + 1) ** level > 2_000_000:  # every later level is larger
+            return None
+        powers = [phi2**i for i in range(level + 1)]
+        phis = [phi**i for i in range(level + 1)]
+        for consts in _cartesian(range(-bound, bound + 1), repeat=level):
+            g2 = powers[level] + sum(c * powers[i] for i, c in enumerate(consts))
+            if g2 == 0 or (f2 != 0 and f2 % g2 != 0):
+                continue
+            g = sum((c * phis[i] for i, c in enumerate(consts) if c), phis[level])
             w = _witness_from_factor(f, g)
             if w is not None:
                 return w
     return None
-
-
-def _rescale_witness(target: Poly, w: FactorWitness) -> FactorWitness:
-    scale = Fraction(target.lead) / (Fraction(w.g.lead) * Fraction(w.h.lead))
-    return FactorWitness(g=w.g, h=w.h, c=scale)
 
 
 def search_reducible_witness(m: int, alpha, phi: Poly, coefficient_bound: int,
@@ -277,30 +267,27 @@ def search_reducible_witness(m: int, alpha, phi: Poly, coefficient_bound: int,
         raise ValueError("need m >= 1")
     if coefficient_bound < 1:
         raise ValueError("coefficient bound must be positive")
-    B = coefficient_bound
-    rng = range(-B, B + 1)
+    if coefficient_bound >= 2**63:
+        raise OverflowError("coefficient bound must be below 2**63")
+    rng = range(-coefficient_bound, coefficient_bound + 1)
     deg = phi.degree
-    small_primes = sieve_primes(alpha.denominator * m + alpha.numerator)
-    lead_choices = [a for a in rng if a != 0
-                    and all(a % p for p in small_primes)]
-    for a_m in lead_choices:
+    # a base that breaks the hypotheses raises here; past it an instance is
+    # invalid only through a_0 = 0 or the content of a_m*a_0, so a lead
+    # refused with unit multipliers is refused with any
+    build_instance(m, alpha, 1, [1] * m, phi)
+    for a_m in rng:
+        if a_m == 0 or not build_instance(m, alpha, a_m, [1] * m, phi, relaxed=True).is_valid:
+            continue
         for flat in _cartesian(rng, repeat=m * deg):
             parts = [Poly(flat[j * deg:(j + 1) * deg]) for j in range(m)]
-            if parts[0].is_zero:
+            inst = build_instance(m, alpha, a_m, parts, phi, relaxed=True)
+            if not inst.is_valid:
                 continue
-            c0 = abs(a_m) * content(parts[0])
-            if any(c0 % p == 0 for p in small_primes):
-                continue
-            inst = build_instance(m, alpha, a_m, parts, phi)
             f = inst.f
-            fp = primitive_part(f)
-            if fp.lead < 0:
-                fp = -fp
-            w = _rational_root_witness(fp)
-            if w is None:
-                w = _base_power_factor(fp, phi, m // 2)
+            fp = primitive_part(f) if f.lead > 0 else -primitive_part(f)
+            w = _rational_root_witness(fp) or _base_power_factor(fp, phi, m // 2)
             if w is not None:
-                w = _rescale_witness(f, w)
+                w = FactorWitness(g=w.g, h=w.h, c=w.c * Fraction(f.lead, fp.lead))
                 if not verify_witness(f, w):
                     raise ArithmeticError("reducibility witness does not reproduce f")
                 return inst, w

@@ -228,6 +228,8 @@ def format_poly(f: Poly) -> str:
 
 
 def parse_poly(text: str) -> Poly:
+    if re.search(r"\d[ \t]+\d", text):
+        raise ValueError(f"whitespace between digits in {text!r}")
     s = text.replace(" ", "").replace("\t", "")
     if not s:
         raise ValueError("empty polynomial text")
@@ -238,7 +240,7 @@ def parse_poly(text: str) -> Poly:
         if m is None or m.end() == pos:
             raise ValueError(f"cannot parse polynomial near {s[pos:]!r}")
         sign, num, xpart, exp = m.groups()
-        if num is None and xpart is None:
+        if (num is None and xpart is None) or (pos and not sign):  # terms join by + or -
             raise ValueError(f"cannot parse polynomial near {s[pos:]!r}")
         try:
             c = Fraction(num) if num is not None else Fraction(1)

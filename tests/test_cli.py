@@ -173,6 +173,28 @@ def test_tables_failed_check_exits_2(capsys, monkeypatch):
     assert out.endswith("FAILURES PRESENT (1 checks)\n")
 
 
+def test_tables_bounds_below_the_bundled_range_pass(capsys):
+    # only the bundled entries within the bound are expected: (79, 2) of
+    # pairs-t3 lies past 50, and (3, 2, 2, 3) of equation (i) past exponent 2
+    code, out, _ = run(capsys, "tables", "--only", "s3", "--st-bound", "50")
+    assert (code, out) == (0, "PASS pairs-t3: 8 pairs up to 50\nALL PASS (1 checks)\n")
+    code, out, _ = run(capsys, "tables", "--only", "equations", "--exp-bound", "2")
+    assert code == 0 and "PASS equation-i: 3 solutions, bound 2\n" in out
+    assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("argv, table, key, entries", [
+    (["--only", "s3", "--st-bound", "50"], "EXPECTED_PAIR_SETS", 3,
+     {(3, 2), (4, 2), (8, 2), (14, 2), (23, 2), (79, 2), (4, 4), (5, 4), (7, 4)}),
+    (["--only", "equations", "--exp-bound", "2"], "EXPECTED_EQUATION_SOLUTIONS", "i",
+     {(3, 1, 2, 1), (2, 2, 3, 1), (5, 1, 2, 1), (3, 2, 2, 3)}),
+], ids=["pairs", "equations"])
+def test_tables_mutated_entry_within_bound_fails(capsys, monkeypatch, argv, table, key, entries):
+    monkeypatch.setitem(getattr(tables, table), key, frozenset(entries))
+    code, out, _ = run(capsys, "tables", *argv)
+    assert code == 2 and "FAIL " in out
+
+
 def test_tables_full_default_run(capsys):
     code, out, _ = run(capsys, "tables")
     assert code == 0
@@ -301,6 +323,14 @@ _INVALID_LINES = {
     "witness-search-u-huge": (["witness-search", "-m", "3", "-u", _HUGE, "--phi", "x^2-x+17"],
                               _TOO_LARGE),
     "oracle-budget-huge": (["oracle", "--f", "x^2+1", "--prime-budget", _HUGE], _TOO_LARGE),
+    # search bounds that no run could finish are refused before any work
+    "tables-exp-bound-huge": (["tables", "--only", "equations", "--exp-bound", _HUGE],
+                              "input too large: exponent bound must be below 2**63"),
+    "tables-subcase-bound-huge": (["tables", "--only", "subcases", "--subcase-bound", _HUGE],
+                                  "input too large: m_bound must be below 2**63"),
+    "witness-search-bound-huge": (["witness-search", "-m", "1", "-u", "0", "--phi", "x^2-x+17",
+                                   "--bound", str(2**63)],
+                                  "input too large: coefficient bound must be below 2**63"),
 }
 
 
@@ -327,6 +357,7 @@ def test_invalid_input_stderr_line(capsys, argv, line):
     lambda t: ["certify", *_INSTANCE, "--out", str(t / "missing" / "c.json")],
     lambda t: ["witness-search", "-m", "0", "-u", "1", "--phi", "x^2-x+17"],
     lambda t: ["oracle", "--f", "1/2x^2+1"],
+    lambda t: ["oracle", "-m", "2", "-u", "2", "--a0", "x 17", "--phi", "x^2-x+17"],
     lambda t: ["tables", "--st-bound", "1"],
     # a sieve of 1.7 EiB: no machine maps that much, so numpy refuses at once
     lambda t: ["tables", "--only", "s1", "--st-bound", str(10**18)],
@@ -336,8 +367,8 @@ def test_invalid_input_stderr_line(capsys, argv, line):
 ], ids=["missing-file", "not-json", "deeply-nested", "no-witnesses", "slope-1/0", "m-string",
         "m-string-no-witnesses", "p-float", "p-string", "p-bool", "small-degree-prime-float",
         "slope-decimal", "divisibility-range-float", "out-dir-missing", "witness-search-m-0",
-        "oracle-fraction", "tables-st-bound-1", "tables-st-bound-unallocatable",
-        "oracle-budget-unallocatable", *_INVALID_LINES])
+        "oracle-fraction", "oracle-a0-missing-sign", "tables-st-bound-1",
+        "tables-st-bound-unallocatable", "oracle-budget-unallocatable", *_INVALID_LINES])
 def test_malformed_input_exits_invalid(tmp_path, capsys, make_argv):
     argv = make_argv(tmp_path)
     capsys.readouterr()

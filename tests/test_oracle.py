@@ -1,11 +1,13 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from laguerrecert.laguerre import build_instance
-from laguerrecert.oracle import (FactorWitness, degree_pattern, oracle_verdict,
-                                 possible_degrees, search_reducible_witness,
-                                 verify_witness)
+from laguerrecert.laguerre import HypothesisViolation, build_instance
+from laguerrecert.oracle import (FactorWitness, _rational_root_witness, _signed_divisors,
+                                 degree_pattern, oracle_verdict, possible_degrees,
+                                 search_reducible_witness, verify_witness)
 from laguerrecert.polyring import DegreePattern, Poly, X, parse_poly, primitive_part
 
 
@@ -148,6 +150,27 @@ def test_verdict_rational_root():
     assert verify_witness(f, v.witness)
 
 
+@settings(max_examples=150, deadline=None)
+@given(num=st.integers(-40, 40), den=st.integers(1, 12),
+       cofactor=st.lists(st.integers(-25, 25), min_size=2, max_size=5))
+def test_rational_root_witness_takes_first_root_by_fraction_evaluation(num, den, cofactor):
+    # a planted root num/den; the reference is f(Fraction(num, den)) == 0 over
+    # the search's candidates in its order: positive denominators dividing
+    # the lead, then signed divisors of f(0) by size, + before -
+    q = Poly(cofactor)
+    assume(q.degree >= 1)
+    f = primitive_part((den * X - num) * q)
+    f = -f if f.lead < 0 else f
+    w = _rational_root_witness(f)
+    assert w is not None and verify_witness(f, w)
+    if f[0] == 0:
+        assert w.g == X
+        return
+    roots = [(n, d) for d in _signed_divisors(f.lead) if d > 0 for n in _signed_divisors(f[0])
+             if math.gcd(n, d) == 1 and f(Fraction(n, d)) == 0]
+    assert (w.g[0], w.g[1]) == (-roots[0][0], roots[0][1])
+
+
 # -- witness verification over the reducible rows --------------------------------------
 
 def test_reducible_row_witnesses(phi17):
@@ -175,7 +198,9 @@ def test_search_finds_quadratic_pair(phi17):
     assert found is not None
     inst, w = found
     assert verify_witness(inst.f, w)
-    assert w.g.degree == 2 and w.h.degree == 2
+    # the first valid instance in order, a_m = a_0 = a_1 = -1
+    assert (inst.a_m, inst.a_parts) == (-1, (Poly.const(-1), Poly.const(-1)))
+    assert (w.g, w.h, w.c) == (phi17 + 2, phi17 + 6, Fraction(-1))
 
 
 def test_search_finds_root_instance(phi17):
@@ -183,6 +208,8 @@ def test_search_finds_root_instance(phi17):
     assert found is not None
     inst, w = found
     assert verify_witness(inst.f, w)
+    assert (inst.a_m, inst.a_parts) == (-2, (parse_poly("17x - 11"),))
+    assert (w.g, w.h, w.c) == (X - 5, 2 * X - 9, Fraction(-1))
 
 
 def test_documented_root_instance(phi17):
@@ -198,6 +225,12 @@ def test_documented_quadratic_pair(phi17):
     assert inst.f == phi17**2 + 8 * phi17 + 12
     w = FactorWitness(g=phi17 + 2, h=phi17 + 6, c=Fraction(1))
     assert verify_witness(inst.f, w)
+
+
+def test_search_refuses_a_base_reducible_mod_small_prime():
+    with pytest.raises(HypothesisViolation) as exc:
+        search_reducible_witness(2, 2, parse_poly("x^2 + 1"), 1)
+    assert str(exc.value) == "phi is reducible modulo 2 <= 4"
 
 
 def test_search_none_found_for_certified_family(phi17):

@@ -80,11 +80,14 @@ def test_parse_accepts_any_term_order(phi17):
     assert parse_poly("0") == Poly()
     assert parse_poly("x + x") == Poly((0, 2))
     assert parse_poly(f"x^{MAX_PARSED_DEGREE}") == Poly.term(1, MAX_PARSED_DEGREE)
+    assert parse_poly("3 x^2") == Poly((0, 0, 3))
+    assert parse_poly("x ^ 2") == Poly((0, 0, 1))
 
 
 def test_parse_rejects_garbage():
+    # every term after the first joins by + or -, and no whitespace splits a number
     for bad in ("", "x^-2", "y+1", "3*x", "x^", "1/0x", f"x^{MAX_PARSED_DEGREE + 1}",
-                "x^99999999999"):
+                "x^99999999999", "x^2 17", "2 3", "2x3", "x^2-x17", "x^2x^3"):
         with pytest.raises(ValueError):
             parse_poly(bad)
 
