@@ -15,8 +15,9 @@ polygon of each distinct prime (exclusion_bounds, not the certifier's
 gate), the interval coverage - and trusts nothing from the producer.  Its
 polygon heights are telescoped from the coefficient ratio, which is checked
 exactly on the big integers once per instance: one big-integer valuation
-per prime, small-integer valuations for the rest, and an exact big-integer
-anchor at every polygon vertex.  This valuation route shares no code with
+per prime, small-integer valuations only at the ratio's events (p | m-j,
+p | j+1, p | v(j+1)+u), and an exact big-integer anchor at every polygon
+vertex.  This valuation route shares no code with
 the certifier's Legendre sums.
 """
 
@@ -26,6 +27,8 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, compress
+from operator import ne
 
 from .laguerre import HypothesisViolation, LaguerreInstance, ratio_identity_parts
 from .polygon import NewtonPolygon, anchored_polygon, build_polygon, rightmost_slope
@@ -115,22 +118,41 @@ def witness_range(vec) -> tuple[int, int, Fraction]:
     exactly for k <= k_hi, the largest k with k*slope < 1 (m when the slope
     is not positive).  The range is empty when k_lo > k_hi.  The bound is
     cross-checked against the dual form V0 - Vj < j/k for every j.
+
+    Everything is read off the runs of equal entries, found in one pass
+    that compares vec with itself shifted by one.  On a run from j0 to j1
+    with d = V0 - Vj, the chord slope d/j is largest at j0 when d > 0 and
+    at j1 otherwise; the leading run ends at the first run whose entries
+    are below 1.  For k >= 1 the dual form k*d < j always holds where
+    d <= 0, and where d > 0 it holds at every j of the run exactly when it
+    holds at j0, the smallest; the first run has d = 0, so every j0 checked
+    is at least 1.  Checking j0 of each run with d > 0 is therefore the
+    same predicate as checking every j.
     """
     m = len(vec) - 1
-    run = 0
-    while run <= m and vec[run] >= 1:
-        run += 1
-    k_lo = max(1, m - run + 1)
+    starts = [0, *compress(range(1, m + 1), map(ne, vec[1:], vec))]
+    ends = [j - 1 for j in starts[1:]] + [m]
     v0 = vec[0]
-    num, den = v0 - vec[1], 1
-    for j in range(2, m + 1):
-        if (v0 - vec[j]) * den > num * j:
-            num, den = v0 - vec[j], j
+    run = next((j for j in starts if vec[j] < 1), m + 1)
+    k_lo = max(1, m - run + 1)
+    num = den = None
+    rising = []  # (j0, d) of the runs with d > 0
+    for j0, j1 in zip(starts, ends):
+        d = v0 - vec[j0]
+        if d > 0:
+            rising.append((j0, d))
+            j = j0
+        elif j1 >= 1:
+            j = j1
+        else:
+            continue  # the run holding j = 0 alone
+        if den is None or d * den > num * j:
+            num, den = d, j
     slope = Fraction(num, den)
     k_hi = m if slope <= 0 else (slope.denominator - 1) // slope.numerator
 
     def dual(k):
-        return all(k * (v0 - vec[j]) < j for j in range(1, m + 1))
+        return all(k * d < j0 for j0, d in rising)
 
     if (k_hi >= 1 and not dual(k_hi)) or (k_hi < m and dual(k_hi + 1)):
         raise ArithmeticError("slope criterion forms disagree")
@@ -183,7 +205,8 @@ def certify(instance: LaguerreInstance) -> Certificate | FailureReport:
             continue
         k_lo, k_hi, slope = witness_range(instance.valuation_vector(p))
         for k in range(k_lo, min(k_hi, half) + 1):
-            chosen.setdefault(k, ExclusionWitness(k=k, p=p, slope=slope))
+            if k not in chosen:
+                chosen[k] = ExclusionWitness(k=k, p=p, slope=slope)
     witnesses = [chosen[k] for k in sorted(chosen)]
     uncovered = [k for k in range(1, half + 1) if k not in chosen]
     if p0 is not None and not uncovered:
@@ -270,23 +293,22 @@ def _telescoped_polygon(parts, u: int, v: int, p: int) -> NewtonPolygon:
 
     One big-integer valuation, h_0 = v_p(c_0); by the ratio identity
     h_{j+1} = h_j + v_p(m-j) + v_p(v) - v_p(j+1) - v_p(v(j+1)+u), on small
-    integers.  Every vertex height is re-checked by vp_int on its big c_j.
+    integers.  The step is v_p(v) except at its events, the j with p | m-j,
+    p | j+1 or p | v(j+1)+u, so vp_int runs only there and the heights are
+    the running sum of the steps.  Every vertex height is re-checked by
+    vp_int on its big c_j.
     """
     m = len(parts) - 1
-    h = vp_int(p, parts[0])
     h_v = vp_int(p, v)
-    heights = [h]
-    for j in range(m):
-        # each test saves a call where the valuation is 0
-        up, down, step = m - j, j + 1, v * (j + 1) + u
-        h += h_v
-        if up % p == 0:
-            h += vp_int(p, up)
-        if down % p == 0:
-            h -= vp_int(p, down)
-        if step % p == 0:
-            h -= vp_int(p, step)
-        heights.append(h)
+    steps = [h_v] * m  # steps[j] = h_{j+1} - h_j
+    for j in range(m % p, m, p):  # p | m-j
+        steps[j] += vp_int(p, m - j)
+    for j in range(p - 1, m, p):  # p | j+1
+        steps[j] -= vp_int(p, j + 1)
+    if h_v == 0:  # otherwise p | v(j+1)+u never holds, as p cannot divide u too
+        for j in range((-u * pow(v, -1, p) - 1) % p, m, p):  # p | v(j+1)+u
+            steps[j] -= vp_int(p, v * (j + 1) + u)
+    heights = list(accumulate(steps, initial=vp_int(p, parts[0])))
     heights.reverse()  # abscissa i carries c_{m-i}
     return anchored_polygon(heights, lambda i: vp_int(p, parts[m - i]))
 

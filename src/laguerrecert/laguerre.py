@@ -15,10 +15,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, repeat
 from math import comb
+from operator import add, sub
 
 from .polyring import Poly, content, format_poly, is_irreducible_mod_p
-from .primes import factorial_valuation, is_prime, sieve_primes, vp_int
+from .primes import is_prime, sieve_primes, vp_int
 from .primes import vp_rat  # noqa: F401  (module attribute wrapped by bench/tracer.py)
 
 
@@ -100,10 +102,17 @@ def ratio_identity_parts(cleared, m: int, u: int, v: int) -> tuple[int, ...]:
 def coefficient_valuations(m: int, alpha, p: int) -> tuple[int, ...]:
     """Exact valuations (v_p(b_0), ..., v_p(b_{m-1})) at a prime p not dividing v.
 
-    Additive, on small integers only: v_p(b_j) = v_p(C(m,j)) +
-    sum_{i=j+1..m} v_p(v*i+u), the binomial term by Legendre's formula and
-    the sum in one suffix loop.  Rejected when p divides v, where the
-    cleared integer model no longer has the coefficient valuations.
+    Additive, on small integers only: v_p(b_j) = F(m) - F(j) - F(m-j) +
+    S(j), with F(n) = v_p(n!) and S(j) = sum_{i=j+1..m} v_p(v*i+u).  Both
+    are built from their events alone.  v_p(i) >= e exactly at the
+    multiples of p**e, so writing e over those positions for e = 1, 2, ...
+    leaves v_p(i) at every i <= m, and F is its running sum (Legendre's
+    formula, one count per power of p).  v_p(v*i+u) >= e exactly on the
+    residue class i = -u/v (mod p**e), so the same writes over that class
+    leave every v_p(v*i+u), and S is their suffix sum.  Python work is one
+    slice write per power of p; the dense sums and the per-j combination
+    run in itertools.accumulate and map.  Rejected when p divides v, where
+    the cleared integer model no longer has the coefficient valuations.
     """
     alpha = parameter(alpha)
     u, v = alpha.numerator, alpha.denominator
@@ -111,15 +120,23 @@ def coefficient_valuations(m: int, alpha, p: int) -> tuple[int, ...]:
         raise ValueError(f"{p} is not prime")
     if v % p == 0:
         raise ValueError("p must not divide v")
-    fact = [factorial_valuation(p, n) for n in range(m + 1)]
-    vec = [0] * m
-    run = 0  # v_p((v(j+1)+u) ... (vm+u))
-    for j in range(m - 1, -1, -1):
-        t = v * (j + 1) + u
-        if t % p == 0:  # saves the call where v_p(t) = 0
-            run += vp_int(p, t)
-        vec[j] = fact[m] - fact[j] - fact[m - j] + run
-    return tuple(vec)
+    steps = [0] * (m + 1)  # steps[i] = v_p(i) for 1 <= i <= m
+    pe, e = p, 1
+    while pe <= m:
+        steps[pe::pe] = [e] * (m // pe)
+        pe, e = pe * p, e + 1
+    fact = list(accumulate(steps))  # fact[n] = v_p(n!)
+    factors = [0] * (m + 1)  # factors[i] = v_p(v*i+u) for 1 <= i <= m
+    largest = max(abs(v + u), abs(v * m + u))  # bounds |v*i+u| for 1 <= i <= m
+    pe, e = p, 1
+    while pe <= largest:
+        start = -u * pow(v, -1, pe) % pe or pe  # least i >= 1 with p**e | v*i+u
+        factors[start::pe] = [e] * len(range(start, m + 1, pe))
+        pe, e = pe * p, e + 1
+    # suffix[m-j] = S(j), for j = m, m-1, ..., 0
+    suffix = list(accumulate(reversed(factors[1:]), initial=0))
+    return tuple(map(sub, map(sub, map(add, repeat(fact[m]), suffix[m:0:-1]), fact[:m]),
+                     fact[m:0:-1]))
 
 
 class LaguerreInstance:

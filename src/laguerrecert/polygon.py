@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, repeat
+from operator import ne, sub
 
 from .polyring import PhiExpansion, gauss_valuation
 from .primes import _require_prime
@@ -83,12 +85,24 @@ def anchored_polygon(heights, exact_height) -> NewtonPolygon:
     The heights are claimed valuations from some cheaper route;
     exact_height(i) recomputes the one at abscissa i directly.  Raises
     ArithmeticError unless the two agree at every vertex.
+
+    The hull is built on the two ends of each flat run of equal heights,
+    found in one pass that compares the heights with themselves shifted by
+    one.  A point inside a flat run lies on the horizontal chord between
+    the run's ends, so it is never a vertex, and the lower boundary of a
+    subset holding every vertex is the boundary of all the points: the
+    vertices are exactly those of all len(heights) points, which the
+    returned polygon keeps.
     """
-    polygon = polygon_from_points(enumerate(heights))
-    for i, h in polygon.vertices:
+    heights = list(heights)
+    last = len(heights) - 1
+    starts = list(compress(range(1, last + 1), map(ne, heights[1:], heights)))
+    ends = sorted({0, last, *starts, *map(sub, starts, repeat(1))}) if heights else []
+    hull = polygon_from_points(zip(ends, map(heights.__getitem__, ends)))
+    for i, h in hull.vertices:
         if exact_height(i) != h:
             raise ArithmeticError(f"height {h} at abscissa {i} disagrees with its anchor")
-    return polygon
+    return NewtonPolygon(points=tuple(enumerate(heights)), vertices=hull.vertices)
 
 
 def build_polygon(expansion: PhiExpansion, p: int) -> NewtonPolygon:

@@ -14,8 +14,8 @@ from fractions import Fraction
 from laguerrecert.certify import (Certificate, FailureReport, certify,
                                   verify_certificate)
 from laguerrecert.laguerre import build_instance, laguerre_coefficients
-from laguerrecert.oracle import (oracle_verdict, search_reducible_witness,
-                                 verify_witness)
+from laguerrecert.oracle import (FactorWitness, oracle_verdict,
+                                 search_reducible_witness, verify_witness)
 from laguerrecert.polygon import (PhiExpansion, bruteforce_lower_hull,
                                   build_polygon, polygon_from_points,
                                   rightmost_slope)
@@ -121,6 +121,13 @@ def test_criterion_03_exceptional_pairs():
         inst = build_instance(2, 2, 1, [Poly.const(1), Poly.const(1)], PHI,
                               relaxed=True)
         assert inst.f == (PHI + 2) * (PHI + 6)
+        # the (4, 4) member over phi = x that `witness-search -m 4 -u 4
+        # --phi x --bound 2` finds: a_4 = -1, (a_0, ..., a_3) = (1, -2, 2, -1)
+        inst = build_instance(4, 4, -1, [Poly.const(a) for a in (1, -2, 2, -1)], X)
+        assert inst.is_valid
+        g, h = parse_poly("x - 10"), parse_poly("x^3 + 42x^2 - 252x + 168")
+        assert inst.f == -(g * h)
+        assert verify_witness(inst.f, FactorWitness(g=g, h=h, c=Fraction(-1)))
 
 
 def test_criterion_04_pair_sets_at_hundred_thousand():

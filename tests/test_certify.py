@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from laguerrecert import laguerre
 from laguerrecert.certify import (Certificate, ExclusionWitness, FailureReport,
                                   NoSmallDegreePrime, _small_degree_failure,
                                   _telescoped_polygon,
@@ -21,6 +22,7 @@ from laguerrecert.certify import (Certificate, ExclusionWitness, FailureReport,
                                   find_prime_for_k, lemma_exclusion_check,
                                   verify_certificate, witness_range, witness_slope)
 from laguerrecert.laguerre import (HypothesisViolation, LaguerreInstance, build_instance,
+                                   coefficient_valuations, laguerre_coefficients,
                                    ratio_identity_parts)
 from laguerrecert.polygon import anchored_polygon, build_polygon
 from laguerrecert.polyring import (PhiExpansion, Poly, construct_phi, content,
@@ -501,6 +503,29 @@ def test_telescoped_heights_spot_checks_at_m800():
         assert telescoped(p).points == big(p).points, p
         bounds = exclusion_bounds(inst.phi, multipliers, p, telescoped)
         assert bounds is not None and bounds == exclusion_bounds(inst.phi, multipliers, p, big)
+
+
+def test_valuation_routes_call_vp_int_only_at_events(monkeypatch):
+    # at m = 800 and p = 401 each route has a handful of events; a return
+    # to per-j valuations would call vp_int about m times
+    calls = []
+
+    def counting(p, n):
+        calls.append(n)
+        return vp_int(p, n)
+
+    monkeypatch.setattr(laguerre, "vp_int", counting)
+    monkeypatch.setattr(cm, "vp_int", counting)
+    m, p = 800, 401
+    assert coefficient_valuations(m, 2, p) == tuple(
+        vp_rat(p, b) for b in laguerre_coefficients(m, 2))
+    assert len(calls) <= 3
+    inst = LaguerreInstance(m, 2, 1, [Poly.const(1)] * m, parse_poly("x"))
+    parts = ratio_identity_parts(inst.cleared, m, inst.u, inst.v)
+    calls.clear()
+    polygon = _telescoped_polygon(parts, inst.u, inst.v, p)
+    assert len(calls) <= 3 * (m // p + 1) + 2 + len(polygon.vertices)
+    assert polygon.points == tuple((i, vp_int(p, parts[m - i])) for i in range(m + 1))
 
 
 def test_ratio_identity_rejects_changed_cleared_coefficient():

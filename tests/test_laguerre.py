@@ -9,8 +9,8 @@ from laguerrecert.laguerre import (HypothesisViolation, LaguerreInstance,
                                    build_instance, coefficient_valuations,
                                    laguerre_coefficients, parameter)
 from laguerrecert.polyring import Poly, X, parse_poly, phi_expand
-from laguerrecert.primes import (INFINITY, factorial_valuation, sieve_primes,
-                                 vp_int, vp_rat)
+from laguerrecert.primes import (INFINITY, factorial_valuation, is_prime,
+                                 sieve_primes, vp_int, vp_rat)
 
 
 def const_parts(*values):
@@ -261,6 +261,36 @@ def test_additive_valuation_vector_large_m():
             if inst.v % p:
                 expected = tuple(vp_rat(p, bj) for bj in b) + (vp_int(p, 12),)
                 assert inst.valuation_vector(p) == expected, (alpha, p)
+
+
+def _per_n_valuations(m, alpha, p):
+    """v_p(b_j) from one factorial_valuation per n and one vp_int per factor v*i+u."""
+    u, v = alpha.numerator, alpha.denominator
+    fact = [factorial_valuation(p, n) for n in range(m + 1)]
+    factor = [0] + [vp_int(p, v * i + u) for i in range(1, m + 1)]
+    return tuple(fact[m] - fact[j] - fact[m - j] + sum(factor[j + 1:])
+                 for j in range(m))
+
+
+def test_event_valuations_match_per_n_reference(rng):
+    alphas = [Fraction(a) for a in (0, 1, 4, "-1/2", "1/2", "2/3", "-2/3", "5/3", "3/4")]
+    seen = {"p | u": 0, "p > m": 0, "p = vm+u": 0}
+    for alpha in alphas:
+        u, v = alpha.numerator, alpha.denominator
+        # m = 1 and 200, plus a seeded sample and an m with vm+u prime
+        ms = {1, 200, *rng.sample(range(2, 200), 12)}
+        ms.add(next(m for m in range(rng.randrange(2, 150), 201)
+                    if is_prime(v * m + u)))
+        for m in sorted(ms):
+            for p in sieve_primes(v * m + u):
+                if v % p == 0:
+                    continue
+                assert coefficient_valuations(m, alpha, p) == \
+                    _per_n_valuations(m, alpha, p), (m, alpha, p)
+                seen["p | u"] += u != 0 and u % p == 0
+                seen["p > m"] += p > m
+                seen["p = vm+u"] += p == v * m + u
+    assert all(seen.values()), seen
 
 
 def test_primes_of_bound_divide_lower_coefficients():

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from laguerrecert.polygon import (bruteforce_lower_hull, build_polygon,
-                                  polygon_from_points, rightmost_slope)
+from laguerrecert.polygon import (anchored_polygon, bruteforce_lower_hull,
+                                  build_polygon, polygon_from_points,
+                                  rightmost_slope)
 from laguerrecert.polyring import Poly, X, phi_expand
 
 
@@ -168,3 +169,22 @@ def test_monotone_chain_absorbs_collinear_runs():
 def test_single_point_polygon():
     polygon = polygon_from_points([(5, -3)])
     assert polygon.vertices == ((5, -3),) and polygon.slopes == ()
+
+
+_flat_runs = st.lists(st.tuples(st.integers(-3, 4), st.integers(1, 40)),
+                      min_size=1, max_size=40)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_flat_runs)
+def test_anchored_polygon_on_flat_runs_matches_all_points(runs):
+    # the hull is built on the ends of each flat run only; its vertices and
+    # final slope must be those of all the points, which it keeps
+    heights = [h for h, length in runs for _ in range(length)][:300]
+    polygon = anchored_polygon(heights, heights.__getitem__)
+    assert polygon.points == tuple(enumerate(heights))
+    full = polygon_from_points(enumerate(heights))
+    assert polygon.vertices == full.vertices
+    if len(heights) >= 2:
+        assert polygon.vertices == bruteforce_lower_hull(polygon.points).vertices
+        assert rightmost_slope(polygon) == rightmost_slope(full)
