@@ -6,19 +6,20 @@ factor degrees in [k*deg(phi), (k+1)*deg(phi)).  For a fixed prime the
 slope does not depend on k and the divisibility range only grows with k,
 so each prime witnesses one contiguous range of k; the certifier computes
 that range once per prime and gives every k its smallest witness prime, so
-equal inputs always yield identical certificates.  It takes only instances
-that meet the hypotheses, which settle the base and content conditions at
-every prime up to vm+u: its one per-prime gate is p not dividing v, and its
-witnesses depend on (m, u, v) alone.  Verification recomputes everything
-from scratch - coefficients, the exclusion lemma's hypotheses on the
-polygon of each distinct prime (exclusion_bounds, not the certifier's
-gate), the interval coverage - and trusts nothing from the producer.  Its
-polygon heights are telescoped from the coefficient ratio, which is checked
-exactly on the big integers once per instance: one big-integer valuation
-per prime, small-integer valuations only at the ratio's events (p | m-j,
-p | j+1, p | v(j+1)+u), and an exact big-integer anchor at every polygon
-vertex.  This valuation route shares no code with
-the certifier's Legendre sums.
+equal inputs always yield identical certificates.  Its small-degree prime
+divides vm+u, a factor of every lower coefficient c_j = v**m b_j, so it
+reads no c_j.  It takes only instances that meet the hypotheses, which
+settle the base and content conditions at every prime up to vm+u: its one
+per-prime gate is p not dividing v, and its witnesses depend on (m, u, v)
+alone.  Verification recomputes everything from scratch - coefficients,
+the exclusion lemma's hypotheses on the polygon of each distinct prime
+(exclusion_bounds, not the certifier's gate), the interval coverage - and
+trusts nothing from the producer.  Its polygon heights are telescoped from
+the coefficient ratio, which is checked exactly on the big integers once
+per instance: one big-integer valuation per prime, small-integer
+valuations only at the ratio's events (p | m-j, p | j+1, p | v(j+1)+u),
+and an exact big-integer anchor at every polygon vertex.  This valuation
+route shares no code with the certifier's Legendre sums.
 """
 
 from __future__ import annotations
@@ -77,15 +78,13 @@ class FailureReport:
 def _small_degree_failure(instance: LaguerreInstance, p: int) -> str | None:
     """Why the prime p cannot exclude degrees below deg phi, or None if it can.
 
-    A prime dividing vm+u does not divide v (gcd(u, v) = 1), so it divides
-    the integer v**m b_j exactly when it divides b_j.
+    A prime dividing vm+u, a factor of every c_j = v**m b_j with j < m,
+    divides every b_j too, as it cannot divide v (gcd(u, v) = 1).
     """
     if instance.prime_bound % p != 0:
         return f"prime {p} does not divide vm+u = {instance.prime_bound}"
     if instance.a_m % p == 0:
         return f"prime {p} divides the leading multiplier"
-    if any(c % p for c in instance.cleared):
-        return f"prime {p} misses a lower coefficient"
     if not is_irreducible_mod_p(instance.phi, p):
         return f"base polynomial is reducible modulo {p}"
     return None
@@ -96,7 +95,8 @@ def exclude_small_degrees(instance: LaguerreInstance) -> int:
 
     The smallest prime divisor of vm+u qualifies: it cannot divide the
     leading multiplier, divides every lower coefficient, and the base is
-    irreducible modulo it.  All three facts are re-verified here.
+    irreducible modulo it.  The first and the last are re-verified here;
+    the second follows from p dividing vm+u.
     """
     bound = instance.prime_bound
     if abs(bound) < 2:
@@ -176,15 +176,11 @@ def witness_slope(instance: LaguerreInstance, k: int, p: int) -> Fraction | None
 
 
 def find_prime_for_k(instance: LaguerreInstance, k: int) -> ExclusionWitness | None:
-    """The smallest prime <= vm+u that witnesses k, or None."""
+    """The smallest prime <= vm+u that witnesses k, or None: certify's choice."""
     _require_valid(instance)
     if not 1 <= k <= instance.m // 2:
         raise ValueError("k must lie in [1, m//2]")
-    for p in sieve_primes(instance.prime_bound):
-        slope = witness_slope(instance, k, p)
-        if slope is not None:
-            return ExclusionWitness(k=k, p=p, slope=slope)
-    return None
+    return next((w for w in certify(instance).witnesses if w.k == k), None)
 
 
 def certify(instance: LaguerreInstance) -> Certificate | FailureReport:
@@ -196,8 +192,7 @@ def certify(instance: LaguerreInstance) -> Certificate | FailureReport:
         p0 = None
     half = instance.m // 2
     chosen: dict[int, ExclusionWitness] = {}
-    # ascending primes, so each k keeps its smallest witness, exactly the
-    # answer of find_prime_for_k
+    # ascending primes, so each k keeps its smallest witness
     for p in sieve_primes(instance.prime_bound):
         if len(chosen) == half:
             break

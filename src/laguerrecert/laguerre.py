@@ -6,15 +6,15 @@ degree below the base, and the base polynomial itself.  The canonical
 integer object is v**m times the assembled polynomial, so that every
 prime not dividing v sees the same valuations on the expansion parts as
 on the coefficients themselves.  Only its integer coefficients v**m b_j
-are stored, once per (m, parameter); the Fractions b_j are views of them,
-and their valuations have one routine, coefficient_valuations.
+are stored, built on first read once per (m, parameter); the Fractions
+b_j are views of them, valued by one routine, coefficient_valuations.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate, repeat
 from math import comb
 from operator import add, sub
@@ -179,8 +179,6 @@ class LaguerreInstance:
             if not is_irreducible_mod_p(phi, p):
                 violations.append(f"phi is reducible modulo {p} <= {bound}")
         self.violations = tuple(violations)
-        # c_j = v**m b_j as ints; the parts of f in powers of phi are c_j * a_j
-        self.cleared = _cleared_coefficients(m, self.alpha)
         self._f = None
 
     @property
@@ -191,6 +189,11 @@ class LaguerreInstance:
     def prime_bound(self) -> int:
         """vm + u, the bound below which the hypotheses control every prime."""
         return self.v * self.m + self.u
+
+    @cached_property
+    def cleared(self) -> tuple[int, ...]:
+        """c_j = v**m b_j as ints; the parts of f in powers of phi are c_j * a_j."""
+        return _cleared_coefficients(self.m, self.alpha)
 
     @property
     def b(self) -> tuple[Fraction, ...]:

@@ -86,6 +86,9 @@ def test_small_degree_failure_matches_fraction_predicate(phi17, product_form):
                         expected = _fraction_small_degree_failure(inst, b, p)
                         assert got == expected, (m, alpha, a_m, p)
                         reasons.add(got if got is None else re.sub(r"-?\d+", "#", got))
+                        if (v * m + u) % p == 0:
+                            # vm+u is a factor of every c_j, so no reason reads them
+                            assert all(c % p == 0 for c in inst.cleared), (m, alpha, p)
                         if v % p:
                             # off the vm+u divisors too: p | v**m b_j iff v_p(b_j) >= 1
                             assert (any(c % p for c in inst.cleared)
@@ -94,6 +97,28 @@ def test_small_degree_failure_matches_fraction_predicate(phi17, product_form):
     assert reasons == {None, "prime # does not divide vm+u = #",
                        "prime # divides the leading multiplier",
                        "base polynomial is reducible modulo #"}
+
+
+def test_certify_reads_no_cleared_coefficient(monkeypatch):
+    # build, certify and JSON stay on small integers; the verifier builds the
+    # c_j the first time it reads them
+    m, u, base = 60, 2, construct_phi(2, 62)
+    plain = certificate_to_json(certify(ones(base, m, u)))
+    calls = []
+    real = laguerre._cleared_coefficients
+    real.cache_clear()
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(laguerre, "_cleared_coefficients", counting)
+    inst = ones(base, m, u)
+    cert = certify(inst)
+    assert certificate_to_json(cert) == plain
+    assert calls == []
+    assert verify_certificate(cert, ones(base, m, u))
+    assert len(calls) >= 1
 
 
 def test_small_degree_prime_is_smallest_factor(phi17):
@@ -633,13 +658,13 @@ q = 2 * 3 * 5 * 7 * 11 * 13
 forged = build_instance(12, 2, 1, [Poly.const(1)] * 12, phi)
 forged.cleared = forged.cleared[:5] + (forged.cleared[5] * (1 + q),) + forged.cleared[6:]
 print("changed coefficient", cm.verify_certificate(cert, forged))
-# a wrong binomial in the progression form is refused when the instance is built
+# a wrong binomial in the progression form is refused when the c_j are first read
 lm = importlib.import_module("laguerrecert.laguerre")
 real_comb = lm.comb
 lm.comb = lambda n, k: real_comb(n, k) + (k == 3)
 lm._cleared_coefficients.cache_clear()
 try:
-    build_instance(7, 2, 1, [Poly.const(1)] * 7, phi)
+    build_instance(7, 2, 1, [Poly.const(1)] * 7, phi).cleared
     print("wrong binomial accepted")
 except ArithmeticError:
     print("wrong binomial raises")

@@ -64,14 +64,14 @@ def test_coefficient_forms_agree_on_grid(product_form):
 
 
 def test_wrong_binomial_is_refused_by_the_ratio_identity(monkeypatch, phi17):
-    # one wrong C(m,j) in the progression form; the identity check raises,
-    # and nothing wrong is left in the cache
+    # one wrong C(m,j) in the progression form; the identity check raises
+    # when the c_j are first read, and nothing wrong is left in the cache
     real = laguerre.comb
     monkeypatch.setattr(laguerre, "comb", lambda n, k: real(n, k) + (k == 3))
     laguerre._cleared_coefficients.cache_clear()
     try:
         with pytest.raises(ArithmeticError, match="ratio identity fails at j="):
-            build_instance(7, 2, 1, const_parts(*[1] * 7), phi17)
+            build_instance(7, 2, 1, const_parts(*[1] * 7), phi17).cleared
     finally:
         laguerre._cleared_coefficients.cache_clear()
 
