@@ -14,12 +14,12 @@ per-prime gate is p not dividing v, and its witnesses depend on (m, u, v)
 alone.  Verification recomputes everything from scratch - coefficients,
 the exclusion lemma's hypotheses on the polygon of each distinct prime
 (exclusion_bounds, not the certifier's gate), the interval coverage - and
-trusts nothing from the producer.  Its polygon heights are telescoped from
-the coefficient ratio, which is checked exactly on the big integers once
-per instance: one big-integer valuation per prime, small-integer
-valuations only at the ratio's events (p | m-j, p | j+1, p | v(j+1)+u),
-and an exact big-integer anchor at every polygon vertex.  This valuation
-route shares no code with the certifier's Legendre sums.
+trusts nothing from the producer.  Its polygon heights are telescoped down
+the coefficient ratio from c_m = v**m, with small-integer valuations only
+at the ratio's events (p | m-j, p | j+1, p | v(j+1)+u) and no big-integer
+valuation.  Big integers are read by the ratio identity, checked exactly
+once per instance, and by the exact anchor at every polygon vertex.  This
+valuation route shares no code with the certifier's Legendre sums.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress
-from operator import ne
+from operator import ne, sub
 
 from .laguerre import HypothesisViolation, LaguerreInstance, ratio_identity_parts
 from .polygon import NewtonPolygon, anchored_polygon, build_polygon, rightmost_slope
@@ -93,19 +93,20 @@ def _small_degree_failure(instance: LaguerreInstance, p: int) -> str | None:
 def exclude_small_degrees(instance: LaguerreInstance) -> int:
     """A prime excluding nonconstant factors of degree below deg phi.
 
-    The smallest prime divisor of vm+u qualifies: it cannot divide the
-    leading multiplier, divides every lower coefficient, and the base is
-    irreducible modulo it.  The first and the last are re-verified here;
-    the second follows from p dividing vm+u.
+    The smallest prime divisor of vm+u that does not divide the leading
+    multiplier and keeps the base irreducible; dividing vm+u, it divides
+    every lower coefficient.  On a valid instance with vm+u >= 2 that is
+    the smallest divisor; with vm+u <= -2 the hypotheses reach no prime.
+    Raises with the smallest divisor's reason when none qualifies.
     """
     bound = instance.prime_bound
     if abs(bound) < 2:
         raise NoSmallDegreePrime(f"vm+u = {bound} has no prime divisor")
-    p = min(factorize(bound))
-    reason = _small_degree_failure(instance, p)
-    if reason is not None:
-        raise NoSmallDegreePrime(reason)
-    return p
+    primes = sorted(factorize(bound))
+    for p in primes:
+        if _small_degree_failure(instance, p) is None:
+            return p
+    raise NoSmallDegreePrime(_small_degree_failure(instance, primes[0]))
 
 
 def witness_range(vec) -> tuple[int, int, Fraction]:
@@ -286,12 +287,12 @@ def coverage_complete(m: int, deg_phi: int, ks) -> bool:
 def _telescoped_polygon(parts, u: int, v: int, p: int) -> NewtonPolygon:
     """Polygon at p of the monic model's parts c_0..c_m, leading at abscissa 0.
 
-    One big-integer valuation, h_0 = v_p(c_0); by the ratio identity
-    h_{j+1} = h_j + v_p(m-j) + v_p(v) - v_p(j+1) - v_p(v(j+1)+u), on small
-    integers.  The step is v_p(v) except at its events, the j with p | m-j,
-    p | j+1 or p | v(j+1)+u, so vp_int runs only there and the heights are
-    the running sum of the steps.  Every vertex height is re-checked by
-    vp_int on its big c_j.
+    The heights start at abscissa 0 from c_m = v**m, of height m v_p(v), and
+    telescope down the ratio identity on small integers: h_j = h_{j+1} -
+    v_p(m-j) - v_p(v) + v_p(j+1) + v_p(v(j+1)+u).  The step is v_p(v) except
+    at its events, the j with p | m-j, p | j+1 or p | v(j+1)+u, so vp_int
+    runs only there.  Every vertex height, c_0's at abscissa m among them,
+    is re-checked by vp_int on its big c_j.
     """
     m = len(parts) - 1
     h_v = vp_int(p, v)
@@ -303,8 +304,7 @@ def _telescoped_polygon(parts, u: int, v: int, p: int) -> NewtonPolygon:
     if h_v == 0:  # otherwise p | v(j+1)+u never holds, as p cannot divide u too
         for j in range((-u * pow(v, -1, p) - 1) % p, m, p):  # p | v(j+1)+u
             steps[j] -= vp_int(p, v * (j + 1) + u)
-    heights = list(accumulate(steps, initial=vp_int(p, parts[0])))
-    heights.reverse()  # abscissa i carries c_{m-i}
+    heights = accumulate(reversed(steps), sub, initial=m * h_v)  # abscissa i carries c_{m-i}
     return anchored_polygon(heights, lambda i: vp_int(p, parts[m - i]))
 
 

@@ -6,15 +6,15 @@ degree below the base, and the base polynomial itself.  The canonical
 integer object is v**m times the assembled polynomial, so that every
 prime not dividing v sees the same valuations on the expansion parts as
 on the coefficients themselves.  Only its integer coefficients v**m b_j
-are stored, built on first read once per (m, parameter); the Fractions
-b_j are views of them, valued by one routine, coefficient_valuations.
+are stored, built on first read once per instance; the Fractions b_j
+are views of them, valued by one routine, coefficient_valuations.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import accumulate, repeat
 from math import comb
 from operator import add, sub
@@ -62,7 +62,6 @@ def laguerre_coefficients(m: int, alpha) -> tuple[Fraction, ...]:
     return tuple(Fraction(c, vm) for c in _cleared_coefficients(m, alpha))
 
 
-@lru_cache(maxsize=4096)
 def _cleared_coefficients(m: int, alpha) -> tuple[int, ...]:
     """c_j = v**m b_j = C(m,j) v**j (vm+u)(v(m-1)+u)...(v(j+1)+u) for j < m.
 
@@ -198,7 +197,7 @@ class LaguerreInstance:
     @property
     def b(self) -> tuple[Fraction, ...]:
         """b_0..b_m with b_m equal to the leading multiplier; b_j = c_j / v**m."""
-        return laguerre_coefficients(self.m, self.alpha) + (Fraction(self.a_m),)
+        return tuple(map(Fraction, self.cleared, repeat(self.v ** self.m))) + (Fraction(self.a_m),)
 
     @property
     def f(self) -> Poly:

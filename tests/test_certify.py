@@ -106,7 +106,6 @@ def test_certify_reads_no_cleared_coefficient(monkeypatch):
     plain = certificate_to_json(certify(ones(base, m, u)))
     calls = []
     real = laguerre._cleared_coefficients
-    real.cache_clear()
 
     def counting(*args):
         calls.append(args)
@@ -124,6 +123,18 @@ def test_certify_reads_no_cleared_coefficient(monkeypatch):
 def test_small_degree_prime_is_smallest_factor(phi17):
     assert exclude_small_degrees(ones(phi17, 5, 4)) == 3  # 9 = 3*3
     assert exclude_small_degrees(ones(phi17, 8, 4)) == 2  # 12
+
+
+def test_small_degree_prime_skips_a_failing_factor():
+    # vm+u = -15: x^2 + 2 is reducible modulo 3, irreducible modulo 5, and
+    # f = 2x^2 - 11 is irreducible
+    def inst():
+        return build_instance(1, Fraction(-17, 2), 1, [1], parse_poly("x^2 + 2"))
+
+    assert inst().f == parse_poly("2x^2 - 11")
+    cert = certify(inst())
+    assert isinstance(cert, Certificate) and cert.small_degree_prime == 5
+    assert verify_certificate(cert, inst())
 
 
 # -- witness search ---------------------------------------------------------------
@@ -549,7 +560,8 @@ def test_valuation_routes_call_vp_int_only_at_events(monkeypatch):
     parts = ratio_identity_parts(inst.cleared, m, inst.u, inst.v)
     calls.clear()
     polygon = _telescoped_polygon(parts, inst.u, inst.v, p)
-    assert len(calls) <= 3 * (m // p + 1) + 2 + len(polygon.vertices)
+    assert len(calls) <= 3 * (m // p + 1) + 1 + len(polygon.vertices)
+    assert calls.count(parts[0]) == 1
     assert polygon.points == tuple((i, vp_int(p, parts[m - i])) for i in range(m + 1))
 
 
@@ -618,6 +630,12 @@ def test_verify_rejects_mistyped_fields(phi17):
                   {"witnesses": None}, {"witnesses": (None,)}]
     for fields in bad_fields:
         assert not verify_certificate(replace(cert, **fields), inst), fields
+    # a float equal to the true slope 3/4: only the type check refuses it
+    inst, cert = ones(phi17, 6, 1), certify(ones(phi17, 6, 1))
+    w0 = cert.witnesses[0]
+    assert verify_certificate(cert, inst) and float(w0.slope) == w0.slope
+    exact_float = (replace(w0, slope=float(w0.slope)),) + cert.witnesses[1:]
+    assert not verify_certificate(replace(cert, witnesses=exact_float), inst)
 
 
 def test_verify_rejects_tampered_slope(phi17):
@@ -662,14 +680,12 @@ print("changed coefficient", cm.verify_certificate(cert, forged))
 lm = importlib.import_module("laguerrecert.laguerre")
 real_comb = lm.comb
 lm.comb = lambda n, k: real_comb(n, k) + (k == 3)
-lm._cleared_coefficients.cache_clear()
 try:
     build_instance(7, 2, 1, [Poly.const(1)] * 7, phi).cleared
     print("wrong binomial accepted")
 except ArithmeticError:
     print("wrong binomial raises")
 lm.comb = real_comb
-lm._cleared_coefficients.cache_clear()
 real_anchored = cm.anchored_polygon
 cm.anchored_polygon = lambda heights, exact: real_anchored(
     list(heights[:-1]) + [heights[-1] + 1], exact)
@@ -764,6 +780,9 @@ def test_verify_rejects_wrong_instance(phi17):
     cert = certify(inst)
     other = ones(phi17, 5, 2)
     assert not verify_certificate(cert, other)
+    other_base = ones(construct_phi(2, 6), 5, 1)  # same (m, u, v), another valid base
+    assert other_base.phi != phi17
+    assert not verify_certificate(cert, other_base)
 
 
 def test_verify_rejects_missing_k(phi17):
@@ -773,6 +792,8 @@ def test_verify_rejects_missing_k(phi17):
                          small_degree_prime=cert.small_degree_prime,
                          witnesses=cert.witnesses[:-1])
     assert not verify_certificate(pruned, inst)
+    repeated = replace(cert, witnesses=cert.witnesses + cert.witnesses[:1])
+    assert not verify_certificate(repeated, inst)
 
 
 def test_no_forged_certificate_verifies_for_reducible_member(phi17):

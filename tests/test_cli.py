@@ -138,8 +138,17 @@ def test_certify_tamper_detected(tmp_path, capsys):
     cert = tmp_path / "cert.json"
     run(capsys, "certify", "-m", "5", "-u", "2", "--am", "1",
         "--phi", "x^2-x+17", "--out", str(cert))
-    data = json.loads(cert.read_text())
+    original = cert.read_text()
+    data = json.loads(original)
     data["witnesses"][0]["p"] = 13
+    cert.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "certify", "-m", "5", "-u", "2", "--am", "1",
+                       "--phi", "x^2-x+17", "--verify", str(cert))
+    assert code == 2 and "REJECTED" in out
+    # a well-formed but short divisibility range is a rejection, not invalid input
+    data = json.loads(original)
+    w0 = data["witnesses"][0]
+    w0["divisibility_range"] = [0, 5 - w0["k"] - 1]
     cert.write_text(json.dumps(data))
     code, out, _ = run(capsys, "certify", "-m", "5", "-u", "2", "--am", "1",
                        "--phi", "x^2-x+17", "--verify", str(cert))
