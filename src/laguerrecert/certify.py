@@ -102,11 +102,13 @@ def exclude_small_degrees(instance: LaguerreInstance) -> int:
     bound = instance.prime_bound
     if abs(bound) < 2:
         raise NoSmallDegreePrime(f"vm+u = {bound} has no prime divisor")
-    primes = sorted(factorize(bound))
-    for p in primes:
-        if _small_degree_failure(instance, p) is None:
+    reasons = []
+    for p in sorted(factorize(bound)):
+        reason = _small_degree_failure(instance, p)
+        if reason is None:
             return p
-    raise NoSmallDegreePrime(_small_degree_failure(instance, primes[0]))
+        reasons.append(reason)
+    raise NoSmallDegreePrime(reasons[0])
 
 
 def witness_range(vec) -> tuple[int, int, Fraction]:
@@ -304,7 +306,7 @@ def _telescoped_polygon(parts, u: int, v: int, p: int) -> NewtonPolygon:
     if h_v == 0:  # otherwise p | v(j+1)+u never holds, as p cannot divide u too
         for j in range((-u * pow(v, -1, p) - 1) % p, m, p):  # p | v(j+1)+u
             steps[j] -= vp_int(p, v * (j + 1) + u)
-    heights = accumulate(reversed(steps), sub, initial=m * h_v)  # abscissa i carries c_{m-i}
+    heights = list(accumulate(reversed(steps), sub, initial=m * h_v))  # abscissa i carries c_{m-i}
     return anchored_polygon(heights, lambda i: vp_int(p, parts[m - i]))
 
 

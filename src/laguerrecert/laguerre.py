@@ -53,13 +53,14 @@ def parameter(value) -> Fraction:
 
 
 def laguerre_coefficients(m: int, alpha) -> tuple[Fraction, ...]:
-    """Coefficients b_0..b_{m-1}, b_j = C(m,j) (m+a)(m-1+a)...(j+1+a).
-
-    A view of the cleared integers: b_j = c_j / v**m, built on each call.
-    """
+    """Coefficients b_0..b_{m-1}, b_j = C(m,j) (m+a)(m-1+a)...(j+1+a), built on each call."""
     alpha = parameter(alpha)
-    vm = alpha.denominator ** m
-    return tuple(Fraction(c, vm) for c in _cleared_coefficients(m, alpha))
+    return _coefficient_view(_cleared_coefficients(m, alpha), alpha.denominator ** m)
+
+
+def _coefficient_view(cleared, vm: int) -> tuple[Fraction, ...]:
+    """The Fractions b_j = c_j / v**m, a view of the cleared integers c_j."""
+    return tuple(map(Fraction, cleared, repeat(vm)))
 
 
 def _cleared_coefficients(m: int, alpha) -> tuple[int, ...]:
@@ -197,7 +198,7 @@ class LaguerreInstance:
     @property
     def b(self) -> tuple[Fraction, ...]:
         """b_0..b_m with b_m equal to the leading multiplier; b_j = c_j / v**m."""
-        return tuple(map(Fraction, self.cleared, repeat(self.v ** self.m))) + (Fraction(self.a_m),)
+        return _coefficient_view(self.cleared, self.v ** self.m) + (Fraction(self.a_m),)
 
     @property
     def f(self) -> Poly:

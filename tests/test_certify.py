@@ -689,7 +689,12 @@ lm.comb = real_comb
 real_anchored = cm.anchored_polygon
 cm.anchored_polygon = lambda heights, exact: real_anchored(
     list(heights[:-1]) + [heights[-1] + 1], exact)
-print("bad anchor", cm.verify_certificate(cert, inst))
+# the bumped height also moves the slope, so the raise itself is pinned
+try:
+    cm._telescoped_polygon(lm.ratio_identity_parts(inst.cleared, 12, 2, 1), 2, 1, 7)
+    print("bad anchor accepted")
+except ArithmeticError:
+    print("bad anchor", cm.verify_certificate(cert, inst))
 cm.anchored_polygon = real_anchored
 # a stray point far below makes the chord maximum miss the last edge; the
 # explicit cross-check in rightmost_slope trips and the verifier says False
