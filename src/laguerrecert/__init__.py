@@ -17,8 +17,7 @@ from .polyring import (DegreePattern, PhiExpansion, Poly, X, check_phi, construc
                        is_irreducible_mod_p, parse_poly, phi_expand, primitive_part,
                        reduce_mod_p)
 from .primes import (INFINITY, factorial_valuation, factorize, is_prime,
-                     largest_prime_factor, product_lpf,
-                     sieve_primes, vp_int, vp_rat)
+                     largest_prime_factor, sieve_primes, vp_int, vp_rat)
 from .tables import (EXPECTED_EQUATION_SOLUTIONS, EXPECTED_PAIR_SETS,
                      K1_QUOTED_SETS, Report, k1_no_good_prime_set,
                      product_lpf_pairs, solve_power_equation,

@@ -157,10 +157,3 @@ def largest_prime_factor(n: int) -> int:
         raise ValueError("|n| must be at least 2")
     return max(factorize(n))
 
-
-def product_lpf(m: int, k: int) -> int:
-    """Largest prime factor of (m+1)(m+2)...(m+k); requires m >= k >= 2."""
-    if k < 2 or m < k:
-        raise ValueError("need m >= k >= 2")
-    return max(largest_prime_factor(m + i) for i in range(1, k + 1))
-

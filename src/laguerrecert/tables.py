@@ -157,25 +157,34 @@ class PairSet:
     m_bound: int
 
 
-def _largest_prime_factors(size: int):
-    """(is_prime, lpf) over 0..size as numpy arrays, lpf[n] the largest prime
-    factor of n (1 for n < 2), in int32 whenever size fits.
+def _capped_largest_prime_factors(is_prime, size: int, cap: int):
+    """lpf over 0..size as a numpy array, in int32 whenever size fits:
+    lpf[n] is the largest prime factor of n (1 for n < 2) when n is
+    cap-smooth (every prime factor <= cap), and cap+1 otherwise.  With
+    cap >= size every n is cap-smooth, so lpf is exact.
 
-    Every prime p, in ascending order, is written to all its multiples with
-    one slice, so the last write to n is its largest prime factor.
+    Only the primes p <= cap, read from is_prime, do any work.  Each, in
+    ascending order, is written to all its multiples with one slice, so the
+    last write to n is its largest prime factor <= cap; and a cofactor
+    array, divided in place by p at the multiples of every power p^e <= size,
+    ends at 1 on the cap-smooth n and above cap on the rest.  Clipped to
+    cap+1, the cofactor's maximum with lpf is the capped lpf.
     """
     import numpy as np
 
+    cap = min(cap, size)  # every n <= size is size-smooth
     dtype = np.int32 if size <= np.iinfo(np.int32).max else np.int64
-    is_prime = np.ones(size + 1, dtype=bool)
-    is_prime[:2] = False
-    for p in range(2, math.isqrt(size) + 1):
-        if is_prime[p]:
-            is_prime[p * p::p] = False
     lpf = np.ones(size + 1, dtype=dtype)
-    for p in np.flatnonzero(is_prime).tolist():
+    rest = np.arange(size + 1, dtype=dtype)
+    for p in np.flatnonzero(is_prime[:cap + 1]).tolist():
         lpf[p::p] = p
-    return is_prime, lpf
+        q = p
+        while q <= size:
+            rest[q::q] //= p
+            q *= p
+    np.minimum(rest, cap + 1, out=rest)
+    np.maximum(lpf, rest, out=lpf)
+    return lpf
 
 
 def _open_window_lengths(pi, k_lo: int, k_hi: int):
@@ -193,45 +202,64 @@ def _window_pair_scan(m_bound: int) -> dict[int, frozenset]:
     """All (m, k), m >= k >= 2, m <= m_bound, where the largest prime factor
     of (m+1)...(m+k) is k+t for some t in 1..4.  Exhaustive over every k.
 
-    The sieve runs to size = 2*m_bound + 5, in int32 whenever size fits
-    (int64 otherwise).  One running array holds, for every window start,
-    the largest prime factor over the window; going from k-1 to k is one
-    elementwise maximum with the largest prime factor of the integer that
-    joins each window, so each k up to the cutoff costs O(m_bound) and
-    every window of those lengths is examined.  Windows with k beyond the
-    largest prime gap in range always contain a prime too large to allow
-    t <= 4; that cutoff is recomputed from the sieve here, not assumed, and
-    the residual corner (window hugging k) falls to one prime-counting
-    comparison over every remaining k, with a direct scan of any k it
-    leaves open.
+    An Eratosthenes sieve to size = 2*m_bound + 5 gives the largest prime
+    gap in range.  Windows with k beyond it plus 4 (k_limit) always contain
+    a prime too large to allow t <= 4; that cutoff is recomputed here, not
+    assumed, and the residual corner (window hugging k) falls to one
+    prime-counting comparison over every remaining k, with a direct scan,
+    by factoring, of any k it leaves open.
+
+    Every k <= k_limit is scanned over the live window starts only.  With
+    cap = k_limit + 4, the largest prime factor is read from a capped array
+    (_capped_largest_prime_factors): exact on the cap-smooth n, cap+1 on
+    the rest.  A window holding a number that is not cap-smooth has a true
+    maximum above cap and a capped maximum of cap+1, and neither can hit; a
+    window of cap-smooth numbers has the same maximum either way.  Each
+    step k takes the maximum with the integer that joins each live window
+    and drops the starts whose maximum went above cap.  That is exact:
+    maxima only grow with k, and a hit needs a maximum <= k+4 <= cap, so a
+    dropped start never hits again.  Starts s <= k (windows with m < k) are
+    dropped too, since k only grows.  Arrays are int32 whenever size fits.
     """
     import numpy as np
 
     if m_bound < 2:
         return {t: frozenset() for t in (1, 2, 3, 4)}
     size = 2 * m_bound + 5
-    is_prime, lpf = _largest_prime_factors(size)
+    is_prime = np.ones(size + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, math.isqrt(size) + 1):
+        if is_prime[p]:
+            is_prime[p * p::p] = False
     max_gap = int(np.diff(np.flatnonzero(is_prime)).max())
     k_limit = min(m_bound, max_gap + 4)
+    cap = k_limit + 4
+    # the open k of the corner below, taken before the capped array is
+    # built so that the prime counts and the array are never held at once
+    dtype = np.int32 if size <= np.iinfo(np.int32).max else np.int64
+    open_lengths = _open_window_lengths(np.cumsum(is_prime, dtype=dtype),
+                                        k_limit + 1, m_bound).tolist()
 
     pairs: dict[int, set] = {1: set(), 2: set(), 3: set(), 4: set()}
-    # after step k, W[s] is the largest prime factor of s...(s+k-1)
-    stop = m_bound + 2
-    W = lpf[:stop].copy()
+    lpf = _capped_largest_prime_factors(is_prime, m_bound + k_limit + 1, cap)
+    # the window m+1..m+k starts at s = m+1; after step k, top[i] is the
+    # capped largest prime factor of idx[i]...(idx[i]+k-1)
+    idx = np.flatnonzero(lpf[:m_bound + 2] <= cap)
+    top = lpf[idx]
     for k in range(2, k_limit + 1):
-        np.maximum(W, lpf[k - 1: stop + k - 1], out=W)
-        seg = W[k + 1:]  # the windows m+1..m+k for m = k..m_bound
-        hits = np.flatnonzero((seg > k) & (seg <= k + 4))
-        for j, top in zip(hits.tolist(), seg[hits].tolist()):
-            pairs[top - k].add((k + j, k))
+        np.maximum(top, lpf[idx + (k - 1)], out=top)
+        live = (top <= cap) & (idx > k)
+        idx, top = idx[live], top[live]
+        hits = np.flatnonzero((top > k) & (top <= k + 4))
+        for s, t in zip(idx[hits].tolist(), (top[hits] - k).tolist()):
+            pairs[t].add((s - 1, k))
 
     # k > k_limit: any window starting at m >= k+4 spans more than the
     # largest prime gap, so it contains a prime above the smoothness bound;
     # windows hugging k (m <= k+3) contain every prime in (k+4, 2k].
-    pi = np.cumsum(is_prime, dtype=lpf.dtype)
-    for k in _open_window_lengths(pi, k_limit + 1, m_bound).tolist():  # pragma: no cover
+    for k in open_lengths:  # pragma: no cover
         for m in range(k, min(k + 4, m_bound + 1)):
-            wmax = int(lpf[m + 1: m + k + 1].max())
+            wmax = max(largest_prime_factor(n) for n in range(m + 1, m + k + 1))
             if 1 <= wmax - k <= 4:
                 pairs[wmax - k].add((m, k))
     return {t: frozenset(s) for t, s in pairs.items()}
@@ -411,15 +439,21 @@ def verify_equations(report: Report, exponent_bound: int) -> None:
                        f"out of positive search space: {entry}")
 
 
+def _is_smooth(n: int, bound: int) -> bool:
+    """Whether n >= 1 has every prime factor <= bound: dividing out each d in
+    2..bound in ascending order leaves 1 (a composite d divides nothing by
+    then, its prime factors being gone)."""
+    for d in range(2, bound + 1):
+        while n % d == 0:
+            n //= d
+    return n == 1
+
+
 def k1_no_good_prime_set(u: int, m_bound: int) -> frozenset:
-    """m in [2, m_bound] such that no prime >= u+2 divides m(m+u)."""
-    out = set()
-    for m in range(2, m_bound + 1):
-        lpf = max(largest_prime_factor(m),
-                  largest_prime_factor(m + u) if m + u >= 2 else 1)
-        if lpf < u + 2:
-            out.add(m)
-    return frozenset(out)
+    """m in [2, m_bound] such that no prime >= u+2 divides m(m+u), that is,
+    m and m+u are both (u+1)-smooth."""
+    return frozenset(m for m in range(2, m_bound + 1)
+                     if _is_smooth(m, u + 1) and _is_smooth(m + u, u + 1))
 
 
 def verify_k1_subcases(u: int, m_bound: int) -> Report:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from laguerrecert.primes import (INFINITY, factorial_valuation, factorize,
-                                 is_prime, largest_prime_factor, product_lpf,
+                                 is_prime, largest_prime_factor,
                                  sieve_primes, vp_int, vp_rat)
 
 
@@ -147,23 +147,3 @@ def test_largest_prime_factor_splits_big_semiprime():
     assert factorize(p**3) == {p: 3}
     assert factorize(p * q * 1_000_037) == {p: 1, q: 1, 1_000_037: 1}
 
-
-def test_product_lpf_examples():
-    assert product_lpf(2, 2) == 3
-    assert product_lpf(5, 5) == 7
-    assert product_lpf(4, 3) == 7
-
-
-def test_product_lpf_rejects_bad_ranges():
-    with pytest.raises(ValueError):
-        product_lpf(1, 2)
-    with pytest.raises(ValueError):
-        product_lpf(5, 1)
-
-
-def test_product_lpf_lower_bound_sampled(rng):
-    # the product of k consecutive integers above k has a prime factor > k
-    for _ in range(200):
-        k = rng.randrange(2, 12)
-        m = rng.randrange(k, 10_000)
-        assert product_lpf(m, k) >= k + 1

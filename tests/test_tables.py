@@ -1,9 +1,15 @@
+import math
+import random
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from laguerrecert.primes import largest_prime_factor
 from laguerrecert.tables import (EXPECTED_EQUATION_SOLUTIONS, EXPECTED_PAIR_SETS,
                                  EXCEPTIONAL_PAIR_TABLE, K1_QUOTED_SETS, Report,
-                                 _largest_prime_factors, _open_window_lengths,
+                                 _capped_largest_prime_factors, _open_window_lengths,
+                                 _window_pair_scan,
                                  k1_no_good_prime_set, k_witness_valid, product_lpf_pairs,
                                  solve_power_equation, verify_exceptional_pair_table,
                                  verify_factor_rows, verify_k1_subcases,
@@ -32,6 +38,35 @@ def test_pair_sets_at_bench_bound():
         assert product_lpf_pairs(t, 10**6).pairs == EXPECTED_PAIR_SETS[t]
 
 
+def product_lpf(m, k):
+    """Largest prime factor of (m+1)(m+2)...(m+k), by factoring each
+    integer; requires m >= k >= 2."""
+    if k < 2 or m < k:
+        raise ValueError("need m >= k >= 2")
+    return max(largest_prime_factor(m + i) for i in range(1, k + 1))
+
+
+def test_product_lpf_examples():
+    assert product_lpf(2, 2) == 3
+    assert product_lpf(5, 5) == 7
+    assert product_lpf(4, 3) == 7
+
+
+def test_product_lpf_rejects_bad_ranges():
+    with pytest.raises(ValueError):
+        product_lpf(1, 2)
+    with pytest.raises(ValueError):
+        product_lpf(5, 1)
+
+
+def test_product_lpf_lower_bound_sampled(rng):
+    # the product of k consecutive integers above k has a prime factor > k
+    for _ in range(200):
+        k = rng.randrange(2, 12)
+        m = rng.randrange(k, 10_000)
+        assert product_lpf(m, k) >= k + 1
+
+
 def _lpf_by_trial_division(n):
     top, d = 1, 2
     while d * d <= n:
@@ -41,11 +76,96 @@ def _lpf_by_trial_division(n):
     return max(top, n)
 
 
+def _is_prime_array(lpf):
+    return np.array([n >= 2 and top == n for n, top in enumerate(lpf)])
+
+
+def test_capped_largest_prime_factors_match_trial_division():
+    size = 1000
+    lpf = [_lpf_by_trial_division(n) for n in range(size + 1)]
+    is_prime = _is_prime_array(lpf)
+    for cap in (2, 3, 10, 23, 97, 500, size - 1):
+        capped = _capped_largest_prime_factors(is_prime, size, cap)
+        assert capped.dtype == np.int32
+        assert capped.tolist() == [top if top <= cap else cap + 1 for top in lpf], cap
+    # cap >= size: every n is cap-smooth, so the array is the exact lpf
+    for cap in (size, size + 1, 10**12):
+        assert _capped_largest_prime_factors(is_prime, size, cap).tolist() == lpf
+
+
+def _dense_window_pair_scan(m_bound):
+    """The all-starts scan that the live-start scan replaced, as a reference:
+    an exact largest-prime-factor sieve (every prime written to all its
+    multiples) and one running window maximum over every start per k, with
+    the same prime-gap cutoff and corner."""
+    size = 2 * m_bound + 5
+    is_prime = np.ones(size + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, math.isqrt(size) + 1):
+        if is_prime[p]:
+            is_prime[p * p::p] = False
+    lpf = np.ones(size + 1, dtype=np.int64)
+    for p in np.flatnonzero(is_prime).tolist():
+        lpf[p::p] = p
+    max_gap = int(np.diff(np.flatnonzero(is_prime)).max())
+    k_limit = min(m_bound, max_gap + 4)
+
+    pairs = {t: set() for t in (1, 2, 3, 4)}
+    stop = m_bound + 2
+    W = lpf[:stop].copy()
+    for k in range(2, k_limit + 1):
+        np.maximum(W, lpf[k - 1: stop + k - 1], out=W)
+        seg = W[k + 1:]
+        hits = np.flatnonzero((seg > k) & (seg <= k + 4))
+        for j, top in zip(hits.tolist(), seg[hits].tolist()):
+            pairs[top - k].add((k + j, k))
+    pi = np.cumsum(is_prime)
+    for k in _open_window_lengths(pi, k_limit + 1, m_bound).tolist():
+        for m in range(k, min(k + 4, m_bound + 1)):
+            wmax = int(lpf[m + 1: m + k + 1].max())
+            if 1 <= wmax - k <= 4:
+                pairs[wmax - k].add((m, k))
+    return pairs
+
+
+def test_live_start_scan_matches_dense_scan():
+    seeded = random.Random(20261019)
+    bounds = [*range(2, 401), *sorted(seeded.sample(range(401, 2 * 10**4 + 1), 20))]
+    for m_bound in bounds:
+        got = _window_pair_scan(m_bound)
+        assert got == _dense_window_pair_scan(m_bound), m_bound
+
+
+def test_window_pair_scan_memory_peak():
+    # int32 arrays, worked in place: the dense all-starts scan peaked at
+    # 43.9 MiB at this bound, and the capped array is two int32 entries per n
+    _window_pair_scan.cache_clear()
+    tracemalloc.start()
+    try:
+        _window_pair_scan(10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 43.9 * 2**20, peak
+
+    size = 10**6 + 200
+    is_prime = np.zeros(size + 1, dtype=bool)
+    is_prime[[2, 3, 5, 7, 11, 13]] = True
+    tracemalloc.start()
+    try:
+        _capped_largest_prime_factors(is_prime, size, 13)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * (size + 1), peak
+
+
 def test_window_pair_scan_matches_brute_force():
     # 400: the largest prime gap below 2*400+5 is 18, so the scan runs k <= 22
     # and the prime-count cutoff decides every k in 23..400
     top_bound = 400
     lpf = [_lpf_by_trial_division(n) for n in range(2 * top_bound + 6)]
+    is_prime = _is_prime_array(lpf)
     reference = {t: set() for t in (1, 2, 3, 4)}
     for k in range(2, top_bound + 1):
         for m in range(k, top_bound + 1):
@@ -53,8 +173,9 @@ def test_window_pair_scan_matches_brute_force():
             if k < top <= k + 4:
                 reference[top - k].add((m, k))
     for m_bound in [*range(2, 61), top_bound]:
-        _, sieved = _largest_prime_factors(2 * m_bound + 5)
-        assert sieved.tolist() == lpf[:2 * m_bound + 6], m_bound
+        size = 2 * m_bound + 5
+        sieved = _capped_largest_prime_factors(is_prime, size, size)
+        assert sieved.tolist() == lpf[:size + 1], m_bound
         for t in (1, 2, 3, 4):
             expected = {(m, k) for m, k in reference[t] if m <= m_bound}
             assert product_lpf_pairs(t, m_bound).pairs == expected, (t, m_bound)
@@ -74,8 +195,6 @@ def test_pair_scan_small_bound_truncates():
 
 
 def test_pair_scan_members_recompute():
-    from laguerrecert.primes import product_lpf
-
     for t, pairs in EXPECTED_PAIR_SETS.items():
         for m, k in pairs:
             assert product_lpf(m, k) == k + t
@@ -161,6 +280,11 @@ def test_k1_computed_sets():
     assert k1_no_good_prime_set(3, 1000) == {3, 6, 9, 24}
     assert k1_no_good_prime_set(4, 1000) == \
         K1_QUOTED_SETS[4] | {6, 50}
+    # against the definition, by factoring
+    for u in range(8):
+        assert k1_no_good_prime_set(u, 600) == {
+            m for m in range(2, 601)
+            if max(largest_prime_factor(m), largest_prime_factor(m + u)) < u + 2}, u
 
 
 def test_k1_subcase_reports_pass():
