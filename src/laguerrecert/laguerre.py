@@ -73,12 +73,13 @@ def _cleared_coefficients(m: int, alpha) -> tuple[int, ...]:
     alpha = parameter(alpha)
     u, v = alpha.numerator, alpha.denominator
     c = [0] * m
+    binoms = [comb(m, j) for j in range(m // 2 + 1)]  # C(m,j) = C(m,m-j)
     iprod = 1  # (v(j+1)+u) ... (vm+u)
     vj = v ** m  # v**j
     for j in range(m - 1, -1, -1):
         iprod *= v * (j + 1) + u
         vj //= v
-        c[j] = comb(m, j) * vj * iprod
+        c[j] = binoms[min(j, m - j)] * vj * iprod
     ratio_identity_parts(c, m, u, v)
     return tuple(c)
 

@@ -20,7 +20,8 @@ from .certify import witness_range
 from .laguerre import build_instance, coefficient_valuations
 from .laguerre import laguerre_coefficients  # noqa: F401  (wrapped by bench/tracer.py)
 from .polyring import Poly, parse_poly
-from .primes import largest_prime_factor, sieve_primes
+from .primes import largest_prime_factor  # noqa: F401  (module attribute wrapped by bench/tracer.py)
+from .primes import sieve_primes
 from .primes import vp_rat  # noqa: F401  (module attribute wrapped by bench/tracer.py)
 
 # ---------------------------------------------------------------------------
@@ -187,14 +188,17 @@ def _capped_largest_prime_factors(is_prime, size: int, cap: int):
     return lpf
 
 
-def _open_window_lengths(pi, k_lo: int, k_hi: int):
-    """The k in k_lo..k_hi with no prime in (k+4, 2k], from the prime counts
-    pi[n] = #{primes <= n}: the only k whose windows (m+1)...(m+k) with
-    m <= k+3 can have every prime factor <= k+4."""
+def _gap_length_limit(is_prime, m_bound: int) -> int:
+    """k_limit = min(m_bound, max_gap + 4), max_gap the largest gap between
+    the primes that is_prime marks.  ArithmeticError unless the largest of
+    them is above m_bound + 4: only then does max_gap bound every gap that
+    the cutoff argument of _window_pair_scan reads."""
     import numpy as np
 
-    ks = np.arange(k_lo, k_hi + 1)
-    return ks[pi[2 * ks] <= pi[ks + 4]]
+    primes = np.flatnonzero(is_prime)
+    if primes[-1] <= m_bound + 4:
+        raise ArithmeticError(f"the sieve has no prime above {m_bound + 4}")
+    return min(m_bound, int(np.diff(primes).max()) + 4)
 
 
 @lru_cache(maxsize=4)
@@ -202,12 +206,15 @@ def _window_pair_scan(m_bound: int) -> dict[int, frozenset]:
     """All (m, k), m >= k >= 2, m <= m_bound, where the largest prime factor
     of (m+1)...(m+k) is k+t for some t in 1..4.  Exhaustive over every k.
 
-    An Eratosthenes sieve to size = 2*m_bound + 5 gives the largest prime
-    gap in range.  Windows with k beyond it plus 4 (k_limit) always contain
-    a prime too large to allow t <= 4; that cutoff is recomputed here, not
-    assumed, and the residual corner (window hugging k) falls to one
-    prime-counting comparison over every remaining k, with a direct scan,
-    by factoring, of any k it leaves open.
+    An Eratosthenes sieve to size = 2*m_bound + 5 gives max_gap, the largest
+    gap between its primes, and no k above k_limit = max_gap + 4 can hit.
+    That rests on one condition, checked by _gap_length_limit rather than
+    assumed: the largest sieved prime is above m_bound + 4.  Then, for every
+    n <= m_bound + 4, the first prime above n is sieved and at most
+    n + max_gap.  A window (m+1)...(m+k) with k > k_limit and m >= k+4
+    holds the first prime above m, which is above k+4; one hugging k
+    (m <= k+3) holds every prime in (k+4, 2k], and the first prime above
+    k+4 is at most k + 4 + max_gap = k + k_limit < 2k.
 
     Every k <= k_limit is scanned over the live window starts only.  With
     cap = k_limit + 4, the largest prime factor is read from a capped array
@@ -231,14 +238,8 @@ def _window_pair_scan(m_bound: int) -> dict[int, frozenset]:
     for p in range(2, math.isqrt(size) + 1):
         if is_prime[p]:
             is_prime[p * p::p] = False
-    max_gap = int(np.diff(np.flatnonzero(is_prime)).max())
-    k_limit = min(m_bound, max_gap + 4)
+    k_limit = _gap_length_limit(is_prime, m_bound)
     cap = k_limit + 4
-    # the open k of the corner below, taken before the capped array is
-    # built so that the prime counts and the array are never held at once
-    dtype = np.int32 if size <= np.iinfo(np.int32).max else np.int64
-    open_lengths = _open_window_lengths(np.cumsum(is_prime, dtype=dtype),
-                                        k_limit + 1, m_bound).tolist()
 
     pairs: dict[int, set] = {1: set(), 2: set(), 3: set(), 4: set()}
     lpf = _capped_largest_prime_factors(is_prime, m_bound + k_limit + 1, cap)
@@ -253,15 +254,6 @@ def _window_pair_scan(m_bound: int) -> dict[int, frozenset]:
         hits = np.flatnonzero((top > k) & (top <= k + 4))
         for s, t in zip(idx[hits].tolist(), (top[hits] - k).tolist()):
             pairs[t].add((s - 1, k))
-
-    # k > k_limit: any window starting at m >= k+4 spans more than the
-    # largest prime gap, so it contains a prime above the smoothness bound;
-    # windows hugging k (m <= k+3) contain every prime in (k+4, 2k].
-    for k in open_lengths:  # pragma: no cover
-        for m in range(k, min(k + 4, m_bound + 1)):
-            wmax = max(largest_prime_factor(n) for n in range(m + 1, m + k + 1))
-            if 1 <= wmax - k <= 4:
-                pairs[wmax - k].add((m, k))
     return {t: frozenset(s) for t, s in pairs.items()}
 
 
@@ -308,9 +300,14 @@ def solve_power_equation(equation_id: str, exponent_bound: int) -> EquationSolut
         x, y, z = (2, 3, 5) if equation_id == "ii" else (2, 5, 3)
         powers_z = {z ** t: t for t in range(1, B + 1)}
         top = max(powers_z)
+        powers_y = [y ** s for s in range(1, B + 1)]
+        xr = 1
         for r in range(1, B + 1):
-            for s in range(1, B + 1):
-                val = x ** r + y ** s
+            xr *= x
+            if xr >= top:  # x**r + y**s > top from here on
+                break
+            for s, ys in enumerate(powers_y, 1):
+                val = xr + ys
                 t = powers_z.get(val)
                 if t is not None:
                     found.add((r, s, t))
@@ -320,9 +317,14 @@ def solve_power_equation(equation_id: str, exponent_bound: int) -> EquationSolut
         x, y, z = {"iv": (2, 3, 5), "v": (3, 5, 2), "vi": (2, 5, 3)}[equation_id]
         powers_z = {z ** t: t for t in range(1, B + 1)}
         top = max(powers_z)
+        powers_y = [y ** s for s in range(1, B + 1)]
+        xr = 1
         for r in range(1, B + 1):
-            for s in range(1, B + 1):
-                val = x ** r * y ** s
+            xr *= x
+            if xr * y - 1 > top:  # x**r * y**s - 1 > top from here on
+                break
+            for s, ys in enumerate(powers_y, 1):
+                val = xr * ys
                 for sign in (1, -1):
                     t = powers_z.get(val - sign)
                     if t is not None:

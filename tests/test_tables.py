@@ -8,7 +8,7 @@ import pytest
 from laguerrecert.primes import largest_prime_factor
 from laguerrecert.tables import (EXPECTED_EQUATION_SOLUTIONS, EXPECTED_PAIR_SETS,
                                  EXCEPTIONAL_PAIR_TABLE, K1_QUOTED_SETS, Report,
-                                 _capped_largest_prime_factors, _open_window_lengths,
+                                 _capped_largest_prime_factors, _gap_length_limit,
                                  _window_pair_scan,
                                  k1_no_good_prime_set, k_witness_valid, product_lpf_pairs,
                                  solve_power_equation, verify_exceptional_pair_table,
@@ -93,11 +93,26 @@ def test_capped_largest_prime_factors_match_trial_division():
         assert _capped_largest_prime_factors(is_prime, size, cap).tolist() == lpf
 
 
+def _range_maxima(values, lo, hi):
+    """max(values[lo[i]:hi[i]]) for every i (lo < hi), by a sparse table:
+    at width w, level[n] = max(values[n:n+w]), and a span in [w, 2w) is the
+    union of the width-w windows at its two ends."""
+    out = np.zeros(len(lo), dtype=values.dtype)
+    level, width, span = values, 1, hi - lo
+    while len(level):
+        sel = (span >= width) & (span < 2 * width)
+        out[sel] = np.maximum(level[lo[sel]], level[hi[sel] - width])
+        level = np.maximum(level[:-width], level[width:])
+        width *= 2
+    return out
+
+
 def _dense_window_pair_scan(m_bound):
     """The all-starts scan that the live-start scan replaced, as a reference:
     an exact largest-prime-factor sieve (every prime written to all its
-    multiples) and one running window maximum over every start per k, with
-    the same prime-gap cutoff and corner."""
+    multiples) and one running window maximum over every start per k up to
+    the same prime-gap cutoff, and past it, the windows hugging k (m <= k+3)
+    read from that exact array."""
     size = 2 * m_bound + 5
     is_prime = np.ones(size + 1, dtype=bool)
     is_prime[:2] = False
@@ -119,12 +134,12 @@ def _dense_window_pair_scan(m_bound):
         hits = np.flatnonzero((seg > k) & (seg <= k + 4))
         for j, top in zip(hits.tolist(), seg[hits].tolist()):
             pairs[top - k].add((k + j, k))
-    pi = np.cumsum(is_prime)
-    for k in _open_window_lengths(pi, k_limit + 1, m_bound).tolist():
-        for m in range(k, min(k + 4, m_bound + 1)):
-            wmax = int(lpf[m + 1: m + k + 1].max())
-            if 1 <= wmax - k <= 4:
-                pairs[wmax - k].add((m, k))
+    for d in range(4):
+        ks = np.arange(k_limit + 1, m_bound + 1 - d)
+        wmax = _range_maxima(lpf, ks + d + 1, 2 * ks + d + 1)  # m = k + d
+        for k, top in zip(ks.tolist(), wmax.tolist()):
+            if 1 <= top - k <= 4:
+                pairs[top - k].add((k + d, k))
     return pairs
 
 
@@ -138,7 +153,8 @@ def test_live_start_scan_matches_dense_scan():
 
 def test_window_pair_scan_memory_peak():
     # int32 arrays, worked in place: the dense all-starts scan peaked at
-    # 43.9 MiB at this bound, and the capped array is two int32 entries per n
+    # 43.9 MiB at this bound, and the prime-count corner at 32.4 MiB; the
+    # capped array is two int32 entries per n (9.5 MiB in all)
     _window_pair_scan.cache_clear()
     tracemalloc.start()
     try:
@@ -146,7 +162,7 @@ def test_window_pair_scan_memory_peak():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 43.9 * 2**20, peak
+    assert peak < 16 * 2**20, peak
 
     size = 10**6 + 200
     is_prime = np.zeros(size + 1, dtype=bool)
@@ -162,7 +178,7 @@ def test_window_pair_scan_memory_peak():
 
 def test_window_pair_scan_matches_brute_force():
     # 400: the largest prime gap below 2*400+5 is 18, so the scan runs k <= 22
-    # and the prime-count cutoff decides every k in 23..400
+    # and the prime-gap cutoff decides every k in 23..400
     top_bound = 400
     lpf = [_lpf_by_trial_division(n) for n in range(2 * top_bound + 6)]
     is_prime = _is_prime_array(lpf)
@@ -180,13 +196,35 @@ def test_window_pair_scan_matches_brute_force():
             expected = {(m, k) for m, k in reference[t] if m <= m_bound}
             assert product_lpf_pairs(t, m_bound).pairs == expected, (t, m_bound)
 
-    # the cutoff, over every k: open exactly when no prime lies in (k+4, 2k]
+    # the cutoff: k_limit is the sieve's largest prime gap plus 4 (at most
+    # m_bound), and no k past it is open, that is without a prime in
+    # (k+4, 2k], the one way a window hugging k (m <= k+3) can hit
     primes = [n for n in range(2, len(lpf)) if lpf[n] == n]
-    pi = np.array([sum(1 for p in primes if p <= n) for n in range(len(lpf))])
     open_k = [k for k in range(2, top_bound + 1)
               if not any(k + 4 < p <= 2 * k for p in primes)]
     assert open_k[:4] == [2, 3, 4, 5]
-    assert _open_window_lengths(pi, 2, top_bound).tolist() == open_k
+    for m_bound in range(2, top_bound + 1):
+        sieved = [p for p in primes if p <= 2 * m_bound + 5]
+        max_gap = max(b - a for a, b in zip(sieved, sieved[1:]))
+        k_limit = _gap_length_limit(is_prime[:2 * m_bound + 6], m_bound)
+        assert k_limit == min(m_bound, max_gap + 4), m_bound
+        assert not [k for k in open_k if k_limit < k <= m_bound], m_bound
+
+
+def test_gap_length_limit_needs_a_prime_past_the_bound():
+    # primes 2, 3, 5, 7 only: the largest gap is 2, but it bounds the gaps
+    # only up to 7, so the cutoff holds for m_bound = 2 (7 > 2+4) and is
+    # refused from m_bound = 3 on, where a window could reach past 7
+    is_prime = np.zeros(40, dtype=bool)
+    is_prime[[2, 3, 5, 7]] = True
+    assert _gap_length_limit(is_prime, 2) == 2
+    for m_bound in (3, 10, 17):
+        with pytest.raises(ArithmeticError, match="no prime above"):
+            _gap_length_limit(is_prime, m_bound)
+    is_prime[[11, 13, 17, 19, 23]] = True
+    assert _gap_length_limit(is_prime, 18) == 8
+    with pytest.raises(ArithmeticError):
+        _gap_length_limit(is_prime, 19)
 
 
 def test_pair_scan_small_bound_truncates():
@@ -224,6 +262,29 @@ def test_equation_iii_flags_zero_exponent_entries():
     sol = solve_power_equation("iii", 60)
     assert len(sol.out_of_search_space) == 2
     assert solve_power_equation("ii", 60).out_of_search_space == ()
+
+
+def test_equations_match_a_direct_triple_loop():
+    # every exponent tried, no early exit: the reference for the search's
+    # loop exits; a solution counts at bound B when its exponents are <= B
+    top_bound = 25
+    exps = range(1, top_bound + 1)
+    direct = {
+        "i": {(a, r, b, s) for a in (2, 3, 5) for b in (2, 3, 5) if a != b
+              for r in exps for s in exps if a ** r - 1 == b ** s},
+        "ii": {(r, s, t) for r in exps for s in exps for t in exps
+               if 2 ** r + 3 ** s == 5 ** t},
+        "iii": {(r, s, t) for r in exps for s in exps for t in exps
+                if 2 ** r + 5 ** s == 3 ** t},
+    }
+    for eq_id, (x, y, z) in {"iv": (2, 3, 5), "v": (3, 5, 2), "vi": (2, 5, 3)}.items():
+        direct[eq_id] = {(r, s, t, sign) for r in exps for s in exps for t in exps
+                         for sign in (1, -1) if x ** r * y ** s - sign == z ** t}
+    for eq_id, solutions in direct.items():
+        for bound in range(1, top_bound + 1):
+            expected = {sol for sol in solutions
+                        if max(sol[1::2] if eq_id == "i" else sol[:3]) <= bound}
+            assert solve_power_equation(eq_id, bound).solutions == expected, (eq_id, bound)
 
 
 def test_equation_rejects_unknown_id():
