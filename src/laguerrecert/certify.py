@@ -17,8 +17,11 @@ the exclusion lemma's hypotheses on the polygon of each distinct prime
 trusts nothing from the producer.  Its polygon heights are telescoped down
 the coefficient ratio from c_m = v**m, with small-integer valuations only
 at the ratio's events (p | m-j, p | j+1, p | v(j+1)+u) and no big-integer
-valuation.  Big integers are read by the ratio identity, checked exactly
-once per instance, and by the exact anchor at every polygon vertex.  This
+valuation.  Between the events the heights are linear, so each polygon
+is built on its O(m/p) breakpoints, never on all m+1 points, and every
+later reading of it (k_lo, the rightmost slope) works on them too.  Big
+integers are read by the ratio identity, checked exactly once per
+instance, and by the exact anchor at every polygon vertex.  This
 valuation route shares no code with the certifier's Legendre sums.
 """
 
@@ -28,8 +31,8 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress
-from operator import ne, sub
+from itertools import compress
+from operator import ne
 
 from .laguerre import HypothesisViolation, LaguerreInstance, ratio_identity_parts
 from .polygon import NewtonPolygon, anchored_polygon, build_polygon, rightmost_slope
@@ -287,27 +290,38 @@ def coverage_complete(m: int, deg_phi: int, ks) -> bool:
 
 
 def _telescoped_polygon(parts, u: int, v: int, p: int) -> NewtonPolygon:
-    """Polygon at p of the monic model's parts c_0..c_m, leading at abscissa 0.
+    """Polygon at p of the monic model's parts c_0..c_m, on its breakpoints.
 
-    The heights start at abscissa 0 from c_m = v**m, of height m v_p(v), and
-    telescope down the ratio identity on small integers: h_j = h_{j+1} -
-    v_p(m-j) - v_p(v) + v_p(j+1) + v_p(v(j+1)+u).  The step is v_p(v) except
-    at its events, the j with p | m-j, p | j+1 or p | v(j+1)+u, so vp_int
-    runs only there.  Every vertex height, c_0's at abscissa m among them,
-    is re-checked by vp_int on its big c_j.
+    Abscissa i carries c_{m-i}, leading part at 0.  The heights telescope
+    down the ratio identity from c_m = v**m, of height m v_p(v), on small
+    integers: h_j = h_{j+1} - v_p(m-j) - v_p(v) + v_p(j+1) + v_p(v(j+1)+u).
+    The step from abscissa a to a+1 (j = m-1-a) is -v_p(v) except at its
+    events, the j with p | m-j, p | j+1 or p | v(j+1)+u, at most 3(m/p + 1)
+    of them, so vp_int runs only there.  With delta_a the step's excess
+    over -v_p(v) at an event abscissa a, the height is
+    h(i) = (m-i) v_p(v) - (sum of delta_a over a < i): linear between the
+    breakpoints 0, m and a, a+1 of every event.  The polygon holds the
+    heights at the breakpoints only (see anchored_polygon for why they
+    suffice), and every vertex height, c_0's at abscissa m among them, is
+    re-checked by vp_int on its big c_j.
     """
     m = len(parts) - 1
     h_v = vp_int(p, v)
-    steps = [h_v] * m  # steps[j] = h_{j+1} - h_j
-    for j in range(m % p, m, p):  # p | m-j
-        steps[j] += vp_int(p, m - j)
-    for j in range(p - 1, m, p):  # p | j+1
-        steps[j] -= vp_int(p, j + 1)
+    deltas: dict[int, int] = {}  # abscissa a -> delta_a
+    for n in range(p, m + 1, p):  # n = m-j, then n = j+1: the same valuations
+        e = vp_int(p, n)
+        deltas[n - 1] = deltas.get(n - 1, 0) + e
+        deltas[m - n] = deltas.get(m - n, 0) - e
     if h_v == 0:  # otherwise p | v(j+1)+u never holds, as p cannot divide u too
         for j in range((-u * pow(v, -1, p) - 1) % p, m, p):  # p | v(j+1)+u
-            steps[j] -= vp_int(p, v * (j + 1) + u)
-    heights = list(accumulate(reversed(steps), sub, initial=m * h_v))  # abscissa i carries c_{m-i}
-    return anchored_polygon(heights, lambda i: vp_int(p, parts[m - i]))
+            a = m - 1 - j
+            deltas[a] = deltas.get(a, 0) - vp_int(p, v * (j + 1) + u)
+    points = []
+    shift = 0  # sum of delta_a over the a left of the current breakpoint
+    for i in sorted({0, m, *deltas, *(a + 1 for a in deltas)}):
+        points.append((i, (m - i) * h_v - shift))
+        shift += deltas.get(i, 0)
+    return anchored_polygon(points, lambda i: vp_int(p, parts[m - i]))
 
 
 def verify_certificate(cert: Certificate, instance: LaguerreInstance) -> bool:
@@ -414,14 +428,15 @@ def certificate_from_json(text: str) -> Certificate:
         witnesses = []
         for w in _typed(data, "witnesses", list):
             k, slope = _typed(w, "k", int), _typed(w, "slope", str)
-            if not re.fullmatch(r"-?[0-9]+/[0-9]+", slope):
+            ratio = re.fullmatch(r"(-?[0-9]+)/([0-9]+)", slope)
+            if not ratio:
                 raise ValueError(f"malformed certificate: slope {slope!r} is not a/b")
             divisibility = _typed(w, "divisibility_range", list)
             if len(divisibility) != 2 or any(type(n) is not int for n in divisibility):
                 raise ValueError("malformed certificate: divisibility_range must be "
                                  f"two integers, got {divisibility!r}")
             witnesses.append(ExclusionWitness(k=k, p=_typed(w, "p", int),
-                                              slope=Fraction(slope),
+                                              slope=Fraction(int(ratio[1]), int(ratio[2])),
                                               divisibility_checked=divisibility == [0, m - k]))
         return Certificate(m=m, u=_typed(data, "u", int), v=_typed(data, "v", int),
                            phi=parse_poly(_typed(data, "phi", str)),

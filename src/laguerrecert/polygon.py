@@ -5,14 +5,18 @@ at abscissa i carries the valuation of b_{n-i}, so the x-axis counts down
 from the leading part.  Many texts use the opposite convention; everything
 in this package uses this one.  Floating point is forbidden here: slopes
 and tie detection are exact Fractions.
+
+build_polygon values every part of an expansion.  The verifier's heights
+are piecewise linear in the abscissa with O(m/p) breakpoints, and
+anchored_polygon builds its polygon on those breakpoints alone: its
+vertices, the largest abscissa of height below 1 and the rightmost slope's
+chord maximum are those of all the points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, repeat
-from operator import ne, sub
 
 from .polyring import PhiExpansion, gauss_valuation
 from .primes import _require_prime
@@ -23,6 +27,9 @@ Point = tuple[int, int]
 @dataclass(frozen=True)
 class NewtonPolygon:
     """Materialized points plus the vertices of their lower boundary.
+
+    The points are every valued part (build_polygon), or only the
+    breakpoints of a piecewise-linear height function (anchored_polygon).
 
     Vertices obey the construction rule: from each vertex, move along the
     chord of minimal slope, and among chords of equal minimal slope take
@@ -79,30 +86,31 @@ def polygon_from_points(points) -> NewtonPolygon:
     return NewtonPolygon(points=tuple(pts), vertices=tuple(vertices))
 
 
-def anchored_polygon(heights, exact_height) -> NewtonPolygon:
-    """Polygon of the points (i, heights[i]), each vertex re-checked.
+def anchored_polygon(points, exact_height) -> NewtonPolygon:
+    """Polygon of claimed breakpoints (i, h), each vertex re-checked.
 
     The heights are claimed valuations from some cheaper route;
     exact_height(i) recomputes the one at abscissa i directly.  Raises
     ArithmeticError unless the two agree at every vertex.
 
-    The hull is built on the two ends of each flat run of equal heights,
-    found in one pass that compares the heights with themselves shifted by
-    one.  A point inside a flat run lies on the horizontal chord between
-    the run's ends, so it is never a vertex, and the lower boundary of a
-    subset holding every vertex is the boundary of all the points: the
-    vertices are exactly those of all len(heights) points, which the
-    returned polygon keeps.
+    The points are the breakpoints of a height function on the integers
+    between the first and the last of them, linear with a non-positive
+    slope between consecutive breakpoints.  The polygon keeps only them,
+    and the readers of its points see the same answers as on every point:
+    - A point between two breakpoints lies on a straight segment, so it is
+      never a vertex, and the lower boundary of a subset holding every
+      vertex is the boundary of all the points.
+    - On a segment the height does not increase, so the largest i with
+      h < 1 (exclusion_bounds' k_lo) is a segment's right end.
+    - The chord slope (h_N - h)/(i_N - i) to the last point is monotone
+      along a segment (constant on the last one), so the chord maximum
+      that rightmost_slope cross-checks is reached at a breakpoint.
     """
-    heights = list(heights)
-    last = len(heights) - 1
-    starts = list(compress(range(1, last + 1), map(ne, heights[1:], heights)))
-    ends = sorted({0, last, *starts, *map(sub, starts, repeat(1))}) if heights else []
-    hull = polygon_from_points(zip(ends, map(heights.__getitem__, ends)))
-    for i, h in hull.vertices:
+    polygon = polygon_from_points(points)
+    for i, h in polygon.vertices:
         if exact_height(i) != h:
             raise ArithmeticError(f"height {h} at abscissa {i} disagrees with its anchor")
-    return NewtonPolygon(points=tuple(enumerate(heights)), vertices=hull.vertices)
+    return polygon
 
 
 def build_polygon(expansion: PhiExpansion, p: int) -> NewtonPolygon:
@@ -160,7 +168,9 @@ def rightmost_slope(polygon: NewtonPolygon) -> Fraction:
 
     The final edge slope equals the maximum over all earlier points of the
     chord slope to the last vertex; both are compared by integer cross
-    multiplication and must agree.
+    multiplication and must agree.  On a polygon of breakpoints the chord
+    slope is monotone between two of them, so the maximum over the
+    breakpoints is the maximum over every point (see anchored_polygon).
     """
     vertices = polygon.vertices
     if len(vertices) < 2:

@@ -30,6 +30,8 @@ from laguerrecert.polyring import (PhiExpansion, Poly, construct_phi, content,
 from laguerrecert.primes import sieve_primes, vp_int, vp_rat
 from laguerrecert.tables import k_witness_valid
 
+from test_polygon import interpolate_breakpoints
+
 # the package re-exports the function certify, which shadows the module name
 cm = importlib.import_module("laguerrecert.certify")
 
@@ -501,7 +503,8 @@ def _verifier_multipliers(inst):
 
 def test_telescoped_heights_match_big_integer_route():
     # the 780-instance all-ones grid, every prime p <= vm+u with p prime to v
-    # and phi irreducible modulo p: same points, same (k_lo, slope) or None
+    # and phi irreducible modulo p: the breakpoints interpolate to every
+    # point, same vertices, same (k_lo, slope) or None
     instances = primes_checked = 0
     for v in (1, 2, 3):
         for u in range(-2, 5):
@@ -517,12 +520,14 @@ def test_telescoped_heights_match_big_integer_route():
                 for p in sieve_primes(inst.prime_bound):
                     if v % p == 0:
                         # outside the lemma's gates the heights still value c_0..c_m
-                        assert telescoped(p).points == tuple(
+                        assert interpolate_breakpoints(telescoped(p).points) == tuple(
                             (i, vp_int(p, parts[m - i])) for i in range(m + 1))
                         continue
                     if not is_irreducible_mod_p(inst.phi, p):
                         continue
-                    assert telescoped(p).points == big(p).points, (m, u, v, p)
+                    polygon, full = telescoped(p), big(p)
+                    assert interpolate_breakpoints(polygon.points) == full.points, (m, u, v, p)
+                    assert polygon.vertices == full.vertices, (m, u, v, p)
                     assert (exclusion_bounds(inst.phi, multipliers, p, telescoped)
                             == exclusion_bounds(inst.phi, multipliers, p, big)), (m, u, v, p)
                     primes_checked += 1
@@ -536,14 +541,17 @@ def test_telescoped_heights_spot_checks_at_m800():
     big = _big_integer_polygon_at(inst)
     multipliers = _verifier_multipliers(inst)
     for p in (2, 3, 7, 797):
-        assert telescoped(p).points == big(p).points, p
+        polygon, full = telescoped(p), big(p)
+        assert interpolate_breakpoints(polygon.points) == full.points, p
+        assert polygon.vertices == full.vertices, p
         bounds = exclusion_bounds(inst.phi, multipliers, p, telescoped)
         assert bounds is not None and bounds == exclusion_bounds(inst.phi, multipliers, p, big)
 
 
 def test_valuation_routes_call_vp_int_only_at_events(monkeypatch):
     # at m = 800 and p = 401 each route has a handful of events; a return
-    # to per-j valuations would call vp_int about m times
+    # to per-j valuations would call vp_int about m times, and a return to
+    # dense heights would keep all m+1 points
     calls = []
 
     def counting(p, n):
@@ -562,7 +570,9 @@ def test_valuation_routes_call_vp_int_only_at_events(monkeypatch):
     polygon = _telescoped_polygon(parts, inst.u, inst.v, p)
     assert len(calls) <= 3 * (m // p + 1) + 1 + len(polygon.vertices)
     assert calls.count(parts[0]) == 1
-    assert polygon.points == tuple((i, vp_int(p, parts[m - i])) for i in range(m + 1))
+    assert len(polygon.points) <= 2 * 3 * (m // p + 1) + 2
+    assert interpolate_breakpoints(polygon.points) == tuple(
+        (i, vp_int(p, parts[m - i])) for i in range(m + 1))
 
 
 def test_ratio_identity_rejects_changed_cleared_coefficient():
@@ -591,21 +601,22 @@ def test_ratio_identity_rejects_changed_cleared_coefficient():
 
 def test_height_disagreeing_with_its_anchor_is_refused(monkeypatch):
     with pytest.raises(ArithmeticError, match="anchor"):
-        anchored_polygon([0, 1, 3], lambda i: (0, 1, 2)[i])
+        anchored_polygon([(0, 0), (1, 1), (2, 3)], lambda i: (0, 1, 2)[i])
     # an interior vertex off the last edge, which the rightmost slope ignores
     with pytest.raises(ArithmeticError, match="anchor"):
-        anchored_polygon([0, -5, -8, -10], lambda i: (0, -4, -8, -10)[i])
-    assert anchored_polygon([0, 1, 2], lambda i: i).vertices == ((0, 0), (2, 2))
+        anchored_polygon([(0, 0), (1, -5), (2, -8), (3, -10)],
+                         lambda i: (0, -4, -8, -10)[i])
+    assert anchored_polygon([(0, 0), (1, 1), (2, 2)], lambda i: i).vertices == ((0, 0), (2, 2))
 
     inst = ones(construct_phi(2, 42), 40, 2)
     cert = certify(inst)
     assert verify_certificate(cert, inst)
     real = cm.anchored_polygon
 
-    def off_by_one(heights, exact_height):
-        heights = list(heights)
-        heights[-1] += 1  # the rightmost point, always a vertex
-        return real(heights, exact_height)
+    def off_by_one(points, exact_height):
+        (i, h), points = points[-1], list(points[:-1])
+        points.append((i, h + 1))  # the rightmost point, always a vertex
+        return real(points, exact_height)
 
     monkeypatch.setattr(cm, "anchored_polygon", off_by_one)
     parts = ratio_identity_parts(inst.cleared, inst.m, inst.u, inst.v)
@@ -687,8 +698,8 @@ except ArithmeticError:
     print("wrong binomial raises")
 lm.comb = real_comb
 real_anchored = cm.anchored_polygon
-cm.anchored_polygon = lambda heights, exact: real_anchored(
-    list(heights[:-1]) + [heights[-1] + 1], exact)
+cm.anchored_polygon = lambda points, exact: real_anchored(
+    list(points[:-1]) + [(points[-1][0], points[-1][1] + 1)], exact)
 # the bumped height also moves the slope, so the raise itself is pinned
 try:
     cm._telescoped_polygon(lm.ratio_identity_parts(inst.cleared, 12, 2, 1), 2, 1, 7)

@@ -171,6 +171,26 @@ def test_single_point_polygon():
     assert polygon.vertices == ((5, -3),) and polygon.slopes == ()
 
 
+def interpolate_breakpoints(points):
+    """Every integer point from the first breakpoint to the last, on the
+    straight segments between consecutive breakpoints (heights as exact
+    Fractions, so a segment that misses the integers shows)."""
+    out = [points[0]]
+    for (i0, h0), (i1, h1) in zip(points, points[1:]):
+        out.extend((i, h0 + Fraction((h1 - h0) * (i - i0), i1 - i0))
+                   for i in range(i0 + 1, i1 + 1))
+    return tuple(out)
+
+
+def _k_lo(points):
+    return 1 + max((i for i, h in points if h < 1), default=-2)
+
+
+def _chord_max(points):
+    iN, hN = points[-1]
+    return max(Fraction(hN - h, iN - i) for i, h in points if i < iN)
+
+
 _flat_runs = st.lists(st.tuples(st.integers(-3, 4), st.integers(1, 40)),
                       min_size=1, max_size=40)
 
@@ -178,13 +198,43 @@ _flat_runs = st.lists(st.tuples(st.integers(-3, 4), st.integers(1, 40)),
 @settings(max_examples=60, deadline=None)
 @given(_flat_runs)
 def test_anchored_polygon_on_flat_runs_matches_all_points(runs):
-    # the hull is built on the ends of each flat run only; its vertices and
-    # final slope must be those of all the points, which it keeps
+    # the hull is built on the two ends of each flat run only; its vertices,
+    # final slope and k_lo must be those of all the points
     heights = [h for h, length in runs for _ in range(length)][:300]
-    polygon = anchored_polygon(heights, heights.__getitem__)
-    assert polygon.points == tuple(enumerate(heights))
-    full = polygon_from_points(enumerate(heights))
+    last = len(heights) - 1
+    starts = [i for i in range(1, last + 1) if heights[i] != heights[i - 1]]
+    ends = sorted({0, last, *starts, *(i - 1 for i in starts)})
+    polygon = anchored_polygon([(i, heights[i]) for i in ends], heights.__getitem__)
+    every = tuple(enumerate(heights))
+    assert interpolate_breakpoints(polygon.points) == every
+    full = polygon_from_points(every)
     assert polygon.vertices == full.vertices
+    assert _k_lo(polygon.points) == _k_lo(every)
     if len(heights) >= 2:
-        assert polygon.vertices == bruteforce_lower_hull(polygon.points).vertices
-        assert rightmost_slope(polygon) == rightmost_slope(full)
+        assert polygon.vertices == bruteforce_lower_hull(every).vertices
+        assert rightmost_slope(polygon) == rightmost_slope(full) == _chord_max(every)
+        assert _chord_max(polygon.points) == _chord_max(every)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 120), st.integers(1, 3),
+       st.lists(st.tuples(st.integers(0, 119), st.integers(-6, 6)), max_size=30))
+def test_anchored_polygon_on_sheared_breakpoints_matches_all_points(m, shear, events):
+    # the verifier's height shape with v_p(v) = shear > 0: the step between
+    # abscissas a and a+1 is -shear plus an event's delta, so the heights
+    # fall along straight segments between the breakpoints 0, m, a, a+1
+    deltas = {}
+    for a, d in events:
+        if a < m:
+            deltas[a] = deltas.get(a, 0) + d
+    heights = [m * shear]
+    for a in range(m):
+        heights.append(heights[-1] - shear - deltas.get(a, 0))
+    every = tuple(enumerate(heights))
+    breaks = sorted({0, m, *deltas, *(a + 1 for a in deltas)})
+    polygon = anchored_polygon([(i, heights[i]) for i in breaks], heights.__getitem__)
+    assert len(polygon.points) <= 2 * len(deltas) + 2
+    assert interpolate_breakpoints(polygon.points) == every
+    assert polygon.vertices == bruteforce_lower_hull(every).vertices
+    assert _k_lo(polygon.points) == _k_lo(every)
+    assert _chord_max(polygon.points) == _chord_max(every) == rightmost_slope(polygon)
