@@ -292,36 +292,37 @@ def coverage_complete(m: int, deg_phi: int, ks) -> bool:
 def _telescoped_polygon(parts, u: int, v: int, p: int) -> NewtonPolygon:
     """Polygon at p of the monic model's parts c_0..c_m, on its breakpoints.
 
-    Abscissa i carries c_{m-i}, leading part at 0.  The heights telescope
-    down the ratio identity from c_m = v**m, of height m v_p(v), on small
-    integers: h_j = h_{j+1} - v_p(m-j) - v_p(v) + v_p(j+1) + v_p(v(j+1)+u).
-    The step from abscissa a to a+1 (j = m-1-a) is -v_p(v) except at its
-    events, the j with p | m-j, p | j+1 or p | v(j+1)+u, at most 3(m/p + 1)
-    of them, so vp_int runs only there.  With delta_a the step's excess
-    over -v_p(v) at an event abscissa a, the height is
-    h(i) = (m-i) v_p(v) - (sum of delta_a over a < i): linear between the
-    breakpoints 0, m and a, a+1 of every event.  The polygon holds the
-    heights at the breakpoints only (see anchored_polygon for why they
-    suffice), and every vertex height, c_0's at abscissa m among them, is
-    re-checked by vp_int on its big c_j.
+    Abscissa i carries c_{m-i}, leading part at 0.  p must not divide v
+    (ValueError): exclusion_bounds refuses every p | v, which divides the
+    leading multiplier v**m a_m, before it asks for a polygon.  The heights
+    telescope down the ratio identity from c_m = v**m, of height 0, on
+    small integers: h_j = h_{j+1} - v_p(m-j) + v_p(j+1) + v_p(v(j+1)+u).
+    The step from abscissa a to a+1 (j = m-1-a) is 0 except at its events,
+    the j with p | m-j, p | j+1 or p | v(j+1)+u, at most 3(m/p + 1) of them,
+    so vp_int runs only there.  With -delta_a the step at an event abscissa
+    a, h(i) = -(sum of delta_a over a < i) is flat between the breakpoints
+    0, m and a, a+1 of every event.  The polygon holds the heights at the
+    breakpoints only (see anchored_polygon for why they suffice), and
+    anchored_polygon confirms every vertex height, c_0's at abscissa m
+    among them, on its big c_j.
     """
+    if v % p == 0:
+        raise ValueError(f"the telescoped heights need p = {p} prime to v = {v}")
     m = len(parts) - 1
-    h_v = vp_int(p, v)
     deltas: dict[int, int] = {}  # abscissa a -> delta_a
     for n in range(p, m + 1, p):  # n = m-j, then n = j+1: the same valuations
         e = vp_int(p, n)
         deltas[n - 1] = deltas.get(n - 1, 0) + e
         deltas[m - n] = deltas.get(m - n, 0) - e
-    if h_v == 0:  # otherwise p | v(j+1)+u never holds, as p cannot divide u too
-        for j in range((-u * pow(v, -1, p) - 1) % p, m, p):  # p | v(j+1)+u
-            a = m - 1 - j
-            deltas[a] = deltas.get(a, 0) - vp_int(p, v * (j + 1) + u)
+    for j in range((-u * pow(v, -1, p) - 1) % p, m, p):  # p | v(j+1)+u
+        a = m - 1 - j
+        deltas[a] = deltas.get(a, 0) - vp_int(p, v * (j + 1) + u)
     points = []
     shift = 0  # sum of delta_a over the a left of the current breakpoint
     for i in sorted({0, m, *deltas, *(a + 1 for a in deltas)}):
-        points.append((i, (m - i) * h_v - shift))
+        points.append((i, -shift))
         shift += deltas.get(i, 0)
-    return anchored_polygon(points, lambda i: vp_int(p, parts[m - i]))
+    return anchored_polygon(points, p, lambda i: parts[m - i])
 
 
 def verify_certificate(cert: Certificate, instance: LaguerreInstance) -> bool:

@@ -86,12 +86,13 @@ def polygon_from_points(points) -> NewtonPolygon:
     return NewtonPolygon(points=tuple(pts), vertices=tuple(vertices))
 
 
-def anchored_polygon(points, exact_height) -> NewtonPolygon:
+def anchored_polygon(points, p: int, part_at) -> NewtonPolygon:
     """Polygon of claimed breakpoints (i, h), each vertex re-checked.
 
-    The heights are claimed valuations from some cheaper route;
-    exact_height(i) recomputes the one at abscissa i directly.  Raises
-    ArithmeticError unless the two agree at every vertex.
+    The heights are claimed p-adic valuations of the integer parts
+    part_at(i), confirmed at every vertex rather than recomputed: h >= 0,
+    p**h divides the part (not reduced when h = 0) and p**(h+1) does not,
+    else ArithmeticError.
 
     The points are the breakpoints of a height function on the integers
     between the first and the last of them, linear with a non-positive
@@ -108,7 +109,8 @@ def anchored_polygon(points, exact_height) -> NewtonPolygon:
     """
     polygon = polygon_from_points(points)
     for i, h in polygon.vertices:
-        if exact_height(i) != h:
+        c = part_at(i)
+        if h < 0 or (h and c % p ** h) or not c % p ** (h + 1):
             raise ArithmeticError(f"height {h} at abscissa {i} disagrees with its anchor")
     return polygon
 

@@ -2,9 +2,9 @@
 
 Coefficients are Python ints or Fractions, ascending degree, no trailing
 zeros (the zero polynomial has an empty tuple).  Includes the shared text
-format, expansion in powers of a monic polynomial, reduction mod p, and
-the factor degrees of a polynomial over the p-element field by
-distinct-degree splitting, which also decides irreducibility mod p.
+format, expansion in powers of a monic polynomial, and the factor degrees
+of a polynomial over the p-element field by distinct-degree splitting,
+which also decides irreducibility mod p.
 
 The splitting applies the Frobenius map a -> a**p, which is linear over
 the p-element field, as one matrix modulo f: x**p mod f by
@@ -48,10 +48,6 @@ class Poly:
     @classmethod
     def const(cls, c) -> "Poly":
         return cls((c,))
-
-    @classmethod
-    def term(cls, c, e: int) -> "Poly":
-        return cls((0,) * e + (c,))
 
     @property
     def degree(self) -> int:
@@ -300,12 +296,6 @@ class PhiExpansion:
     def n(self) -> int:
         return len(self.parts) - 1
 
-    def reassemble(self) -> Poly:
-        acc = Poly()
-        for part in reversed(self.parts):
-            acc = acc * self.phi + part
-        return acc
-
 
 def phi_expand(f: Poly, phi: Poly) -> PhiExpansion:
     if not (phi.is_monic and phi.degree >= 1):
@@ -443,12 +433,6 @@ def _frobenius_rows(mod: list[int], p: int) -> tuple[int, list[int]]:
         row = _fp_combine(row, cols, slot, p)
         rows.append(_fp_pack(row, slot))
     return slot, rows[:n]
-
-
-def reduce_mod_p(f: Poly, p: int) -> Poly:
-    """Coefficientwise reduction into [0, p), canonical form."""
-    _require_prime(p)
-    return Poly(_fp_from_poly(f, p))
 
 
 @dataclass(frozen=True)

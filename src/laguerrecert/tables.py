@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 
 from .certify import witness_range
 from .laguerre import build_instance, coefficient_valuations
@@ -45,10 +46,15 @@ EXPECTED_EQUATION_SOLUTIONS = {
     "vi": frozenset({(1, 1, 2, 1), (4, 1, 4, -1)}),
 }
 
+# bases (x, y, z) of (ii), (iii) x^r + y^s = z^t and (iv)-(vi) x^r y^s - sign
+# = z^t; (i) is a^r - 1 = b^s for every two distinct bases a, b in {2, 3, 5}
+EQUATION_BASES = {"ii": (2, 3, 5), "iii": (2, 5, 3),
+                  "iv": (2, 3, 5), "v": (3, 5, 2), "vi": (2, 5, 3)}
+
 # equation (iii) is also quoted with the relations 2 + 1 = 3 and 8 + 1 = 9,
 # which need exponent 0 on the middle base and fall outside the positive
-# search space; they are recorded here, not searched for.
-ZERO_EXPONENT_ENTRIES = {"iii": ("2^1 + 5^0 = 3^1", "2^3 + 5^0 = 3^2")}
+# search space; they are recorded here as (r, s, t), not searched for.
+ZERO_EXPONENT_ENTRIES = {"iii": ((1, 0, 1), (3, 0, 2))}
 
 # reducible two-level families over x^2 - x + 17 that break exactly one
 # hypothesis; columns: parameter, lead, mid, low multipliers, then the
@@ -278,8 +284,29 @@ class EquationSolutions:
     out_of_search_space: tuple[str, ...] = ()
 
 
+def _divide_out(n: int, divisors) -> tuple[list[int], int]:
+    """Each d of divisors divided out of n >= 1 in turn: its exponents and
+    what is left.  Over 2..bound in ascending order, 1 is left exactly when n
+    is bound-smooth (a composite d's prime factors are gone by then)."""
+    exponents = []
+    for d in divisors:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        exponents.append(e)
+    return exponents, n
+
+
 def solve_power_equation(equation_id: str, exponent_bound: int) -> EquationSolutions:
-    """Exhaustive positive-exponent search of one of the six equations."""
+    """Exhaustive positive-exponent search of one of the six equations.
+
+    (i) a^r - 1 = b^s and (iv)-(vi) ask whether a prime power's neighbour,
+    b^s + 1 or z^t + sign, is a product of powers of the other bases, which
+    Lehmer's method settles for every exponent (Illinois J. Math. 8, 1964).
+    Each neighbour up to exponent B has those bases divided out; by unique
+    factorization it solves exactly when 1 is left with every exponent in
+    1..B.  The sums (ii), (iii) look x^r + y^s up among the z^t <= z^B."""
     if exponent_bound < 1:
         raise ValueError("exponent bound must be positive")
     if exponent_bound >= 2**63:
@@ -287,17 +314,15 @@ def solve_power_equation(equation_id: str, exponent_bound: int) -> EquationSolut
     B = exponent_bound
     found = set()
     if equation_id == "i":
-        for a in (2, 3, 5):
-            for b in (2, 3, 5):
-                if a == b:
-                    continue
-                powers_b = {b ** s: s for s in range(1, B + 1)}
-                for r in range(1, B + 1):
-                    s = powers_b.get(a ** r - 1)
-                    if s is not None:
-                        found.add((a, r, b, s))
+        for a, b in permutations((2, 3, 5), 2):
+            bs = 1
+            for s in range(1, B + 1):
+                bs *= b
+                (r,), rest = _divide_out(bs + 1, (a,))
+                if rest == 1 and 1 <= r <= B:
+                    found.add((a, r, b, s))
     elif equation_id in ("ii", "iii"):
-        x, y, z = (2, 3, 5) if equation_id == "ii" else (2, 5, 3)
+        x, y, z = EQUATION_BASES[equation_id]
         powers_z = {z ** t: t for t in range(1, B + 1)}
         top = max(powers_z)
         powers_y = [y ** s for s in range(1, B + 1)]
@@ -314,28 +339,21 @@ def solve_power_equation(equation_id: str, exponent_bound: int) -> EquationSolut
                 if val > top:
                     break
     elif equation_id in ("iv", "v", "vi"):
-        x, y, z = {"iv": (2, 3, 5), "v": (3, 5, 2), "vi": (2, 5, 3)}[equation_id]
-        powers_z = {z ** t: t for t in range(1, B + 1)}
-        top = max(powers_z)
-        powers_y = [y ** s for s in range(1, B + 1)]
-        xr = 1
-        for r in range(1, B + 1):
-            xr *= x
-            if xr * y - 1 > top:  # x**r * y**s - 1 > top from here on
-                break
-            for s, ys in enumerate(powers_y, 1):
-                val = xr * ys
-                for sign in (1, -1):
-                    t = powers_z.get(val - sign)
-                    if t is not None:
-                        found.add((r, s, t, sign))
-                if val - 1 > top:
-                    break
+        x, y, z = EQUATION_BASES[equation_id]
+        zt = 1
+        for t in range(1, B + 1):
+            zt *= z
+            for sign in (1, -1):
+                (r, s), rest = _divide_out(zt + sign, (x, y))
+                if rest == 1 and 1 <= r <= B and 1 <= s <= B:
+                    found.add((r, s, t, sign))
     else:
         raise ValueError(f"unknown equation id {equation_id!r}")
+    bases = EQUATION_BASES.get(equation_id)
+    flagged = tuple(f"{bases[0]}^{r} + {bases[1]}^{s} = {bases[2]}^{t}"
+                    for r, s, t in ZERO_EXPONENT_ENTRIES.get(equation_id, ()))
     return EquationSolutions(equation_id=equation_id, solutions=frozenset(found),
-                             exponent_bound=B,
-                             out_of_search_space=ZERO_EXPONENT_ENTRIES.get(equation_id, ()))
+                             exponent_bound=B, out_of_search_space=flagged)
 
 
 # ---------------------------------------------------------------------------
@@ -436,26 +454,20 @@ def verify_equations(report: Report, exponent_bound: int) -> None:
                              if max(e[1::2] if eq_id == "i" else e[:3]) <= exponent_bound)
         report.add(f"equation-{eq_id}", sol.solutions == expected,
                    f"{len(sol.solutions)} solutions, bound {exponent_bound}")
-        for entry in sol.out_of_search_space:
-            report.add(f"equation-{eq_id}-flagged", True,
+        relations = ZERO_EXPONENT_ENTRIES.get(eq_id, ())
+        for (r, s, t), entry in zip(relations, sol.out_of_search_space):
+            x, y, z = EQUATION_BASES[eq_id]
+            report.add(f"equation-{eq_id}-flagged", x ** r + y ** s == z ** t,
                        f"out of positive search space: {entry}")
-
-
-def _is_smooth(n: int, bound: int) -> bool:
-    """Whether n >= 1 has every prime factor <= bound: dividing out each d in
-    2..bound in ascending order leaves 1 (a composite d divides nothing by
-    then, its prime factors being gone)."""
-    for d in range(2, bound + 1):
-        while n % d == 0:
-            n //= d
-    return n == 1
 
 
 def k1_no_good_prime_set(u: int, m_bound: int) -> frozenset:
     """m in [2, m_bound] such that no prime >= u+2 divides m(m+u), that is,
     m and m+u are both (u+1)-smooth."""
+    divisors = range(2, u + 2)
     return frozenset(m for m in range(2, m_bound + 1)
-                     if _is_smooth(m, u + 1) and _is_smooth(m + u, u + 1))
+                     if _divide_out(m, divisors)[1] == 1
+                     and _divide_out(m + u, divisors)[1] == 1)
 
 
 def verify_k1_subcases(u: int, m_bound: int) -> Report:

@@ -504,7 +504,8 @@ def _verifier_multipliers(inst):
 def test_telescoped_heights_match_big_integer_route():
     # the 780-instance all-ones grid, every prime p <= vm+u with p prime to v
     # and phi irreducible modulo p: the breakpoints interpolate to every
-    # point, same vertices, same (k_lo, slope) or None
+    # point, same vertices, same (k_lo, slope) or None; a prime dividing v
+    # is refused, as exclusion_bounds never asks for its polygon
     instances = primes_checked = 0
     for v in (1, 2, 3):
         for u in range(-2, 5):
@@ -519,9 +520,9 @@ def test_telescoped_heights_match_big_integer_route():
                 parts = ratio_identity_parts(inst.cleared, inst.m, inst.u, inst.v)
                 for p in sieve_primes(inst.prime_bound):
                     if v % p == 0:
-                        # outside the lemma's gates the heights still value c_0..c_m
-                        assert interpolate_breakpoints(telescoped(p).points) == tuple(
-                            (i, vp_int(p, parts[m - i])) for i in range(m + 1))
+                        with pytest.raises(ValueError, match="prime to v"):
+                            telescoped(p)
+                        assert exclusion_bounds(inst.phi, multipliers, p, big) is None
                         continue
                     if not is_irreducible_mod_p(inst.phi, p):
                         continue
@@ -551,7 +552,8 @@ def test_telescoped_heights_spot_checks_at_m800():
 def test_valuation_routes_call_vp_int_only_at_events(monkeypatch):
     # at m = 800 and p = 401 each route has a handful of events; a return
     # to per-j valuations would call vp_int about m times, and a return to
-    # dense heights would keep all m+1 points
+    # dense heights would keep all m+1 points.  The vertex anchors read
+    # their big c_j without vp_int, c_0 (abscissa m) among them.
     calls = []
 
     def counting(p, n):
@@ -567,9 +569,14 @@ def test_valuation_routes_call_vp_int_only_at_events(monkeypatch):
     inst = LaguerreInstance(m, 2, 1, [Poly.const(1)] * m, parse_poly("x"))
     parts = ratio_identity_parts(inst.cleared, m, inst.u, inst.v)
     calls.clear()
+    anchored = []
+    real = cm.anchored_polygon
+    monkeypatch.setattr(cm, "anchored_polygon", lambda points, p, part_at: real(
+        points, p, lambda i: anchored.append(i) or part_at(i)))
     polygon = _telescoped_polygon(parts, inst.u, inst.v, p)
-    assert len(calls) <= 3 * (m // p + 1) + 1 + len(polygon.vertices)
-    assert calls.count(parts[0]) == 1
+    assert len(calls) <= 3 * (m // p + 1) + 1
+    assert all(0 < n <= m + 2 for n in calls)
+    assert anchored == [i for i, _ in polygon.vertices] and anchored[-1] == m
     assert len(polygon.points) <= 2 * 3 * (m // p + 1) + 2
     assert interpolate_breakpoints(polygon.points) == tuple(
         (i, vp_int(p, parts[m - i])) for i in range(m + 1))
@@ -600,29 +607,58 @@ def test_ratio_identity_rejects_changed_cleared_coefficient():
 
 
 def test_height_disagreeing_with_its_anchor_is_refused(monkeypatch):
-    with pytest.raises(ArithmeticError, match="anchor"):
-        anchored_polygon([(0, 0), (1, 1), (2, 3)], lambda i: (0, 1, 2)[i])
+    # parts 3**h: the claimed height at abscissa 2 is one too high, then one
+    # too low, and the true height is confirmed
+    for parts in ((5, 3, 9), (5, 3, 81)):
+        with pytest.raises(ArithmeticError, match="height 3 at abscissa 2 disagrees"):
+            anchored_polygon([(0, 0), (1, 1), (2, 3)], 3, parts.__getitem__)
+    assert anchored_polygon([(0, 0), (1, 1), (2, 3)], 3, (5, 3, 27).__getitem__).vertices \
+        == ((0, 0), (1, 1), (2, 3))
     # an interior vertex off the last edge, which the rightmost slope ignores
     with pytest.raises(ArithmeticError, match="anchor"):
-        anchored_polygon([(0, 0), (1, -5), (2, -8), (3, -10)],
-                         lambda i: (0, -4, -8, -10)[i])
-    assert anchored_polygon([(0, 0), (1, 1), (2, 2)], lambda i: i).vertices == ((0, 0), (2, 2))
+        anchored_polygon([(0, 10), (1, 5), (2, 2), (3, 0)], 2,
+                         lambda i: 2 ** (10, 6, 2, 0)[i])
+    # a negative height is no valuation of an integer, not even of a unit
+    with pytest.raises(ArithmeticError, match="height -1 at abscissa 1 disagrees"):
+        anchored_polygon([(0, 0), (1, -1)], 7, (1, 1).__getitem__)
+    # a height of 0 asks only that p not divide the part
+    assert anchored_polygon([(0, 0), (1, 1), (2, 2)], 5, (1, 5, 25).__getitem__).vertices \
+        == ((0, 0), (2, 2))
+    with pytest.raises(ArithmeticError, match="height 0 at abscissa 0 disagrees"):
+        anchored_polygon([(0, 0), (1, 1), (2, 2)], 5, (10, 5, 25).__getitem__)
 
     inst = ones(construct_phi(2, 42), 40, 2)
     cert = certify(inst)
     assert verify_certificate(cert, inst)
     real = cm.anchored_polygon
 
-    def off_by_one(points, exact_height):
+    def off_by_one(points, *anchor):
         (i, h), points = points[-1], list(points[:-1])
         points.append((i, h + 1))  # the rightmost point, always a vertex
-        return real(points, exact_height)
+        return real(points, *anchor)
 
     monkeypatch.setattr(cm, "anchored_polygon", off_by_one)
     parts = ratio_identity_parts(inst.cleared, inst.m, inst.u, inst.v)
     with pytest.raises(ArithmeticError, match="anchor"):
         _telescoped_polygon(parts, inst.u, inst.v, 7)
     assert not verify_certificate(cert, inst)
+
+
+def test_witness_dividing_v_is_rejected(phi17, monkeypatch):
+    # p | v divides the leading multiplier v**m a_m, so exclusion_bounds
+    # refuses p before any polygon at p is asked for
+    inst = ones(phi17, 5, Fraction(1, 2))
+    cert = certify(inst)
+    assert verify_certificate(cert, inst) and inst.v == 2
+    asked = []
+    real = cm._telescoped_polygon
+    monkeypatch.setattr(cm, "_telescoped_polygon",
+                        lambda parts, u, v, p: asked.append(p) or real(parts, u, v, p))
+    w0 = cert.witnesses[0]
+    for slope in (w0.slope, Fraction(0)):
+        forged = replace(cert, witnesses=(replace(w0, p=2, slope=slope),) + cert.witnesses[1:])
+        assert not verify_certificate(forged, inst)
+    assert 2 not in asked
 
 
 # -- verification and serialization ---------------------------------------------------
@@ -698,8 +734,8 @@ except ArithmeticError:
     print("wrong binomial raises")
 lm.comb = real_comb
 real_anchored = cm.anchored_polygon
-cm.anchored_polygon = lambda points, exact: real_anchored(
-    list(points[:-1]) + [(points[-1][0], points[-1][1] + 1)], exact)
+cm.anchored_polygon = lambda points, *anchor: real_anchored(
+    list(points[:-1]) + [(points[-1][0], points[-1][1] + 1)], *anchor)
 # the bumped height also moves the slope, so the raise itself is pinned
 try:
     cm._telescoped_polygon(lm.ratio_identity_parts(inst.cleared, 12, 2, 1), 2, 1, 7)

@@ -155,6 +155,18 @@ def test_certify_tamper_detected(tmp_path, capsys):
     assert code == 2 and "REJECTED" in out
 
 
+def test_certify_witness_dividing_v_rejected(tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    instance = ("-m", "5", "-u", "1", "-v", "2", "--am", "1", "--phi", "x^2-x+17")
+    code, _, _ = run(capsys, "certify", *instance, "--out", str(cert))
+    assert code == 0
+    data = json.loads(cert.read_text())
+    data["witnesses"][0]["p"] = 2  # 2 divides v
+    cert.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "certify", *instance, "--verify", str(cert))
+    assert code == 2 and "REJECTED" in out
+
+
 def test_certify_uncovered_pair(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("LAGUERRE_CERT_HOME", str(tmp_path))
     code, out, _ = run(capsys, "certify", "-m", "2", "-u", "2", "--am", "1",
@@ -420,3 +432,18 @@ def test_construct_prints_integers_of_any_size(capsys):
     assert max(abs(c) for c in inst.f.coeffs) > 10**4300
     f_line, = [line for line in out.splitlines() if line.startswith("f: ")]
     assert parse_poly(f_line[len("f: "):]) == inst.f
+
+
+def test_import_leaves_numpy_unloaded():
+    # only the pair scan in tables imports numpy, inside the call: a
+    # module-level import would add numpy's import time to every certify,
+    # verify and oracle run
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = "import sys, laguerrecert, laguerrecert.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -191,7 +191,7 @@ def _chord_max(points):
     return max(Fraction(hN - h, iN - i) for i, h in points if i < iN)
 
 
-_flat_runs = st.lists(st.tuples(st.integers(-3, 4), st.integers(1, 40)),
+_flat_runs = st.lists(st.tuples(st.integers(0, 5), st.integers(1, 40)),
                       min_size=1, max_size=40)
 
 
@@ -199,12 +199,14 @@ _flat_runs = st.lists(st.tuples(st.integers(-3, 4), st.integers(1, 40)),
 @given(_flat_runs)
 def test_anchored_polygon_on_flat_runs_matches_all_points(runs):
     # the hull is built on the two ends of each flat run only; its vertices,
-    # final slope and k_lo must be those of all the points
+    # final slope and k_lo must be those of all the points.  The part at i
+    # is 3 * 2**h, so every anchor holds.
     heights = [h for h, length in runs for _ in range(length)][:300]
     last = len(heights) - 1
     starts = [i for i in range(1, last + 1) if heights[i] != heights[i - 1]]
     ends = sorted({0, last, *starts, *(i - 1 for i in starts)})
-    polygon = anchored_polygon([(i, heights[i]) for i in ends], heights.__getitem__)
+    polygon = anchored_polygon([(i, heights[i]) for i in ends], 2,
+                               lambda i: 3 * 2 ** heights[i])
     every = tuple(enumerate(heights))
     assert interpolate_breakpoints(polygon.points) == every
     full = polygon_from_points(every)
@@ -217,12 +219,13 @@ def test_anchored_polygon_on_flat_runs_matches_all_points(runs):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(1, 120), st.integers(1, 3),
+@given(st.integers(1, 120), st.integers(0, 3),
        st.lists(st.tuples(st.integers(0, 119), st.integers(-6, 6)), max_size=30))
 def test_anchored_polygon_on_sheared_breakpoints_matches_all_points(m, shear, events):
-    # the verifier's height shape with v_p(v) = shear > 0: the step between
-    # abscissas a and a+1 is -shear plus an event's delta, so the heights
-    # fall along straight segments between the breakpoints 0, m, a, a+1
+    # the step between abscissas a and a+1 is -shear plus an event's delta,
+    # so the heights run along straight segments between the breakpoints 0,
+    # m, a, a+1 (shear 0 is the verifier's own shape: flat between events);
+    # they are lifted until none is negative, and the part at i is 2**h
     deltas = {}
     for a, d in events:
         if a < m:
@@ -230,9 +233,12 @@ def test_anchored_polygon_on_sheared_breakpoints_matches_all_points(m, shear, ev
     heights = [m * shear]
     for a in range(m):
         heights.append(heights[-1] - shear - deltas.get(a, 0))
+    lift = max(0, -min(heights))
+    heights = [h + lift for h in heights]
     every = tuple(enumerate(heights))
     breaks = sorted({0, m, *deltas, *(a + 1 for a in deltas)})
-    polygon = anchored_polygon([(i, heights[i]) for i in breaks], heights.__getitem__)
+    polygon = anchored_polygon([(i, heights[i]) for i in breaks], 2,
+                               lambda i: 2 ** heights[i])
     assert len(polygon.points) <= 2 * len(deltas) + 2
     assert interpolate_breakpoints(polygon.points) == every
     assert polygon.vertices == bruteforce_lower_hull(every).vertices

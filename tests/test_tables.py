@@ -8,12 +8,12 @@ import pytest
 from laguerrecert.primes import largest_prime_factor
 from laguerrecert.tables import (EXPECTED_EQUATION_SOLUTIONS, EXPECTED_PAIR_SETS,
                                  EXCEPTIONAL_PAIR_TABLE, K1_QUOTED_SETS, Report,
-                                 _capped_largest_prime_factors, _gap_length_limit,
-                                 _window_pair_scan,
+                                 ZERO_EXPONENT_ENTRIES, _capped_largest_prime_factors,
+                                 _divide_out, _gap_length_limit, _window_pair_scan,
                                  k1_no_good_prime_set, k_witness_valid, product_lpf_pairs,
                                  solve_power_equation, verify_exceptional_pair_table,
                                  verify_factor_rows, verify_k1_subcases,
-                                 verify_nonconstant_leading_counterexample,
+                                 verify_equations, verify_nonconstant_leading_counterexample,
                                  verify_reference_tables, verify_witness_prime_rows,
                                  witness_primes)
 
@@ -258,10 +258,29 @@ def test_equations_stable_under_larger_bound():
         assert solve_power_equation(eq_id, 100).solutions == expected
 
 
-def test_equation_iii_flags_zero_exponent_entries():
+def test_equation_iii_flags_zero_exponent_entries(monkeypatch):
     sol = solve_power_equation("iii", 60)
-    assert len(sol.out_of_search_space) == 2
+    assert sol.out_of_search_space == ("2^1 + 5^0 = 3^1", "2^3 + 5^0 = 3^2")
     assert solve_power_equation("ii", 60).out_of_search_space == ()
+
+    def flagged():
+        return [c for c in report_of(verify_equations, 60).checks
+                if c.check_id == "equation-iii-flagged"]
+
+    assert [c.passed for c in flagged()] == [True, True]
+    # each flagged row passes only if its relation 2^r + 5^0 = 3^t holds
+    monkeypatch.setitem(ZERO_EXPONENT_ENTRIES, "iii", ((1, 0, 1), (3, 0, 3)))
+    rows = flagged()
+    assert [c.passed for c in rows] == [True, False]
+    assert rows[1].detail == "out of positive search space: 2^3 + 5^0 = 3^3"
+
+
+def test_divide_out_returns_exponents_and_rest():
+    assert _divide_out(2**5 * 3**2 * 7, (2, 3)) == ([5, 2], 7)
+    assert _divide_out(5**3 + 1, (2, 3)) == ([1, 2], 7)
+    assert _divide_out(1, (2, 3, 5)) == ([0, 0, 0], 1)
+    # 2..6 in ascending order: 4 and 6 divide nothing once 2 and 3 are out
+    assert _divide_out(2**3 * 3 * 5**2, range(2, 7)) == ([3, 1, 0, 2, 0], 1)
 
 
 def test_equations_match_a_direct_triple_loop():
