@@ -30,8 +30,12 @@ _TRIPLE_CAP = 400_000
 @dataclass(frozen=True)
 class DegreeSet:
     possible: frozenset[int]
-    low_confidence: bool
     primes_used: tuple[int, ...]
+
+    @property
+    def low_confidence(self) -> bool:
+        """No usable prime narrowed the degrees."""
+        return not self.primes_used
 
 
 @dataclass(frozen=True)
@@ -81,12 +85,8 @@ def possible_degrees(f: Poly, prime_budget: int) -> DegreeSet:
         mask &= _subset_sums(pat.degrees, n)
         if mask == minimal:
             break
-    if not used:
-        return DegreeSet(possible=frozenset(range(n + 1)),
-                         low_confidence=True, primes_used=())
     possible = frozenset(d for d in range(n + 1) if mask >> d & 1)
-    return DegreeSet(possible=possible, low_confidence=False,
-                     primes_used=tuple(used))
+    return DegreeSet(possible=possible, primes_used=tuple(used))
 
 
 def verify_witness(target: Poly, witness: FactorWitness) -> bool:

@@ -19,19 +19,26 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
 
 
-def sieve_primes(bound: int) -> list[int]:
-    """All primes <= bound, ascending.  Empty for bound < 2."""
-    if bound < 2:
-        return []
+def composite_flags(bound: int) -> bytearray:
+    """Eratosthenes' sieve over 0..bound, bound >= 1: a bytearray with 0 at
+    the primes and 1 at every other n (0, 1 and the composites)."""
     # zero-filled, so a bound too large to allocate raises MemoryError
     # alone: CPython 3.11's bytearray repetition also prints a stray
     # "SystemError: deallocated bytearray" line when it fails
     composite = bytearray(bound + 1)
+    composite[0] = composite[1] = 1
     for p in range(2, math.isqrt(bound) + 1):
         if not composite[p]:
             start = p * p
             composite[start::p] = b"\x01" * len(range(start, bound + 1, p))
-    return [i for i in range(2, bound + 1) if not composite[i]]
+    return composite
+
+
+def sieve_primes(bound: int) -> list[int]:
+    """All primes <= bound, ascending.  Empty for bound < 2."""
+    if bound < 2:
+        return []
+    return [n for n, flag in enumerate(composite_flags(bound)) if not flag]
 
 
 @lru_cache(maxsize=1 << 16)

@@ -11,7 +11,6 @@ completeness beyond its bound.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -22,7 +21,7 @@ from .laguerre import build_instance, coefficient_valuations
 from .laguerre import laguerre_coefficients  # noqa: F401  (wrapped by bench/tracer.py)
 from .polyring import Poly, parse_poly
 from .primes import largest_prime_factor  # noqa: F401  (module attribute wrapped by bench/tracer.py)
-from .primes import sieve_primes
+from .primes import composite_flags, sieve_primes
 from .primes import vp_rat  # noqa: F401  (module attribute wrapped by bench/tracer.py)
 
 # ---------------------------------------------------------------------------
@@ -164,47 +163,50 @@ class PairSet:
     m_bound: int
 
 
-def _capped_largest_prime_factors(is_prime, size: int, cap: int):
-    """lpf over 0..size as a numpy array, in int32 whenever size fits:
-    lpf[n] is the largest prime factor of n (1 for n < 2) when n is
-    cap-smooth (every prime factor <= cap), and cap+1 otherwise.  With
-    cap >= size every n is cap-smooth, so lpf is exact.
-
-    Only the primes p <= cap, read from is_prime, do any work.  Each, in
-    ascending order, is written to all its multiples with one slice, so the
-    last write to n is its largest prime factor <= cap; and a cofactor
-    array, divided in place by p at the multiples of every power p^e <= size,
-    ends at 1 on the cap-smooth n and above cap on the rest.  Clipped to
-    cap+1, the cofactor's maximum with lpf is the capped lpf.
-    """
-    import numpy as np
-
-    cap = min(cap, size)  # every n <= size is size-smooth
-    dtype = np.int32 if size <= np.iinfo(np.int32).max else np.int64
-    lpf = np.ones(size + 1, dtype=dtype)
-    rest = np.arange(size + 1, dtype=dtype)
-    for p in np.flatnonzero(is_prime[:cap + 1]).tolist():
-        lpf[p::p] = p
-        q = p
-        while q <= size:
-            rest[q::q] //= p
-            q *= p
-    np.minimum(rest, cap + 1, out=rest)
-    np.maximum(lpf, rest, out=lpf)
-    return lpf
-
-
-def _gap_length_limit(is_prime, m_bound: int) -> int:
+def _gap_length_limit(composite: bytearray, m_bound: int) -> int:
     """k_limit = min(m_bound, max_gap + 4), max_gap the largest gap between
-    the primes that is_prime marks.  ArithmeticError unless the largest of
-    them is above m_bound + 4: only then does max_gap bound every gap that
-    the cutoff argument of _window_pair_scan reads."""
-    import numpy as np
+    the primes that composite marks with 0.  ArithmeticError unless the
+    largest of them is above m_bound + 4: only then does max_gap bound every
+    gap that the cutoff argument of _window_pair_scan reads.
 
-    primes = np.flatnonzero(is_prime)
-    if primes[-1] <= m_bound + 4:
+    One left-to-right pass: each find asks for a composite run one longer
+    than the longest so far, from the prime that closed that one, so what it
+    finds starts right after a prime; a run that no prime closes is no gap."""
+    if composite.rfind(0) <= m_bound + 4:
         raise ArithmeticError(f"the sieve has no prime above {m_bound + 4}")
-    return min(m_bound, int(np.diff(primes).max()) + 4)
+    run, start = 0, composite.find(0)
+    while ((i := composite.find(b"\x01" * (run + 1), start)) >= 0
+           and (start := composite.find(0, i)) >= 0):
+        run = start - i
+    return min(m_bound, run + 5)
+
+
+def _smooth_largest_prime_factors(composite: bytearray, m_bound: int,
+                                  k_limit: int) -> dict[int, int]:
+    """{n: largest prime factor of n} (1 for n = 1) over the n that a hit
+    window of _window_pair_scan can hold: every cap-smooth n <= 5**5 and
+    <= m_bound + k_limit, cap = k_limit + 4, and every 7-smooth n <= m_bound + 4.
+
+    The 5**5 is checked here, in integers, for every 5 <= k <= k_limit: a
+    window of k (k+4)-smooth integers ending at n has n**(k - pi(k+4)) <= k**k
+    (see _window_pair_scan), and (5**5 + 1)**(k - pi(k+4)) > k**k rules out
+    every n > 5**5.  ArithmeticError if it does not, first at k = 747."""
+    n_max = 5**5
+    for k in range(5, k_limit + 1):
+        e = k - composite.count(0, 0, k + 5)  # k - pi(k+4)
+        if e < 1 or (n_max + 1) ** e <= k ** k:
+            raise ArithmeticError(f"the binomial bound leaves n > {n_max} open at k = {k}")
+    size = min(n_max, m_bound + k_limit)
+    lpf = [1] * (size + 1)
+    for p in range(2, size + 1):
+        if not composite[p]:
+            lpf[p::p] = [p] * (size // p)
+    smooth = {1: 1}
+    for p in (2, 3, 5, 7):
+        for n in list(smooth):
+            while (n := n * p) <= m_bound + 4:
+                smooth[n] = p
+    return {n: lpf[n] for n in range(1, size + 1) if lpf[n] <= k_limit + 4} | smooth
 
 
 @lru_cache(maxsize=4)
@@ -212,54 +214,43 @@ def _window_pair_scan(m_bound: int) -> dict[int, frozenset]:
     """All (m, k), m >= k >= 2, m <= m_bound, where the largest prime factor
     of (m+1)...(m+k) is k+t for some t in 1..4.  Exhaustive over every k.
 
-    An Eratosthenes sieve to size = 2*m_bound + 5 gives max_gap, the largest
-    gap between its primes, and no k above k_limit = max_gap + 4 can hit.
-    That rests on one condition, checked by _gap_length_limit rather than
-    assumed: the largest sieved prime is above m_bound + 4.  Then, for every
-    n <= m_bound + 4, the first prime above n is sieved and at most
-    n + max_gap.  A window (m+1)...(m+k) with k > k_limit and m >= k+4
-    holds the first prime above m, which is above k+4; one hugging k
-    (m <= k+3) holds every prime in (k+4, 2k], and the first prime above
-    k+4 is at most k + 4 + max_gap = k + k_limit < 2k.
+    An Eratosthenes sieve (primes.composite_flags) to 2*m_bound + 5 gives
+    k_limit = max_gap + 4, max_gap the largest gap between its primes, and
+    a table of largest prime factors (_smooth_largest_prime_factors).  Each
+    window start s = m+1 in the table is read for k = 2, 3, ... up to
+    min(k_limit, m) and left at the first member missing from the table.
+    Three facts make that exhaustive, since a hit window is (k+4)-smooth:
 
-    Every k <= k_limit is scanned over the live window starts only.  With
-    cap = k_limit + 4, the largest prime factor is read from a capped array
-    (_capped_largest_prime_factors): exact on the cap-smooth n, cap+1 on
-    the rest.  A window holding a number that is not cap-smooth has a true
-    maximum above cap and a capped maximum of cap+1, and neither can hit; a
-    window of cap-smooth numbers has the same maximum either way.  Each
-    step k takes the maximum with the integer that joins each live window
-    and drops the starts whose maximum went above cap.  That is exact:
-    maxima only grow with k, and a hit needs a maximum <= k+4 <= cap, so a
-    dropped start never hits again.  Starts s <= k (windows with m < k) are
-    dropped too, since k only grows.  Arrays are int32 whenever size fits.
+    - No k > k_limit hits.  That rests on a sieved prime above m_bound + 4,
+      checked by _gap_length_limit.  Then for every n <= m_bound + 4 the
+      first prime above n is sieved and at most n + max_gap.  A window with
+      k > k_limit and m >= k+4 holds the first prime above m, which is above
+      k+4; one hugging k (m <= k+3) holds every prime in (k+4, 2k], and the
+      first prime above k+4 is at most k + 4 + max_gap = k + k_limit < 2k.
+    - For k <= 4 every member of a hit window is 8-smooth, so 7-smooth, and
+      at most m_bound + 4: the table holds them all.
+    - For 5 <= k <= k_limit, let n = m + k.  C(n, k) divides the window's
+      product, so its prime factors are at most k+4, and p**v_p(C(n, k)) <= n
+      by Kummer's theorem (J. reine angew. Math. 44, 1852).  With
+      C(n, k) >= (n/k)**k that gives n**(k - pi(k+4)) <= k**k, which at k = 5
+      is n <= 5**5; the table checks n <= 5**5 exactly at every k up to
+      k_limit and holds every cap-smooth n <= 5**5, cap = k_limit + 4.
+    Outside the table no window hits, so a missing member ends the start.
     """
-    import numpy as np
-
-    if m_bound < 2:
-        return {t: frozenset() for t in (1, 2, 3, 4)}
-    size = 2 * m_bound + 5
-    is_prime = np.ones(size + 1, dtype=bool)
-    is_prime[:2] = False
-    for p in range(2, math.isqrt(size) + 1):
-        if is_prime[p]:
-            is_prime[p * p::p] = False
-    k_limit = _gap_length_limit(is_prime, m_bound)
-    cap = k_limit + 4
-
     pairs: dict[int, set] = {1: set(), 2: set(), 3: set(), 4: set()}
-    lpf = _capped_largest_prime_factors(is_prime, m_bound + k_limit + 1, cap)
-    # the window m+1..m+k starts at s = m+1; after step k, top[i] is the
-    # capped largest prime factor of idx[i]...(idx[i]+k-1)
-    idx = np.flatnonzero(lpf[:m_bound + 2] <= cap)
-    top = lpf[idx]
-    for k in range(2, k_limit + 1):
-        np.maximum(top, lpf[idx + (k - 1)], out=top)
-        live = (top <= cap) & (idx > k)
-        idx, top = idx[live], top[live]
-        hits = np.flatnonzero((top > k) & (top <= k + 4))
-        for s, t in zip(idx[hits].tolist(), (top[hits] - k).tolist()):
-            pairs[t].add((s - 1, k))
+    if m_bound >= 2:
+        composite = composite_flags(2 * m_bound + 5)
+        k_limit = _gap_length_limit(composite, m_bound)
+        lpf = _smooth_largest_prime_factors(composite, m_bound, k_limit)
+        for s, top in lpf.items():
+            if s > m_bound + 1:
+                continue
+            for k in range(2, min(k_limit, s - 1) + 1):
+                if (n := s + k - 1) not in lpf:
+                    break
+                top = max(top, lpf[n])
+                if k < top <= k + 4:
+                    pairs[top - k].add((s - 1, k))
     return {t: frozenset(s) for t, s in pairs.items()}
 
 

@@ -380,7 +380,8 @@ def test_invalid_input_stderr_line(capsys, argv, line):
     lambda t: ["oracle", "--f", "1/2x^2+1"],
     lambda t: ["oracle", "-m", "2", "-u", "2", "--a0", "x 17", "--phi", "x^2-x+17"],
     lambda t: ["tables", "--st-bound", "1"],
-    # a sieve of 1.7 EiB: no machine maps that much, so numpy refuses at once
+    # a sieve of 10^18 bytes (2*10^18 + 6 flags): no machine maps that much,
+    # so the bytearray sieve refuses it at once
     lambda t: ["tables", "--only", "s1", "--st-bound", str(10**18)],
     # the oracle's prime sieve of 10^18 flags is refused at once the same way
     lambda t: ["oracle", "--f", "x^2-x+17", "--prime-budget", str(10**18)],
@@ -435,14 +436,17 @@ def test_construct_prints_integers_of_any_size(capsys):
 
 
 def test_import_leaves_numpy_unloaded():
-    # only the pair scan in tables imports numpy, inside the call: a
-    # module-level import would add numpy's import time to every certify,
-    # verify and oracle run
+    # numpy is a test and bench dependency only: importing the package and
+    # running the whole reference-table check (the window pair scan
+    # included) must not load it
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
-    code = "import sys, laguerrecert, laguerrecert.cli; print('numpy' in sys.modules)"
+    code = ("import sys, laguerrecert, laguerrecert.cli\n"
+            "from laguerrecert.tables import verify_reference_tables\n"
+            "assert verify_reference_tables(pair_bound=10**4).passed\n"
+            "print('numpy' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr

@@ -5,11 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from laguerrecert.primes import largest_prime_factor
+from laguerrecert.primes import composite_flags, largest_prime_factor
 from laguerrecert.tables import (EXPECTED_EQUATION_SOLUTIONS, EXPECTED_PAIR_SETS,
                                  EXCEPTIONAL_PAIR_TABLE, K1_QUOTED_SETS, Report,
-                                 ZERO_EXPONENT_ENTRIES, _capped_largest_prime_factors,
-                                 _divide_out, _gap_length_limit, _window_pair_scan,
+                                 ZERO_EXPONENT_ENTRIES, _divide_out, _gap_length_limit,
+                                 _smooth_largest_prime_factors, _window_pair_scan,
                                  k1_no_good_prime_set, k_witness_valid, product_lpf_pairs,
                                  solve_power_equation, verify_exceptional_pair_table,
                                  verify_factor_rows, verify_k1_subcases,
@@ -76,21 +76,60 @@ def _lpf_by_trial_division(n):
     return max(top, n)
 
 
-def _is_prime_array(lpf):
-    return np.array([n >= 2 and top == n for n, top in enumerate(lpf)])
+def _composite_flags(lpf):
+    return bytearray(not (n >= 2 and top == n) for n, top in enumerate(lpf))
 
 
-def test_capped_largest_prime_factors_match_trial_division():
-    size = 1000
-    lpf = [_lpf_by_trial_division(n) for n in range(size + 1)]
-    is_prime = _is_prime_array(lpf)
-    for cap in (2, 3, 10, 23, 97, 500, size - 1):
-        capped = _capped_largest_prime_factors(is_prime, size, cap)
-        assert capped.dtype == np.int32
-        assert capped.tolist() == [top if top <= cap else cap + 1 for top in lpf], cap
-    # cap >= size: every n is cap-smooth, so the array is the exact lpf
-    for cap in (size, size + 1, 10**12):
-        assert _capped_largest_prime_factors(is_prime, size, cap).tolist() == lpf
+def test_smooth_largest_prime_factors_match_trial_division():
+    # the table holds exactly the cap-smooth n <= min(5**5, m_bound + k_limit),
+    # cap = k_limit + 4, and the 7-smooth n <= m_bound + 4, each with its
+    # largest prime factor; 3100 puts 5**5 in the first part only, 10**4
+    # puts 7-smooth n above 5**5 in the second, and k_limit + 4 = 11 or 13
+    # is a prime that the cap must keep
+    lpf = [_lpf_by_trial_division(n) for n in range(2 * 10**4 + 6)]
+    for m_bound, k_limit in ((2, 2), (3, 3), (10, 7), (100, 9), (100, 18),
+                             (3100, 13), (3100, 38), (10**4, 40)):
+        composite = composite_flags(2 * m_bound + 5)
+        assert composite == _composite_flags(lpf[:2 * m_bound + 6])
+        expected = {n: lpf[n] for n in range(1, 2 * m_bound + 6)
+                    if (n <= min(5**5, m_bound + k_limit) and lpf[n] <= k_limit + 4)
+                    or (n <= m_bound + 4 and lpf[n] <= 7)}
+        got = _smooth_largest_prime_factors(composite, m_bound, k_limit)
+        assert got == expected, (m_bound, k_limit)
+
+
+def test_smooth_table_binomial_bound_holds_below_k_747():
+    # (5**5 + 1)**(k - pi(k+4)) > k**k for every 5 <= k <= 746, first fails at 747
+    composite = composite_flags(2 * 3000 + 5)
+    assert 5**5 in _smooth_largest_prime_factors(composite, 3000, 746)
+    with pytest.raises(ArithmeticError, match="at k = 747"):
+        _smooth_largest_prime_factors(composite, 3000, 747)
+
+
+def test_smooth_windows_end_below_five_to_the_five():
+    # every window (m+1)...(m+k) of (k+4)-smooth integers, 5 <= k <= 40 and
+    # k <= m <= 2*10^4, ends at m + k <= 5**5 (the only one is 6...10), and
+    # the table of the scan at that bound holds each member
+    top = 2 * 10**4 + 40
+    lpf = [1] * (top + 1)
+    for p in range(2, top + 1):
+        if lpf[p] == 1:
+            lpf[p::p] = [p] * (top // p)
+    windows = []
+    for m in range(5, 2 * 10**4 + 1):
+        largest = 0
+        for k in range(1, 41):
+            largest = max(largest, lpf[m + k])
+            if largest > 44:
+                break
+            if 5 <= k <= m and largest <= k + 4:
+                windows.append((m, k))
+    assert all(m + k <= 5**5 for m, k in windows)
+    assert windows == [(5, 5)]
+    composite = composite_flags(4 * 10**4 + 5)
+    table = _smooth_largest_prime_factors(
+        composite, 2 * 10**4, _gap_length_limit(composite, 2 * 10**4))
+    assert all(table.get(n) == lpf[n] for m, k in windows for n in range(m + 1, m + k + 1))
 
 
 def _range_maxima(values, lo, hi):
@@ -152,9 +191,10 @@ def test_live_start_scan_matches_dense_scan():
 
 
 def test_window_pair_scan_memory_peak():
-    # int32 arrays, worked in place: the dense all-starts scan peaked at
-    # 43.9 MiB at this bound, and the prime-count corner at 32.4 MiB; the
-    # capped array is two int32 entries per n (9.5 MiB in all)
+    # the sieve's bytearray is one byte per n up to 2*10^6 + 5 (1.9 MiB) and
+    # the table a few thousand entries: 3.8 MiB in all; the dense all-starts
+    # scan peaked at 43.9 MiB at this bound, the prime-count corner at 32.4
+    # MiB and the capped numpy array at 9.5 MiB
     _window_pair_scan.cache_clear()
     tracemalloc.start()
     try:
@@ -162,18 +202,7 @@ def test_window_pair_scan_memory_peak():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20, peak
-
-    size = 10**6 + 200
-    is_prime = np.zeros(size + 1, dtype=bool)
-    is_prime[[2, 3, 5, 7, 11, 13]] = True
-    tracemalloc.start()
-    try:
-        _capped_largest_prime_factors(is_prime, size, 13)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 10 * (size + 1), peak
+    assert peak < 6 * 2**20, peak
 
 
 def test_window_pair_scan_matches_brute_force():
@@ -181,7 +210,7 @@ def test_window_pair_scan_matches_brute_force():
     # and the prime-gap cutoff decides every k in 23..400
     top_bound = 400
     lpf = [_lpf_by_trial_division(n) for n in range(2 * top_bound + 6)]
-    is_prime = _is_prime_array(lpf)
+    composite = _composite_flags(lpf)
     reference = {t: set() for t in (1, 2, 3, 4)}
     for k in range(2, top_bound + 1):
         for m in range(k, top_bound + 1):
@@ -189,9 +218,6 @@ def test_window_pair_scan_matches_brute_force():
             if k < top <= k + 4:
                 reference[top - k].add((m, k))
     for m_bound in [*range(2, 61), top_bound]:
-        size = 2 * m_bound + 5
-        sieved = _capped_largest_prime_factors(is_prime, size, size)
-        assert sieved.tolist() == lpf[:size + 1], m_bound
         for t in (1, 2, 3, 4):
             expected = {(m, k) for m, k in reference[t] if m <= m_bound}
             assert product_lpf_pairs(t, m_bound).pairs == expected, (t, m_bound)
@@ -206,7 +232,7 @@ def test_window_pair_scan_matches_brute_force():
     for m_bound in range(2, top_bound + 1):
         sieved = [p for p in primes if p <= 2 * m_bound + 5]
         max_gap = max(b - a for a, b in zip(sieved, sieved[1:]))
-        k_limit = _gap_length_limit(is_prime[:2 * m_bound + 6], m_bound)
+        k_limit = _gap_length_limit(composite[:2 * m_bound + 6], m_bound)
         assert k_limit == min(m_bound, max_gap + 4), m_bound
         assert not [k for k in open_k if k_limit < k <= m_bound], m_bound
 
@@ -215,16 +241,20 @@ def test_gap_length_limit_needs_a_prime_past_the_bound():
     # primes 2, 3, 5, 7 only: the largest gap is 2, but it bounds the gaps
     # only up to 7, so the cutoff holds for m_bound = 2 (7 > 2+4) and is
     # refused from m_bound = 3 on, where a window could reach past 7
-    is_prime = np.zeros(40, dtype=bool)
-    is_prime[[2, 3, 5, 7]] = True
-    assert _gap_length_limit(is_prime, 2) == 2
+    composite = bytearray(b"\x01" * 40)
+    for p in (2, 3, 5, 7):
+        composite[p] = 0
+    assert _gap_length_limit(composite, 2) == 2
     for m_bound in (3, 10, 17):
         with pytest.raises(ArithmeticError, match="no prime above"):
-            _gap_length_limit(is_prime, m_bound)
-    is_prime[[11, 13, 17, 19, 23]] = True
-    assert _gap_length_limit(is_prime, 18) == 8
+            _gap_length_limit(composite, m_bound)
+    for p in (11, 13, 17, 19, 23):
+        composite[p] = 0
+    assert _gap_length_limit(composite, 18) == 8
     with pytest.raises(ArithmeticError):
-        _gap_length_limit(is_prime, 19)
+        _gap_length_limit(composite, 19)
+    # 0 and 1 are no gap: with every n >= 2 marked prime the largest gap is 1
+    assert _gap_length_limit(bytearray(b"\x01\x01" + bytes(20)), 10) == 5
 
 
 def test_pair_scan_small_bound_truncates():
