@@ -27,10 +27,12 @@ def composite_flags(bound: int) -> bytearray:
     # "SystemError: deallocated bytearray" line when it fails
     composite = bytearray(bound + 1)
     composite[0] = composite[1] = 1
-    for p in range(2, math.isqrt(bound) + 1):
+    composite[4::2] = b"\x01" * len(range(4, bound + 1, 2))
+    # an odd p's even multiples are struck already: step 2p over the odd ones
+    for p in range(3, math.isqrt(bound) + 1, 2):
         if not composite[p]:
             start = p * p
-            composite[start::p] = b"\x01" * len(range(start, bound + 1, p))
+            composite[start::2 * p] = b"\x01" * len(range(start, bound + 1, 2 * p))
     return composite
 
 

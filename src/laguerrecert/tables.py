@@ -165,17 +165,19 @@ class PairSet:
 
 def _gap_length_limit(composite: bytearray, m_bound: int) -> int:
     """k_limit = min(m_bound, max_gap + 4), max_gap the largest gap between
-    the primes that composite marks with 0.  ArithmeticError unless the
-    largest of them is above m_bound + 4: only then does max_gap bound every
-    gap that the cutoff argument of _window_pair_scan reads.
+    consecutive primes, as composite marks them with 0, whose lower prime is
+    at most m_bound + 4: the gaps that the cutoff argument of
+    _window_pair_scan reads.  ArithmeticError unless a prime above
+    m_bound + 4 closes the last of them.  The same at any longer flags.
 
-    One left-to-right pass: each find asks for a composite run one longer
-    than the longest so far, from the prime that closed that one, so what it
-    finds starts right after a prime; a run that no prime closes is no gap."""
-    if composite.rfind(0) <= m_bound + 4:
+    One left-to-right pass up to that prime: each find asks for a composite
+    run one longer than the longest so far, from the prime that closed that
+    one, so what it finds starts right after a prime and a prime closes it."""
+    end = composite.find(0, m_bound + 5) + 1
+    if not end:
         raise ArithmeticError(f"the sieve has no prime above {m_bound + 4}")
     run, start = 0, composite.find(0)
-    while ((i := composite.find(b"\x01" * (run + 1), start)) >= 0
+    while ((i := composite.find(b"\x01" * (run + 1), start, end)) >= 0
            and (start := composite.find(0, i)) >= 0):
         run = start - i
     return min(m_bound, run + 5)
@@ -190,13 +192,16 @@ def _smooth_largest_prime_factors(composite: bytearray, m_bound: int,
     The 5**5 is checked here, in integers, for every 5 <= k <= k_limit: a
     window of k (k+4)-smooth integers ending at n has n**(k - pi(k+4)) <= k**k
     (see _window_pair_scan), and (5**5 + 1)**(k - pi(k+4)) > k**k rules out
-    every n > 5**5.  ArithmeticError if it does not, first at k = 747."""
+    every n > 5**5.  ArithmeticError if it does not, first at k = 747, and
+    if composite stops below an n that the table reads."""
     n_max = 5**5
+    size = min(n_max, m_bound + k_limit)
+    if len(composite) <= size:
+        raise ArithmeticError(f"the sieve stops below {size}")
     for k in range(5, k_limit + 1):
         e = k - composite.count(0, 0, k + 5)  # k - pi(k+4)
         if e < 1 or (n_max + 1) ** e <= k ** k:
             raise ArithmeticError(f"the binomial bound leaves n > {n_max} open at k = {k}")
-    size = min(n_max, m_bound + k_limit)
     lpf = [1] * (size + 1)
     for p in range(2, size + 1):
         if not composite[p]:
@@ -214,11 +219,14 @@ def _window_pair_scan(m_bound: int) -> dict[int, frozenset]:
     """All (m, k), m >= k >= 2, m <= m_bound, where the largest prime factor
     of (m+1)...(m+k) is k+t for some t in 1..4.  Exhaustive over every k.
 
-    An Eratosthenes sieve (primes.composite_flags) to 2*m_bound + 5 gives
-    k_limit = max_gap + 4, max_gap the largest gap between its primes, and
-    a table of largest prime factors (_smooth_largest_prime_factors).  Each
-    window start s = m+1 in the table is read for k = 2, 3, ... up to
-    min(k_limit, m) and left at the first member missing from the table.
+    An Eratosthenes sieve (primes.composite_flags) to x + max(x // 5, 25),
+    x = m_bound + 5, gives k_limit = max_gap + 4, max_gap the largest gap
+    from a prime <= m_bound + 4, and a table of largest prime factors
+    (_smooth_largest_prime_factors), which checks that the sieve covers it.
+    Nagura's prime in (x, 6x/5] for x >= 25 (Proc. Japan Acad. 28, 1952)
+    only sizes the sieve; every check below is in integers.  Each window
+    start s = m+1 in the table is read for k = 2, 3, ... up to min(k_limit, m)
+    and left at the first member missing from the table.
     Three facts make that exhaustive, since a hit window is (k+4)-smooth:
 
     - No k > k_limit hits.  That rests on a sieved prime above m_bound + 4,
@@ -239,7 +247,8 @@ def _window_pair_scan(m_bound: int) -> dict[int, frozenset]:
     """
     pairs: dict[int, set] = {1: set(), 2: set(), 3: set(), 4: set()}
     if m_bound >= 2:
-        composite = composite_flags(2 * m_bound + 5)
+        x = m_bound + 5
+        composite = composite_flags(x + max(x // 5, 25))
         k_limit = _gap_length_limit(composite, m_bound)
         lpf = _smooth_largest_prime_factors(composite, m_bound, k_limit)
         for s, top in lpf.items():
@@ -277,8 +286,7 @@ class EquationSolutions:
 
 def _divide_out(n: int, divisors) -> tuple[list[int], int]:
     """Each d of divisors divided out of n >= 1 in turn: its exponents and
-    what is left.  Over 2..bound in ascending order, 1 is left exactly when n
-    is bound-smooth (a composite d's prime factors are gone by then)."""
+    what is left."""
     exponents = []
     for d in divisors:
         e = 0
@@ -409,9 +417,10 @@ def verify_witness_prime_rows(report: Report) -> None:
                        f"{p} is the working witness")
 
 
-def verify_exceptional_pair_table(report: Report) -> None:
-    """Each listed (m, k) maps into the pair sets, and nothing is missing."""
-    scan = _window_pair_scan(100)
+def verify_exceptional_pair_table(report: Report, pair_bound: int) -> None:
+    """Each listed (m, k) maps into the pair sets, and nothing is missing
+    from them up to max(pair_bound, 100): the scan the pair sets share."""
+    scan = _window_pair_scan(max(pair_bound, 100))
     for u, listed in EXCEPTIONAL_PAIR_TABLE.items():
         union = frozenset().union(*(scan[t] for t in range(1, u + 1)))
         derived = set()
@@ -454,11 +463,13 @@ def verify_equations(report: Report, exponent_bound: int) -> None:
 
 def k1_no_good_prime_set(u: int, m_bound: int) -> frozenset:
     """m in [2, m_bound] such that no prime >= u+2 divides m(m+u), that is,
-    m and m+u are both (u+1)-smooth."""
-    divisors = range(2, u + 2)
-    return frozenset(m for m in range(2, m_bound + 1)
-                     if _divide_out(m, divisors)[1] == 1
-                     and _divide_out(m + u, divisors)[1] == 1)
+    m and m+u are both (u+1)-smooth: read off the products of 2..u+1."""
+    smooth = {1}
+    for d in range(2, u + 2):
+        for n in list(smooth):
+            while (n := n * d) <= m_bound + u:
+                smooth.add(n)
+    return frozenset(m for m in smooth if 2 <= m <= m_bound and m + u in smooth)
 
 
 def verify_k1_subcases(u: int, m_bound: int) -> Report:
@@ -522,12 +533,13 @@ def _k1_subcases(report: Report, subcase_bound: int, **_) -> None:
 # run(report, pair_bound=, exponent_bound=, subcase_bound=) appends the
 # section's checks.  Runs look their verifiers up in this module when they
 # are called, so a wrapped module attribute (bench/tracer.py) sees the call.
-# The four pair sets are one section, one verify_pair_sets call over one
-# shared scan; --only s<t> keeps its row.
+# The four pair sets are one section, one verify_pair_sets call; --only s<t>
+# keeps its row.  The exceptional table reads their scan, which is cached.
 SECTIONS = (
     (("factors",), lambda report, **_: verify_factor_rows(report)),
     (("witness",), lambda report, **_: verify_witness_prime_rows(report)),
-    (("exceptional",), lambda report, **_: verify_exceptional_pair_table(report)),
+    (("exceptional",), lambda report, pair_bound, **_:
+     verify_exceptional_pair_table(report, pair_bound)),
     (("s1", "s2", "s3", "s4"),
      lambda report, pair_bound, **_: verify_pair_sets(report, pair_bound)),
     (("equations",),

@@ -216,6 +216,13 @@ def test_tables_mutated_entry_within_bound_fails(capsys, monkeypatch, argv, tabl
     assert code == 2 and "FAIL " in out
 
 
+def test_tables_subcases_at_a_trillion(capsys):
+    # the k = 1 sets are read off the smooth numbers, so the bound costs nothing
+    code, out, _ = run(capsys, "tables", "--only", "subcases",
+                       "--subcase-bound", "1000000000000")
+    assert code == 0 and out.endswith("ALL PASS (27 checks)\n")
+
+
 def test_tables_full_default_run(capsys):
     code, out, _ = run(capsys, "tables")
     assert code == 0

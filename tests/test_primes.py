@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from laguerrecert.primes import (INFINITY, factorial_valuation, factorize,
-                                 is_prime, largest_prime_factor,
+from laguerrecert.primes import (INFINITY, composite_flags, factorial_valuation,
+                                 factorize, is_prime, largest_prime_factor,
                                  sieve_primes, vp_int, vp_rat)
 
 
@@ -29,6 +29,16 @@ def test_sieve_against_trial_division():
     assert len(got) == 25
     assert got == trial_division_primes(100)
     assert sieve_primes(10_000) == trial_division_primes(10_000)
+
+
+def test_composite_flags_against_trial_division():
+    # 0 at the primes, 1 at 0, 1 and every composite, at every bound: the
+    # even slice must leave 2 alone and the odd loop strike every odd multiple
+    primes = set(trial_division_primes(10**5))
+    reference = bytearray(n not in primes for n in range(10**5 + 1))
+    for bound in range(1, 3001):
+        assert composite_flags(bound) == reference[:bound + 1], bound
+    assert composite_flags(10**5) == reference
 
 
 def test_vp_int_examples():

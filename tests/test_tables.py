@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from laguerrecert import tables
 from laguerrecert.primes import composite_flags, largest_prime_factor
 from laguerrecert.tables import (EXPECTED_EQUATION_SOLUTIONS, EXPECTED_PAIR_SETS,
                                  EXCEPTIONAL_PAIR_TABLE, K1_QUOTED_SETS, Report,
@@ -106,6 +107,17 @@ def test_smooth_table_binomial_bound_holds_below_k_747():
         _smooth_largest_prime_factors(composite, 3000, 747)
 
 
+def test_smooth_table_needs_flags_that_cover_it():
+    # the table reads composite at every n <= min(5**5, m_bound + k_limit)
+    composite = composite_flags(100)
+    assert _smooth_largest_prime_factors(composite, 90, 10)[100] == 5
+    with pytest.raises(ArithmeticError, match="stops below 101"):
+        _smooth_largest_prime_factors(composite, 91, 10)
+    assert 5**5 in _smooth_largest_prime_factors(composite_flags(5**5), 10**4, 40)
+    with pytest.raises(ArithmeticError, match="stops below 3125"):
+        _smooth_largest_prime_factors(composite_flags(5**5 - 1), 10**4, 40)
+
+
 def test_smooth_windows_end_below_five_to_the_five():
     # every window (m+1)...(m+k) of (k+4)-smooth integers, 5 <= k <= 40 and
     # k <= m <= 2*10^4, ends at m + k <= 5**5 (the only one is 6...10), and
@@ -190,11 +202,31 @@ def test_live_start_scan_matches_dense_scan():
         assert got == _dense_window_pair_scan(m_bound), m_bound
 
 
+def test_window_pair_scan_sieves_a_nagura_length(monkeypatch):
+    # x + max(x // 5, 25) entries, x = m_bound + 5: a prime in (x, 6x/5]
+    # (Nagura) lies above m_bound + 4 there; Bertrand's 2*m_bound + 5 sieved
+    # every n the scan reads and as many again
+    asked = []
+
+    def spy(bound):
+        asked.append(bound)
+        return composite_flags(bound)
+
+    monkeypatch.setattr(tables, "composite_flags", spy)
+    _window_pair_scan.cache_clear()
+    try:
+        _window_pair_scan(10**5)
+    finally:
+        _window_pair_scan.cache_clear()
+    x = 10**5 + 5
+    assert asked and max(asked) <= x + max(x // 5, 25), asked
+
+
 def test_window_pair_scan_memory_peak():
-    # the sieve's bytearray is one byte per n up to 2*10^6 + 5 (1.9 MiB) and
-    # the table a few thousand entries: 3.8 MiB in all; the dense all-starts
-    # scan peaked at 43.9 MiB at this bound, the prime-count corner at 32.4
-    # MiB and the capped numpy array at 9.5 MiB
+    # the sieve's bytearray is one byte per n up to 1.2*10^6 + 6 (1.1 MiB)
+    # and the table a few thousand entries: 2.3 MiB in all; the sieve to
+    # 2*10^6 + 5 peaked at 3.8 MiB, the dense all-starts scan at 43.9 MiB,
+    # the prime-count corner at 32.4 MiB and the capped numpy array at 9.5 MiB
     _window_pair_scan.cache_clear()
     tracemalloc.start()
     try:
@@ -202,12 +234,12 @@ def test_window_pair_scan_memory_peak():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 6 * 2**20, peak
+    assert peak < 3 * 2**20, peak
 
 
 def test_window_pair_scan_matches_brute_force():
-    # 400: the largest prime gap below 2*400+5 is 18, so the scan runs k <= 22
-    # and the prime-gap cutoff decides every k in 23..400
+    # 400: the largest prime gap from a prime <= 404 is 14 (113 to 127), so
+    # the scan runs k <= 18 and the prime-gap cutoff decides every k in 19..400
     top_bound = 400
     lpf = [_lpf_by_trial_division(n) for n in range(2 * top_bound + 6)]
     composite = _composite_flags(lpf)
@@ -222,19 +254,35 @@ def test_window_pair_scan_matches_brute_force():
             expected = {(m, k) for m, k in reference[t] if m <= m_bound}
             assert product_lpf_pairs(t, m_bound).pairs == expected, (t, m_bound)
 
-    # the cutoff: k_limit is the sieve's largest prime gap plus 4 (at most
-    # m_bound), and no k past it is open, that is without a prime in
+    # the cutoff: no k past k_limit is open, that is without a prime in
     # (k+4, 2k], the one way a window hugging k (m <= k+3) can hit
     primes = [n for n in range(2, len(lpf)) if lpf[n] == n]
     open_k = [k for k in range(2, top_bound + 1)
               if not any(k + 4 < p <= 2 * k for p in primes)]
     assert open_k[:4] == [2, 3, 4, 5]
     for m_bound in range(2, top_bound + 1):
-        sieved = [p for p in primes if p <= 2 * m_bound + 5]
-        max_gap = max(b - a for a, b in zip(sieved, sieved[1:]))
-        k_limit = _gap_length_limit(composite[:2 * m_bound + 6], m_bound)
-        assert k_limit == min(m_bound, max_gap + 4), m_bound
+        k_limit = _gap_length_limit(composite, m_bound)
         assert not [k for k in open_k if k_limit < k <= m_bound], m_bound
+
+
+def test_gap_length_limit_matches_brute_force():
+    # (the largest gap between consecutive primes whose lower prime is
+    # <= m_bound + 4) + 4, at most m_bound, on the scan's own flags and on
+    # longer ones alike; at 10**6 the gap from 1,357,201 (132) lies past the
+    # bound and 114 (from 492,113) is the largest one read
+    top = 3 * 2000
+    lpf = [_lpf_by_trial_division(n) for n in range(top + 1)]
+    primes = [n for n in range(2, top + 1) if lpf[n] == n]
+    long_flags = _composite_flags(lpf)
+    for m_bound in range(2, 2001):
+        max_gap = max(b - a for a, b in zip(primes, primes[1:]) if a <= m_bound + 4)
+        expected = min(m_bound, max_gap + 4)
+        x = m_bound + 5
+        assert _gap_length_limit(composite_flags(x + max(x // 5, 25)), m_bound) == expected
+        assert _gap_length_limit(long_flags, m_bound) == expected, m_bound
+    x = 10**6 + 5
+    assert _gap_length_limit(composite_flags(x + x // 5), 10**6) == 118
+    assert _gap_length_limit(composite_flags(2 * 10**6 + 5), 10**6) == 118
 
 
 def test_gap_length_limit_needs_a_prime_past_the_bound():
@@ -376,8 +424,10 @@ def test_prime_free_rows_by_direct_scan():
 # -- exceptional pair table --------------------------------------------------------------
 
 def test_exceptional_pair_table_verifies():
-    report = report_of(verify_exceptional_pair_table)
-    assert report.passed
+    # below 100 the table reads the scan at 100, where its largest m-k+u, 79, lies
+    for pair_bound in (2, 100, 10**5, 10**6):
+        report = report_of(verify_exceptional_pair_table, pair_bound)
+        assert report.passed, pair_bound
     assert sum(len(v) for v in EXCEPTIONAL_PAIR_TABLE.values()) == 17
 
 
@@ -395,6 +445,24 @@ def test_k1_computed_sets():
         assert k1_no_good_prime_set(u, 600) == {
             m for m in range(2, 601)
             if max(largest_prime_factor(m), largest_prime_factor(m + u)) < u + 2}, u
+
+
+def _smooth_by_division(n, top):
+    for d in range(2, top + 1):
+        while n % d == 0:
+            n //= d
+    return n == 1
+
+
+def test_k1_sets_match_division_at_every_bound():
+    # m and m+u both (u+1)-smooth, decided by dividing out 2..u+1; at every
+    # bound the enumeration must reach m_bound + u and use u+1 itself
+    for u in range(5):
+        full = [m for m in range(2, 2 * 10**4 + 1)
+                if _smooth_by_division(m, u + 1) and _smooth_by_division(m + u, u + 1)]
+        for m_bound in [*range(2, 3001), 2 * 10**4]:
+            expected = frozenset(m for m in full if m <= m_bound)
+            assert k1_no_good_prime_set(u, m_bound) == expected, (u, m_bound)
 
 
 def test_k1_subcase_reports_pass():
@@ -419,7 +487,10 @@ def test_nonconstant_leading_counterexample():
 # -- everything together -----------------------------------------------------------------------
 
 def test_reference_report_all_pass():
+    # the exceptional table and the pair sets share one scan
+    _window_pair_scan.cache_clear()
     report = verify_reference_tables(pair_bound=10**4)
+    assert _window_pair_scan.cache_info().misses == 1
     assert report.passed, [c.line() for c in report.failures()]
     assert len(report.checks) > 90
     assert all(line.startswith("PASS") for line in report.lines())
