@@ -22,7 +22,10 @@ is built on its O(m/p) breakpoints, never on all m+1 points, and every
 later reading of it (k_lo, the rightmost slope) works on them too.  Big
 integers are read by the ratio identity, checked exactly once per
 instance, and by the exact anchor at every polygon vertex.  This
-valuation route shares no code with the certifier's Legendre sums.
+valuation route shares no code with the certifier's, which values each
+prime's coefficients by closed forms (Legendre sums and residue class
+counts) at the O(m/p) starts of their runs, and checks the run holding
+b_{m-1} = m(vm+u)/v against two small-integer valuations.
 """
 
 from __future__ import annotations
@@ -31,8 +34,6 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
-from operator import ne
 
 from .laguerre import HypothesisViolation, LaguerreInstance, ratio_identity_parts
 from .polygon import NewtonPolygon, anchored_polygon, build_polygon, rightmost_slope
@@ -114,37 +115,37 @@ def exclude_small_degrees(instance: LaguerreInstance) -> int:
     raise NoSmallDegreePrime(reasons[0])
 
 
-def witness_range(vec) -> tuple[int, int, Fraction]:
+def witness_range(runs) -> tuple[int, int, Fraction]:
     """The k range a valuation vector witnesses, and its rightmost slope.
 
-    vec holds v_p(b_0), ..., v_p(b_m).  The witness conditions at k are
-    v_p(b_j) >= 1 for j <= m-k and slope < 1/k, where
-    slope = max_j (V0 - Vj)/j.  With vec[0..J] >= 1 the longest leading
-    run, the first holds exactly for k >= k_lo = max(1, m-J); the second
-    exactly for k <= k_hi, the largest k with k*slope < 1 (m when the slope
-    is not positive).  The range is empty when k_lo > k_hi.  The bound is
-    cross-checked against the dual form V0 - Vj < j/k for every j.
+    runs holds Vj = v_p(b_j) for j = 0..m as LaguerreInstance.valuation_vector
+    gives them: (j0, V_j0) at each run start j0, ascending from 0 to m, the
+    run lasting to the next start; adjacent runs may carry equal values.
+    The witness conditions at k are Vj >= 1 for j <= m-k and slope < 1/k,
+    where slope = max_j (V0 - Vj)/j.  With V_0..V_J >= 1 the longest
+    leading run, the first holds exactly for k >= k_lo = max(1, m-J); the
+    second exactly for k <= k_hi, the largest k with k*slope < 1 (m when
+    the slope is not positive).  The range is empty when k_lo > k_hi.  The
+    bound is cross-checked against the dual form V0 - Vj < j/k for every j.
 
-    Everything is read off the runs of equal entries, found in one pass
-    that compares vec with itself shifted by one.  On a run from j0 to j1
-    with d = V0 - Vj, the chord slope d/j is largest at j0 when d > 0 and
-    at j1 otherwise; the leading run ends at the first run whose entries
-    are below 1.  For k >= 1 the dual form k*d < j always holds where
+    Everything is read off the runs.  On a run from j0 to j1 with
+    d = V0 - Vj, the chord slope d/j is largest at j0 when d > 0 and at j1
+    otherwise; the leading run ends at the first run whose entries are
+    below 1.  For k >= 1 the dual form k*d < j always holds where
     d <= 0, and where d > 0 it holds at every j of the run exactly when it
     holds at j0, the smallest; the first run has d = 0, so every j0 checked
     is at least 1.  Checking j0 of each run with d > 0 is therefore the
     same predicate as checking every j.
     """
-    m = len(vec) - 1
-    starts = [0, *compress(range(1, m + 1), map(ne, vec[1:], vec))]
-    ends = [j - 1 for j in starts[1:]] + [m]
-    v0 = vec[0]
-    run = next((j for j in starts if vec[j] < 1), m + 1)
+    m = runs[-1][0]
+    ends = [j - 1 for j, _ in runs[1:]] + [m]
+    v0 = runs[0][1]
+    run = next((j for j, value in runs if value < 1), m + 1)
     k_lo = max(1, m - run + 1)
     num = den = None
     rising = []  # (j0, d) of the runs with d > 0
-    for j0, j1 in zip(starts, ends):
-        d = v0 - vec[j0]
+    for (j0, value), j1 in zip(runs, ends):
+        d = v0 - value
         if d > 0:
             rising.append((j0, d))
             j = j0
@@ -170,6 +171,15 @@ def _require_valid(instance: LaguerreInstance) -> None:
         raise HypothesisViolation(instance.violations)
 
 
+def _anchored_runs(instance: LaguerreInstance, p: int) -> tuple[tuple[int, int], ...]:
+    """valuation_vector at p, its run holding j = m-1 checked against
+    b_{m-1} = m(vm+u)/v; ArithmeticError on a mismatch."""
+    runs = instance.valuation_vector(p)
+    if runs[-2][1] != vp_int(p, instance.m) + vp_int(p, instance.prime_bound):
+        raise ArithmeticError(f"valuation runs at p = {p} miss v_p(b_(m-1))")
+    return runs
+
+
 def witness_slope(instance: LaguerreInstance, k: int, p: int) -> Fraction | None:
     """The witness slope when (k, p), p in 2..vm+u, is a witness, else None."""
     _require_valid(instance)
@@ -177,7 +187,7 @@ def witness_slope(instance: LaguerreInstance, k: int, p: int) -> Fraction | None
         raise ValueError(f"p must lie in 2..vm+u = {instance.prime_bound}")
     if instance.v % p == 0:
         return None
-    k_lo, k_hi, slope = witness_range(instance.valuation_vector(p))
+    k_lo, k_hi, slope = witness_range(_anchored_runs(instance, p))
     return slope if k_lo <= k <= k_hi else None
 
 
@@ -204,7 +214,7 @@ def certify(instance: LaguerreInstance) -> Certificate | FailureReport:
             break
         if instance.v % p == 0:
             continue
-        k_lo, k_hi, slope = witness_range(instance.valuation_vector(p))
+        k_lo, k_hi, slope = witness_range(_anchored_runs(instance, p))
         for k in range(k_lo, min(k_hi, half) + 1):
             if k not in chosen:
                 chosen[k] = ExclusionWitness(k=k, p=p, slope=slope)

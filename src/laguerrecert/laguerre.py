@@ -7,7 +7,9 @@ integer object is v**m times the assembled polynomial, so that every
 prime not dividing v sees the same valuations on the expansion parts as
 on the coefficients themselves.  Only its integer coefficients v**m b_j
 are stored, built on first read once per instance; the Fractions b_j
-are views of them, valued by one routine, coefficient_valuations.
+are views of them.  Their valuations come from one routine,
+coefficient_valuations, which reads no b_j: closed forms value them at
+the O(m/p) starts of their runs of equal values.
 """
 
 from __future__ import annotations
@@ -15,12 +17,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, repeat
+from itertools import repeat
 from math import comb
-from operator import add, sub
 
 from .polyring import Poly, content, format_poly, is_irreducible_mod_p
-from .primes import is_prime, sieve_primes, vp_int
+from .primes import factorial_valuation, is_prime, sieve_primes, vp_int
 from .primes import vp_rat  # noqa: F401  (module attribute wrapped by bench/tracer.py)
 
 
@@ -100,20 +101,22 @@ def ratio_identity_parts(cleared, m: int, u: int, v: int) -> tuple[int, ...]:
     return parts
 
 
-def coefficient_valuations(m: int, alpha, p: int) -> tuple[int, ...]:
-    """Exact valuations (v_p(b_0), ..., v_p(b_{m-1})) at a prime p not dividing v.
+def coefficient_valuations(m: int, alpha, p: int) -> tuple[tuple[int, int], ...]:
+    """Exact valuations v_p(b_0), ..., v_p(b_{m-1}) at a prime p not dividing v,
+    as runs: (j, v_p(b_j)) at each run start j, ascending from 0, each run
+    lasting to the next start (adjacent runs may carry equal values).
 
-    Additive, on small integers only: v_p(b_j) = F(m) - F(j) - F(m-j) +
-    S(j), with F(n) = v_p(n!) and S(j) = sum_{i=j+1..m} v_p(v*i+u).  Both
-    are built from their events alone.  v_p(i) >= e exactly at the
-    multiples of p**e, so writing e over those positions for e = 1, 2, ...
-    leaves v_p(i) at every i <= m, and F is its running sum (Legendre's
-    formula, one count per power of p).  v_p(v*i+u) >= e exactly on the
-    residue class i = -u/v (mod p**e), so the same writes over that class
-    leave every v_p(v*i+u), and S is their suffix sum.  Python work is one
-    slice write per power of p; the dense sums and the per-j combination
-    run in itertools.accumulate and map.  Rejected when p divides v, where
-    the cleared integer model no longer has the coefficient valuations.
+    v_p(b_j) = F(m) - F(j) - F(m-j) + S(j), with F(n) = v_p(n!)
+    (factorial_valuation, Legendre's formula) and S(j) = sum_{i=j+1..m}
+    v_p(v*i+u).  v_p(v*i+u) >= e exactly on the residue class
+    i = r_e = -u/v (mod p**e), so S(j) counts each class in (j, m]:
+    sum_e floor((m - r_e)/p**e) - floor((j - r_e)/p**e), over p**e up to
+    the largest |v*i+u|.  The value can change from j-1 to j only where
+    p | j, p | m-j+1 or p | v*j+u, so the starts are 0 and those j, at most
+    3(m/p + 1) + 1 of them, each valued by the closed forms alone: no
+    b_j is read and no valuation is carried from one start to the next.
+    Rejected when p divides v, where the cleared integer model no longer
+    has the coefficient valuations.
     """
     alpha = parameter(alpha)
     u, v = alpha.numerator, alpha.denominator
@@ -121,23 +124,18 @@ def coefficient_valuations(m: int, alpha, p: int) -> tuple[int, ...]:
         raise ValueError(f"{p} is not prime")
     if v % p == 0:
         raise ValueError("p must not divide v")
-    steps = [0] * (m + 1)  # steps[i] = v_p(i) for 1 <= i <= m
-    pe, e = p, 1
-    while pe <= m:
-        steps[pe::pe] = [e] * (m // pe)
-        pe, e = pe * p, e + 1
-    fact = list(accumulate(steps))  # fact[n] = v_p(n!)
-    factors = [0] * (m + 1)  # factors[i] = v_p(v*i+u) for 1 <= i <= m
+    starts = sorted({0, *range(p, m, p), *range((m + 1) % p or p, m, p),
+                     *range(-u * pow(v, -1, p) % p or p, m, p)})
+    fm = factorial_valuation(p, m)
+    values = [fm - factorial_valuation(p, j) - factorial_valuation(p, m - j) for j in starts]
     largest = max(abs(v + u), abs(v * m + u))  # bounds |v*i+u| for 1 <= i <= m
-    pe, e = p, 1
-    while pe <= largest:
-        start = -u * pow(v, -1, pe) % pe or pe  # least i >= 1 with p**e | v*i+u
-        factors[start::pe] = [e] * len(range(start, m + 1, pe))
-        pe, e = pe * p, e + 1
-    # suffix[m-j] = S(j), for j = m, m-1, ..., 0
-    suffix = list(accumulate(reversed(factors[1:]), initial=0))
-    return tuple(map(sub, map(sub, map(add, repeat(fact[m]), suffix[m:0:-1]), fact[:m]),
-                     fact[m:0:-1]))
+    pe = p
+    while pe <= largest:  # S(j) gains the class r of p**e in (j, m]
+        r = -u * pow(v, -1, pe) % pe
+        top = (m - r) // pe
+        values = [s + top - (j - r) // pe for s, j in zip(values, starts)]
+        pe *= p
+    return tuple(zip(starts, values))
 
 
 class LaguerreInstance:
@@ -220,9 +218,10 @@ class LaguerreInstance:
         """The rational polynomial f / (v**m * m!)."""
         return self.f * Fraction(1, self.v ** self.m * math.factorial(self.m))
 
-    def valuation_vector(self, p: int) -> tuple:
-        """coefficient_valuations at p, then v_p(a_m)."""
-        return coefficient_valuations(self.m, self.alpha, p) + (vp_int(p, self.a_m),)
+    def valuation_vector(self, p: int) -> tuple[tuple[int, int], ...]:
+        """The runs of v_p(b_0), ..., v_p(b_m): coefficient_valuations at p,
+        then the one-entry run (m, v_p(a_m)) of the leading multiplier."""
+        return coefficient_valuations(self.m, self.alpha, p) + ((self.m, vp_int(p, self.a_m)),)
 
     def to_text(self) -> str:
         lines = [f"m: {self.m}", f"u: {self.u}", f"v: {self.v}", f"a_m: {self.a_m}"]

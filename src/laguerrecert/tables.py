@@ -360,7 +360,7 @@ def solve_power_equation(equation_id: str, exponent_bound: int) -> EquationSolut
 
 def k_witness_valid(m: int, u: int, k: int, p: int) -> tuple[bool, Fraction]:
     """Divisibility up to m-k plus rightmost slope below 1/k, monic model at u."""
-    k_lo, k_hi, slope = witness_range(coefficient_valuations(m, u, p) + (0,))
+    k_lo, k_hi, slope = witness_range(coefficient_valuations(m, u, p) + ((m, 0),))
     return k_lo <= k <= k_hi, slope
 
 

@@ -22,14 +22,14 @@ from laguerrecert.certify import (Certificate, ExclusionWitness, FailureReport,
                                   find_prime_for_k, lemma_exclusion_check,
                                   verify_certificate, witness_range, witness_slope)
 from laguerrecert.laguerre import (HypothesisViolation, LaguerreInstance, build_instance,
-                                   coefficient_valuations, laguerre_coefficients,
-                                   ratio_identity_parts)
+                                   laguerre_coefficients, ratio_identity_parts)
 from laguerrecert.polygon import anchored_polygon, build_polygon
 from laguerrecert.polyring import (PhiExpansion, Poly, construct_phi, content,
-                                   is_irreducible_mod_p, parse_poly, phi_expand)
+                                   X, is_irreducible_mod_p, parse_poly, phi_expand)
 from laguerrecert.primes import sieve_primes, vp_int, vp_rat
 from laguerrecert.tables import k_witness_valid
 
+from test_laguerre import expand_runs
 from test_polygon import interpolate_breakpoints
 
 # the package re-exports the function certify, which shadows the module name
@@ -173,12 +173,20 @@ def test_find_prime_range_check(phi17):
         find_prime_for_k(ones(phi17, 8, 1), 0)
 
 
+def _dense(vec):
+    """A dense vector as runs, every entry its own run."""
+    return tuple(enumerate(vec))
+
+
 def test_slope_dual_form():
-    assert witness_range((1, 1, 1, 0)) == (1, 2, Fraction(1, 3))
-    assert witness_range((2, 1, 1, 0)) == (1, 0, Fraction(1))
-    assert witness_range((2, 3, 0)) == (1, 0, Fraction(1))
-    assert witness_range((0, 1, 1, 0)) == (4, 3, Fraction(0))
-    assert witness_range((1, 1, 1, 1, 0, 0)) == (2, 3, Fraction(1, 4))
+    assert witness_range(_dense((1, 1, 1, 0))) == (1, 2, Fraction(1, 3))
+    assert witness_range(_dense((2, 1, 1, 0))) == (1, 0, Fraction(1))
+    assert witness_range(_dense((2, 3, 0))) == (1, 0, Fraction(1))
+    assert witness_range(_dense((0, 1, 1, 0))) == (4, 3, Fraction(0))
+    assert witness_range(_dense((1, 1, 1, 1, 0, 0))) == (2, 3, Fraction(1, 4))
+    # the same vectors as maximal runs give the same ranges
+    assert witness_range(((0, 1), (3, 0))) == (1, 2, Fraction(1, 3))
+    assert witness_range(((0, 1), (4, 0), (5, 0))) == (2, 3, Fraction(1, 4))
 
 
 def test_witness_range_slope_ties():
@@ -189,16 +197,25 @@ def test_witness_range_slope_ties():
              (0, 2, 4): (3, 2, Fraction(-2)),
              (6, 5, 4, 6, 3, 6, 0): (1, 0, Fraction(1))}
     for vec, expected in cases.items():
-        assert witness_range(vec) == expected, vec
+        assert witness_range(_dense(vec)) == expected, vec
         assert expected[2] == max(Fraction(vec[0] - vec[j], j)
                                   for j in range(1, len(vec)))
 
 
-@given(st.lists(st.integers(0, 4), min_size=2, max_size=12))
+@given(st.lists(st.tuples(st.integers(1, 4), st.integers(0, 4)), min_size=1, max_size=8),
+       st.integers(0, 4))
 @settings(max_examples=300, deadline=None)
-def test_witness_range_matches_per_k_dual_form(vec):
-    m = len(vec) - 1
-    k_lo, k_hi, slope = witness_range(vec)
+def test_witness_range_matches_per_k_dual_form(lengths_values, last):
+    # random runs, adjacent ones often equal, ending with the one-entry run at m
+    runs, j = [], 0
+    for length, value in lengths_values:
+        runs.append((j, value))
+        j += length
+    m = j
+    runs.append((m, last))
+    vec = expand_runs(runs, m + 1)
+    k_lo, k_hi, slope = witness_range(tuple(runs))
+    assert (k_lo, k_hi, slope) == witness_range(_dense(vec))
     for k in range(1, m + 1):
         divisible = all(vec[j] >= 1 for j in range(m - k + 1))
         dual = all(k * (vec[0] - vec[j]) < j for j in range(1, m + 1))
@@ -550,10 +567,11 @@ def test_telescoped_heights_spot_checks_at_m800():
 
 
 def test_valuation_routes_call_vp_int_only_at_events(monkeypatch):
-    # at m = 800 and p = 401 each route has a handful of events; a return
-    # to per-j valuations would call vp_int about m times, and a return to
-    # dense heights would keep all m+1 points.  The vertex anchors read
-    # their big c_j without vp_int, c_0 (abscissa m) among them.
+    # the producer values no b_j with vp_int: its runs come from closed
+    # forms, so its one call values the leading multiplier a_m.  At m = 800
+    # and p = 401 the verifier has a handful of events; a return to dense
+    # heights would keep all m+1 points.  The vertex anchors read their big
+    # c_j without vp_int, c_0 (abscissa m) among them.
     calls = []
 
     def counting(p, n):
@@ -563,10 +581,14 @@ def test_valuation_routes_call_vp_int_only_at_events(monkeypatch):
     monkeypatch.setattr(laguerre, "vp_int", counting)
     monkeypatch.setattr(cm, "vp_int", counting)
     m, p = 800, 401
-    assert coefficient_valuations(m, 2, p) == tuple(
-        vp_rat(p, b) for b in laguerre_coefficients(m, 2))
-    assert len(calls) <= 3
-    inst = LaguerreInstance(m, 2, 1, [Poly.const(1)] * m, parse_poly("x"))
+    inst = LaguerreInstance(m, 2, 12, [Poly.const(1)] * m, parse_poly("x"))
+    b = laguerre_coefficients(m, 2)
+    for q in (2, 3, p):
+        calls.clear()
+        runs = inst.valuation_vector(q)
+        assert calls == [12], q
+        assert expand_runs(runs, m + 1) == tuple(vp_rat(q, bj) for bj in b) + (vp_int(q, 12),)
+        assert len(runs) <= 3 * (m // q + 1) + 2
     parts = ratio_identity_parts(inst.cleared, m, inst.u, inst.v)
     calls.clear()
     anchored = []
@@ -580,6 +602,30 @@ def test_valuation_routes_call_vp_int_only_at_events(monkeypatch):
     assert len(polygon.points) <= 2 * 3 * (m // p + 1) + 2
     assert interpolate_breakpoints(polygon.points) == tuple(
         (i, vp_int(p, parts[m - i])) for i in range(m + 1))
+
+
+def test_certify_values_few_run_starts(monkeypatch):
+    # the runs certify reads over the primes it visits at m = 1600, u = 2:
+    # 9,456 entries, where the dense vectors held 224,140
+    m = 1600
+    read = []
+    real = LaguerreInstance.valuation_vector
+    monkeypatch.setattr(LaguerreInstance, "valuation_vector",
+                        lambda self, p: read.append(real(self, p)) or read[-1])
+    assert isinstance(certify(LaguerreInstance(m, 2, 1, [Poly.const(1)] * m, X)), Certificate)
+    assert sum(map(len, read)) < 8 * m
+
+
+def test_certify_anchors_runs_at_b_m_minus_1(monkeypatch):
+    # b_{m-1} = m(vm+u)/v: an off-by-one in the Legendre floor counts moves
+    # the run holding j = m-1, and the certifier refuses it with a raise
+    inst = LaguerreInstance(12, 2, 1, [Poly.const(1)] * 12, X)
+    real = laguerre.factorial_valuation
+    monkeypatch.setattr(laguerre, "factorial_valuation", lambda p, n: real(p, max(n - 1, 0)))
+    with pytest.raises(ArithmeticError, match=r"p = 2 miss v_p\(b_\(m-1\)\)"):
+        certify(inst)
+    with pytest.raises(ArithmeticError, match=r"p = 3 miss"):
+        witness_slope(inst, 1, 3)
 
 
 def test_ratio_identity_rejects_changed_cleared_coefficient():
@@ -761,6 +807,15 @@ try:
     print("bogus witness", om.oracle_verdict(parse_poly("x^2 - 1")).kind)
 except ArithmeticError:
     print("bogus witness raises")
+# the certifier anchors each prime's runs at b_{m-1} = m(vm+u)/v
+real_legendre = lm.factorial_valuation
+lm.factorial_valuation = lambda p, n: real_legendre(p, max(n - 1, 0))
+try:
+    cm.certify(inst)
+    print("off-by-one runs accepted")
+except ArithmeticError:
+    print("off-by-one runs raise")
+lm.factorial_valuation = real_legendre
 """
 
 
@@ -773,9 +828,10 @@ def test_verify_cross_checks_survive_optimized_mode():
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
-    assert proc.stdout.split("\n")[:7] == [
+    assert proc.stdout.split("\n")[:8] == [
         "verify True", "tampered False", "changed coefficient False", "wrong binomial raises",
-        "bad anchor False", "broken polygon False", "bogus witness raises"]
+        "bad anchor False", "broken polygon False", "bogus witness raises",
+        "off-by-one runs raise"]
 
 
 def test_verify_rejects_prime_dividing_lead(phi17):

@@ -1,6 +1,7 @@
 import math
 import re
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -17,6 +18,18 @@ from test_polyring import reassembled
 
 def const_parts(*values):
     return [Poly.const(v) for v in values]
+
+
+def expand_runs(runs, length):
+    """The dense valuations v_0..v_{length-1} of (start, value) runs: each run
+    lasts to the next start, the last one to the end.  The starts must begin
+    at 0 and ascend strictly below length."""
+    starts = [j for j, _ in runs]
+    assert starts[0] == 0 and all(a < b for a, b in zip(starts, starts[1:] + [length]))
+    out = []
+    for (j, value), end in zip(runs, starts[1:] + [length]):
+        out += [value] * (end - j)
+    return tuple(out)
 
 
 # -- parameter ----------------------------------------------------------------
@@ -182,15 +195,16 @@ def test_expansion_parts_match_coefficients(phi17, rng):
 
 def test_valuation_vector_examples(phi17):
     inst = build_instance(8, 1, 1, const_parts(*[1] * 8), phi17)
-    vec = inst.valuation_vector(7)
+    vec = expand_runs(inst.valuation_vector(7), 9)
     assert all(vec[j] >= 1 for j in range(7))
     assert vec[7] == 0 and vec[8] == 0
+    assert inst.valuation_vector(7) == ((0, 1), (2, 2), (6, 1), (7, 0), (8, 0))
 
     inst = build_instance(2, 2, 1, const_parts(1, 1), phi17, relaxed=True)
-    assert inst.valuation_vector(2) == (2, 3, 0)
+    assert inst.valuation_vector(2) == ((0, 2), (1, 3), (2, 0))
 
     inst = build_instance(1, 0, 1, const_parts(1), phi17)
-    assert inst.valuation_vector(5) == (0, 0)
+    assert inst.valuation_vector(5) == ((0, 0), (1, 0))
 
 
 def test_valuation_vector_rejects_bad_prime(phi17):
@@ -229,15 +243,16 @@ def test_instance_constructed_directly_coerces_its_parameter():
         assert type(inst.u) is int and type(inst.v) is int
         assert inst.prime_bound == 8
         assert inst.cleared == (8 * 5, 2 * 3 * 8)  # (2v+u)(v+u), C(2,1) v (2v+u)
-        assert inst.valuation_vector(2) == (3, 4, 0)
+        assert expand_runs(inst.valuation_vector(2), 3) == (3, 4, 0)
     inst = LaguerreInstance(2, 1, 1, const_parts(1, 1), X)
     assert inst.alpha == 1 and type(inst.alpha) is Fraction and (inst.u, inst.v) == (1, 1)
-    assert inst.valuation_vector(3) == (1, 1, 0)
+    assert expand_runs(inst.valuation_vector(3), 3) == (1, 1, 0)
 
 
 def test_additive_valuation_vector_matches_vp_rat(product_form):
-    # the additive route (Legendre binomial term plus the progression sum)
-    # against vp_rat on the paper's product form of b_j, for every parameter
+    # the closed forms at the run starts (Legendre binomial term plus the
+    # residue class counts), expanded, against vp_rat on the paper's product
+    # form of b_j, for every parameter
     checked = 0
     for alpha in _admissible_alphas((1, 2, 3, 5), range(-7, 8)):
         for m in range(1, 61):
@@ -246,7 +261,9 @@ def test_additive_valuation_vector_matches_vp_rat(product_form):
                 if alpha.denominator % p == 0:
                     continue
                 expected = tuple(vp_rat(p, bj) for bj in b)
-                assert coefficient_valuations(m, alpha, p) == expected, (m, alpha, p)
+                runs = coefficient_valuations(m, alpha, p)
+                assert expand_runs(runs, m) == expected, (m, alpha, p)
+                assert len(runs) <= 3 * (m // p + 1) + 1
                 checked += 1
     assert checked == 55_962
 
@@ -258,7 +275,7 @@ def test_additive_valuation_vector_large_m():
         for p in (2, 3, 7, 797):
             if inst.v % p:
                 expected = tuple(vp_rat(p, bj) for bj in b) + (vp_int(p, 12),)
-                assert inst.valuation_vector(p) == expected, (alpha, p)
+                assert expand_runs(inst.valuation_vector(p), 801) == expected, (alpha, p)
 
 
 def _per_n_valuations(m, alpha, p):
@@ -283,12 +300,49 @@ def test_event_valuations_match_per_n_reference(rng):
             for p in sieve_primes(v * m + u):
                 if v % p == 0:
                     continue
-                assert coefficient_valuations(m, alpha, p) == \
+                assert expand_runs(coefficient_valuations(m, alpha, p), m) == \
                     _per_n_valuations(m, alpha, p), (m, alpha, p)
                 seen["p | u"] += u != 0 and u % p == 0
                 seen["p > m"] += p > m
                 seen["p = vm+u"] += p == v * m + u
     assert all(seen.values()), seen
+
+
+def _dense_valuations(m, alpha, p):
+    """v_p(b_0), ..., v_p(b_{m-1}) by slice writes over every j: v_p(i) >= e on
+    the multiples of p**e and v_p(v*i+u) >= e on the class -u/v (mod p**e),
+    then the running sum v_p(n!) and the suffix sum S(j) in dense lists."""
+    u, v = alpha.numerator, alpha.denominator
+    steps = [0] * (m + 1)  # steps[i] = v_p(i) for 1 <= i <= m
+    pe, e = p, 1
+    while pe <= m:
+        steps[pe::pe] = [e] * (m // pe)
+        pe, e = pe * p, e + 1
+    fact = list(accumulate(steps))  # fact[n] = v_p(n!)
+    factors = [0] * (m + 1)  # factors[i] = v_p(v*i+u) for 1 <= i <= m
+    largest = max(abs(v + u), abs(v * m + u))
+    pe, e = p, 1
+    while pe <= largest:
+        start = -u * pow(v, -1, pe) % pe or pe
+        factors[start::pe] = [e] * len(range(start, m + 1, pe))
+        pe, e = pe * p, e + 1
+    suffix = list(accumulate(reversed(factors[1:]), initial=0))  # suffix[m-j] = S(j)
+    return tuple(fact[m] - fact[j] - fact[m - j] + suffix[m - j] for j in range(m))
+
+
+def test_run_starts_match_dense_reference_at_every_prime():
+    # the dense slice-write route the run starts replaced, at every prime up
+    # to vm+u, including the p with p**2 or p**3 <= vm+u and p = vm+u itself
+    checked = 0
+    for alpha in (Fraction(2), Fraction(2, 3), Fraction(-7, 5)):
+        u, v = alpha.numerator, alpha.denominator
+        for m in (800, 1600):
+            for p in sieve_primes(v * m + u):
+                if v % p:
+                    assert expand_runs(coefficient_valuations(m, alpha, p), m) == \
+                        _dense_valuations(m, alpha, p), (m, alpha, p)
+                    checked += 1
+    assert checked == 2_948
 
 
 def test_primes_of_bound_divide_lower_coefficients():
