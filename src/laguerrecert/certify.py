@@ -14,18 +14,25 @@ per-prime gate is p not dividing v, and its witnesses depend on (m, u, v)
 alone.  Verification recomputes everything from scratch - coefficients,
 the exclusion lemma's hypotheses on the polygon of each distinct prime
 (exclusion_bounds, not the certifier's gate), the interval coverage - and
-trusts nothing from the producer.  Its polygon heights are telescoped down
-the coefficient ratio from c_m = v**m, with small-integer valuations only
-at the ratio's events (p | m-j, p | j+1, p | v(j+1)+u) and no big-integer
-valuation.  Between the events the heights are linear, so each polygon
-is built on its O(m/p) breakpoints, never on all m+1 points, and every
-later reading of it (k_lo, the rightmost slope) works on them too.  Big
-integers are read by the ratio identity, checked exactly once per
-instance, and by the exact anchor at every polygon vertex.  This
-valuation route shares no code with the certifier's, which values each
-prime's coefficients by closed forms (Legendre sums and residue class
-counts) at the O(m/p) starts of their runs, and checks the run holding
-b_{m-1} = m(vm+u)/v against two small-integer valuations.
+trusts nothing from the producer.
+
+Three valuation routes meet here:
+- The certifier's closed forms: laguerre.coefficient_valuations values
+  each prime's b_j by Legendre sums and residue class counts at the
+  O(m/p) starts of their runs, and the run holding b_{m-1} = m(vm+u)/v
+  is checked against two small-integer valuations.
+- The verifier's heights, telescoped down the coefficient ratio from
+  c_m = v**m, with small-integer valuations only at the ratio's events
+  (p | m-j, p | j+1, p | v(j+1)+u) and no big-integer valuation.  Between
+  the events the heights are linear, so each polygon is built once, on
+  its O(m/p) breakpoints, and every later reading of it (k_lo, the
+  rightmost slope) works on them too.
+- Anchors built from the definition, c_j = C(m, j) v**j prod_{i>j}(vi+u),
+  only at the union of the polygons' vertex abscissas, where they confirm
+  every vertex height.  They are never built from one another along the
+  ratio the heights telescope on.
+The verifier shares no valuation code with the certifier and reads none
+of instance.cleared, the c_j that only f and b read.
 """
 
 from __future__ import annotations
@@ -34,9 +41,11 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, prod
 
-from .laguerre import HypothesisViolation, LaguerreInstance, ratio_identity_parts
-from .polygon import NewtonPolygon, anchored_polygon, build_polygon, rightmost_slope
+from .laguerre import HypothesisViolation, LaguerreInstance
+from .polygon import (NewtonPolygon, breakpoint_polygon, build_polygon,
+                      confirm_vertex_heights, rightmost_slope)
 from .polyring import Poly, content, format_poly, is_irreducible_mod_p, parse_poly
 from .primes import factorize, is_prime, sieve_primes, vp_int
 
@@ -299,26 +308,26 @@ def coverage_complete(m: int, deg_phi: int, ks) -> bool:
     return all(d in covered for d in range(1, m * deg_phi // 2 + 1))
 
 
-def _telescoped_polygon(parts, u: int, v: int, p: int) -> NewtonPolygon:
+def _telescoped_polygon(m: int, u: int, v: int, p: int) -> NewtonPolygon:
     """Polygon at p of the monic model's parts c_0..c_m, on its breakpoints.
 
     Abscissa i carries c_{m-i}, leading part at 0.  p must not divide v
     (ValueError): exclusion_bounds refuses every p | v, which divides the
     leading multiplier v**m a_m, before it asks for a polygon.  The heights
-    telescope down the ratio identity from c_m = v**m, of height 0, on
-    small integers: h_j = h_{j+1} - v_p(m-j) + v_p(j+1) + v_p(v(j+1)+u).
+    telescope down the ratio c_j (m-j) v = c_{j+1} (j+1) (v(j+1)+u) from
+    c_m = v**m, of height 0, on small integers:
+    h_j = h_{j+1} - v_p(m-j) + v_p(j+1) + v_p(v(j+1)+u).
     The step from abscissa a to a+1 (j = m-1-a) is 0 except at its events,
     the j with p | m-j, p | j+1 or p | v(j+1)+u, at most 3(m/p + 1) of them,
     so vp_int runs only there.  With -delta_a the step at an event abscissa
     a, h(i) = -(sum of delta_a over a < i) is flat between the breakpoints
     0, m and a, a+1 of every event.  The polygon holds the heights at the
-    breakpoints only (see anchored_polygon for why they suffice), and
-    anchored_polygon confirms every vertex height, c_0's at abscissa m
-    among them, on its big c_j.
+    breakpoints only (see breakpoint_polygon for why they suffice); they
+    are claims until confirm_vertex_heights has checked every vertex, c_0's
+    at abscissa m among them, against _vertex_anchors.
     """
     if v % p == 0:
         raise ValueError(f"the telescoped heights need p = {p} prime to v = {v}")
-    m = len(parts) - 1
     deltas: dict[int, int] = {}  # abscissa a -> delta_a
     for n in range(p, m + 1, p):  # n = m-j, then n = j+1: the same valuations
         e = vp_int(p, n)
@@ -332,7 +341,35 @@ def _telescoped_polygon(parts, u: int, v: int, p: int) -> NewtonPolygon:
     for i in sorted({0, m, *deltas, *(a + 1 for a in deltas)}):
         points.append((i, -shift))
         shift += deltas.get(i, 0)
-    return anchored_polygon(points, p, lambda i: parts[m - i])
+    return breakpoint_polygon(points)
+
+
+def _progression_product(u: int, v: int, lo: int, hi: int) -> int:
+    """prod of v*i+u over lo <= i <= hi (1 when empty), as a balanced product tree."""
+    if hi - lo < 16:
+        return prod(v * i + u for i in range(lo, hi + 1))
+    mid = (lo + hi) // 2
+    return _progression_product(u, v, lo, mid) * _progression_product(u, v, mid + 1, hi)
+
+
+def _vertex_anchors(m: int, u: int, v: int, abscissas) -> dict[int, int]:
+    """{i: c_{m-i}} at the given abscissas, from the definition
+    c_j = C(m, j) v**j prod_{j<i<=m}(vi+u), so c_m = v**m.
+
+    One descending sweep over j = m-i keeps the suffix product
+    prod_{i>j}(vi+u), multiplies in each gap's factors as a balanced
+    product tree, and calls comb once per anchor.  No anchor is derived
+    from another by the ratio c_j / c_{j+1}, along which the heights
+    telescope, so the anchors stay a second valuation route.
+    """
+    anchors = {}
+    suffix, top = 1, m  # suffix = prod of vi+u over top < i <= m
+    for i in sorted(abscissas):
+        j = m - i
+        suffix *= _progression_product(u, v, j + 1, top)
+        top = j
+        anchors[i] = comb(m, j) * v ** j * suffix
+    return anchors
 
 
 def verify_certificate(cert: Certificate, instance: LaguerreInstance) -> bool:
@@ -343,7 +380,11 @@ def verify_certificate(cert: Certificate, instance: LaguerreInstance) -> bool:
     distinct prime, on the monic model with multipliers
     a_0..a_{m-1}, v**m a_m; the gates leave p prime to v, so the monic
     leading part 1 and c_m = v**m have the same height 0), and interval
-    coverage.
+    coverage.  The heights are telescoped along the coefficient ratio,
+    one polygon per distinct witness prime; every vertex height of every
+    polygon is then confirmed on the c_j built from their definition at
+    the union of the vertex abscissas (_vertex_anchors), one comb each.
+    No other c_j is built and instance.cleared is not read.
     Returns False on any discrepancy; never raises for a bad certificate.
     """
     try:
@@ -359,14 +400,13 @@ def verify_certificate(cert: Certificate, instance: LaguerreInstance) -> bool:
         if not is_prime(p0) or _small_degree_failure(instance, p0) is not None:
             return False
 
-        m = instance.m
-        # c_j = v**m b_j and c_m = v**m, re-checked by the ratio identity,
-        # which determines every c_j, so heights telescoped along it are exact
-        parts = ratio_identity_parts(instance.cleared, m, instance.u, instance.v)
-        multipliers = instance.a_parts + (Poly.const(instance.v ** m * instance.a_m),)
+        m, u, v = instance.m, instance.u, instance.v
+        multipliers = instance.a_parts + (Poly.const(v ** m * instance.a_m),)
+        polygons: dict[int, NewtonPolygon] = {}
 
         def polygon_at(p):
-            return _telescoped_polygon(parts, instance.u, instance.v, p)
+            polygons[p] = _telescoped_polygon(m, u, v, p)
+            return polygons[p]
 
         per_prime: dict = {}
         seen_ks = []
@@ -385,6 +425,10 @@ def verify_certificate(cert: Certificate, instance: LaguerreInstance) -> bool:
             seen_ks.append(w.k)
         if sorted(seen_ks) != list(range(1, m // 2 + 1)):
             return False
+        anchors = _vertex_anchors(m, u, v, {i for polygon in polygons.values()
+                                            for i, _ in polygon.vertices})
+        for p, polygon in polygons.items():
+            confirm_vertex_heights(polygon, p, anchors)
         return coverage_complete(m, instance.phi.degree, seen_ks)
     except (ValueError, TypeError, AttributeError, ZeroDivisionError, ArithmeticError):
         return False

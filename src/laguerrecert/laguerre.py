@@ -6,10 +6,12 @@ degree below the base, and the base polynomial itself.  The canonical
 integer object is v**m times the assembled polynomial, so that every
 prime not dividing v sees the same valuations on the expansion parts as
 on the coefficients themselves.  Only its integer coefficients v**m b_j
-are stored, built on first read once per instance; the Fractions b_j
-are views of them.  Their valuations come from one routine,
-coefficient_valuations, which reads no b_j: closed forms value them at
-the O(m/p) starts of their runs of equal values.
+are stored, built on first read once per instance and read only by f and
+b; the Fractions b_j are views of them.  Their valuations come from one
+routine, coefficient_valuations, which reads no b_j: closed forms value
+them at the O(m/p) starts of their runs of equal values.  The verifier
+reads neither: its heights are telescoped along the coefficient ratio
+and confirmed on c_j it builds from their definition at polygon vertices.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from itertools import repeat
 from math import comb
 
 from .polyring import Poly, content, format_poly, is_irreducible_mod_p
-from .primes import factorial_valuation, is_prime, sieve_primes, vp_int
+from .primes import is_prime, sieve_primes, vp_int
 from .primes import vp_rat  # noqa: F401  (module attribute wrapped by bench/tracer.py)
 
 
@@ -67,7 +69,8 @@ def _coefficient_view(cleared, vm: int) -> tuple[Fraction, ...]:
 def _cleared_coefficients(m: int, alpha) -> tuple[int, ...]:
     """c_j = v**m b_j = C(m,j) v**j (vm+u)(v(m-1)+u)...(v(j+1)+u) for j < m.
 
-    Checked by ratio_identity_parts, a different formula that determines them.
+    Checked by ratio_identity_parts, a different formula that determines
+    them, before f or b can read them.
     """
     if m < 1:
         raise ValueError("m must be positive")
@@ -90,6 +93,10 @@ def ratio_identity_parts(cleared, m: int, u: int, v: int) -> tuple[int, ...]:
 
     Raises ArithmeticError unless c_j (m-j) v = c_{j+1} (j+1) (v(j+1)+u)
     with v(j+1)+u != 0 at every j < m, which proves c_j = v**m b_j != 0.
+    It guards f (and b), the readers of the cleared integers.  The
+    verifier's heights telescope along this same ratio, on small integers,
+    and are confirmed on c_j built from the definition instead, so the
+    verifier never reads the cleared integers or calls this check.
     """
     parts = tuple(cleared) + (v ** m,)
     if len(parts) != m + 1:
@@ -106,15 +113,17 @@ def coefficient_valuations(m: int, alpha, p: int) -> tuple[tuple[int, int], ...]
     as runs: (j, v_p(b_j)) at each run start j, ascending from 0, each run
     lasting to the next start (adjacent runs may carry equal values).
 
-    v_p(b_j) = F(m) - F(j) - F(m-j) + S(j), with F(n) = v_p(n!)
-    (factorial_valuation, Legendre's formula) and S(j) = sum_{i=j+1..m}
+    v_p(b_j) = F(m) - F(j) - F(m-j) + S(j), with F(n) = v_p(n!) =
+    sum_e floor(n/p**e) (Legendre's formula) and S(j) = sum_{i=j+1..m}
     v_p(v*i+u).  v_p(v*i+u) >= e exactly on the residue class
     i = r_e = -u/v (mod p**e), so S(j) counts each class in (j, m]:
-    sum_e floor((m - r_e)/p**e) - floor((j - r_e)/p**e), over p**e up to
-    the largest |v*i+u|.  The value can change from j-1 to j only where
-    p | j, p | m-j+1 or p | v*j+u, so the starts are 0 and those j, at most
-    3(m/p + 1) + 1 of them, each valued by the closed forms alone: no
-    b_j is read and no valuation is carried from one start to the next.
+    sum_e floor((m - r_e)/p**e) - floor((j - r_e)/p**e).  Both sums run
+    together, one pass over all starts per power p**e up to m or the
+    largest |v*i+u|; past either bound that sum's terms are 0.  The value
+    can change from j-1 to j only where p | j, p | m-j+1 or p | v*j+u, so
+    the starts are 0 and those j, at most 3(m/p + 1) + 1 of them, each
+    valued by the closed forms alone: no b_j is read and no valuation is
+    carried from one start to the next.
     Rejected when p divides v, where the cleared integer model no longer
     has the coefficient valuations.
     """
@@ -126,14 +135,14 @@ def coefficient_valuations(m: int, alpha, p: int) -> tuple[tuple[int, int], ...]
         raise ValueError("p must not divide v")
     starts = sorted({0, *range(p, m, p), *range((m + 1) % p or p, m, p),
                      *range(-u * pow(v, -1, p) % p or p, m, p)})
-    fm = factorial_valuation(p, m)
-    values = [fm - factorial_valuation(p, j) - factorial_valuation(p, m - j) for j in starts]
-    largest = max(abs(v + u), abs(v * m + u))  # bounds |v*i+u| for 1 <= i <= m
+    largest = max(m, abs(v + u), abs(v * m + u))  # also bounds |v*i+u| for 1 <= i <= m
+    values = [0] * len(starts)
     pe = p
-    while pe <= largest:  # S(j) gains the class r of p**e in (j, m]
+    while pe <= largest:  # F's floors at p**e, and S(j)'s class r of p**e in (j, m]
         r = -u * pow(v, -1, pe) % pe
-        top = (m - r) // pe
-        values = [s + top - (j - r) // pe for s, j in zip(values, starts)]
+        top = m // pe + (m - r) // pe
+        values = [s + top - j // pe - (m - j) // pe - (j - r) // pe
+                  for s, j in zip(values, starts)]
         pe *= p
     return tuple(zip(starts, values))
 
@@ -191,7 +200,8 @@ class LaguerreInstance:
 
     @cached_property
     def cleared(self) -> tuple[int, ...]:
-        """c_j = v**m b_j as ints; the parts of f in powers of phi are c_j * a_j."""
+        """c_j = v**m b_j as ints; the parts of f in powers of phi are c_j * a_j.
+        Read only by f and b."""
         return _cleared_coefficients(self.m, self.alpha)
 
     @property

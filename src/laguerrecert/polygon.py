@@ -8,9 +8,11 @@ and tie detection are exact Fractions.
 
 build_polygon values every part of an expansion.  The verifier's heights
 are piecewise linear in the abscissa with O(m/p) breakpoints, and
-anchored_polygon builds its polygon on those breakpoints alone: its
+breakpoint_polygon builds its polygon on those breakpoints alone: its
 vertices, the largest abscissa of height below 1 and the rightmost slope's
-chord maximum are those of all the points.
+chord maximum are those of all the points.  confirm_vertex_heights then
+checks the claimed heights at the vertices only, against integers the
+caller builds by another route.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ class NewtonPolygon:
     """Materialized points plus the vertices of their lower boundary.
 
     The points are every valued part (build_polygon), or only the
-    breakpoints of a piecewise-linear height function (anchored_polygon).
+    breakpoints of a piecewise-linear height function (breakpoint_polygon).
 
     Vertices obey the construction rule: from each vertex, move along the
     chord of minimal slope, and among chords of equal minimal slope take
@@ -86,13 +88,8 @@ def polygon_from_points(points) -> NewtonPolygon:
     return NewtonPolygon(points=tuple(pts), vertices=tuple(vertices))
 
 
-def anchored_polygon(points, p: int, part_at) -> NewtonPolygon:
-    """Polygon of claimed breakpoints (i, h), each vertex re-checked.
-
-    The heights are claimed p-adic valuations of the integer parts
-    part_at(i), confirmed at every vertex rather than recomputed: h >= 0,
-    p**h divides the part (not reduced when h = 0) and p**(h+1) does not,
-    else ArithmeticError.
+def breakpoint_polygon(points) -> NewtonPolygon:
+    """Polygon of the breakpoints (i, h) of a piecewise-linear height function.
 
     The points are the breakpoints of a height function on the integers
     between the first and the last of them, linear with a non-positive
@@ -106,13 +103,25 @@ def anchored_polygon(points, p: int, part_at) -> NewtonPolygon:
     - The chord slope (h_N - h)/(i_N - i) to the last point is monotone
       along a segment (constant on the last one), so the chord maximum
       that rightmost_slope cross-checks is reached at a breakpoint.
+    The heights are claims until confirm_vertex_heights has checked them.
     """
-    polygon = polygon_from_points(points)
+    return polygon_from_points(points)
+
+
+def confirm_vertex_heights(polygon: NewtonPolygon, p: int, anchors) -> None:
+    """Check each vertex height h at abscissa i as the p-adic valuation of
+    the integer anchors[i]: h >= 0, p**h divides it (not reduced when
+    h = 0) and p**(h+1) does not, else ArithmeticError.
+
+    Only the vertices are read, one anchor each; the heights between them
+    stand on the route that produced them.  The anchors come from another
+    route (the verifier builds them from the definition of the parts, its
+    heights are telescoped along their ratio), so each checks the other.
+    """
     for i, h in polygon.vertices:
-        c = part_at(i)
+        c = anchors[i]
         if h < 0 or (h and c % p ** h) or not c % p ** (h + 1):
             raise ArithmeticError(f"height {h} at abscissa {i} disagrees with its anchor")
-    return polygon
 
 
 def build_polygon(expansion: PhiExpansion, p: int) -> NewtonPolygon:
@@ -172,7 +181,7 @@ def rightmost_slope(polygon: NewtonPolygon) -> Fraction:
     chord slope to the last vertex; both are compared by integer cross
     multiplication and must agree.  On a polygon of breakpoints the chord
     slope is monotone between two of them, so the maximum over the
-    breakpoints is the maximum over every point (see anchored_polygon).
+    breakpoints is the maximum over every point (see breakpoint_polygon).
     """
     vertices = polygon.vertices
     if len(vertices) < 2:

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from laguerrecert import laguerre
 from laguerrecert.certify import (Certificate, ExclusionWitness, FailureReport,
                                   NoSmallDegreePrime, _small_degree_failure,
-                                  _telescoped_polygon,
+                                  _telescoped_polygon, _vertex_anchors,
                                   certificate_from_json,
                                   certificate_to_json, certify, coverage_complete,
                                   exclude_small_degrees, exclusion_bounds,
@@ -23,7 +23,7 @@ from laguerrecert.certify import (Certificate, ExclusionWitness, FailureReport,
                                   verify_certificate, witness_range, witness_slope)
 from laguerrecert.laguerre import (HypothesisViolation, LaguerreInstance, build_instance,
                                    laguerre_coefficients, ratio_identity_parts)
-from laguerrecert.polygon import anchored_polygon, build_polygon
+from laguerrecert.polygon import breakpoint_polygon, build_polygon, confirm_vertex_heights
 from laguerrecert.polyring import (PhiExpansion, Poly, construct_phi, content,
                                    X, is_irreducible_mod_p, parse_poly, phi_expand)
 from laguerrecert.primes import sieve_primes, vp_int, vp_rat
@@ -102,8 +102,7 @@ def test_small_degree_failure_matches_fraction_predicate(phi17, product_form):
 
 
 def test_certify_reads_no_cleared_coefficient(monkeypatch):
-    # build, certify and JSON stay on small integers; the verifier builds the
-    # c_j the first time it reads them
+    # build, certify and JSON stay on small integers
     m, u, base = 60, 2, construct_phi(2, 62)
     plain = certificate_to_json(certify(ones(base, m, u)))
     calls = []
@@ -118,8 +117,62 @@ def test_certify_reads_no_cleared_coefficient(monkeypatch):
     cert = certify(inst)
     assert certificate_to_json(cert) == plain
     assert calls == []
-    assert verify_certificate(cert, ones(base, m, u))
-    assert len(calls) >= 1
+
+
+def _verify_recording_anchors(monkeypatch, cert, inst):
+    """verify_certificate(cert, inst), and the (p, polygon, anchors) of each
+    vertex confirmation it makes."""
+    confirmed = []
+    real = cm.confirm_vertex_heights
+
+    def recording(polygon, p, anchors):
+        confirmed.append((p, polygon, anchors))
+        return real(polygon, p, anchors)
+
+    monkeypatch.setattr(cm, "confirm_vertex_heights", recording)
+    return verify_certificate(cert, inst), confirmed
+
+
+def test_verify_reads_no_cleared_coefficient(monkeypatch):
+    # the mirror of the certifier's test: the verifier builds no c_j through
+    # the instance, runs no ratio identity, and calls comb once per distinct
+    # vertex abscissa, each abscissa of every confirmed polygon's vertices
+    m, u, base = 60, 2, construct_phi(2, 62)
+    cert = certify(ones(base, m, u))
+    calls, combs = [], []
+    for name in ("_cleared_coefficients", "ratio_identity_parts"):
+        monkeypatch.setattr(laguerre, name, lambda *args, real=getattr(laguerre, name):
+                            calls.append(args) or real(*args))
+    real_comb = cm.comb
+    monkeypatch.setattr(cm, "comb", lambda n, k: combs.append((n, k)) or real_comb(n, k))
+    fresh = ones(base, m, u)
+    ok, confirmed = _verify_recording_anchors(monkeypatch, cert, fresh)
+    assert ok and calls == [] and "cleared" not in vars(fresh)
+    assert sorted(p for p, _, _ in confirmed) == sorted({w.p for w in cert.witnesses})
+    abscissas = {i for _, polygon, _ in confirmed for i, _ in polygon.vertices}
+    assert {0, m} <= abscissas
+    assert sorted(combs) == sorted((m, m - i) for i in abscissas)
+    assert all(anchors.keys() == abscissas for _, _, anchors in confirmed)
+
+
+@pytest.mark.parametrize("m", [800, 3200])
+@pytest.mark.parametrize("alpha", [Fraction(2), Fraction(2, 3)])
+def test_verify_anchors_equal_cleared_at_every_vertex(monkeypatch, m, alpha):
+    # the sweep's anchors against the ratio-checked c_j, at the vertices of
+    # every witness prime's polygon: a suffix product started one index
+    # early, a binomial index shifted by one or an abscissa dropped from the
+    # union each changes or loses a vertex anchor
+    u, v = alpha.numerator, alpha.denominator
+    base = construct_phi(2, v * m + u)
+    inst = ones(base, m, alpha)
+    cert = certify(inst)
+    assert isinstance(cert, Certificate)
+    ok, confirmed = _verify_recording_anchors(monkeypatch, cert, ones(base, m, alpha))
+    assert ok and confirmed
+    parts = inst.cleared + (v ** m,)
+    for p, polygon, anchors in confirmed:
+        for i, _ in polygon.vertices:
+            assert anchors[i] == parts[m - i], (p, i)
 
 
 def test_small_degree_prime_is_smallest_factor(phi17):
@@ -510,8 +563,7 @@ def _big_integer_polygon_at(inst):
 
 
 def _telescoped_polygon_at(inst):
-    parts = ratio_identity_parts(inst.cleared, inst.m, inst.u, inst.v)
-    return lambda p: _telescoped_polygon(parts, inst.u, inst.v, p)
+    return lambda p: _telescoped_polygon(inst.m, inst.u, inst.v, p)
 
 
 def _verifier_multipliers(inst):
@@ -546,6 +598,9 @@ def test_telescoped_heights_match_big_integer_route():
                     polygon, full = telescoped(p), big(p)
                     assert interpolate_breakpoints(polygon.points) == full.points, (m, u, v, p)
                     assert polygon.vertices == full.vertices, (m, u, v, p)
+                    anchors = _vertex_anchors(m, u, v, [i for i, _ in polygon.vertices])
+                    assert all(c == parts[m - i] for i, c in anchors.items()), (m, u, v, p)
+                    confirm_vertex_heights(polygon, p, anchors)
                     assert (exclusion_bounds(inst.phi, multipliers, p, telescoped)
                             == exclusion_bounds(inst.phi, multipliers, p, big)), (m, u, v, p)
                     primes_checked += 1
@@ -570,8 +625,8 @@ def test_valuation_routes_call_vp_int_only_at_events(monkeypatch):
     # the producer values no b_j with vp_int: its runs come from closed
     # forms, so its one call values the leading multiplier a_m.  At m = 800
     # and p = 401 the verifier has a handful of events; a return to dense
-    # heights would keep all m+1 points.  The vertex anchors read their big
-    # c_j without vp_int, c_0 (abscissa m) among them.
+    # heights would keep all m+1 points.  The vertex anchors are built and
+    # confirmed without vp_int, c_0 (abscissa m) among them.
     calls = []
 
     def counting(p, n):
@@ -589,16 +644,16 @@ def test_valuation_routes_call_vp_int_only_at_events(monkeypatch):
         assert calls == [12], q
         assert expand_runs(runs, m + 1) == tuple(vp_rat(q, bj) for bj in b) + (vp_int(q, 12),)
         assert len(runs) <= 3 * (m // q + 1) + 2
-    parts = ratio_identity_parts(inst.cleared, m, inst.u, inst.v)
+    parts = inst.cleared + (inst.v ** m,)
     calls.clear()
-    anchored = []
-    real = cm.anchored_polygon
-    monkeypatch.setattr(cm, "anchored_polygon", lambda points, p, part_at: real(
-        points, p, lambda i: anchored.append(i) or part_at(i)))
-    polygon = _telescoped_polygon(parts, inst.u, inst.v, p)
+    polygon = _telescoped_polygon(m, inst.u, inst.v, p)
     assert len(calls) <= 3 * (m // p + 1) + 1
     assert all(0 < n <= m + 2 for n in calls)
-    assert anchored == [i for i, _ in polygon.vertices] and anchored[-1] == m
+    events = len(calls)
+    anchors = _vertex_anchors(m, inst.u, inst.v, [i for i, _ in polygon.vertices])
+    confirm_vertex_heights(polygon, p, anchors)
+    assert len(calls) == events
+    assert sorted(anchors) == [i for i, _ in polygon.vertices] and polygon.vertices[-1][0] == m
     assert len(polygon.points) <= 2 * 3 * (m // p + 1) + 2
     assert interpolate_breakpoints(polygon.points) == tuple(
         (i, vp_int(p, parts[m - i])) for i in range(m + 1))
@@ -617,11 +672,13 @@ def test_certify_values_few_run_starts(monkeypatch):
 
 
 def test_certify_anchors_runs_at_b_m_minus_1(monkeypatch):
-    # b_{m-1} = m(vm+u)/v: an off-by-one in the Legendre floor counts moves
-    # the run holding j = m-1, and the certifier refuses it with a raise
+    # b_{m-1} = m(vm+u)/v: an off-by-one in the Legendre floor counts (here
+    # F(m) one too high, which raises every run) moves the run holding
+    # j = m-1, and the certifier refuses it with a raise
     inst = LaguerreInstance(12, 2, 1, [Poly.const(1)] * 12, X)
-    real = laguerre.factorial_valuation
-    monkeypatch.setattr(laguerre, "factorial_valuation", lambda p, n: real(p, max(n - 1, 0)))
+    real = laguerre.coefficient_valuations
+    monkeypatch.setattr(laguerre, "coefficient_valuations",
+                        lambda *args: tuple((j, e + 1) for j, e in real(*args)))
     with pytest.raises(ArithmeticError, match=r"p = 2 miss v_p\(b_\(m-1\)\)"):
         certify(inst)
     with pytest.raises(ArithmeticError, match=r"p = 3 miss"):
@@ -629,11 +686,14 @@ def test_certify_anchors_runs_at_b_m_minus_1(monkeypatch):
 
 
 def test_ratio_identity_rejects_changed_cleared_coefficient():
+    # the identity guards the c_j that f and b read.  The verifier reads
+    # none of them: its anchors come from (m, u, v) alone, so a changed
+    # cache leaves its verdict on the instance's own data as it was
     inst = ones(construct_phi(2, 42), 40, 2)
     cert = certify(inst)
     assert verify_certificate(cert, inst)
     # q is a multiple of every prime up to vm+u, so c_j (1 + q) keeps every
-    # valuation there: no gate and no vertex anchor can see the change
+    # valuation there: only the identity can see the change
     q = math.prod(sieve_primes(inst.prime_bound))
     j = 20
     for changed in (inst.cleared[j] * (1 + q), inst.cleared[j] + q,
@@ -642,14 +702,20 @@ def test_ratio_identity_rejects_changed_cleared_coefficient():
         forged.cleared = forged.cleared[:j] + (changed,) + forged.cleared[j + 1:]
         with pytest.raises(ArithmeticError, match="ratio identity"):
             ratio_identity_parts(forged.cleared, forged.m, forged.u, forged.v)
-        assert not verify_certificate(cert, forged), changed
+        assert verify_certificate(cert, forged), changed
     # every coefficient times 1 + q: each ratio c_j / c_{j+1} still holds,
     # and only the leading part c_m = v**m tells the change
     forged = ones(construct_phi(2, 42), 40, 2)
     forged.cleared = tuple(c * (1 + q) for c in forged.cleared)
     with pytest.raises(ArithmeticError, match="ratio identity fails at j=39"):
         ratio_identity_parts(forged.cleared, forged.m, forged.u, forged.v)
-    assert not verify_certificate(cert, forged)
+    assert verify_certificate(cert, forged)
+
+
+def _confirmed_polygon(points, p, anchors):
+    polygon = breakpoint_polygon(points)
+    confirm_vertex_heights(polygon, p, anchors)
+    return polygon
 
 
 def test_height_disagreeing_with_its_anchor_is_refused(monkeypatch):
@@ -657,37 +723,51 @@ def test_height_disagreeing_with_its_anchor_is_refused(monkeypatch):
     # too low, and the true height is confirmed
     for parts in ((5, 3, 9), (5, 3, 81)):
         with pytest.raises(ArithmeticError, match="height 3 at abscissa 2 disagrees"):
-            anchored_polygon([(0, 0), (1, 1), (2, 3)], 3, parts.__getitem__)
-    assert anchored_polygon([(0, 0), (1, 1), (2, 3)], 3, (5, 3, 27).__getitem__).vertices \
+            _confirmed_polygon([(0, 0), (1, 1), (2, 3)], 3, parts)
+    assert _confirmed_polygon([(0, 0), (1, 1), (2, 3)], 3, (5, 3, 27)).vertices \
         == ((0, 0), (1, 1), (2, 3))
     # an interior vertex off the last edge, which the rightmost slope ignores
     with pytest.raises(ArithmeticError, match="anchor"):
-        anchored_polygon([(0, 10), (1, 5), (2, 2), (3, 0)], 2,
-                         lambda i: 2 ** (10, 6, 2, 0)[i])
+        _confirmed_polygon([(0, 10), (1, 5), (2, 2), (3, 0)], 2,
+                           [2 ** h for h in (10, 6, 2, 0)])
     # a negative height is no valuation of an integer, not even of a unit
     with pytest.raises(ArithmeticError, match="height -1 at abscissa 1 disagrees"):
-        anchored_polygon([(0, 0), (1, -1)], 7, (1, 1).__getitem__)
+        _confirmed_polygon([(0, 0), (1, -1)], 7, (1, 1))
     # a height of 0 asks only that p not divide the part
-    assert anchored_polygon([(0, 0), (1, 1), (2, 2)], 5, (1, 5, 25).__getitem__).vertices \
+    assert _confirmed_polygon([(0, 0), (1, 1), (2, 2)], 5, (1, 5, 25)).vertices \
         == ((0, 0), (2, 2))
     with pytest.raises(ArithmeticError, match="height 0 at abscissa 0 disagrees"):
-        anchored_polygon([(0, 0), (1, 1), (2, 2)], 5, (10, 5, 25).__getitem__)
+        _confirmed_polygon([(0, 0), (1, 1), (2, 2)], 5, (10, 5, 25))
 
     inst = ones(construct_phi(2, 42), 40, 2)
     cert = certify(inst)
     assert verify_certificate(cert, inst)
-    real = cm.anchored_polygon
+    real = cm.breakpoint_polygon
 
-    def off_by_one(points, *anchor):
+    def off_by_one(points):
         (i, h), points = points[-1], list(points[:-1])
         points.append((i, h + 1))  # the rightmost point, always a vertex
-        return real(points, *anchor)
+        return real(points)
 
-    monkeypatch.setattr(cm, "anchored_polygon", off_by_one)
-    parts = ratio_identity_parts(inst.cleared, inst.m, inst.u, inst.v)
+    monkeypatch.setattr(cm, "breakpoint_polygon", off_by_one)
+    polygon = _telescoped_polygon(inst.m, inst.u, inst.v, 7)
+    anchors = _vertex_anchors(inst.m, inst.u, inst.v, [i for i, _ in polygon.vertices])
     with pytest.raises(ArithmeticError, match="anchor"):
-        _telescoped_polygon(parts, inst.u, inst.v, 7)
+        confirm_vertex_heights(polygon, 7, anchors)
     assert not verify_certificate(cert, inst)
+
+
+def test_forged_anchor_is_refused(monkeypatch):
+    # every anchor times q, a multiple of every prime up to vm+u, raises
+    # each vertex valuation: the confirmation refuses the first vertex read
+    inst = ones(construct_phi(2, 42), 40, 2)
+    cert = certify(inst)
+    q = math.prod(sieve_primes(inst.prime_bound))
+    real_comb = cm.comb
+    monkeypatch.setattr(cm, "comb", lambda n, k: real_comb(n, k) * q)
+    assert not verify_certificate(cert, inst)
+    monkeypatch.setattr(cm, "comb", lambda n, k: real_comb(n, k) * (1 + q))
+    assert verify_certificate(cert, inst)  # a unit at every prime up to vm+u
 
 
 def test_witness_dividing_v_is_rejected(phi17, monkeypatch):
@@ -699,7 +779,7 @@ def test_witness_dividing_v_is_rejected(phi17, monkeypatch):
     asked = []
     real = cm._telescoped_polygon
     monkeypatch.setattr(cm, "_telescoped_polygon",
-                        lambda parts, u, v, p: asked.append(p) or real(parts, u, v, p))
+                        lambda m, u, v, p: asked.append(p) or real(m, u, v, p))
     w0 = cert.witnesses[0]
     for slope in (w0.slope, Fraction(0)):
         forged = replace(cert, witnesses=(replace(w0, p=2, slope=slope),) + cert.witnesses[1:])
@@ -763,12 +843,13 @@ tampered = cm.Certificate(
     witnesses=tuple(cm.ExclusionWitness(k=w.k, p=w.p, slope=w.slope + Fraction(1, 10**6))
                     for w in cert.witnesses))
 print("tampered", cm.verify_certificate(tampered, inst))
-# the ratio identity and the vertex anchors are explicit raises too
-# (1 + q keeps every valuation at the primes up to vm+u = 14)
+# the vertex anchors are confirmed by explicit raises: anchors times q
+# (every prime up to vm+u = 14) raise each vertex valuation
 q = 2 * 3 * 5 * 7 * 11 * 13
-forged = build_instance(12, 2, 1, [Poly.const(1)] * 12, phi)
-forged.cleared = forged.cleared[:5] + (forged.cleared[5] * (1 + q),) + forged.cleared[6:]
-print("changed coefficient", cm.verify_certificate(cert, forged))
+real_comb = cm.comb
+cm.comb = lambda n, k: real_comb(n, k) * q
+print("forged anchor", cm.verify_certificate(cert, inst))
+cm.comb = real_comb
 # a wrong binomial in the progression form is refused when the c_j are first read
 lm = importlib.import_module("laguerrecert.laguerre")
 real_comb = lm.comb
@@ -779,22 +860,24 @@ try:
 except ArithmeticError:
     print("wrong binomial raises")
 lm.comb = real_comb
-real_anchored = cm.anchored_polygon
-cm.anchored_polygon = lambda points, *anchor: real_anchored(
-    list(points[:-1]) + [(points[-1][0], points[-1][1] + 1)], *anchor)
+real_hull = cm.breakpoint_polygon
+cm.breakpoint_polygon = lambda points: real_hull(
+    list(points[:-1]) + [(points[-1][0], points[-1][1] + 1)])
 # the bumped height also moves the slope, so the raise itself is pinned
+polygon = cm._telescoped_polygon(12, 2, 1, 7)
 try:
-    cm._telescoped_polygon(lm.ratio_identity_parts(inst.cleared, 12, 2, 1), 2, 1, 7)
+    cm.confirm_vertex_heights(polygon, 7, cm._vertex_anchors(
+        12, 2, 1, [i for i, _ in polygon.vertices]))
     print("bad anchor accepted")
 except ArithmeticError:
     print("bad anchor", cm.verify_certificate(cert, inst))
-cm.anchored_polygon = real_anchored
+cm.breakpoint_polygon = real_hull
 # a stray point far below makes the chord maximum miss the last edge; the
 # explicit cross-check in rightmost_slope trips and the verifier says False
 real = cm._telescoped_polygon
 
-def broken(parts, u, v, p):
-    polygon = real(parts, u, v, p)
+def broken(m, u, v, p):
+    polygon = real(m, u, v, p)
     return NewtonPolygon(((-1, -10**6),) + polygon.points, polygon.vertices)
 
 cm._telescoped_polygon = broken
@@ -808,14 +891,14 @@ try:
 except ArithmeticError:
     print("bogus witness raises")
 # the certifier anchors each prime's runs at b_{m-1} = m(vm+u)/v
-real_legendre = lm.factorial_valuation
-lm.factorial_valuation = lambda p, n: real_legendre(p, max(n - 1, 0))
+real_runs = lm.coefficient_valuations
+lm.coefficient_valuations = lambda *args: tuple((j, e + 1) for j, e in real_runs(*args))
 try:
     cm.certify(inst)
     print("off-by-one runs accepted")
 except ArithmeticError:
     print("off-by-one runs raise")
-lm.factorial_valuation = real_legendre
+lm.coefficient_valuations = real_runs
 """
 
 
@@ -829,7 +912,7 @@ def test_verify_cross_checks_survive_optimized_mode():
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert proc.stdout.split("\n")[:8] == [
-        "verify True", "tampered False", "changed coefficient False", "wrong binomial raises",
+        "verify True", "tampered False", "forged anchor False", "wrong binomial raises",
         "bad anchor False", "broken polygon False", "bogus witness raises",
         "off-by-one runs raise"]
 

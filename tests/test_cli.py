@@ -155,6 +155,24 @@ def test_certify_tamper_detected(tmp_path, capsys):
     assert code == 2 and "REJECTED" in out
 
 
+def test_certify_roundtrip_at_m1600(tmp_path, capsys):
+    # the verifier's anchors at a size where every c_j would be large
+    cert = tmp_path / "cert.json"
+    instance = ("-m", "1600", "-u", "2", "--am", "1",
+                "--phi", format_poly(construct_phi(2, 1602)))
+    code, _, _ = run(capsys, "certify", *instance, "--out", str(cert))
+    assert code == 0
+    code, out, _ = run(capsys, "certify", *instance, "--verify", str(cert))
+    assert code == 0 and out == "certificate verifies\n"
+    data = json.loads(cert.read_text())
+    w = data["witnesses"][-1]
+    num, den = map(int, w["slope"].split("/"))
+    w["slope"] = f"{num + 1}/{den}"
+    cert.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "certify", *instance, "--verify", str(cert))
+    assert code == 2 and out == "certificate REJECTED\n"
+
+
 def test_certify_witness_dividing_v_rejected(tmp_path, capsys):
     cert = tmp_path / "cert.json"
     instance = ("-m", "5", "-u", "1", "-v", "2", "--am", "1", "--phi", "x^2-x+17")

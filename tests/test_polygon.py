@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from laguerrecert.polygon import (anchored_polygon, bruteforce_lower_hull,
-                                  build_polygon, polygon_from_points,
-                                  rightmost_slope)
+from laguerrecert.polygon import (breakpoint_polygon, bruteforce_lower_hull,
+                                  build_polygon, confirm_vertex_heights,
+                                  polygon_from_points, rightmost_slope)
 from laguerrecert.polyring import Poly, X, phi_expand
 
 
@@ -205,8 +205,8 @@ def test_anchored_polygon_on_flat_runs_matches_all_points(runs):
     last = len(heights) - 1
     starts = [i for i in range(1, last + 1) if heights[i] != heights[i - 1]]
     ends = sorted({0, last, *starts, *(i - 1 for i in starts)})
-    polygon = anchored_polygon([(i, heights[i]) for i in ends], 2,
-                               lambda i: 3 * 2 ** heights[i])
+    polygon = breakpoint_polygon([(i, heights[i]) for i in ends])
+    confirm_vertex_heights(polygon, 2, [3 * 2 ** h for h in heights])
     every = tuple(enumerate(heights))
     assert interpolate_breakpoints(polygon.points) == every
     full = polygon_from_points(every)
@@ -237,8 +237,8 @@ def test_anchored_polygon_on_sheared_breakpoints_matches_all_points(m, shear, ev
     heights = [h + lift for h in heights]
     every = tuple(enumerate(heights))
     breaks = sorted({0, m, *deltas, *(a + 1 for a in deltas)})
-    polygon = anchored_polygon([(i, heights[i]) for i in breaks], 2,
-                               lambda i: 2 ** heights[i])
+    polygon = breakpoint_polygon([(i, heights[i]) for i in breaks])
+    confirm_vertex_heights(polygon, 2, [2 ** h for h in heights])
     assert len(polygon.points) <= 2 * len(deltas) + 2
     assert interpolate_breakpoints(polygon.points) == every
     assert polygon.vertices == bruteforce_lower_hull(every).vertices
