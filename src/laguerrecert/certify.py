@@ -380,17 +380,20 @@ def verify_certificate(cert: Certificate, instance: LaguerreInstance) -> bool:
     distinct prime, on the monic model with multipliers
     a_0..a_{m-1}, v**m a_m; the gates leave p prime to v, so the monic
     leading part 1 and c_m = v**m have the same height 0), and interval
-    coverage.  The heights are telescoped along the coefficient ratio,
-    one polygon per distinct witness prime; every vertex height of every
-    polygon is then confirmed on the c_j built from their definition at
-    the union of the vertex abscissas (_vertex_anchors), one comb each.
-    No other c_j is built and instance.cleared is not read.
+    coverage.  Each witness is checked in integers against its prime's
+    (k_lo, numerator, denominator): k >= k_lo, a Fraction slope with that
+    numerator and denominator, and numerator * k < denominator (the
+    denominator is positive), which is slope < 1/k.  The heights are
+    telescoped along the coefficient ratio, one polygon per distinct
+    witness prime; every vertex height of every polygon is then confirmed
+    on the c_j built from their definition at the union of the vertex
+    abscissas (_vertex_anchors), one comb each.  No other c_j is built and
+    instance.cleared is not read.
     Returns False on any discrepancy; never raises for a bad certificate.
     """
     try:
         if not isinstance(cert, Certificate) or not all(
-                type(n) is int for n in (cert.m, cert.u, cert.v, cert.small_degree_prime,
-                                         *(n for w in cert.witnesses for n in (w.k, w.p)))):
+                type(n) is int for n in (cert.m, cert.u, cert.v, cert.small_degree_prime)):
             return False
         if (cert.m, cert.u, cert.v) != (instance.m, instance.u, instance.v):
             return False
@@ -408,22 +411,27 @@ def verify_certificate(cert: Certificate, instance: LaguerreInstance) -> bool:
             polygons[p] = _telescoped_polygon(m, u, v, p)
             return polygons[p]
 
-        per_prime: dict = {}
+        half = m // 2
+        per_prime: dict = {}  # p -> (k_lo, slope numerator, slope denominator), or None
         seen_ks = []
         for w in cert.witnesses:
-            if not (w.divisibility_checked and 1 <= w.k <= m // 2):
+            k, p, slope = w.k, w.p, w.slope
+            if type(k) is not int or type(p) is not int:
                 return False
-            if w.p not in per_prime:
-                per_prime[w.p] = exclusion_bounds(instance.phi, multipliers, w.p,
-                                                  polygon_at)
-            if per_prime[w.p] is None:
+            if not (w.divisibility_checked and 1 <= k <= half):
                 return False
-            k_lo, slope = per_prime[w.p]
-            if w.k < k_lo or type(w.slope) is not Fraction or slope != w.slope \
-                    or not slope < Fraction(1, w.k):
+            if p not in per_prime:
+                bounds = exclusion_bounds(instance.phi, multipliers, p, polygon_at)
+                per_prime[p] = None if bounds is None else (
+                    bounds[0], bounds[1].numerator, bounds[1].denominator)
+            if per_prime[p] is None:
                 return False
-            seen_ks.append(w.k)
-        if sorted(seen_ks) != list(range(1, m // 2 + 1)):
+            k_lo, num, den = per_prime[p]
+            if k < k_lo or type(slope) is not Fraction or slope.numerator != num \
+                    or slope.denominator != den or num * k >= den:
+                return False
+            seen_ks.append(k)
+        if sorted(seen_ks) != list(range(1, half + 1)):
             return False
         anchors = _vertex_anchors(m, u, v, {i for polygon in polygons.values()
                                             for i, _ in polygon.vertices})
@@ -457,8 +465,43 @@ def certificate_to_jsonable(cert: Certificate) -> dict:
     }
 
 
+_CERTIFICATE_TEXT = """\
+{
+  "m": %d,
+  "u": %d,
+  "v": %d,
+  "phi": %s,
+  "small_degree_prime": %d,
+  "witnesses": %s,
+  "conclusion": %s
+}"""
+_WITNESS_TEXT = """\
+    {
+      "k": %d,
+      "p": %d,
+      "slope": "%d/%d",
+      "divisibility_range": [
+        0,
+        %d
+      ]
+    }"""
+
+
 def certificate_to_json(cert: Certificate) -> str:
-    return json.dumps(certificate_to_jsonable(cert), indent=2)
+    """json.dumps(certificate_to_jsonable(cert), indent=2), byte for byte.
+
+    Each witness fills one record template, and the records are joined as
+    the indent=2 layout joins list items; json.dumps runs only on the two
+    strings, phi and the conclusion, so no indenting encoder runs.  The
+    integer fields are ints, as certify and certificate_from_json make them.
+    """
+    m = cert.m
+    records = ",\n".join([_WITNESS_TEXT % (w.k, w.p, w.slope.numerator, w.slope.denominator,
+                                           m - w.k) for w in cert.witnesses])
+    return _CERTIFICATE_TEXT % (m, cert.u, cert.v, json.dumps(format_poly(cert.phi)),
+                                cert.small_degree_prime,
+                                f"[\n{records}\n  ]" if records else "[]",
+                                json.dumps(cert.conclusion))
 
 
 def _typed(record: dict, key: str, kind: type):
@@ -470,28 +513,35 @@ def _typed(record: dict, key: str, kind: type):
     return value
 
 
+_SLOPE_TEXT = re.compile(r"(-?[0-9]+)/([0-9]+)")
+
+
 def certificate_from_json(text: str) -> Certificate:
     """Parse a certificate; any malformed input raises ValueError.
 
     m, u, v, small_degree_prime, k and p must be JSON integers, phi and
     slope strings (the slope written a/b), and divisibility_range a list of
-    two integers.
+    two integers.  Every record is type-checked; each distinct slope text
+    is matched and made a Fraction once per call.
     """
     try:
         data = json.loads(text)
         m = _typed(data, "m", int)
+        slopes: dict[str, Fraction] = {}  # slope text -> its Fraction
         witnesses = []
         for w in _typed(data, "witnesses", list):
-            k, slope = _typed(w, "k", int), _typed(w, "slope", str)
-            ratio = re.fullmatch(r"(-?[0-9]+)/([0-9]+)", slope)
-            if not ratio:
-                raise ValueError(f"malformed certificate: slope {slope!r} is not a/b")
+            k, slope_text = _typed(w, "k", int), _typed(w, "slope", str)
+            slope = slopes.get(slope_text)
+            if slope is None:
+                ratio = _SLOPE_TEXT.fullmatch(slope_text)
+                if not ratio:
+                    raise ValueError(f"malformed certificate: slope {slope_text!r} is not a/b")
+                slope = slopes[slope_text] = Fraction(int(ratio[1]), int(ratio[2]))
             divisibility = _typed(w, "divisibility_range", list)
-            if len(divisibility) != 2 or any(type(n) is not int for n in divisibility):
+            if list(map(type, divisibility)) != [int, int]:
                 raise ValueError("malformed certificate: divisibility_range must be "
                                  f"two integers, got {divisibility!r}")
-            witnesses.append(ExclusionWitness(k=k, p=_typed(w, "p", int),
-                                              slope=Fraction(int(ratio[1]), int(ratio[2])),
+            witnesses.append(ExclusionWitness(k=k, p=_typed(w, "p", int), slope=slope,
                                               divisibility_checked=divisibility == [0, m - k]))
         return Certificate(m=m, u=_typed(data, "u", int), v=_typed(data, "v", int),
                            phi=parse_poly(_typed(data, "phi", str)),

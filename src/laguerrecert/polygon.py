@@ -110,17 +110,18 @@ def breakpoint_polygon(points) -> NewtonPolygon:
 
 def confirm_vertex_heights(polygon: NewtonPolygon, p: int, anchors) -> None:
     """Check each vertex height h at abscissa i as the p-adic valuation of
-    the integer anchors[i]: h >= 0, p**h divides it (not reduced when
-    h = 0) and p**(h+1) does not, else ArithmeticError.
+    the integer anchors[i]: h >= 0, and r = anchors[i] mod p**(h+1) is
+    nonzero and divisible by p**h, else ArithmeticError.
 
-    Only the vertices are read, one anchor each; the heights between them
-    stand on the route that produced them.  The anchors come from another
-    route (the verifier builds them from the definition of the parts, its
-    heights are telescoped along their ratio), so each checks the other.
+    Only the vertices are read, one anchor each, and each anchor is reduced
+    once: r holds both conditions, p**h | c and p**(h+1) not dividing c.
+    The heights between the vertices stand on the route that produced them.
+    The anchors come from another route (the verifier builds them from the
+    definition of the parts, its heights are telescoped along their ratio),
+    so each checks the other.
     """
     for i, h in polygon.vertices:
-        c = anchors[i]
-        if h < 0 or (h and c % p ** h) or not c % p ** (h + 1):
+        if h < 0 or not (r := anchors[i] % p ** (h + 1)) or r % p ** h:
             raise ArithmeticError(f"height {h} at abscissa {i} disagrees with its anchor")
 
 

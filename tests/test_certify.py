@@ -566,6 +566,17 @@ def _telescoped_polygon_at(inst):
     return lambda p: _telescoped_polygon(inst.m, inst.u, inst.v, p)
 
 
+def _all_ones_grid():
+    """The 780 all-ones instances: v in 1..3, u in -2..4 (u/v in lowest
+    terms, not a negative integer), m in 1..60, base construct_phi(2, vm+u)."""
+    for v in (1, 2, 3):
+        for u in range(-2, 5):
+            if math.gcd(u, v) != 1 or (v == 1 and u < 0):
+                continue  # not in lowest terms, or a negative integer
+            for m in range(1, 61):
+                yield ones(construct_phi(2, v * m + u), m, Fraction(u, v))
+
+
 def _verifier_multipliers(inst):
     return inst.a_parts + (Poly.const(inst.v ** inst.m * inst.a_m),)
 
@@ -576,35 +587,30 @@ def test_telescoped_heights_match_big_integer_route():
     # point, same vertices, same (k_lo, slope) or None; a prime dividing v
     # is refused, as exclusion_bounds never asks for its polygon
     instances = primes_checked = 0
-    for v in (1, 2, 3):
-        for u in range(-2, 5):
-            if math.gcd(u, v) != 1 or (v == 1 and u < 0):
-                continue  # not in lowest terms, or a negative integer
-            alpha = Fraction(u, v)
-            for m in range(1, 61):
-                inst = ones(construct_phi(2, v * m + u), m, alpha)
-                telescoped = _telescoped_polygon_at(inst)
-                big = _big_integer_polygon_at(inst)
-                multipliers = _verifier_multipliers(inst)
-                parts = ratio_identity_parts(inst.cleared, inst.m, inst.u, inst.v)
-                for p in sieve_primes(inst.prime_bound):
-                    if v % p == 0:
-                        with pytest.raises(ValueError, match="prime to v"):
-                            telescoped(p)
-                        assert exclusion_bounds(inst.phi, multipliers, p, big) is None
-                        continue
-                    if not is_irreducible_mod_p(inst.phi, p):
-                        continue
-                    polygon, full = telescoped(p), big(p)
-                    assert interpolate_breakpoints(polygon.points) == full.points, (m, u, v, p)
-                    assert polygon.vertices == full.vertices, (m, u, v, p)
-                    anchors = _vertex_anchors(m, u, v, [i for i, _ in polygon.vertices])
-                    assert all(c == parts[m - i] for i, c in anchors.items()), (m, u, v, p)
-                    confirm_vertex_heights(polygon, p, anchors)
-                    assert (exclusion_bounds(inst.phi, multipliers, p, telescoped)
-                            == exclusion_bounds(inst.phi, multipliers, p, big)), (m, u, v, p)
-                    primes_checked += 1
-                instances += 1
+    for inst in _all_ones_grid():
+        m, u, v = inst.m, inst.u, inst.v
+        telescoped = _telescoped_polygon_at(inst)
+        big = _big_integer_polygon_at(inst)
+        multipliers = _verifier_multipliers(inst)
+        parts = ratio_identity_parts(inst.cleared, m, u, v)
+        for p in sieve_primes(inst.prime_bound):
+            if v % p == 0:
+                with pytest.raises(ValueError, match="prime to v"):
+                    telescoped(p)
+                assert exclusion_bounds(inst.phi, multipliers, p, big) is None
+                continue
+            if not is_irreducible_mod_p(inst.phi, p):
+                continue
+            polygon, full = telescoped(p), big(p)
+            assert interpolate_breakpoints(polygon.points) == full.points, (m, u, v, p)
+            assert polygon.vertices == full.vertices, (m, u, v, p)
+            anchors = _vertex_anchors(m, u, v, [i for i, _ in polygon.vertices])
+            assert all(c == parts[m - i] for i, c in anchors.items()), (m, u, v, p)
+            confirm_vertex_heights(polygon, p, anchors)
+            assert (exclusion_bounds(inst.phi, multipliers, p, telescoped)
+                    == exclusion_bounds(inst.phi, multipliers, p, big)), (m, u, v, p)
+            primes_checked += 1
+        instances += 1
     assert (instances, primes_checked) == (780, 12880)
 
 
@@ -1020,9 +1026,9 @@ _GOOD_CERTIFICATE = json.loads(certificate_to_json(certify(
     ones(parse_poly("x^2 - x + 17"), 5, 2))))
 
 
-def _edited_certificate(fields, phi, witness_fields):
+def _edited_certificate(fields, phi, index, witness_fields):
     data = json.loads(json.dumps(_GOOD_CERTIFICATE))
-    data["witnesses"][0].update(witness_fields)
+    data["witnesses"][index].update(witness_fields)
     data["phi"] = phi
     data.update(fields)
     return json.dumps(data)
@@ -1035,6 +1041,9 @@ def _edited_certificate(fields, phi, witness_fields):
                    st.dictionaries(st.sampled_from(sorted(_GOOD_CERTIFICATE)),
                                    _JSON_VALUE, max_size=2),
                    _PHI_TEXT,
+                   # both witnesses carry the slope 1/5, so an edit to the
+                   # second meets a slope text the parser has seen
+                   st.integers(0, len(_GOOD_CERTIFICATE["witnesses"]) - 1),
                    st.dictionaries(st.sampled_from(sorted(_GOOD_CERTIFICATE["witnesses"][0])),
                                    _JSON_VALUE, max_size=2)))
 def test_certificate_parser_fuzz(text):
@@ -1056,3 +1065,122 @@ def test_certificate_json_round_trip(phi17):
     assert back == cert
     assert verify_certificate(back, inst)
     assert certificate_to_json(back) == text
+
+
+def _indent_layout(cert):
+    return json.dumps(cm.certificate_to_jsonable(cert), indent=2)
+
+
+def test_certificate_writer_matches_indent_layout():
+    # the template writer against the indent=2 encoder: every certificate of
+    # the all-ones grid (m = 1 ones among them, with no witnesses) and m = 1600
+    written = empty = 0
+    for inst in _all_ones_grid():
+        cert = certify(inst)
+        if isinstance(cert, Certificate):
+            assert certificate_to_json(cert) == _indent_layout(cert), (inst.m, inst.u, inst.v)
+            written += 1
+            empty += not cert.witnesses
+    assert written > 700 and empty >= 1
+    single = certify(ones(construct_phi(2, 3), 1, 2))
+    assert single.witnesses == ()
+    assert '"witnesses": [],' in certificate_to_json(single)
+    assert certificate_to_json(single) == _indent_layout(single)
+    large = certify(LaguerreInstance(1600, 2, 1, [Poly.const(1)] * 1600, construct_phi(2, 1602)))
+    assert isinstance(large, Certificate) and len(large.witnesses) == 800
+    assert certificate_to_json(large) == _indent_layout(large)
+
+
+def test_certificate_writer_runs_no_indent_encoder(monkeypatch):
+    # structural: the indent=2 layout comes from templates, and json.dumps
+    # only encodes strings, which never reach the pure-Python encoder
+    cert = certify(ones(construct_phi(2, 42), 40, 2))
+    calls = []
+    real = json.encoder._make_iterencode
+
+    def spying(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", spying)
+    text = certificate_to_json(cert)
+    assert calls == []
+    assert _indent_layout(cert) == text and len(calls) == 1  # the spy sees the encoder
+
+
+def _m40_certificate():
+    data = json.loads(certificate_to_json(certify(ones(construct_phi(2, 42), 40, 2))))
+    texts = [w["slope"] for w in data["witnesses"]]
+    # the first index whose slope text an earlier record already carried
+    repeat = next(i for i, t in enumerate(texts) if t in texts[:i])
+    return data, repeat
+
+
+@pytest.mark.parametrize("field, value", [
+    ("k", "3"), ("k", True), ("k", 3.0), ("k", None),
+    ("divisibility_range", [0]), ("divisibility_range", [0, "37"]),
+    ("divisibility_range", [0, 37.0]), ("divisibility_range", [False, 37]),
+    ("divisibility_range", "0..37"), ("p", "5"),
+])
+def test_parser_checks_records_repeating_a_slope_text(field, value):
+    # a parsed slope text is not a checked record: a later record with the
+    # same text is type-checked in full
+    data, repeat = _m40_certificate()
+    assert repeat >= 1
+    certificate_from_json(json.dumps(data))
+    data["witnesses"][repeat][field] = value
+    with pytest.raises(ValueError, match="malformed certificate"):
+        certificate_from_json(json.dumps(data))
+
+
+@pytest.mark.parametrize("slope", ["1/x", "1 / 13", "1/13 ", "1/0", "/13", "1.0/13", "+1/13",
+                                   "1/-13", "", 1, None])
+def test_parser_refuses_malformed_slope_after_valid_ones(slope):
+    data, _ = _m40_certificate()
+    data["witnesses"][-1]["slope"] = slope
+    with pytest.raises(ValueError, match="malformed certificate"):
+        certificate_from_json(json.dumps(data))
+
+
+def test_parser_reduces_slope_texts():
+    data, repeat = _m40_certificate()
+    data["witnesses"][0]["slope"] = "2/4"
+    data["witnesses"][repeat]["slope"] = "2/4"
+    cert = certificate_from_json(json.dumps(data))
+    for index in (0, repeat):
+        slope = cert.witnesses[index].slope
+        assert type(slope) is Fraction and (slope.numerator, slope.denominator) == (1, 2)
+
+
+def test_verify_refuses_slope_times_k_equal_to_one():
+    # k * slope < 1 is strict: find, over the grid's primes, a prime p whose
+    # own slope is exactly 1/k for some k in its range k_lo..m//2 (k >= 2,
+    # so k-1 is in range too) on a certified instance
+    for inst in _all_ones_grid():
+        m = inst.m
+        cert = certify(inst)
+        if not isinstance(cert, Certificate):
+            continue
+        multipliers = _verifier_multipliers(inst)
+        hit = None
+        for p in sieve_primes(inst.prime_bound):
+            if inst.v % p == 0 or not is_irreducible_mod_p(inst.phi, p):
+                continue
+            bounds = exclusion_bounds(inst.phi, multipliers, p, _telescoped_polygon_at(inst))
+            if bounds and bounds[1].numerator == 1 and \
+                    max(bounds[0] + 1, 2) <= bounds[1].denominator <= m // 2:
+                hit = p, bounds[1]
+                break
+        if hit:
+            break
+    assert hit is not None
+    p, slope = hit
+    k = slope.denominator
+
+    def with_witness(j):
+        return replace(cert, witnesses=tuple(ExclusionWitness(k=j, p=p, slope=slope)
+                                             if w.k == j else w for w in cert.witnesses))
+
+    assert verify_certificate(cert, inst)
+    assert not verify_certificate(with_witness(k), inst), (m, inst.u, inst.v, p, k)
+    assert verify_certificate(with_witness(k - 1), inst)  # (k-1) * slope < 1

@@ -244,3 +244,30 @@ def test_anchored_polygon_on_sheared_breakpoints_matches_all_points(m, shear, ev
     assert polygon.vertices == bruteforce_lower_hull(every).vertices
     assert _k_lo(polygon.points) == _k_lo(every)
     assert _chord_max(polygon.points) == _chord_max(every) == rightmost_slope(polygon)
+
+
+class _CountedAnchor(int):
+    """An anchor that records each reduction modulo a prime power."""
+
+    reductions = 0
+
+    def __mod__(self, other):
+        _CountedAnchor.reductions += 1
+        return int(self) % other
+
+
+def test_confirm_vertex_heights_reduces_each_anchor_once():
+    # vertices (0, 0), (2, 1), (4, 5) at p = 3; the anchor at i has exact
+    # valuation h there, and a valuation one higher or lower is refused
+    polygon = polygon_from_points([(0, 0), (1, 4), (2, 1), (3, 6), (4, 5)])
+    assert polygon.vertices == ((0, 0), (2, 1), (4, 5))
+    good = {0: 2, 2: 2 * 3, 4: 5 * 3 ** 5}
+    _CountedAnchor.reductions = 0
+    confirm_vertex_heights(polygon, 3, {i: _CountedAnchor(c) for i, c in good.items()})
+    assert _CountedAnchor.reductions == 3  # c_0's anchor among them, once each
+    for i, c in good.items():
+        for bad in [c * 3] + [c // 3] * (c % 3 == 0):
+            with pytest.raises(ArithmeticError, match=f"at abscissa {i} disagrees"):
+                confirm_vertex_heights(polygon, 3, {**good, i: bad})
+    with pytest.raises(ArithmeticError):
+        confirm_vertex_heights(polygon_from_points([(0, -1), (1, 0)]), 3, {0: 1, 1: 1})
