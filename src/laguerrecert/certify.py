@@ -28,9 +28,10 @@ Three valuation routes meet here:
   its O(m/p) breakpoints, and every later reading of it (k_lo, the
   rightmost slope) works on them too.
 - Anchors built from the definition, c_j = C(m, j) v**j prod_{i>j}(vi+u),
-  only at the union of the polygons' vertex abscissas, where they confirm
-  every vertex height.  They are never built from one another along the
-  ratio the heights telescope on.
+  by laguerre.cleared_from_definition only at the union of the polygons'
+  vertex abscissas, where they confirm every vertex height.  That sweep
+  never builds one c_j from another along the ratio the heights telescope
+  on.
 The verifier shares no valuation code with the certifier and reads none
 of instance.cleared, the c_j that only f and b read.
 """
@@ -41,9 +42,8 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, prod
 
-from .laguerre import HypothesisViolation, LaguerreInstance
+from .laguerre import HypothesisViolation, LaguerreInstance, cleared_from_definition
 from .polygon import (NewtonPolygon, breakpoint_polygon, build_polygon,
                       confirm_vertex_heights, rightmost_slope)
 from .polyring import Poly, content, format_poly, is_irreducible_mod_p, parse_poly
@@ -324,7 +324,7 @@ def _telescoped_polygon(m: int, u: int, v: int, p: int) -> NewtonPolygon:
     0, m and a, a+1 of every event.  The polygon holds the heights at the
     breakpoints only (see breakpoint_polygon for why they suffice); they
     are claims until confirm_vertex_heights has checked every vertex, c_0's
-    at abscissa m among them, against _vertex_anchors.
+    at abscissa m among them, against cleared_from_definition.
     """
     if v % p == 0:
         raise ValueError(f"the telescoped heights need p = {p} prime to v = {v}")
@@ -344,34 +344,6 @@ def _telescoped_polygon(m: int, u: int, v: int, p: int) -> NewtonPolygon:
     return breakpoint_polygon(points)
 
 
-def _progression_product(u: int, v: int, lo: int, hi: int) -> int:
-    """prod of v*i+u over lo <= i <= hi (1 when empty), as a balanced product tree."""
-    if hi - lo < 16:
-        return prod(v * i + u for i in range(lo, hi + 1))
-    mid = (lo + hi) // 2
-    return _progression_product(u, v, lo, mid) * _progression_product(u, v, mid + 1, hi)
-
-
-def _vertex_anchors(m: int, u: int, v: int, abscissas) -> dict[int, int]:
-    """{i: c_{m-i}} at the given abscissas, from the definition
-    c_j = C(m, j) v**j prod_{j<i<=m}(vi+u), so c_m = v**m.
-
-    One descending sweep over j = m-i keeps the suffix product
-    prod_{i>j}(vi+u), multiplies in each gap's factors as a balanced
-    product tree, and calls comb once per anchor.  No anchor is derived
-    from another by the ratio c_j / c_{j+1}, along which the heights
-    telescope, so the anchors stay a second valuation route.
-    """
-    anchors = {}
-    suffix, top = 1, m  # suffix = prod of vi+u over top < i <= m
-    for i in sorted(abscissas):
-        j = m - i
-        suffix *= _progression_product(u, v, j + 1, top)
-        top = j
-        anchors[i] = comb(m, j) * v ** j * suffix
-    return anchors
-
-
 def verify_certificate(cert: Certificate, instance: LaguerreInstance) -> bool:
     """Re-derive every certificate claim from first principles.
 
@@ -387,8 +359,8 @@ def verify_certificate(cert: Certificate, instance: LaguerreInstance) -> bool:
     telescoped along the coefficient ratio, one polygon per distinct
     witness prime; every vertex height of every polygon is then confirmed
     on the c_j built from their definition at the union of the vertex
-    abscissas (_vertex_anchors), one comb each.  No other c_j is built and
-    instance.cleared is not read.
+    abscissas i, j = m - i (laguerre.cleared_from_definition), one comb
+    each.  No other c_j is built and instance.cleared is not read.
     Returns False on any discrepancy; never raises for a bad certificate.
     """
     try:
@@ -433,8 +405,9 @@ def verify_certificate(cert: Certificate, instance: LaguerreInstance) -> bool:
             seen_ks.append(k)
         if sorted(seen_ks) != list(range(1, half + 1)):
             return False
-        anchors = _vertex_anchors(m, u, v, {i for polygon in polygons.values()
-                                            for i, _ in polygon.vertices})
+        abscissas = {i for polygon in polygons.values() for i, _ in polygon.vertices}
+        cleared = cleared_from_definition(m, u, v, [m - i for i in abscissas])
+        anchors = {i: cleared[m - i] for i in abscissas}
         for p, polygon in polygons.items():
             confirm_vertex_heights(polygon, p, anchors)
         return coverage_complete(m, instance.phi.degree, seen_ks)
@@ -444,26 +417,6 @@ def verify_certificate(cert: Certificate, instance: LaguerreInstance) -> bool:
 
 # ---------------------------------------------------------------------------
 # serialization
-
-def certificate_to_jsonable(cert: Certificate) -> dict:
-    return {
-        "m": cert.m,
-        "u": cert.u,
-        "v": cert.v,
-        "phi": format_poly(cert.phi),
-        "small_degree_prime": cert.small_degree_prime,
-        "witnesses": [
-            {
-                "k": w.k,
-                "p": w.p,
-                "slope": f"{w.slope.numerator}/{w.slope.denominator}",
-                "divisibility_range": [0, cert.m - w.k],
-            }
-            for w in cert.witnesses
-        ],
-        "conclusion": cert.conclusion,
-    }
-
 
 _CERTIFICATE_TEXT = """\
 {
@@ -488,12 +441,15 @@ _WITNESS_TEXT = """\
 
 
 def certificate_to_json(cert: Certificate) -> str:
-    """json.dumps(certificate_to_jsonable(cert), indent=2), byte for byte.
+    """The certificate as JSON, in json.dumps(..., indent=2)'s layout.
 
-    Each witness fills one record template, and the records are joined as
-    the indent=2 layout joins list items; json.dumps runs only on the two
-    strings, phi and the conclusion, so no indenting encoder runs.  The
-    integer fields are ints, as certify and certificate_from_json make them.
+    The object holds m, u, v, phi (format_poly's text), small_degree_prime,
+    the witnesses (k, p, slope as "a/b", divisibility_range [0, m - k]) and
+    the conclusion, in that order.  Each witness fills one record template,
+    and the records are joined as the indent=2 layout joins list items;
+    json.dumps runs only on the two strings, phi and the conclusion, so no
+    indenting encoder runs.  The integer fields are ints, as certify and
+    certificate_from_json make them.
     """
     m = cert.m
     records = ",\n".join([_WITNESS_TEXT % (w.k, w.p, w.slope.numerator, w.slope.denominator,

@@ -14,8 +14,8 @@ import math
 import os
 import sys
 
-from .certify import (Certificate, certificate_from_json, certificate_to_json,
-                      certificate_to_jsonable, certify, verify_certificate)
+from .certify import (Certificate, certificate_from_json, certificate_to_json, certify,
+                      verify_certificate)
 from .laguerre import build_instance, parameter
 from .oracle import oracle_verdict, search_reducible_witness, verdict_to_jsonable
 from .polygon import build_polygon, rightmost_slope
@@ -209,15 +209,17 @@ def _cmd_certify(args) -> int:
     result = certify(inst)
     if isinstance(result, Certificate):
         path = _cert_output_path(args, inst)
+        text = certificate_to_json(result)
         try:
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(certificate_to_json(result) + "\n")
+                fh.write(text + "\n")
         except OSError as exc:
             print(f"cannot write certificate: {exc}", file=sys.stderr)
             return EXIT_INVALID
         if args.json:
-            print(json.dumps({"certificate": certificate_to_jsonable(result),
-                              "path": path}, indent=2))
+            # the file's text one level deeper, as indent=2 nests it
+            print('{\n  "certificate": %s,\n  "path": %s\n}'
+                  % (text.replace("\n", "\n  "), json.dumps(path)))
         else:
             print(f"small-degree prime: {result.small_degree_prime}")
             for w in result.witnesses:

@@ -9,9 +9,12 @@ on the coefficients themselves.  Only its integer coefficients v**m b_j
 are stored, built on first read once per instance and read only by f and
 b; the Fractions b_j are views of them.  Their valuations come from one
 routine, coefficient_valuations, which reads no b_j: closed forms value
-them at the O(m/p) starts of their runs of equal values.  The verifier
-reads neither: its heights are telescoped along the coefficient ratio
-and confirmed on c_j it builds from their definition at polygon vertices.
+them at the O(m/p) starts of their runs of equal values.  One sweep,
+cleared_from_definition, builds the c_j from their definition at any set
+of j.  It serves two readers, each of which cross-checks it by another
+formula: cleared reads it at every j < m and is guarded by the ratio
+identity, and the verifier reads it only at its polygon vertices, where
+its heights, telescoped along the coefficient ratio, are confirmed on it.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import math
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
-from math import comb
+from math import comb, prod
 
 from .polyring import Poly, content, format_poly, is_irreducible_mod_p
 from .primes import is_prime, sieve_primes, vp_int
@@ -67,7 +70,7 @@ def _coefficient_view(cleared, vm: int) -> tuple[Fraction, ...]:
 
 
 def _cleared_coefficients(m: int, alpha) -> tuple[int, ...]:
-    """c_j = v**m b_j = C(m,j) v**j (vm+u)(v(m-1)+u)...(v(j+1)+u) for j < m.
+    """c_0..c_{m-1}: cleared_from_definition at every j < m.
 
     Checked by ratio_identity_parts, a different formula that determines
     them, before f or b can read them.
@@ -76,16 +79,38 @@ def _cleared_coefficients(m: int, alpha) -> tuple[int, ...]:
         raise ValueError("m must be positive")
     alpha = parameter(alpha)
     u, v = alpha.numerator, alpha.denominator
-    c = [0] * m
-    binoms = [comb(m, j) for j in range(m // 2 + 1)]  # C(m,j) = C(m,m-j)
-    iprod = 1  # (v(j+1)+u) ... (vm+u)
-    vj = v ** m  # v**j
-    for j in range(m - 1, -1, -1):
-        iprod *= v * (j + 1) + u
-        vj //= v
-        c[j] = binoms[min(j, m - j)] * vj * iprod
+    cleared = cleared_from_definition(m, u, v, range(m))
+    c = [cleared[j] for j in range(m)]
     ratio_identity_parts(c, m, u, v)
     return tuple(c)
+
+
+def _progression_product(u: int, v: int, lo: int, hi: int) -> int:
+    """prod of v*i+u over lo <= i <= hi (1 when empty), as a balanced product tree."""
+    if hi - lo < 16:
+        return prod(v * i + u for i in range(lo, hi + 1))
+    mid = (lo + hi) // 2
+    return _progression_product(u, v, lo, mid) * _progression_product(u, v, mid + 1, hi)
+
+
+def cleared_from_definition(m: int, u: int, v: int, js) -> dict[int, int]:
+    """{j: c_j} at the given j in 0..m, from the definition
+    c_j = v**m b_j = C(m, j) v**j prod_{j<i<=m}(vi+u), so c_m = v**m.
+
+    One descending sweep over the j keeps the suffix product
+    prod_{i>j}(vi+u), multiplies in each gap's factors as a balanced
+    product tree, and calls comb once per j.  No c_j is derived from
+    another by the ratio c_j / c_{j+1}, which the ratio identity and the
+    verifier's telescoped heights read, so both stay checks by a second
+    formula.
+    """
+    cleared = {}
+    suffix, top = 1, m  # suffix = prod of vi+u over top < i <= m
+    for j in sorted(js, reverse=True):
+        suffix *= _progression_product(u, v, j + 1, top)
+        top = j
+        cleared[j] = comb(m, j) * v ** j * suffix
+    return cleared
 
 
 def ratio_identity_parts(cleared, m: int, u: int, v: int) -> tuple[int, ...]:
@@ -95,8 +120,8 @@ def ratio_identity_parts(cleared, m: int, u: int, v: int) -> tuple[int, ...]:
     with v(j+1)+u != 0 at every j < m, which proves c_j = v**m b_j != 0.
     It guards f (and b), the readers of the cleared integers.  The
     verifier's heights telescope along this same ratio, on small integers,
-    and are confirmed on c_j built from the definition instead, so the
-    verifier never reads the cleared integers or calls this check.
+    and are confirmed on cleared_from_definition at the polygon vertices,
+    so the verifier never reads the cleared integers or calls this check.
     """
     parts = tuple(cleared) + (v ** m,)
     if len(parts) != m + 1:

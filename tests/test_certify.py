@@ -15,16 +15,16 @@ from hypothesis import given, settings, strategies as st
 from laguerrecert import laguerre
 from laguerrecert.certify import (Certificate, ExclusionWitness, FailureReport,
                                   NoSmallDegreePrime, _small_degree_failure,
-                                  _telescoped_polygon, _vertex_anchors,
-                                  certificate_from_json,
+                                  _telescoped_polygon, certificate_from_json,
                                   certificate_to_json, certify, coverage_complete,
                                   exclude_small_degrees, exclusion_bounds,
                                   find_prime_for_k, lemma_exclusion_check,
                                   verify_certificate, witness_range, witness_slope)
 from laguerrecert.laguerre import (HypothesisViolation, LaguerreInstance, build_instance,
-                                   laguerre_coefficients, ratio_identity_parts)
+                                   cleared_from_definition, laguerre_coefficients,
+                                   ratio_identity_parts)
 from laguerrecert.polygon import breakpoint_polygon, build_polygon, confirm_vertex_heights
-from laguerrecert.polyring import (PhiExpansion, Poly, construct_phi, content,
+from laguerrecert.polyring import (PhiExpansion, Poly, construct_phi, content, format_poly,
                                    X, is_irreducible_mod_p, parse_poly, phi_expand)
 from laguerrecert.primes import sieve_primes, vp_int, vp_rat
 from laguerrecert.tables import k_witness_valid
@@ -38,6 +38,12 @@ cm = importlib.import_module("laguerrecert.certify")
 
 def ones(phi, m, u, a_m=1, relaxed=False):
     return build_instance(m, u, a_m, [Poly.const(1)] * m, phi, relaxed=relaxed)
+
+
+def vertex_anchors(m, u, v, polygon):
+    """{i: c_(m-i)} at the polygon's vertex abscissas, as the verifier builds them."""
+    cleared = cleared_from_definition(m, u, v, [m - i for i, _ in polygon.vertices])
+    return {i: cleared[m - i] for i, _ in polygon.vertices}
 
 
 # -- small-degree exclusion ------------------------------------------------------
@@ -143,8 +149,8 @@ def test_verify_reads_no_cleared_coefficient(monkeypatch):
     for name in ("_cleared_coefficients", "ratio_identity_parts"):
         monkeypatch.setattr(laguerre, name, lambda *args, real=getattr(laguerre, name):
                             calls.append(args) or real(*args))
-    real_comb = cm.comb
-    monkeypatch.setattr(cm, "comb", lambda n, k: combs.append((n, k)) or real_comb(n, k))
+    real_comb = laguerre.comb
+    monkeypatch.setattr(laguerre, "comb", lambda n, k: combs.append((n, k)) or real_comb(n, k))
     fresh = ones(base, m, u)
     ok, confirmed = _verify_recording_anchors(monkeypatch, cert, fresh)
     assert ok and calls == [] and "cleared" not in vars(fresh)
@@ -157,11 +163,11 @@ def test_verify_reads_no_cleared_coefficient(monkeypatch):
 
 @pytest.mark.parametrize("m", [800, 3200])
 @pytest.mark.parametrize("alpha", [Fraction(2), Fraction(2, 3)])
-def test_verify_anchors_equal_cleared_at_every_vertex(monkeypatch, m, alpha):
-    # the sweep's anchors against the ratio-checked c_j, at the vertices of
-    # every witness prime's polygon: a suffix product started one index
-    # early, a binomial index shifted by one or an abscissa dropped from the
-    # union each changes or loses a vertex anchor
+def test_verify_anchors_equal_cleared_at_every_vertex(monkeypatch, product_form, m, alpha):
+    # the sweep's anchors against v**m times the paper's Fraction product
+    # form, at the vertices of every witness prime's polygon: a suffix
+    # product started one index early, a binomial index shifted by one or an
+    # abscissa dropped from the union each changes or loses a vertex anchor
     u, v = alpha.numerator, alpha.denominator
     base = construct_phi(2, v * m + u)
     inst = ones(base, m, alpha)
@@ -169,7 +175,7 @@ def test_verify_anchors_equal_cleared_at_every_vertex(monkeypatch, m, alpha):
     assert isinstance(cert, Certificate)
     ok, confirmed = _verify_recording_anchors(monkeypatch, cert, ones(base, m, alpha))
     assert ok and confirmed
-    parts = inst.cleared + (v ** m,)
+    parts = tuple(b * v ** m for b in product_form(m, alpha)) + (v ** m,)
     for p, polygon, anchors in confirmed:
         for i, _ in polygon.vertices:
             assert anchors[i] == parts[m - i], (p, i)
@@ -604,7 +610,7 @@ def test_telescoped_heights_match_big_integer_route():
             polygon, full = telescoped(p), big(p)
             assert interpolate_breakpoints(polygon.points) == full.points, (m, u, v, p)
             assert polygon.vertices == full.vertices, (m, u, v, p)
-            anchors = _vertex_anchors(m, u, v, [i for i, _ in polygon.vertices])
+            anchors = vertex_anchors(m, u, v, polygon)
             assert all(c == parts[m - i] for i, c in anchors.items()), (m, u, v, p)
             confirm_vertex_heights(polygon, p, anchors)
             assert (exclusion_bounds(inst.phi, multipliers, p, telescoped)
@@ -656,7 +662,7 @@ def test_valuation_routes_call_vp_int_only_at_events(monkeypatch):
     assert len(calls) <= 3 * (m // p + 1) + 1
     assert all(0 < n <= m + 2 for n in calls)
     events = len(calls)
-    anchors = _vertex_anchors(m, inst.u, inst.v, [i for i, _ in polygon.vertices])
+    anchors = vertex_anchors(m, inst.u, inst.v, polygon)
     confirm_vertex_heights(polygon, p, anchors)
     assert len(calls) == events
     assert sorted(anchors) == [i for i, _ in polygon.vertices] and polygon.vertices[-1][0] == m
@@ -757,7 +763,7 @@ def test_height_disagreeing_with_its_anchor_is_refused(monkeypatch):
 
     monkeypatch.setattr(cm, "breakpoint_polygon", off_by_one)
     polygon = _telescoped_polygon(inst.m, inst.u, inst.v, 7)
-    anchors = _vertex_anchors(inst.m, inst.u, inst.v, [i for i, _ in polygon.vertices])
+    anchors = vertex_anchors(inst.m, inst.u, inst.v, polygon)
     with pytest.raises(ArithmeticError, match="anchor"):
         confirm_vertex_heights(polygon, 7, anchors)
     assert not verify_certificate(cert, inst)
@@ -769,10 +775,10 @@ def test_forged_anchor_is_refused(monkeypatch):
     inst = ones(construct_phi(2, 42), 40, 2)
     cert = certify(inst)
     q = math.prod(sieve_primes(inst.prime_bound))
-    real_comb = cm.comb
-    monkeypatch.setattr(cm, "comb", lambda n, k: real_comb(n, k) * q)
+    real_comb = laguerre.comb
+    monkeypatch.setattr(laguerre, "comb", lambda n, k: real_comb(n, k) * q)
     assert not verify_certificate(cert, inst)
-    monkeypatch.setattr(cm, "comb", lambda n, k: real_comb(n, k) * (1 + q))
+    monkeypatch.setattr(laguerre, "comb", lambda n, k: real_comb(n, k) * (1 + q))
     assert verify_certificate(cert, inst)  # a unit at every prime up to vm+u
 
 
@@ -839,6 +845,7 @@ from laguerrecert.laguerre import build_instance
 
 assert not __debug__
 cm = importlib.import_module("laguerrecert.certify")
+lm = importlib.import_module("laguerrecert.laguerre")
 phi = parse_poly("x^2 - x + 17")
 inst = build_instance(12, 2, 1, [Poly.const(1)] * 12, phi)
 cert = cm.certify(inst)
@@ -852,12 +859,11 @@ print("tampered", cm.verify_certificate(tampered, inst))
 # the vertex anchors are confirmed by explicit raises: anchors times q
 # (every prime up to vm+u = 14) raise each vertex valuation
 q = 2 * 3 * 5 * 7 * 11 * 13
-real_comb = cm.comb
-cm.comb = lambda n, k: real_comb(n, k) * q
+real_comb = lm.comb
+lm.comb = lambda n, k: real_comb(n, k) * q
 print("forged anchor", cm.verify_certificate(cert, inst))
-cm.comb = real_comb
+lm.comb = real_comb
 # a wrong binomial in the progression form is refused when the c_j are first read
-lm = importlib.import_module("laguerrecert.laguerre")
 real_comb = lm.comb
 lm.comb = lambda n, k: real_comb(n, k) + (k == 3)
 try:
@@ -872,8 +878,8 @@ cm.breakpoint_polygon = lambda points: real_hull(
 # the bumped height also moves the slope, so the raise itself is pinned
 polygon = cm._telescoped_polygon(12, 2, 1, 7)
 try:
-    cm.confirm_vertex_heights(polygon, 7, cm._vertex_anchors(
-        12, 2, 1, [i for i, _ in polygon.vertices]))
+    cleared = lm.cleared_from_definition(12, 2, 1, [12 - i for i, _ in polygon.vertices])
+    cm.confirm_vertex_heights(polygon, 7, {i: cleared[12 - i] for i, _ in polygon.vertices})
     print("bad anchor accepted")
 except ArithmeticError:
     print("bad anchor", cm.verify_certificate(cert, inst))
@@ -1068,7 +1074,18 @@ def test_certificate_json_round_trip(phi17):
 
 
 def _indent_layout(cert):
-    return json.dumps(cm.certificate_to_jsonable(cert), indent=2)
+    """json.dumps(..., indent=2) of the certificate's fields, in the file's order."""
+    return json.dumps({
+        "m": cert.m,
+        "u": cert.u,
+        "v": cert.v,
+        "phi": format_poly(cert.phi),
+        "small_degree_prime": cert.small_degree_prime,
+        "witnesses": [{"k": w.k, "p": w.p,
+                       "slope": f"{w.slope.numerator}/{w.slope.denominator}",
+                       "divisibility_range": [0, cert.m - w.k]} for w in cert.witnesses],
+        "conclusion": cert.conclusion,
+    }, indent=2)
 
 
 def test_certificate_writer_matches_indent_layout():

@@ -173,6 +173,21 @@ def test_certify_roundtrip_at_m1600(tmp_path, capsys):
     assert code == 2 and out == "certificate REJECTED\n"
 
 
+@pytest.mark.parametrize("m, name", [("5", "cert.json"), ("1", "cert.json"),
+                                     ("5", 'a"b\\cä.json')])
+def test_certify_json_nests_the_certificate_file(tmp_path, capsys, m, name):
+    # stdout is the indent=2 layout of the written file's certificate and
+    # the path; m = 1 has no witnesses
+    path = str(tmp_path / name)
+    code, out, _ = run(capsys, "certify", "-m", m, "-u", "2", "--am", "1",
+                       "--phi", "x^2-x+17", "--out", path, "--json")
+    assert code == 0
+    with open(path, encoding="utf-8") as fh:
+        certificate = json.loads(fh.read())
+    assert (certificate["witnesses"] == []) == (m == "1")
+    assert out == json.dumps({"certificate": certificate, "path": path}, indent=2) + "\n"
+
+
 def test_certify_witness_dividing_v_rejected(tmp_path, capsys):
     cert = tmp_path / "cert.json"
     instance = ("-m", "5", "-u", "1", "-v", "2", "--am", "1", "--phi", "x^2-x+17")
