@@ -9,31 +9,33 @@ the findings next to the recorded values.
 """
 
 from laguerrecert import (EXPECTED_EQUATION_SOLUTIONS, EXPECTED_PAIR_SETS,
-                          K1_QUOTED_SETS, k1_no_good_prime_set,
+                          K1_QUOTED_SETS, Report, k1_no_good_prime_set,
                           product_lpf_pairs, solve_power_equation,
                           verify_k1_subcases)
+from laguerrecert.tables import EQUATION_BASES, ZERO_EXPONENT_ENTRIES
 
 BOUND = 10**4
 print(f"window pairs with largest prime factor k+t, m <= {BOUND}:")
 for t in (1, 2, 3, 4):
     got = product_lpf_pairs(t, BOUND)
-    status = "matches" if got.pairs == EXPECTED_PAIR_SETS[t] else "DIFFERS"
-    print(f"  t={t}: {sorted(got.pairs)}  [{status}]")
+    status = "matches" if got == EXPECTED_PAIR_SETS[t] else "DIFFERS"
+    print(f"  t={t}: {sorted(got)}  [{status}]")
 
 print("\nexponential equations, exponents up to 60:")
 for eq_id in ("i", "ii", "iii", "iv", "v", "vi"):
     sol = solve_power_equation(eq_id, 60)
-    status = "matches" if sol.solutions == EXPECTED_EQUATION_SOLUTIONS[eq_id] \
-        else "DIFFERS"
-    print(f"  ({eq_id}): {sorted(sol.solutions)}  [{status}]")
-    for note in sol.out_of_search_space:
-        print(f"       flagged, outside positive exponents: {note}")
+    status = "matches" if sol == EXPECTED_EQUATION_SOLUTIONS[eq_id] else "DIFFERS"
+    print(f"  ({eq_id}): {sorted(sol)}  [{status}]")
+    for r, s, t in ZERO_EXPONENT_ENTRIES.get(eq_id, ()):
+        x, y, z = EQUATION_BASES[eq_id]
+        print(f"       flagged, outside positive exponents: {x}^{r} + {y}^{s} = {z}^{t}")
 
 print("\nk=1 branch, m up to 1000:")
 for u in range(5):
     computed = sorted(k1_no_good_prime_set(u, 1000))
     print(f"  u={u}: no prime >= {u + 2} divides m(m+{u}) for m in {computed}")
-    report = verify_k1_subcases(u, 1000)
+    report = Report()
+    verify_k1_subcases(report, u, 1000)
     marks = [c for c in report.checks if not c.passed]
     extra = sorted(set(computed) - set(K1_QUOTED_SETS[u]))
     if extra:

@@ -5,8 +5,8 @@ window pair sets are recomputed by exhaustive scan, the exponential
 equations by bounded search, the factorization rows by exact expansion,
 and every tabulated witness prime by the certifier's own witness rule
 (witness_range) on the certifier's own valuations (coefficient_valuations).
-Search bounds are explicit fields of every result; nothing claims
-completeness beyond its bound.
+Search bounds are arguments, and the pair-set and equation rows name theirs
+in their detail; nothing claims completeness beyond its bound.
 """
 
 from __future__ import annotations
@@ -156,11 +156,16 @@ class Report:
 # ---------------------------------------------------------------------------
 # smooth-window pair sets
 
-@dataclass(frozen=True)
-class PairSet:
-    t: int
-    pairs: frozenset
-    m_bound: int
+def _smooth_numbers(primes, bound: int) -> dict[int, int]:
+    """{n: largest prime factor of n} (1 for n = 1) over every n <= bound
+    with no prime factor outside primes, given ascending; each n is written
+    once, when its largest prime factor is multiplied in."""
+    smooth = {1: 1}
+    for p in primes:
+        for n in list(smooth):
+            while (n := n * p) <= bound:
+                smooth[n] = p
+    return smooth
 
 
 def _gap_length_limit(composite: bytearray, m_bound: int) -> int:
@@ -206,12 +211,8 @@ def _smooth_largest_prime_factors(composite: bytearray, m_bound: int,
     for p in range(2, size + 1):
         if not composite[p]:
             lpf[p::p] = [p] * (size // p)
-    smooth = {1: 1}
-    for p in (2, 3, 5, 7):
-        for n in list(smooth):
-            while (n := n * p) <= m_bound + 4:
-                smooth[n] = p
-    return {n: lpf[n] for n in range(1, size + 1) if lpf[n] <= k_limit + 4} | smooth
+    return ({n: lpf[n] for n in range(1, size + 1) if lpf[n] <= k_limit + 4}
+            | _smooth_numbers((2, 3, 5, 7), m_bound + 4))
 
 
 @lru_cache(maxsize=4)
@@ -263,26 +264,18 @@ def _window_pair_scan(m_bound: int) -> dict[int, frozenset]:
     return {t: frozenset(s) for t, s in pairs.items()}
 
 
-def product_lpf_pairs(t: int, m_bound: int) -> PairSet:
+def product_lpf_pairs(t: int, m_bound: int) -> frozenset:
     """Pairs (m, k) with m >= k >= 2, m <= m_bound, whose window product
     (m+1)...(m+k) has largest prime factor exactly k+t."""
     if not 1 <= t <= 4:
         raise ValueError("t must be in 1..4")
     if m_bound < 2:
         raise ValueError("m_bound must be at least 2")
-    return PairSet(t=t, pairs=_window_pair_scan(m_bound)[t], m_bound=m_bound)
+    return _window_pair_scan(m_bound)[t]
 
 
 # ---------------------------------------------------------------------------
 # exponential equations
-
-@dataclass(frozen=True)
-class EquationSolutions:
-    equation_id: str
-    solutions: frozenset
-    exponent_bound: int
-    out_of_search_space: tuple[str, ...] = ()
-
 
 def _divide_out(n: int, divisors) -> tuple[list[int], int]:
     """Each d of divisors divided out of n >= 1 in turn: its exponents and
@@ -297,15 +290,26 @@ def _divide_out(n: int, divisors) -> tuple[list[int], int]:
     return exponents, n
 
 
-def solve_power_equation(equation_id: str, exponent_bound: int) -> EquationSolutions:
+def _neighbour_products(z: int, sign: int, bases, bound: int):
+    """(exponents, t) for every t in 1..bound where z^t + sign is the
+    product of bases, each to its exponent in 1..bound: the bases divided
+    out of z^t + sign, which by unique factorization leaves exactly 1."""
+    zt = 1
+    for t in range(1, bound + 1):
+        zt *= z
+        exponents, rest = _divide_out(zt + sign, bases)
+        if rest == 1 and all(1 <= e <= bound for e in exponents):
+            yield exponents, t
+
+
+def solve_power_equation(equation_id: str, exponent_bound: int) -> frozenset:
     """Exhaustive positive-exponent search of one of the six equations.
 
     (i) a^r - 1 = b^s and (iv)-(vi) ask whether a prime power's neighbour,
     b^s + 1 or z^t + sign, is a product of powers of the other bases, which
-    Lehmer's method settles for every exponent (Illinois J. Math. 8, 1964).
-    Each neighbour up to exponent B has those bases divided out; by unique
-    factorization it solves exactly when 1 is left with every exponent in
-    1..B.  The sums (ii), (iii) look x^r + y^s up among the z^t <= z^B."""
+    Lehmer's method settles for every exponent (Illinois J. Math. 8, 1964);
+    _neighbour_products answers it up to exponent B.  The sums (ii), (iii)
+    look x^r + y^s up among the z^t <= z^B."""
     if exponent_bound < 1:
         raise ValueError("exponent bound must be positive")
     if exponent_bound >= 2**63:
@@ -314,12 +318,7 @@ def solve_power_equation(equation_id: str, exponent_bound: int) -> EquationSolut
     found = set()
     if equation_id == "i":
         for a, b in permutations((2, 3, 5), 2):
-            bs = 1
-            for s in range(1, B + 1):
-                bs *= b
-                (r,), rest = _divide_out(bs + 1, (a,))
-                if rest == 1 and 1 <= r <= B:
-                    found.add((a, r, b, s))
+            found.update((a, r, b, s) for (r,), s in _neighbour_products(b, 1, (a,), B))
     elif equation_id in ("ii", "iii"):
         x, y, z = EQUATION_BASES[equation_id]
         powers_z = {z ** t: t for t in range(1, B + 1)}
@@ -339,20 +338,12 @@ def solve_power_equation(equation_id: str, exponent_bound: int) -> EquationSolut
                     break
     elif equation_id in ("iv", "v", "vi"):
         x, y, z = EQUATION_BASES[equation_id]
-        zt = 1
-        for t in range(1, B + 1):
-            zt *= z
-            for sign in (1, -1):
-                (r, s), rest = _divide_out(zt + sign, (x, y))
-                if rest == 1 and 1 <= r <= B and 1 <= s <= B:
-                    found.add((r, s, t, sign))
+        for sign in (1, -1):
+            found.update((r, s, t, sign)
+                         for (r, s), t in _neighbour_products(z, sign, (x, y), B))
     else:
         raise ValueError(f"unknown equation id {equation_id!r}")
-    bases = EQUATION_BASES.get(equation_id)
-    flagged = tuple(f"{bases[0]}^{r} + {bases[1]}^{s} = {bases[2]}^{t}"
-                    for r, s, t in ZERO_EXPONENT_ENTRIES.get(equation_id, ()))
-    return EquationSolutions(equation_id=equation_id, solutions=frozenset(found),
-                             exponent_bound=B, out_of_search_space=flagged)
+    return frozenset(found)
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +411,8 @@ def verify_witness_prime_rows(report: Report) -> None:
 def verify_exceptional_pair_table(report: Report, pair_bound: int) -> None:
     """Each listed (m, k) maps into the pair sets, and nothing is missing
     from them up to max(pair_bound, 100): the scan the pair sets share."""
+    if pair_bound < 2:
+        raise ValueError("m_bound must be at least 2")
     scan = _window_pair_scan(max(pair_bound, 100))
     for u, listed in EXCEPTIONAL_PAIR_TABLE.items():
         union = frozenset().union(*(scan[t] for t in range(1, u + 1)))
@@ -439,7 +432,7 @@ def verify_exceptional_pair_table(report: Report, pair_bound: int) -> None:
 def verify_pair_sets(report: Report, m_bound: int) -> None:
     """Each pair set against the expected pairs (m, k) with m <= m_bound."""
     for t in (1, 2, 3, 4):
-        got = product_lpf_pairs(t, m_bound).pairs
+        got = product_lpf_pairs(t, m_bound)
         expected = frozenset(pair for pair in EXPECTED_PAIR_SETS[t] if pair[0] <= m_bound)
         report.add(f"pairs-t{t}", got == expected, f"{len(got)} pairs up to {m_bound}")
 
@@ -449,30 +442,25 @@ def verify_equations(report: Report, exponent_bound: int) -> None:
     most exponent_bound: r and s of (a, r, b, s) in (i), the first three
     entries elsewhere."""
     for eq_id, solutions in EXPECTED_EQUATION_SOLUTIONS.items():
-        sol = solve_power_equation(eq_id, exponent_bound)
+        got = solve_power_equation(eq_id, exponent_bound)
         expected = frozenset(e for e in solutions
                              if max(e[1::2] if eq_id == "i" else e[:3]) <= exponent_bound)
-        report.add(f"equation-{eq_id}", sol.solutions == expected,
-                   f"{len(sol.solutions)} solutions, bound {exponent_bound}")
-        relations = ZERO_EXPONENT_ENTRIES.get(eq_id, ())
-        for (r, s, t), entry in zip(relations, sol.out_of_search_space):
+        report.add(f"equation-{eq_id}", got == expected,
+                   f"{len(got)} solutions, bound {exponent_bound}")
+        for r, s, t in ZERO_EXPONENT_ENTRIES.get(eq_id, ()):
             x, y, z = EQUATION_BASES[eq_id]
             report.add(f"equation-{eq_id}-flagged", x ** r + y ** s == z ** t,
-                       f"out of positive search space: {entry}")
+                       f"out of positive search space: {x}^{r} + {y}^{s} = {z}^{t}")
 
 
 def k1_no_good_prime_set(u: int, m_bound: int) -> frozenset:
     """m in [2, m_bound] such that no prime >= u+2 divides m(m+u), that is,
-    m and m+u are both (u+1)-smooth: read off the products of 2..u+1."""
-    smooth = {1}
-    for d in range(2, u + 2):
-        for n in list(smooth):
-            while (n := n * d) <= m_bound + u:
-                smooth.add(n)
+    m and m+u are both (u+1)-smooth: read off the products of the primes <= u+1."""
+    smooth = _smooth_numbers(sieve_primes(u + 1), m_bound + u)
     return frozenset(m for m in smooth if 2 <= m <= m_bound and m + u in smooth)
 
 
-def verify_k1_subcases(u: int, m_bound: int) -> Report:
+def verify_k1_subcases(report: Report, u: int, m_bound: int) -> None:
     """Confirm the k = 1 branch: for every m either a prime >= u+2 divides
     m(m+u), or m is in the quoted exceptional set (plus the recorded
     omissions), and every exceptional m has a validated substitute prime,
@@ -483,7 +471,6 @@ def verify_k1_subcases(u: int, m_bound: int) -> Report:
         raise ValueError("m_bound must be at least 2")
     if m_bound >= 2**63:
         raise OverflowError("m_bound must be below 2**63")
-    report = Report()
     computed = k1_no_good_prime_set(u, m_bound)
     quoted = frozenset(m for m in K1_QUOTED_SETS[u] if m <= m_bound)
     omissions = frozenset(m for m in K1_KNOWN_OMISSIONS.get(u, frozenset())
@@ -505,14 +492,12 @@ def verify_k1_subcases(u: int, m_bound: int) -> Report:
             fallback = witness_primes(m, u, 1)
             report.add(f"{tag}-fallback", bool(fallback),
                        f"fallback primes {fallback}")
-    return report
 
 
-def verify_nonconstant_leading_counterexample() -> Report:
+def verify_nonconstant_leading_counterexample(report: Report) -> None:
     """A nonconstant leading multiplier breaks the conclusion: with base
     x^2 - x + 5 and every multiplier x - 3, the assembled two-level
     polynomial has 3 as a root for each integer parameter 0..4."""
-    report = Report()
     phi = parse_poly("x^2 - x + 5")
     a = parse_poly("x - 3")
     for alpha in range(5):
@@ -521,18 +506,18 @@ def verify_nonconstant_leading_counterexample() -> Report:
         report.add(f"root3-alpha{alpha}", poly(3) == 0, "vanishes at x = 3")
         report.add(f"root3-alpha{alpha}-control", poly(2) != 0,
                    "does not vanish at x = 2")
-    return report
 
 
 def _k1_subcases(report: Report, subcase_bound: int, **_) -> None:
     for u in range(5):
-        report.checks.extend(verify_k1_subcases(u, subcase_bound).checks)
+        verify_k1_subcases(report, u, subcase_bound)
 
 
 # The report's sections in order, each as (its --only values, run), where
 # run(report, pair_bound=, exponent_bound=, subcase_bound=) appends the
-# section's checks.  Runs look their verifiers up in this module when they
-# are called, so a wrapped module attribute (bench/tracer.py) sees the call.
+# section's checks, as every verifier above appends to the report it is
+# given.  Runs look their verifiers up in this module when they are called,
+# so a wrapped module attribute (bench/tracer.py) sees the call.
 # The four pair sets are one section, one verify_pair_sets call; --only s<t>
 # keeps its row.  The exceptional table reads their scan, which is cached.
 SECTIONS = (
@@ -545,8 +530,7 @@ SECTIONS = (
     (("equations",),
      lambda report, exponent_bound, **_: verify_equations(report, exponent_bound)),
     (("subcases",), _k1_subcases),
-    (("root3",), lambda report, **_: report.checks.extend(
-        verify_nonconstant_leading_counterexample().checks)),
+    (("root3",), lambda report, **_: verify_nonconstant_leading_counterexample(report)),
 )
 SECTION_NAMES = tuple(name for names, _ in SECTIONS for name in names)
 

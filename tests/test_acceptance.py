@@ -23,10 +23,11 @@ from laguerrecert.polyring import (Poly, X, check_phi, construct_phi,
                                    parse_poly, phi_expand, primitive_part)
 from laguerrecert.primes import factorial_valuation, sieve_primes, vp_rat
 from laguerrecert.tables import (EXPECTED_EQUATION_SOLUTIONS, EXPECTED_PAIR_SETS,
-                                 K1_QUOTED_SETS, WITNESS_PRIME_TABLE,
+                                 K1_QUOTED_SETS, WITNESS_PRIME_TABLE, Report,
                                  k1_no_good_prime_set, k_witness_valid,
                                  product_lpf_pairs, solve_power_equation,
-                                 verify_k1_subcases, witness_primes)
+                                 verify_equations, verify_k1_subcases,
+                                 witness_primes)
 
 PHI = parse_poly("x^2 - x + 17")
 EXCEPTIONAL = {(1, 0), (2, 2), (4, 4), (6, 4)}
@@ -136,8 +137,8 @@ def test_criterion_04_pair_sets_at_hundred_thousand():
         total = 0
         for t in (1, 2, 3, 4):
             got = product_lpf_pairs(t, 10**5)
-            assert got.pairs == EXPECTED_PAIR_SETS[t], t
-            total += len(got.pairs)
+            assert got == EXPECTED_PAIR_SETS[t], t
+            total += len(got)
         assert total == 19
 
 
@@ -145,9 +146,11 @@ def test_criterion_05_exponential_equations():
     with criterion(5, 5.0, "all six equations at exponent bound 60 match; "
                            "zero-exponent entries flagged"):
         for eq_id, expected in EXPECTED_EQUATION_SOLUTIONS.items():
-            sol = solve_power_equation(eq_id, 60)
-            assert sol.solutions == expected, eq_id
-        assert len(solve_power_equation("iii", 60).out_of_search_space) == 2
+            assert solve_power_equation(eq_id, 60) == expected, eq_id
+        report = Report()
+        verify_equations(report, 60)
+        flagged = [c for c in report.checks if c.check_id == "equation-iii-flagged"]
+        assert len(flagged) == 2 and all(c.passed for c in flagged)
 
 
 def test_criterion_06_witness_prime_rows():
@@ -177,7 +180,8 @@ def test_criterion_07_k1_subcases():
         assert K1_QUOTED_SETS[3] == {3, 6, 9, 24}
         assert K1_QUOTED_SETS[4] == {2, 4, 5, 8, 12, 16, 20, 32, 36, 60, 96, 320}
         for u in range(5):
-            report = verify_k1_subcases(u, 1000)
+            report = Report()
+            verify_k1_subcases(report, u, 1000)
             assert report.passed, report.failures()
 
 

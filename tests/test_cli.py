@@ -372,6 +372,10 @@ _INVALID_LINES = {
                           "--f cannot be combined with instance flags"),
     "tables-subcase-bound-1": (["tables", "--only", "subcases", "--subcase-bound", "1"],
                                "invalid bound: m_bound must be at least 2"),
+    # the exceptional table reads the pair scan at max(bound, 100), yet
+    # refuses a bound below 2 as the pair sets do
+    "tables-exceptional-st-bound-1": (["tables", "--only", "exceptional", "--st-bound", "1"],
+                                      "invalid bound: m_bound must be at least 2"),
     "tables-exp-bound-0": (["tables", "--only", "equations", "--exp-bound", "0"],
                            "invalid bound: exponent bound must be positive"),
     **{f"{command}-{flag}-huge": ([command, *argv, *_BASE], _TOO_LARGE)

@@ -30,13 +30,13 @@ def report_of(fn, *args):
 def test_pair_sets_at_ten_thousand():
     # nothing new appears between the known pairs and 10^4, for any k
     for t in (1, 2, 3, 4):
-        assert product_lpf_pairs(t, 10**4).pairs == EXPECTED_PAIR_SETS[t]
+        assert product_lpf_pairs(t, 10**4) == EXPECTED_PAIR_SETS[t]
 
 
 def test_pair_sets_at_bench_bound():
     # the bound of `tables --st-bound 1000000`
     for t in (1, 2, 3, 4):
-        assert product_lpf_pairs(t, 10**6).pairs == EXPECTED_PAIR_SETS[t]
+        assert product_lpf_pairs(t, 10**6) == EXPECTED_PAIR_SETS[t]
 
 
 def product_lpf(m, k):
@@ -252,7 +252,7 @@ def test_window_pair_scan_matches_brute_force():
     for m_bound in [*range(2, 61), top_bound]:
         for t in (1, 2, 3, 4):
             expected = {(m, k) for m, k in reference[t] if m <= m_bound}
-            assert product_lpf_pairs(t, m_bound).pairs == expected, (t, m_bound)
+            assert product_lpf_pairs(t, m_bound) == expected, (t, m_bound)
 
     # the cutoff: no k past k_limit is open, that is without a prime in
     # (k+4, 2k], the one way a window hugging k (m <= k+3) can hit
@@ -306,8 +306,8 @@ def test_gap_length_limit_needs_a_prime_past_the_bound():
 
 
 def test_pair_scan_small_bound_truncates():
-    assert product_lpf_pairs(1, 6).pairs == {(2, 2)}
-    assert (7, 2) in product_lpf_pairs(1, 7).pairs
+    assert product_lpf_pairs(1, 6) == {(2, 2)}
+    assert (7, 2) in product_lpf_pairs(1, 7)
 
 
 def test_pair_scan_members_recompute():
@@ -327,30 +327,50 @@ def test_pair_scan_rejects_bad_args():
 
 def test_equations_match_expected():
     for eq_id, expected in EXPECTED_EQUATION_SOLUTIONS.items():
-        assert solve_power_equation(eq_id, 60).solutions == expected
+        assert solve_power_equation(eq_id, 60) == expected
 
 
 def test_equations_stable_under_larger_bound():
     for eq_id, expected in EXPECTED_EQUATION_SOLUTIONS.items():
-        assert solve_power_equation(eq_id, 40).solutions == expected
-        assert solve_power_equation(eq_id, 100).solutions == expected
+        assert solve_power_equation(eq_id, 40) == expected
+        assert solve_power_equation(eq_id, 100) == expected
 
 
 def test_equation_iii_flags_zero_exponent_entries(monkeypatch):
-    sol = solve_power_equation("iii", 60)
-    assert sol.out_of_search_space == ("2^1 + 5^0 = 3^1", "2^3 + 5^0 = 3^2")
-    assert solve_power_equation("ii", 60).out_of_search_space == ()
-
-    def flagged():
-        return [c for c in report_of(verify_equations, 60).checks
-                if c.check_id == "equation-iii-flagged"]
-
-    assert [c.passed for c in flagged()] == [True, True]
-    # each flagged row passes only if its relation 2^r + 5^0 = 3^t holds
+    # each flagged row passes only if its relation 2^r + 5^0 = 3^t holds;
+    # the rows of the stored relations are pinned in _EQUATION_ROWS below
     monkeypatch.setitem(ZERO_EXPONENT_ENTRIES, "iii", ((1, 0, 1), (3, 0, 3)))
-    rows = flagged()
+    rows = [c for c in report_of(verify_equations, 60).checks
+            if c.check_id == "equation-iii-flagged"]
     assert [c.passed for c in rows] == [True, False]
     assert rows[1].detail == "out of positive search space: 2^3 + 5^0 = 3^3"
+
+
+# every equation row of the report, as (id, passed, detail), at two bounds
+_EQUATION_ROWS = {
+    60: [("equation-i", True, "4 solutions, bound 60"),
+         ("equation-ii", True, "2 solutions, bound 60"),
+         ("equation-iii", True, "2 solutions, bound 60"),
+         ("equation-iii-flagged", True, "out of positive search space: 2^1 + 5^0 = 3^1"),
+         ("equation-iii-flagged", True, "out of positive search space: 2^3 + 5^0 = 3^2"),
+         ("equation-iv", True, "2 solutions, bound 60"),
+         ("equation-v", True, "1 solutions, bound 60"),
+         ("equation-vi", True, "2 solutions, bound 60")],
+    2: [("equation-i", True, "3 solutions, bound 2"),
+        ("equation-ii", True, "1 solutions, bound 2"),
+        ("equation-iii", True, "1 solutions, bound 2"),
+        ("equation-iii-flagged", True, "out of positive search space: 2^1 + 5^0 = 3^1"),
+        ("equation-iii-flagged", True, "out of positive search space: 2^3 + 5^0 = 3^2"),
+        ("equation-iv", True, "1 solutions, bound 2"),
+        ("equation-v", True, "0 solutions, bound 2"),
+        ("equation-vi", True, "1 solutions, bound 2")],
+}
+
+
+@pytest.mark.parametrize("bound", sorted(_EQUATION_ROWS))
+def test_equation_rows_are_pinned(bound):
+    rows = [(c.check_id, c.passed, c.detail) for c in report_of(verify_equations, bound).checks]
+    assert rows == _EQUATION_ROWS[bound]
 
 
 def test_divide_out_returns_exponents_and_rest():
@@ -381,7 +401,7 @@ def test_equations_match_a_direct_triple_loop():
         for bound in range(1, top_bound + 1):
             expected = {sol for sol in solutions
                         if max(sol[1::2] if eq_id == "i" else sol[:3]) <= bound}
-            assert solve_power_equation(eq_id, bound).solutions == expected, (eq_id, bound)
+            assert solve_power_equation(eq_id, bound) == expected, (eq_id, bound)
 
 
 def test_equation_rejects_unknown_id():
@@ -467,24 +487,46 @@ def test_k1_sets_match_division_at_every_bound():
 
 def test_k1_subcase_reports_pass():
     for u in range(5):
-        report = verify_k1_subcases(u, 1000)
+        report = report_of(verify_k1_subcases, u, 1000)
         assert report.passed, report.failures()
 
 
 def test_k1_rejects_out_of_range():
+    report = Report()
     with pytest.raises(ValueError):
-        verify_k1_subcases(5, 100)
+        verify_k1_subcases(report, 5, 100)
+    assert report.checks == []
 
 
 # -- the root-3 family ------------------------------------------------------------------------
 
 def test_nonconstant_leading_counterexample():
-    report = verify_nonconstant_leading_counterexample()
+    report = report_of(verify_nonconstant_leading_counterexample)
     assert report.passed
     assert len(report.checks) == 10
 
 
 # -- everything together -----------------------------------------------------------------------
+
+def test_reference_report_reaches_every_section_verifier(monkeypatch):
+    # the bench tracer wraps the verifiers as attributes of this module, so
+    # the full run must look each of them up there when it calls it
+    names = ("verify_factor_rows", "verify_witness_prime_rows",
+             "verify_exceptional_pair_table", "verify_pair_sets", "verify_equations",
+             "verify_k1_subcases", "verify_nonconstant_leading_counterexample")
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(tables, name, counting(name, getattr(tables, name)))
+    assert verify_reference_tables(pair_bound=100).passed
+    assert calls == {**dict.fromkeys(names, 1), "verify_k1_subcases": 5}
+
 
 def test_reference_report_all_pass():
     # the exceptional table and the pair sets share one scan
