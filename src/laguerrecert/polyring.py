@@ -6,16 +6,21 @@ format, expansion in powers of a monic polynomial, and the factor degrees
 of a polynomial over the p-element field by distinct-degree splitting,
 which also decides irreducibility mod p.
 
-The splitting applies the Frobenius map a -> a**p, which is linear over
-the p-element field, as one matrix modulo f: x**p mod f by
-square-and-multiply, then the rows x**(i*p) mod f, each packed into one
-integer, built once per (f, p).  Every degree costs one combination of
-rows instead of another powering.
+The splitting runs in F_p[x]/(f) with every element packed into one
+integer, one residue per fixed-width slot (``_PackedRing``): a product is
+one big-integer multiplication, reduced modulo f by polynomial Barrett and
+modulo p in every slot at once by integer Barrett.  The Frobenius map
+a -> a**p, linear over the p-element field, is one matrix modulo f whose
+rows x**(i*p) are built once per (f, p), so x**(p**d) costs one
+combination of rows per degree.  A product tree over x**(p**d) - x for
+d <= deg(f)/2 then splits f by degree range with one gcd per visited node;
+gcds and exact divisions run on lists of residues.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -355,84 +360,108 @@ def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
-def _fp_times_x(a: list[int], mod: list[int], p: int) -> list[int]:
-    """x*a mod a monic mod, for a padded to length deg(mod); same length."""
-    c = a[-1]
-    shifted = [0] + a[:-1]
-    if not c:
-        return shifted
-    return [(s - c * m) % p for s, m in zip(shifted, mod)]
+class _PackedRing:
+    """F_p[x]/(f) for a monic f of degree n >= 2, every element one int.
 
+    An element a_0 + a_1 x + ... + a_{n-1} x**(n-1), residues 0 <= a_j < p,
+    is the int sum_j a_j * 2**(slot*j) (Kronecker substitution), so a
+    product of two elements is one big-integer multiplication.  A product
+    c = a*b has degree <= 2n-2 and is reduced in two steps:
 
-def _fp_mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
-    """a*b mod a monic mod of degree n >= 1, for a and b of length n;
-    n residues."""
-    n = len(mod) - 1
-    out = [0] * (2 * n - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    for k in range(2 * n - 2, n - 1, -1):
-        c = out[k] % p
-        if c:
-            for i in range(n):
-                out[k - n + i] -= c * mod[i]
-    return [c % p for c in out[:n]]
+    - modulo f by polynomial Barrett: with mu = floor(x**(2n-2) / f), of
+      degree n-2 and built once, the quotient is
+      q = floor(floor(c / x**n) * mu / x**(n-2)) exactly, and the remainder
+      is c - q*f = (c mod x**n) + q * (-f mod p) mod x**n, as f is monic;
+    - every slot modulo p at once by integer Barrett: with 2**t > B*(p-1)
+      and magic = ceil(2**t / p) = (2**t + e) / p, 0 <= e < p, any
+      0 <= v <= B has floor(v * magic / 2**t) = floor(v / p), because
+      v * magic / 2**t = v/p + v*e / (p * 2**t) and v*e < 2**t.
 
+    Why the quotient is exact: write c = h * x**n + l with deg l < n and
+    x**(2n-2) = mu*f + r with deg r < n.  Then c/f = h*mu / x**(n-2) +
+    h*r / (f * x**(n-2)) + l/f, and the last two terms have only negative
+    powers of x (deg h <= n-2), so their polynomial part is 0.
 
-def _fp_pack(a: list[int], slot: int) -> int:
-    """Residues a as one integer, a[j] in bits slot*j .. slot*(j+1)-1."""
-    acc = 0
-    for c in reversed(a):
-        acc = acc << slot | c
-    return acc
+    The slot bound: nothing is reduced mod p before the last step, so with
+    every residue at most p-1, a slot holds at most
+    - n(p-1)**2 in c = a*b (at most n products per slot);
+    - (n-1) * n(p-1)**2 * (p-1) in h*mu (h and mu have n-1 slots each);
+    - (n-1) * n(n-1)(p-1)**3 * (p-1) in q * (-f mod p) (q has n-1 slots);
+    so any slot before reduction is at most
+    B = n(n-1)**2 (p-1)**4 + n(p-1)**2.  A row combination
+    sum_i c_i * row_i with c_i < p holds at most n(p-1)**2 <= B.  The slot
+    width holds B * magic, so no slot ever carries into the next, the
+    integer arithmetic is the polynomial arithmetic over Z slot by slot,
+    and after the shift by t slot j keeps floor(v_j * magic / 2**t) in its
+    low slot - t bits (slot > t, as B >= p), under the low bits of slot
+    j+1, for a mask to cut.
+    """
 
+    __slots__ = ("n", "p", "slot", "_mu", "_neg_f", "_high", "_q_shift", "_low",
+                 "_t", "_magic", "_q_mask")
 
-def _fp_unpack(acc: int, slot: int, n: int, p: int) -> list[int]:
-    """The first n slots of a packed integer, each reduced mod p."""
-    mask = (1 << slot) - 1
-    return [(acc >> slot * j & mask) % p for j in range(n)]
+    def __init__(self, mod: list[int], p: int):
+        n = len(mod) - 1
+        bound = n * (n - 1) ** 2 * (p - 1) ** 4 + n * (p - 1) ** 2
+        self._t = (bound * (p - 1)).bit_length()
+        self._magic = -(-(1 << self._t) // p)
+        self.slot = (bound * self._magic).bit_length()
+        self.n, self.p = n, p
+        # x**(2n-2) = mu*f + r read backwards is 1 = rev(mu) rev(f) + y**(n-1)
+        # rev(r), so rev(mu) is 1/rev(f) to n-1 terms: one dot product per
+        # coefficient, where a division would loop over n per coefficient
+        top = mod[-2::-1]
+        mu = [1]
+        for k in range(1, n - 1):
+            mu.append(-sum(map(operator.mul, top[:k], reversed(mu))) % p)
+        self._mu = self.pack(mu[::-1])
+        self._neg_f = self.pack([-c % p for c in mod[:n]])
+        self._high = self.slot * n
+        self._q_shift = self.slot * (n - 2)
+        self._low = (1 << self._high) - 1
+        self._q_mask = self.pack([(1 << self.slot - self._t) - 1] * n)
 
+    def pack(self, residues: list[int]) -> int:
+        acc = 0
+        for c in reversed(residues):
+            acc = acc << self.slot | c
+        return acc
 
-def _fp_combine(coeffs: list[int], rows: list[int], slot: int, p: int) -> list[int]:
-    """sum_i coeffs[i] * rows[i] mod p, residues of packed rows; the result
-    has len(coeffs) residues.  One big-integer product per row replaces a
-    loop over its coefficients.  No slot carries into the next while slot
-    bits hold len(coeffs) * (p-1)**2, and the one % p per output
-    coefficient comes at the end."""
-    acc = 0
-    for c, row in zip(coeffs, rows):
-        if c:
-            acc += c * row
-    return _fp_unpack(acc, slot, len(coeffs), p)
+    def unpack(self, a: int) -> list[int]:
+        """The n residues of an element, constant term first."""
+        slot, mask = self.slot, (1 << self.slot) - 1
+        return [a >> slot * j & mask for j in range(self.n)]
 
+    def _residues(self, acc: int) -> int:
+        """Every slot of acc (each at most B) reduced mod p."""
+        return acc - self.p * (acc * self._magic >> self._t & self._q_mask)
 
-def _frobenius_rows(mod: list[int], p: int) -> tuple[int, list[int]]:
-    """(slot, rows): rows[i] = x**(i*p) mod a monic mod for i < n =
-    deg(mod) >= 1, each packed with that slot.  x**p comes from left-to-right
-    square-and-multiply (a set bit of p costs one shift, not a product);
-    the columns x**j * x**p mod mod from n shift-and-reduce steps; then row
-    i is row i-1 times x**p, the combination of the columns by the
-    coefficients of row i-1."""
-    n = len(mod) - 1
-    xp = _fp_times_x([1] + [0] * (n - 1), mod, p)
-    for bit in bin(p)[3:]:
-        xp = _fp_mulmod(xp, xp, mod, p)
-        if bit == "1":
-            xp = _fp_times_x(xp, mod, p)
-    slot = (n * (p - 1) ** 2).bit_length()
-    col = xp
-    cols = [_fp_pack(col, slot)]
-    for _ in range(n - 1):
-        col = _fp_times_x(col, mod, p)
-        cols.append(_fp_pack(col, slot))
-    rows = [1, cols[0]]
-    row = xp
-    while len(rows) < n:
-        row = _fp_combine(row, cols, slot, p)
-        rows.append(_fp_pack(row, slot))
-    return slot, rows[:n]
+    def mul(self, a: int, b: int) -> int:
+        c = a * b
+        q = (c >> self._high) * self._mu >> self._q_shift
+        return self._residues((c & self._low) + (q * self._neg_f & self._low))
+
+    def combine(self, coeffs: list[int], rows: list[int]) -> int:
+        """sum_i coeffs[i] * rows[i] for residues coeffs and elements rows."""
+        acc = 0
+        for c, row in zip(coeffs, rows):
+            if c:
+                acc += c * row
+        return self._residues(acc)
+
+    def frobenius_rows(self) -> list[int]:
+        """rows[i] = x**(i*p) for i < n: x**p by left-to-right
+        square-and-multiply, then row i = row i-1 times x**p."""
+        x = 1 << self.slot
+        xp = x
+        for bit in bin(self.p)[3:]:
+            xp = self.mul(xp, xp)
+            if bit == "1":
+                xp = self.mul(xp, x)
+        rows = [1, xp]
+        while len(rows) < self.n:
+            rows.append(self.mul(rows[-1], xp))
+        return rows
 
 
 @dataclass(frozen=True)
@@ -446,14 +475,26 @@ def degree_pattern(f: Poly, p: int) -> DegreePattern:
     """Multiset of irreducible-factor degrees of f mod p by distinct-degree
     splitting; unusable (no degrees) when the reduction is not squarefree.
 
-    Step d divides rest by gcd(rest, w - x), w = x**(p**d) mod f, the
-    product of its factors of degree d.  Costs, for n = deg(f):
-    - once: the Frobenius rows x**(i*p) mod f for i < n, from about log2(p)
-      squarings mod f, n shift-and-reduce steps and n - 2 combinations;
-    - each step: one combination w <- sum_i w[i] * row_i (n products of a
-      residue by a packed row) plus the gcd, O(n**2).
-    rest divides f, so w mod f serves every step: nothing is reduced
-    modulo rest after a split.
+    With n = deg(f) and h = n // 2, the leaves are w_d - x for d = 1..h,
+    w_d = x**(p**d) mod f, whose gcd with f is the product of the degree-d
+    factors.  A product tree over the leaves gives, at its root,
+    G = gcd(root, f): the product of every factor of degree <= n/2.  Its
+    cofactor is the one factor of degree above n/2, if there is one (two
+    would exceed n), so it adds the degree n - deg G without a division.
+    Descending, a node whose part G holds the factors of its degree range
+    splits G: the left child's part is gcd(left product mod G, G) and the
+    right child's the exact quotient.  A leaf's part is k factors of its
+    degree d, k = deg G / d, and a part of degree below twice its range's
+    least degree is one factor.  Costs, all but the gcds and divisions in
+    one packed ring (``_PackedRing``) built once per (f, p):
+    - x**p by about log2(p) squarings, and n - 2 row products for the
+      Frobenius rows x**(i*p) mod f;
+    - h - 1 row combinations w_d = sum_i w_{d-1}[i] * row_i (w_1 is row 1);
+    - h - 1 products for the tree's inner nodes;
+    - one gcd on residue lists per visited node (the root, and every inner
+      node whose part may hold two factors), plus an exact division at each
+      such inner node.
+    So f irreducible mod p costs the squarefree gate and one gcd.
     """
     _require_prime(p)
     if f.lead % p == 0:
@@ -462,30 +503,54 @@ def degree_pattern(f: Poly, p: int) -> DegreePattern:
     deriv = _fp_trim([i * c % p for i, c in enumerate(fp)][1:])
     if _fp_gcd(fp[:], deriv, p) != [1]:
         return DegreePattern(p=p, degrees=(), usable=False)
-    if len(fp) == 1:  # a unit has no factors, and no matrix of degree 0 exists
-        return DegreePattern(p=p, degrees=(), usable=True)
+    n = len(fp) - 1
+    if n < 2:  # a unit has no factors, a linear polynomial is irreducible
+        return DegreePattern(p=p, degrees=(1,) if n else (), usable=True)
     inv = pow(fp[-1], -1, p)
-    rest = [c * inv % p for c in fp]
-    slot, rows = _frobenius_rows(rest, p)
-    # x as deg(f) residues; the loop combines only when deg(f) >= 2
-    w = [0, 1] + [0] * (len(rest) - 3)
-    degrees = []
-    d = 0
-    while len(rest) - 1 > 0:
-        d += 1
-        if 2 * d > len(rest) - 1:
-            degrees.append(len(rest) - 1)
-            break
-        w = _fp_combine(w, rows, slot, p)
-        # gcd(w - x, rest) is the product of the degree-d factors
-        diff = w[:]
-        diff[1] = (diff[1] - 1) % p
-        g = _fp_gcd(rest[:], _fp_trim(diff), p)
-        if len(g) - 1 > 0:
-            degrees.extend([d] * ((len(g) - 1) // d))
-            rest, rem = _fp_divmod(rest, g, p)
+    mod = [c * inv % p for c in fp]
+    ring = _PackedRing(mod, p)
+    rows = ring.frobenius_rows()
+    x = 1 << ring.slot
+    half = n // 2
+    # products[lo, hi] = leaves lo .. hi-1 multiplied mod f; leaf d-1 is
+    # w_d - x, w_1 = x**p and w_d the combination of the rows by w_{d-1}
+    products = {}
+    w = rows[1]
+    for d in range(half):
+        res = ring.unpack(w)
+        products[d, d + 1] = w - x if res[1] else w + (p - 1) * x
+        if d + 1 < half:
+            w = ring.combine(res, rows)
+    # the tree's nodes top-down, then their products bottom-up; plain loops,
+    # not recursive closures, which would leave a reference cycle per call
+    nodes = [(0, half)]
+    for lo, hi in nodes:
+        if hi - lo > 1:
+            mid = (lo + hi) // 2
+            nodes += [(lo, mid), (mid, hi)]
+    for lo, hi in reversed(nodes):
+        if hi - lo > 1:
+            mid = (lo + hi) // 2
+            products[lo, hi] = ring.mul(products[lo, mid], products[mid, hi])
+    g = _fp_gcd(_fp_trim(ring.unpack(products[0, half])), mod[:], p)
+    degrees = [n - (len(g) - 1)] if len(g) - 1 < n else []
+    # (lo, hi, g): g (monic) is the product of the factors of degree lo+1 .. hi
+    parts = [(0, half, g)]
+    while parts:
+        lo, hi, g = parts.pop()
+        if len(g) == 1:
+            continue
+        if hi - lo == 1:
+            degrees += [hi] * ((len(g) - 1) // hi)
+        elif len(g) - 1 < 2 * (lo + 1):  # too small for two such factors
+            degrees.append(len(g) - 1)
+        else:
+            mid = (lo + hi) // 2
+            g_left = _fp_gcd(_fp_trim(ring.unpack(products[lo, mid])), g[:], p)
+            g_right, rem = _fp_divmod(g, g_left, p)
             if rem:
                 raise ArithmeticError("distinct-degree part does not divide")
+            parts += [(lo, mid, g_left), (mid, hi, g_right)]
     return DegreePattern(p=p, degrees=tuple(sorted(degrees)), usable=True)
 
 

@@ -307,6 +307,21 @@ def test_oracle_json_record(capsys):
     assert data["possible_degrees"] == [0, 2, 4]
 
 
+# literals from the per-degree splitting that preceded the packed ring, so a
+# change to the F_p arithmetic cannot change which primes the oracle reads
+@pytest.mark.parametrize("m, u, primes_used", [
+    (4, 4, [5, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]),
+    (6, 4, [11]),
+    (15, 2, [19, 23, 29, 31, 37, 41, 43, 47, 53]),
+])
+def test_oracle_json_on_all_ones_instances(capsys, m, u, primes_used):
+    code, out, _ = run(capsys, "oracle", "-m", str(m), "-u", str(u), "--am", "1",
+                       "--a", "1", "--a0", "1", "--phi", "x^2-x+17", "--json")
+    assert code == 0
+    assert json.loads(out) == {"verdict": "irreducible", "primes_used": primes_used,
+                               "possible_degrees": [0, 2 * m], "low_confidence": False}
+
+
 def test_witness_search_exit_codes(capsys):
     code, out, _ = run(capsys, "witness-search", "-m", "2", "-u", "2",
                        "--phi", "x^2-x+17", "--bound", "1")

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from laguerrecert.polyring import (MAX_PARSED_DEGREE, DegreePattern, Poly, X,
-                                   _frobenius_rows, _fp_unpack, check_phi,
-                                   construct_phi, content, degree_pattern, format_poly,
-                                   gauss_valuation, is_irreducible_mod_p,
-                                   parse_poly, phi_expand, primitive_part)
+                                   _PackedRing, check_phi, construct_phi, content,
+                                   degree_pattern, format_poly, gauss_valuation,
+                                   is_irreducible_mod_p, parse_poly, phi_expand,
+                                   primitive_part)
 from laguerrecert.primes import INFINITY
 
 
@@ -304,10 +304,10 @@ def test_degree_pattern_matches_sympy_up_to_degree_30():
 
 
 def _random_irreducible(sympy, rng, degree, p):
-    x = sympy.Symbol("x")
+    from sympy.polys.galoistools import gf_irreducible_p
     while True:
         coeffs = [1] + [rng.randrange(p) for _ in range(degree)]
-        if sympy.Poly(coeffs, x, modulus=p).is_irreducible:
+        if gf_irreducible_p(coeffs, p, sympy.ZZ):
             return Poly(list(reversed(coeffs)))
 
 
@@ -341,19 +341,88 @@ def test_degree_pattern_of_products_with_repeated_degrees():
     assert multi_split > 20
 
 
-def test_frobenius_rows_match_powers_of_x():
-    # brute force with Poly arithmetic: x**(i*p) % rest, reduced mod p; row 1
-    # is x**p itself, the square-and-multiply result the rows are built from
-    rng = random.Random(5150)
-    for _ in range(40):
-        p = rng.choice(_SMALL_PRIMES[:16])
-        n = rng.randrange(2, 11)
-        rest = [rng.randrange(p) for _ in range(n)] + [1]
-        slot, rows = _frobenius_rows(rest, p)
-        assert len(rows) == n
-        for i, row in enumerate(rows):
-            assert Poly(_fp_unpack(row, slot, n, p)) == \
-                Poly([c % p for c in (X**(i * p) % Poly(rest)).coeffs]), (rest, p, i)
+def _mod_p(f, p):
+    return Poly([c % p for c in f.coeffs])
+
+
+def _x_power_mod(e, mod, p):
+    """x**e mod (mod, p) by square-and-multiply on Poly, reducing mod p after
+    every product."""
+    acc, base = Poly((1,)), X
+    while e:
+        if e & 1:
+            acc = _mod_p(acc * base % mod, p)
+        base = _mod_p(base * base % mod, p)
+        e >>= 1
+    return acc
+
+
+def _packed_ring_cases():
+    """(mod, p, a, b): random monic mod of degree 2..30 and random operands at
+    small primes and at 1009 and 65537, then all-(p-1) operands at n = 30,
+    which put every slot at its bound before reduction."""
+    rng = random.Random(7309)
+    for _ in range(60):
+        p = rng.choice(_SMALL_PRIMES[:12] + [1009, 65537])
+        n = rng.randrange(2, 31)
+        mod = [rng.randrange(p) for _ in range(n)] + [1]
+        yield mod, p, [rng.randrange(p) for _ in range(n)], [rng.randrange(p) for _ in range(n)]
+    for p in (2, 3, 59, 1009, 65537):
+        top = [p - 1] * 30
+        for mod in ([1] * 30 + [1], top + [1]):
+            yield mod, p, top, top
+
+
+def test_packed_ring_matches_poly_arithmetic():
+    # products, combinations of the rows and the rows x**(i*p) themselves,
+    # against Poly arithmetic reduced mod p
+    for mod, p, a, b in _packed_ring_cases():
+        ring, f = _PackedRing(mod, p), Poly(mod)
+        assert ring.unpack(ring.pack(a)) == a
+        product = ring.mul(ring.pack(a), ring.pack(b))
+        assert Poly(ring.unpack(product)) == _mod_p(Poly(a) * Poly(b) % f, p), (mod, p)
+        rows = ring.frobenius_rows()
+        assert len(rows) == len(a)
+        for i in sorted({1, len(a) // 2, len(a) - 1}):
+            assert Poly(ring.unpack(rows[i])) == _x_power_mod(i * p, f, p), (mod, p, i)
+        # a row combination by a is a evaluated at x**p
+        combined = Poly(ring.unpack(ring.combine(a, rows)))
+        assert combined == _mod_p(sum((c * _x_power_mod(i * p, f, p)
+                                       for i, c in enumerate(a)), Poly()) % f, p)
+
+
+def test_degree_pattern_tree_cases_match_sympy():
+    # the three shapes of the product tree over w_d - x, d <= n/2:
+    # - one irreducible above n/2 (the cofactor of the root's gcd) times
+    #   factors of 3 or 4 distinct small degrees, split at several nodes;
+    # - f irreducible, so the root's gcd is 1 and nothing is split;
+    # - distinct linear factors only, so the root product is 0 mod f
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2917)
+    primes = _SMALL_PRIMES[2:17] + [1009, 65537]
+    for _ in range(30):
+        p = rng.choice(primes)
+        small = rng.sample(range(1, 5), rng.choice((3, 4)))
+        degrees = sorted(small + [rng.choice(small)])
+        big = rng.randrange(sum(degrees) + 1, 21)
+        factors = set()
+        while len(factors) < len(degrees) + 1:
+            factors = {_random_irreducible(sympy, rng, d, p) for d in degrees + [big]}
+        f = Poly((1,))
+        for g in factors:
+            f = f * g
+        expected = DegreePattern(p, tuple(sorted(degrees + [big])), True)
+        assert degree_pattern(f, p) == expected, (f, p)
+        assert _sympy_pattern(sympy, f, p) == expected
+    for p, n in [(rng.choice(primes), rng.randrange(2, 31)) for _ in range(20)]:
+        f = _random_irreducible(sympy, rng, n, p)
+        assert degree_pattern(f, p) == DegreePattern(p, (n,), True), (f, p)
+    for p in (5, 7, 31, 59):
+        for n in sorted({2, 3, p // 2, p}):
+            f = Poly((1,))
+            for r in rng.sample(range(p), n):
+                f = f * (X - r)
+            assert degree_pattern(f, p) == DegreePattern(p, (1,) * n, True), (f, p)
 
 
 @pytest.mark.parametrize("p", [2, 3, 65537])
