@@ -3,9 +3,8 @@ polynomials over a monic base, via prime-valuation polygons."""
 
 from .certify import (Certificate, ExclusionWitness, FailureReport,
                       NoSmallDegreePrime, certificate_from_json,
-                      certificate_to_json, certify, coverage_complete,
-                      exclude_small_degrees, find_prime_for_k,
-                      lemma_exclusion_check, verify_certificate)
+                      certificate_to_json, certify, exclude_small_degrees,
+                      find_prime_for_k, lemma_exclusion_check, verify_certificate)
 from .laguerre import (HypothesisViolation, LaguerreInstance, build_instance,
                        laguerre_coefficients, parameter)
 from .oracle import (DegreeSet, FactorWitness, Verdict, oracle_verdict,

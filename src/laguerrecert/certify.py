@@ -5,16 +5,16 @@ base degree, plus one (prime, slope) witness per k in 1..m//2 excluding
 factor degrees in [k*deg(phi), (k+1)*deg(phi)).  For a fixed prime the
 slope does not depend on k and the divisibility range only grows with k,
 so each prime witnesses one contiguous range of k; the certifier computes
-that range once per prime and gives every k its smallest witness prime, so
-equal inputs always yield identical certificates.  Its small-degree prime
-divides vm+u, a factor of every lower coefficient c_j = v**m b_j, so it
-reads no c_j.  It takes only instances that meet the hypotheses, which
-settle the base and content conditions at every prime up to vm+u: its one
-per-prime gate is p not dividing v, and its witnesses depend on (m, u, v)
-alone.  Verification recomputes everything from scratch - coefficients,
-the exclusion lemma's hypotheses on the polygon of each distinct prime
-(exclusion_bounds, not the certifier's gate), the interval coverage - and
-trusts nothing from the producer.
+that range once per prime and gives each k open in its mask its smallest
+witness prime, so equal inputs always yield identical certificates.  Its
+small-degree prime divides vm+u, a factor of every lower coefficient
+c_j = v**m b_j, so it reads no c_j.  It takes only instances that meet the
+hypotheses, which settle the base and content conditions at every prime up
+to vm+u: its one per-prime gate is p not dividing v, and its witnesses
+depend on (m, u, v) alone.  Verification recomputes everything from
+scratch - coefficients, the exclusion lemma's hypotheses on the polygon of
+each distinct prime (exclusion_bounds, not the certifier's gate), coverage
+in one degree mask - and trusts nothing from the producer.
 
 Three valuation routes meet here:
 - The certifier's closed forms: laguerre.coefficient_valuations values
@@ -46,7 +46,8 @@ from fractions import Fraction
 from .laguerre import HypothesisViolation, LaguerreInstance, cleared_from_definition
 from .polygon import (NewtonPolygon, breakpoint_polygon, build_polygon,
                       confirm_vertex_heights, rightmost_slope)
-from .polyring import Poly, content, format_poly, is_irreducible_mod_p, parse_poly
+from .polyring import (Poly, content, degree_range, degrees_of, format_poly,
+                       is_irreducible_mod_p, parse_poly)
 from .primes import factorize, is_prime, sieve_primes, vp_int
 
 
@@ -215,26 +216,25 @@ def certify(instance: LaguerreInstance) -> Certificate | FailureReport:
         p0 = exclude_small_degrees(instance)
     except NoSmallDegreePrime:
         p0 = None
-    half = instance.m // 2
-    chosen: dict[int, ExclusionWitness] = {}
+    open_ks = degree_range(1, instance.m // 2 + 1)  # bit k: k not yet witnessed
+    witnesses = []
     # ascending primes, so each k keeps its smallest witness
     for p in sieve_primes(instance.prime_bound):
-        if len(chosen) == half:
+        if not open_ks:
             break
         if instance.v % p == 0:
             continue
         k_lo, k_hi, slope = witness_range(_anchored_runs(instance, p))
-        for k in range(k_lo, min(k_hi, half) + 1):
-            if k not in chosen:
-                chosen[k] = ExclusionWitness(k=k, p=p, slope=slope)
-    witnesses = [chosen[k] for k in sorted(chosen)]
-    uncovered = [k for k in range(1, half + 1) if k not in chosen]
-    if p0 is not None and not uncovered:
+        new = open_ks & degree_range(k_lo, k_hi + 1)
+        open_ks ^= new
+        witnesses += [ExclusionWitness(k=k, p=p, slope=slope) for k in degrees_of(new)]
+    witnesses.sort(key=lambda w: w.k)
+    if p0 is not None and not open_ks:
         return Certificate(m=instance.m, u=instance.u, v=instance.v,
                            phi=instance.phi, small_degree_prime=p0,
                            witnesses=tuple(witnesses))
     return FailureReport(m=instance.m, u=instance.u, v=instance.v,
-                         small_degree_prime=p0, uncovered=tuple(uncovered),
+                         small_degree_prime=p0, uncovered=tuple(degrees_of(open_ks)),
                          witnesses=tuple(witnesses))
 
 
@@ -300,14 +300,6 @@ def lemma_exclusion_check(f: Poly, phi: Poly, p: int, ell: int, k: int,
             and bounds[0] <= ell + 1 and bounds[1] < Fraction(1, k))
 
 
-def coverage_complete(m: int, deg_phi: int, ks) -> bool:
-    """Every possible smaller-factor degree lies in a certified interval."""
-    covered = set(range(1, deg_phi))
-    for k in ks:
-        covered.update(range(k * deg_phi, (k + 1) * deg_phi))
-    return all(d in covered for d in range(1, m * deg_phi // 2 + 1))
-
-
 def _telescoped_polygon(m: int, u: int, v: int, p: int) -> NewtonPolygon:
     """Polygon at p of the monic model's parts c_0..c_m, on its breakpoints.
 
@@ -351,16 +343,20 @@ def verify_certificate(cert: Certificate, instance: LaguerreInstance) -> bool:
     small-degree prime, each witness against exclusion_bounds (once per
     distinct prime, on the monic model with multipliers
     a_0..a_{m-1}, v**m a_m; the gates leave p prime to v, so the monic
-    leading part 1 and c_m = v**m have the same height 0), and interval
-    coverage.  Each witness is checked in integers against its prime's
-    (k_lo, numerator, denominator): k >= k_lo, a Fraction slope with that
-    numerator and denominator, and numerator * k < denominator (the
-    denominator is positive), which is slope < 1/k.  The heights are
-    telescoped along the coefficient ratio, one polygon per distinct
-    witness prime; every vertex height of every polygon is then confirmed
-    on the c_j built from their definition at the union of the vertex
-    abscissas i, j = m - i (laguerre.cleared_from_definition), one comb
-    each.  No other c_j is built and instance.cleared is not read.
+    leading part 1 and c_m = v**m have the same height 0), and coverage:
+    one polyring degree mask of the degrees n..mn//2 still open, n = deg
+    phi (p0 closes those below n).  A witness is refused unless bit kn is
+    open, which refuses k outside 1..m//2 (a negative shift raises) and a
+    repeated k; it then clears [kn, (k+1)n), and the mask must end at 0
+    before any anchor is built.  Each witness is checked in integers
+    against its prime's (k_lo, numerator, denominator): k >= k_lo, a
+    Fraction slope with that numerator and denominator, and numerator * k
+    < denominator (the denominator is positive), which is slope < 1/k.
+    The heights are telescoped along the coefficient ratio, one polygon per
+    distinct witness prime; every vertex height of every polygon is then
+    confirmed on the c_j built from their definition at the union of the
+    vertex abscissas i, j = m - i (laguerre.cleared_from_definition), one
+    comb each.  No other c_j is built and instance.cleared is not read.
     Returns False on any discrepancy; never raises for a bad certificate.
     """
     try:
@@ -383,14 +379,14 @@ def verify_certificate(cert: Certificate, instance: LaguerreInstance) -> bool:
             polygons[p] = _telescoped_polygon(m, u, v, p)
             return polygons[p]
 
-        half = m // 2
+        n = instance.phi.degree
+        open_degrees = degree_range(n, m * n // 2 + 1)
         per_prime: dict = {}  # p -> (k_lo, slope numerator, slope denominator), or None
-        seen_ks = []
         for w in cert.witnesses:
             k, p, slope = w.k, w.p, w.slope
             if type(k) is not int or type(p) is not int:
                 return False
-            if not (w.divisibility_checked and 1 <= k <= half):
+            if not (w.divisibility_checked and open_degrees >> k * n & 1):
                 return False
             if p not in per_prime:
                 bounds = exclusion_bounds(instance.phi, multipliers, p, polygon_at)
@@ -402,15 +398,15 @@ def verify_certificate(cert: Certificate, instance: LaguerreInstance) -> bool:
             if k < k_lo or type(slope) is not Fraction or slope.numerator != num \
                     or slope.denominator != den or num * k >= den:
                 return False
-            seen_ks.append(k)
-        if sorted(seen_ks) != list(range(1, half + 1)):
+            open_degrees &= ~degree_range(k * n, (k + 1) * n)
+        if open_degrees:
             return False
         abscissas = {i for polygon in polygons.values() for i, _ in polygon.vertices}
         cleared = cleared_from_definition(m, u, v, [m - i for i in abscissas])
         anchors = {i: cleared[m - i] for i in abscissas}
         for p, polygon in polygons.items():
             confirm_vertex_heights(polygon, p, anchors)
-        return coverage_complete(m, instance.phi.degree, seen_ks)
+        return True
     except (ValueError, TypeError, AttributeError, ZeroDivisionError, ArithmeticError):
         return False
 

@@ -18,7 +18,8 @@ from functools import reduce
 from itertools import product as _cartesian
 
 from .laguerre import LaguerreInstance, build_instance, parameter
-from .polyring import Poly, content, degree_pattern, phi_expand, primitive_part
+from .polyring import (Poly, content, degree_pattern, degree_range, degrees_of, phi_expand,
+                       primitive_part, subset_sums)
 from .primes import factorize, sieve_primes
 
 _DIVISOR_CAP = 4096
@@ -54,13 +55,6 @@ class Verdict:
     degree_set: DegreeSet
 
 
-def _subset_sums(degrees, n: int) -> int:
-    mask = 1
-    for d in degrees:
-        mask |= mask << d
-    return mask & ((1 << (n + 1)) - 1)
-
-
 def possible_degrees(f: Poly, prime_budget: int) -> DegreeSet:
     """Degrees a factor could have, intersected over usable prime patterns.
 
@@ -72,8 +66,7 @@ def possible_degrees(f: Poly, prime_budget: int) -> DegreeSet:
     if content(f) != 1:
         raise ValueError("need a primitive polynomial")
     n = f.degree
-    minimal = (1 << n) | 1
-    mask = (1 << (n + 1)) - 1
+    mask = degree_range(0, n + 1)
     used = []
     for p in sieve_primes(prime_budget):
         if f.lead % p == 0:
@@ -82,11 +75,10 @@ def possible_degrees(f: Poly, prime_budget: int) -> DegreeSet:
         if not pat.usable:
             continue
         used.append(p)
-        mask &= _subset_sums(pat.degrees, n)
-        if mask == minimal:
+        mask &= subset_sums(pat.degrees, n)
+        if not mask & degree_range(1, n // 2 + 1):
             break
-    possible = frozenset(d for d in range(n + 1) if mask >> d & 1)
-    return DegreeSet(possible=possible, primes_used=tuple(used))
+    return DegreeSet(possible=frozenset(degrees_of(mask)), primes_used=tuple(used))
 
 
 def verify_witness(target: Poly, witness: FactorWitness) -> bool:

@@ -464,6 +464,31 @@ class _PackedRing:
         return rows
 
 
+# ---------------------------------------------------------------------------
+# factor degrees.  Possible factor degrees are one int bitmask, bit d set while
+# degree d is open.  A factor of degree d has a cofactor of degree n - d, so a
+# polynomial of degree n has no proper factor once no degree in 1..n//2 is open.
+
+def degree_range(lo: int, hi: int) -> int:
+    """The mask of the degrees lo <= d < hi (lo >= 0); 0 when hi <= lo."""
+    return (1 << hi) - (1 << lo) if hi > lo else 0
+
+
+def subset_sums(parts, n: int) -> int:
+    """The mask of the sums of sub-multisets of parts that are at most n."""
+    mask = 1
+    for d in parts:
+        mask |= mask << d
+    return mask & degree_range(0, n + 1)
+
+
+def degrees_of(mask: int):
+    """Yield the set bits of a mask, ascending, one lowest bit at a time."""
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+
+
 @dataclass(frozen=True)
 class DegreePattern:
     p: int

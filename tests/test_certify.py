@@ -3,6 +3,7 @@ import json
 import math
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -16,9 +17,8 @@ from laguerrecert import laguerre
 from laguerrecert.certify import (Certificate, ExclusionWitness, FailureReport,
                                   NoSmallDegreePrime, _small_degree_failure,
                                   _telescoped_polygon, certificate_from_json,
-                                  certificate_to_json, certify, coverage_complete,
-                                  exclude_small_degrees, exclusion_bounds,
-                                  find_prime_for_k, lemma_exclusion_check,
+                                  certificate_to_json, certify, exclude_small_degrees,
+                                  exclusion_bounds, find_prime_for_k, lemma_exclusion_check,
                                   verify_certificate, witness_range, witness_slope)
 from laguerrecert.laguerre import (HypothesisViolation, LaguerreInstance, build_instance,
                                    cleared_from_definition, laguerre_coefficients,
@@ -838,6 +838,7 @@ def test_verify_rejects_tampered_slope(phi17):
 
 _OPTIMIZED_ROUND_TRIP = """
 import importlib
+from dataclasses import replace
 from fractions import Fraction
 from laguerrecert.polygon import NewtonPolygon
 from laguerrecert.polyring import Poly, parse_poly
@@ -856,6 +857,10 @@ tampered = cm.Certificate(
     witnesses=tuple(cm.ExclusionWitness(k=w.k, p=w.p, slope=w.slope + Fraction(1, 10**6))
                     for w in cert.witnesses))
 print("tampered", cm.verify_certificate(tampered, inst))
+# coverage is one degree mask, which needs every k of 1..m//2 exactly once
+print("missing k", cm.verify_certificate(replace(cert, witnesses=cert.witnesses[:-1]), inst))
+print("repeated k", cm.verify_certificate(
+    replace(cert, witnesses=cert.witnesses + cert.witnesses[:1]), inst))
 # the vertex anchors are confirmed by explicit raises: anchors times q
 # (every prime up to vm+u = 14) raise each vertex valuation
 q = 2 * 3 * 5 * 7 * 11 * 13
@@ -923,10 +928,10 @@ def test_verify_cross_checks_survive_optimized_mode():
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
-    assert proc.stdout.split("\n")[:8] == [
-        "verify True", "tampered False", "forged anchor False", "wrong binomial raises",
-        "bad anchor False", "broken polygon False", "bogus witness raises",
-        "off-by-one runs raise"]
+    assert proc.stdout.split("\n")[:10] == [
+        "verify True", "tampered False", "missing k False", "repeated k False",
+        "forged anchor False", "wrong binomial raises", "bad anchor False",
+        "broken polygon False", "bogus witness raises", "off-by-one runs raise"]
 
 
 def test_verify_rejects_prime_dividing_lead(phi17):
@@ -988,15 +993,32 @@ def test_verify_rejects_wrong_instance(phi17):
     assert not verify_certificate(cert, other_base)
 
 
+def _witness_beyond_half(inst):
+    """A witness for k = m//2 + 1 that passes every check but the range."""
+    k = inst.m // 2 + 1
+    return next(ExclusionWitness(k=k, p=p, slope=slope)
+                for p in sieve_primes(inst.prime_bound)
+                if (slope := witness_slope(inst, k, p)) is not None)
+
+
 def test_verify_rejects_missing_k(phi17):
-    inst = ones(phi17, 6, 1)
-    cert = certify(inst)
-    pruned = Certificate(m=cert.m, u=cert.u, v=cert.v, phi=cert.phi,
-                         small_degree_prime=cert.small_degree_prime,
-                         witnesses=cert.witnesses[:-1])
-    assert not verify_certificate(pruned, inst)
-    repeated = replace(cert, witnesses=cert.witnesses + cert.witnesses[:1])
-    assert not verify_certificate(repeated, inst)
+    # the verifier's one degree-mask test refuses all of these, so each
+    # gets its own case, over phi = x, a quadratic and a cubic base, at odd
+    # and even m
+    cubic = construct_phi(3, 11)
+    for phi, m in ((phi17, 6), (X, 9), (X, 10), (cubic, 9), (cubic, 10)):
+        inst = ones(phi, m, 1)
+        cert = certify(inst)
+        assert verify_certificate(cert, inst)
+        first = cert.witnesses[0]
+        cases = {"missing": cert.witnesses[:-1],
+                 "repeated": cert.witnesses + cert.witnesses[:1],
+                 "k = 0": cert.witnesses + (replace(first, k=0),),
+                 "k = -1": cert.witnesses + (replace(first, k=-1),),
+                 "k = m//2 + 1": cert.witnesses + (_witness_beyond_half(inst),)}
+        for case, witnesses in cases.items():
+            forged = replace(cert, witnesses=witnesses)
+            assert not verify_certificate(forged, inst), (format_poly(phi), m, case)
 
 
 def test_no_forged_certificate_verifies_for_reducible_member(phi17):
@@ -1013,11 +1035,37 @@ def test_no_forged_certificate_verifies_for_reducible_member(phi17):
             assert not verify_certificate(forged, inst), (p, slope)
 
 
-def test_coverage_arithmetic():
-    assert coverage_complete(6, 2, [1, 2, 3])
-    assert not coverage_complete(6, 2, [1, 3])
-    assert coverage_complete(1, 2, [])
-    assert not coverage_complete(4, 2, [])
+def _set_coverage(m, deg_phi, ks):
+    """The set rule the verifier's degree mask replaced: every k of 1..m//2
+    exactly once, and every degree 1..m*deg_phi//2 below deg_phi or in a
+    witnessed interval [k*deg_phi, (k+1)*deg_phi)."""
+    covered = set(range(1, deg_phi))
+    for k in ks:
+        covered.update(range(k * deg_phi, (k + 1) * deg_phi))
+    return (sorted(ks) == list(range(1, m // 2 + 1))
+            and all(d in covered for d in range(1, m * deg_phi // 2 + 1)))
+
+
+def test_coverage_mask_matches_set_rule():
+    rng = random.Random(31)
+    for deg_phi in (1, 2, 3):
+        for m in (9, 10):
+            phi = X if deg_phi == 1 else construct_phi(deg_phi, m + 2)
+            inst = ones(phi, m, 2)
+            cert = certify(inst)
+            first = cert.witnesses[0]
+            extras = [replace(first, k=0), replace(first, k=-1), _witness_beyond_half(inst)]
+            verdicts = []
+            for _ in range(40):
+                witnesses = [w for w in cert.witnesses if rng.random() < 0.9]
+                if rng.random() < 0.3:
+                    witnesses.append(rng.choice(list(cert.witnesses) + extras))
+                rng.shuffle(witnesses)
+                verdict = verify_certificate(replace(cert, witnesses=tuple(witnesses)), inst)
+                assert verdict == _set_coverage(m, deg_phi, [w.k for w in witnesses]), (
+                    deg_phi, m, [w.k for w in witnesses])
+                verdicts.append(verdict)
+            assert True in verdicts and False in verdicts
 
 
 _JSON_LEAF = (st.none() | st.booleans() | st.integers() | st.floats()

@@ -244,7 +244,7 @@ def test_pattern_subset_sums_contain_witnessed_degrees(phi17):
     # every usable pattern's subset sums must contain the degrees of any
     # verified factorization
     f = (phi17 + 2) * (phi17 + 6)
-    from laguerrecert.oracle import _subset_sums
+    from laguerrecert.polyring import subset_sums
     from laguerrecert.primes import sieve_primes
 
     for p in sieve_primes(60):
@@ -253,7 +253,7 @@ def test_pattern_subset_sums_contain_witnessed_degrees(phi17):
         pat = degree_pattern(f, p)
         if not pat.usable:
             continue
-        sums = _subset_sums(pat.degrees, f.degree)
+        sums = subset_sums(pat.degrees, f.degree)
         assert sums >> 2 & 1, f"degree 2 missing from pattern at p={p}"
 
 

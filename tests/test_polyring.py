@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from laguerrecert.polyring import (MAX_PARSED_DEGREE, DegreePattern, Poly, X,
                                    _PackedRing, check_phi, construct_phi, content,
-                                   degree_pattern, format_poly, gauss_valuation,
-                                   is_irreducible_mod_p, parse_poly, phi_expand,
-                                   primitive_part)
+                                   degree_pattern, degree_range, degrees_of,
+                                   format_poly, gauss_valuation, is_irreducible_mod_p,
+                                   parse_poly, phi_expand, primitive_part, subset_sums)
 from laguerrecert.primes import INFINITY
 
 
@@ -462,3 +462,44 @@ def test_construct_phi_rejects_linear_with_primes():
         construct_phi(1, 2)
     with pytest.raises(ValueError):
         construct_phi(0, 5)
+
+
+def mask_of(degrees):
+    """The int bitmask with exactly the given degrees set, bit by bit."""
+    mask = 0
+    for d in degrees:
+        mask |= 1 << d
+    return mask
+
+
+def test_degree_range_matches_sets():
+    rng = random.Random(31)
+    cases = [(0, 0), (0, 1), (3, 3), (5, 2), (1, 0), (0, 64), (63, 65), (1, 25_601),
+             (12_800, 25_601), (25_600, 25_601)]
+    cases += [(rng.randrange(0, 300), rng.randrange(0, 300)) for _ in range(300)]
+    for lo, hi in cases:
+        assert degree_range(lo, hi) == mask_of(range(lo, hi)), (lo, hi)
+
+
+def test_degrees_of_matches_sets():
+    rng = random.Random(32)
+    cases = [set(), {0}, {0, 1}, {63, 64}, {0, 25_600}, set(range(0, 25_601, 97))]
+    cases += [{d for d in range(rng.randrange(1, 200)) if rng.random() < 0.3}
+              for _ in range(300)]
+    for degrees in cases:
+        assert list(degrees_of(mask_of(degrees))) == sorted(degrees)
+    assert list(degrees_of(degree_range(0, 25_600))) == list(range(25_600))
+
+
+def test_subset_sums_matches_sets():
+    rng = random.Random(33)
+    cases = [([], 0), ([], 5), ([1], 1), ([3, 3], 6), ([2, 2, 5], 4), ([70, 1], 71)]
+    cases += [([rng.randrange(1, 12) for _ in range(rng.randrange(0, 8))],
+               rng.randrange(0, 60)) for _ in range(300)]
+    big = [rng.randrange(1, 2_000) for _ in range(40)]
+    cases += [(big, 25_600), (big, sum(big) // 2)]
+    for parts, n in cases:
+        sums = {0}
+        for d in parts:
+            sums |= {s + d for s in sums}
+        assert subset_sums(parts, n) == mask_of(s for s in sums if s <= n), (parts, n)
