@@ -71,10 +71,7 @@ class Certificate:
     phi: Poly
     small_degree_prime: int
     witnesses: tuple[ExclusionWitness, ...]
-
-    @property
-    def conclusion(self) -> str:
-        return "irreducible-over-Q"
+    conclusion: str = "irreducible-over-Q"  # the one claim the verifier accepts
 
 
 @dataclass(frozen=True)
@@ -181,13 +178,13 @@ def _require_valid(instance: LaguerreInstance) -> None:
         raise HypothesisViolation(instance.violations)
 
 
-def _anchored_runs(instance: LaguerreInstance, p: int) -> tuple[tuple[int, int], ...]:
-    """valuation_vector at p, its run holding j = m-1 checked against
-    b_{m-1} = m(vm+u)/v; ArithmeticError on a mismatch."""
-    runs = instance.valuation_vector(p)
-    if runs[-2][1] != vp_int(p, instance.m) + vp_int(p, instance.prime_bound):
+def anchored_witness_range(runs, p: int, prime_bound: int) -> tuple[int, int, Fraction]:
+    """witness_range of runs in valuation_vector's shape at a prime p not
+    dividing v, once the run holding j = m-1 is checked against
+    b_{m-1} = m(vm+u)/v, prime_bound = vm+u; ArithmeticError on a mismatch."""
+    if runs[-2][1] != vp_int(p, runs[-1][0]) + vp_int(p, prime_bound):
         raise ArithmeticError(f"valuation runs at p = {p} miss v_p(b_(m-1))")
-    return runs
+    return witness_range(runs)
 
 
 def witness_slope(instance: LaguerreInstance, k: int, p: int) -> Fraction | None:
@@ -197,7 +194,8 @@ def witness_slope(instance: LaguerreInstance, k: int, p: int) -> Fraction | None
         raise ValueError(f"p must lie in 2..vm+u = {instance.prime_bound}")
     if instance.v % p == 0:
         return None
-    k_lo, k_hi, slope = witness_range(_anchored_runs(instance, p))
+    k_lo, k_hi, slope = anchored_witness_range(instance.valuation_vector(p), p,
+                                               instance.prime_bound)
     return slope if k_lo <= k <= k_hi else None
 
 
@@ -224,7 +222,8 @@ def certify(instance: LaguerreInstance) -> Certificate | FailureReport:
             break
         if instance.v % p == 0:
             continue
-        k_lo, k_hi, slope = witness_range(_anchored_runs(instance, p))
+        k_lo, k_hi, slope = anchored_witness_range(instance.valuation_vector(p), p,
+                                                   instance.prime_bound)
         new = open_ks & degree_range(k_lo, k_hi + 1)
         open_ks ^= new
         witnesses += [ExclusionWitness(k=k, p=p, slope=slope) for k in degrees_of(new)]
@@ -339,10 +338,10 @@ def _telescoped_polygon(m: int, u: int, v: int, p: int) -> NewtonPolygon:
 def verify_certificate(cert: Certificate, instance: LaguerreInstance) -> bool:
     """Re-derive every certificate claim from first principles.
 
-    Checks field types, instance consistency and hypotheses, the
-    small-degree prime, each witness against exclusion_bounds (once per
-    distinct prime, on the monic model with multipliers
-    a_0..a_{m-1}, v**m a_m; the gates leave p prime to v, so the monic
+    Checks field types, the conclusion, instance consistency and
+    hypotheses, the small-degree prime, each witness against
+    exclusion_bounds (once per distinct prime, on the monic model with
+    multipliers a_0..a_{m-1}, v**m a_m; the gates leave p prime to v, so the monic
     leading part 1 and c_m = v**m have the same height 0), and coverage:
     one polyring degree mask of the degrees n..mn//2 still open, n = deg
     phi (p0 closes those below n).  A witness is refused unless bit kn is
@@ -362,6 +361,8 @@ def verify_certificate(cert: Certificate, instance: LaguerreInstance) -> bool:
     try:
         if not isinstance(cert, Certificate) or not all(
                 type(n) is int for n in (cert.m, cert.u, cert.v, cert.small_degree_prime)):
+            return False
+        if cert.conclusion != "irreducible-over-Q":
             return False
         if (cert.m, cert.u, cert.v) != (instance.m, instance.u, instance.v):
             return False
@@ -471,10 +472,10 @@ _SLOPE_TEXT = re.compile(r"(-?[0-9]+)/([0-9]+)")
 def certificate_from_json(text: str) -> Certificate:
     """Parse a certificate; any malformed input raises ValueError.
 
-    m, u, v, small_degree_prime, k and p must be JSON integers, phi and
-    slope strings (the slope written a/b), and divisibility_range a list of
-    two integers.  Every record is type-checked; each distinct slope text
-    is matched and made a Fraction once per call.
+    m, u, v, small_degree_prime, k and p must be JSON integers, phi, slope
+    and conclusion strings (the slope written a/b), and divisibility_range
+    a list of two integers.  Every record is type-checked; each distinct
+    slope text is matched and made a Fraction once per call.
     """
     try:
         data = json.loads(text)
@@ -498,6 +499,7 @@ def certificate_from_json(text: str) -> Certificate:
         return Certificate(m=m, u=_typed(data, "u", int), v=_typed(data, "v", int),
                            phi=parse_poly(_typed(data, "phi", str)),
                            small_degree_prime=_typed(data, "small_degree_prime", int),
-                           witnesses=tuple(witnesses))
+                           witnesses=tuple(witnesses),
+                           conclusion=_typed(data, "conclusion", str))
     except (KeyError, TypeError, AttributeError, ZeroDivisionError, RecursionError) as exc:
         raise ValueError(f"malformed certificate: {type(exc).__name__}: {exc}") from exc

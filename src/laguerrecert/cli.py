@@ -30,6 +30,10 @@ EXIT_REDUCIBLE = 3
 EXIT_INVALID = 4
 
 
+class _Refusal(Exception):
+    """Invalid input; main prints the text as one stderr line and exits 4."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems are "invalid input"
         self.print_usage(sys.stderr)
@@ -119,18 +123,17 @@ def _instance_from_args(args, relaxed: bool):
     mids = args.a or ["1"] * (args.m - 1)
     if len(mids) == 1 and args.m >= 3:
         mids = mids * (args.m - 1)
-    parts = [parse_poly(text) for text in ["1" if args.a0 is None else args.a0, *mids]]
     a_m = 1 if args.am is None else args.am
-    return build_instance(args.m, _parameter_from_args(args), a_m, parts, args.phi,
-                          relaxed=relaxed)
+    try:
+        parts = [parse_poly(text) for text in ["1" if args.a0 is None else args.a0, *mids]]
+        return build_instance(args.m, _parameter_from_args(args), a_m, parts, args.phi,
+                              relaxed=relaxed)
+    except ValueError as exc:
+        raise _Refusal(f"invalid instance: {exc}") from exc
 
 
 def _cmd_construct(args) -> int:
-    try:
-        inst = _instance_from_args(args, relaxed=True)
-    except ValueError as exc:
-        print(f"invalid instance: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    inst = _instance_from_args(args, relaxed=True)
     payload = {
         "m": inst.m,
         "u": inst.u,
@@ -158,14 +161,12 @@ def _cmd_construct(args) -> int:
 
 def _cmd_polygon(args) -> int:
     if not is_prime(args.p):
-        print(f"{args.p} is not prime", file=sys.stderr)
-        return EXIT_INVALID
+        raise _Refusal(f"{args.p} is not prime")
     try:
         expansion = phi_expand(args.f, args.phi)
         polygon = build_polygon(expansion, args.p)
     except ValueError as exc:
-        print(f"cannot build polygon: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        raise _Refusal(f"cannot build polygon: {exc}") from exc
     if args.json:
         print(json.dumps(polygon.to_jsonable(), indent=2))
     else:
@@ -188,18 +189,13 @@ def _cert_output_path(args, inst) -> str:
 
 
 def _cmd_certify(args) -> int:
-    try:
-        inst = _instance_from_args(args, relaxed=False)
-    except ValueError as exc:
-        print(f"invalid instance: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    inst = _instance_from_args(args, relaxed=False)
     if args.verify:
         try:
             with open(args.verify, "r", encoding="utf-8") as fh:
                 cert = certificate_from_json(fh.read())
         except (OSError, ValueError) as exc:
-            print(f"invalid certificate file: {exc}", file=sys.stderr)
-            return EXIT_INVALID
+            raise _Refusal(f"invalid certificate file: {exc}") from exc
         ok = verify_certificate(cert, inst)
         if args.json:
             print(json.dumps({"verified": ok}))
@@ -214,8 +210,7 @@ def _cmd_certify(args) -> int:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
         except OSError as exc:
-            print(f"cannot write certificate: {exc}", file=sys.stderr)
-            return EXIT_INVALID
+            raise _Refusal(f"cannot write certificate: {exc}") from exc
         if args.json:
             # the file's text one level deeper, as indent=2 nests it
             print('{\n  "certificate": %s,\n  "path": %s\n}'
@@ -246,8 +241,7 @@ def _cmd_tables(args) -> int:
         report = (verify_reference_tables(**bounds) if args.only is None
                   else verify_section(args.only, **bounds))
     except ValueError as exc:  # a bound out of range
-        print(f"invalid bound: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        raise _Refusal(f"invalid bound: {exc}") from exc
     if args.json:
         print(json.dumps({"passed": report.passed,
                           "checks": [{"id": c.check_id, "passed": c.passed,
@@ -265,21 +259,14 @@ def _cmd_oracle(args) -> int:
     if args.f is not None:
         instance_flags = (args.m, args.u, args.v, args.am, args.a, args.a0, args.phi)
         if any(flag is not None for flag in instance_flags):
-            print("--f cannot be combined with instance flags", file=sys.stderr)
-            return EXIT_INVALID
+            raise _Refusal("--f cannot be combined with instance flags")
         f = args.f
     elif args.m is not None and args.u is not None and args.phi is not None:
-        try:
-            f = _instance_from_args(args, relaxed=True).f
-        except ValueError as exc:
-            print(f"invalid instance: {exc}", file=sys.stderr)
-            return EXIT_INVALID
+        f = _instance_from_args(args, relaxed=True).f
     else:
-        print("need --f or full instance parameters", file=sys.stderr)
-        return EXIT_INVALID
+        raise _Refusal("need --f or full instance parameters")
     if f.is_zero or f.degree < 1 or not f.is_integral:
-        print("need a nonconstant polynomial with integer coefficients", file=sys.stderr)
-        return EXIT_INVALID
+        raise _Refusal("need a nonconstant polynomial with integer coefficients")
     verdict = oracle_verdict(primitive_part(f), args.prime_budget)
     if args.json:
         print(json.dumps(verdict_to_jsonable(verdict), indent=2))
@@ -301,8 +288,7 @@ def _cmd_witness_search(args) -> int:
         found = search_reducible_witness(args.m, _parameter_from_args(args),
                                          args.phi, args.bound)
     except ValueError as exc:
-        print(f"invalid search: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        raise _Refusal(f"invalid search: {exc}") from exc
     if found is None:
         if args.json:
             print(json.dumps({"found": False}))
@@ -340,11 +326,14 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
+    except _Refusal as exc:  # the one route out for refused input
+        line = str(exc)
     except (MemoryError, OverflowError) as exc:
         # a size no index or allocation can hold (-m, -u, -v, --prime-budget,
         # a tables bound), wherever it is first used: ["1"] * (m - 1), a sieve
-        print(f"input too large: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return EXIT_INVALID
+        line = f"input too large: {str(exc) or 'out of memory'}"
+    print(line, file=sys.stderr)
+    return EXIT_INVALID
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -23,6 +23,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 
@@ -194,7 +195,9 @@ def _as_poly(value) -> Poly:
 
 # ---------------------------------------------------------------------------
 # text format: descending terms like "3x^2 - x + 17"; input order is free and
-# the printed form parses back bit-exactly.
+# the printed form parses back bit-exactly.  Numbers pass through Decimal,
+# whose conversions are exact and, unlike int(str) and str(int), not bound by
+# the interpreter's int/str digit limit (4,300 digits by default).
 
 _TERM_RE = re.compile(r"([+-]?)(\d+(?:/\d+)?)?(x(?:\^(\d+))?)?")
 
@@ -215,7 +218,8 @@ def format_poly(f: Poly) -> str:
             continue
         sign = "-" if c < 0 else "+"
         mag = -c if c < 0 else c
-        body = "" if (mag == 1 and e > 0) else str(mag)
+        body = "" if (mag == 1 and e > 0) else "/".join(
+            str(Decimal(n)) for n in (mag.as_integer_ratio() if mag.denominator > 1 else (mag,)))
         if e == 1:
             body += "x"
         elif e > 1:
@@ -244,7 +248,7 @@ def parse_poly(text: str) -> Poly:
         if (num is None and xpart is None) or (pos and not sign):  # terms join by + or -
             raise ValueError(f"cannot parse polynomial near {s[pos:]!r}")
         try:
-            c = Fraction(num) if num is not None else Fraction(1)
+            c = Fraction(*(int(Decimal(n)) for n in num.split("/"))) if num else Fraction(1)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {num!r}") from None
         if sign == "-":

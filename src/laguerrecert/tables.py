@@ -3,8 +3,8 @@
 Every constant here is machine-checked rather than trusted: the smooth-
 window pair sets are recomputed by exhaustive scan, the exponential
 equations by bounded search, the factorization rows by exact expansion,
-and every tabulated witness prime by the certifier's own witness rule
-(witness_range) on the certifier's own valuations (coefficient_valuations).
+and every tabulated witness prime by the certifier's own checked witness
+rule (anchored_witness_range) on its valuations (coefficient_valuations).
 Search bounds are arguments, and the pair-set and equation rows name theirs
 in their detail; nothing claims completeness beyond its bound.
 """
@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
-from .certify import witness_range
+from .certify import anchored_witness_range
 from .laguerre import build_instance, coefficient_valuations
 from .laguerre import laguerre_coefficients  # noqa: F401  (wrapped by bench/tracer.py)
 from .polyring import Poly, parse_poly
@@ -350,8 +350,10 @@ def solve_power_equation(equation_id: str, exponent_bound: int) -> frozenset:
 # witness checks shared by several verifiers
 
 def k_witness_valid(m: int, u: int, k: int, p: int) -> tuple[bool, Fraction]:
-    """Divisibility up to m-k plus rightmost slope below 1/k, monic model at u."""
-    k_lo, k_hi, slope = witness_range(coefficient_valuations(m, u, p) + ((m, 0),))
+    """Divisibility up to m-k plus rightmost slope below 1/k, monic model at u;
+    ArithmeticError when the runs miss v_p(b_{m-1}), as in certify."""
+    k_lo, k_hi, slope = anchored_witness_range(coefficient_valuations(m, u, p) + ((m, 0),),
+                                               p, m + u)
     return k_lo <= k <= k_hi, slope
 
 

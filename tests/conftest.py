@@ -1,10 +1,27 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from laguerrecert import parse_poly
+
+
+@pytest.fixture(autouse=True)
+def _restore_int_digit_limit():
+    """Put back the interpreter's int/str digit limit after each test.
+
+    cli.main lifts the limit for the rest of the process, so without this a
+    test of the library at the default limit would pass merely by running
+    after a CLI test, and a test that sets the limit would leak it.
+    """
+    if not hasattr(sys, "get_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    yield
+    sys.set_int_max_str_digits(limit)
 
 
 @pytest.fixture

@@ -812,7 +812,9 @@ def test_verify_rejects_mistyped_fields(phi17):
                   {"witnesses": (replace(w0, p=str(w0.p)),) + cert.witnesses[1:]},
                   {"witnesses": (replace(w0, k=True),) + cert.witnesses[1:]},
                   {"witnesses": (replace(w0, slope=float(w0.slope)),) + cert.witnesses[1:]},
-                  {"witnesses": None}, {"witnesses": (None,)}]
+                  {"witnesses": None}, {"witnesses": (None,)},
+                  # a certificate claims irreducibility or nothing
+                  {"conclusion": "reducible"}, {"conclusion": None}]
     for fields in bad_fields:
         assert not verify_certificate(replace(cert, **fields), inst), fields
     # a float equal to the true slope 3/4: only the type check refuses it
@@ -861,6 +863,7 @@ print("tampered", cm.verify_certificate(tampered, inst))
 print("missing k", cm.verify_certificate(replace(cert, witnesses=cert.witnesses[:-1]), inst))
 print("repeated k", cm.verify_certificate(
     replace(cert, witnesses=cert.witnesses + cert.witnesses[:1]), inst))
+print("wrong conclusion", cm.verify_certificate(replace(cert, conclusion="reducible"), inst))
 # the vertex anchors are confirmed by explicit raises: anchors times q
 # (every prime up to vm+u = 14) raise each vertex valuation
 q = 2 * 3 * 5 * 7 * 11 * 13
@@ -928,10 +931,11 @@ def test_verify_cross_checks_survive_optimized_mode():
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
-    assert proc.stdout.split("\n")[:10] == [
+    assert proc.stdout.split("\n")[:11] == [
         "verify True", "tampered False", "missing k False", "repeated k False",
-        "forged anchor False", "wrong binomial raises", "bad anchor False",
-        "broken polygon False", "bogus witness raises", "off-by-one runs raise"]
+        "wrong conclusion False", "forged anchor False", "wrong binomial raises",
+        "bad anchor False", "broken polygon False", "bogus witness raises",
+        "off-by-one runs raise"]
 
 
 def test_verify_rejects_prime_dividing_lead(phi17):
@@ -1119,6 +1123,32 @@ def test_certificate_json_round_trip(phi17):
     assert back == cert
     assert verify_certificate(back, inst)
     assert certificate_to_json(back) == text
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="the interpreter has no int/str digit limit")
+def test_certificate_round_trip_past_the_int_digit_limit():
+    # a base with a 5,142-digit coefficient, past Python's default limit of
+    # 4,300 digits for int/str conversion, which the text format avoids
+    phi = construct_phi(2, 12000)
+    assert max(abs(c) for c in phi.coeffs) > 10**5000
+    cert = certify(ones(phi, 5, 2))
+    assert isinstance(cert, Certificate)
+    sys.set_int_max_str_digits(4300)
+    assert certificate_from_json(certificate_to_json(cert)) == cert
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d.pop("conclusion"),
+    lambda d: (d.pop("conclusion"), d.update(extra="irreducible-over-Q")),
+    lambda d: d.update(conclusion=None),
+    lambda d: d.update(conclusion=["irreducible-over-Q"]),
+], ids=["missing", "missing-extra-key", "null", "list"])
+def test_parser_requires_a_string_conclusion(edit):
+    data = json.loads(json.dumps(_GOOD_CERTIFICATE))
+    edit(data)
+    with pytest.raises(ValueError, match="malformed certificate"):
+        certificate_from_json(json.dumps(data))
 
 
 def _indent_layout(cert):

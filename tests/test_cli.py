@@ -411,12 +411,44 @@ _INVALID_LINES = {
     "witness-search-bound-huge": (["witness-search", "-m", "1", "-u", "0", "--phi", "x^2-x+17",
                                    "--bound", str(2**63)],
                                   "input too large: coefficient bound must be below 2**63"),
+    "polygon-p-4": (["polygon", "--f", "x^2+1", "--phi", "x", "-p", "4"], "4 is not prime"),
+    "polygon-divisible": (["polygon", "--f", "x^2+x", "--phi", "x", "-p", "2"],
+                          "cannot build polygon: constant part is zero: the target is "
+                          "divisible by the base; strip that factor before building the polygon"),
+    "oracle-no-input": (["oracle"], "need --f or full instance parameters"),
+    "oracle-f-constant": (["oracle", "--f", "7"],
+                          "need a nonconstant polynomial with integer coefficients"),
 }
 
 
 @pytest.mark.parametrize("argv, line", _INVALID_LINES.values(), ids=_INVALID_LINES)
 def test_invalid_input_stderr_line(capsys, argv, line):
     assert run(capsys, *argv) == (4, "", line + "\n")
+
+
+def test_file_refusal_lines_name_the_path(tmp_path, capsys):
+    # the OS error's text names the path, so these lines are built from it
+    missing = str(tmp_path / "missing.json")
+    assert run(capsys, "certify", *_INSTANCE, "--verify", missing) == (
+        4, "", f"invalid certificate file: [Errno 2] No such file or directory: {missing!r}\n")
+    target = str(tmp_path / "missing" / "c.json")
+    assert run(capsys, "certify", *_INSTANCE, "--out", target) == (
+        4, "", f"cannot write certificate: [Errno 2] No such file or directory: {target!r}\n")
+
+
+@pytest.mark.parametrize("edit, result", [
+    # any other claim is well formed and false: a rejection
+    (lambda d: d.update(conclusion="reducible"), (2, "certificate REJECTED\n", "")),
+    (lambda d: (d.pop("conclusion"), d.update(extra="irreducible-over-Q")),
+     (4, "", "invalid certificate file: malformed certificate: KeyError: 'conclusion'\n")),
+    (lambda d: d.update(conclusion=1),
+     (4, "", "invalid certificate file: malformed certificate: conclusion must be str, "
+             "got 1\n")),
+], ids=["reducible", "missing-extra-key", "not-string"])
+def test_certify_verify_reads_the_conclusion(tmp_path, capsys, edit, result):
+    argv = _verify_argv(tmp_path, edit=edit)
+    capsys.readouterr()
+    assert run(capsys, *argv) == result
 
 
 @pytest.mark.parametrize("make_argv", [

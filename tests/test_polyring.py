@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -108,6 +109,19 @@ def test_text_round_trip_exact(rng):
 def test_rational_text_round_trip():
     f = Poly((Fraction(-3, 2), Fraction(1, 7), 0, 5))
     assert parse_poly(format_poly(f)) == f
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="the interpreter has no int/str digit limit")
+def test_text_round_trip_past_the_int_digit_limit():
+    # Python refuses str(int) and int(str) past 4,300 digits by default;
+    # construct_phi(2, 12000) has a 5,142-digit coefficient
+    phi = construct_phi(2, 12000)
+    assert max(abs(c) for c in phi.coeffs) > 10**5000
+    rational = Poly((Fraction(-(10**6000 + 1), 7**7000), 0, 1))
+    sys.set_int_max_str_digits(4300)
+    assert parse_poly(format_poly(phi)) == phi
+    assert parse_poly(format_poly(rational)) == rational
 
 
 # -- content / valuations ----------------------------------------------------

@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -433,6 +434,18 @@ def test_superseded_witness_really_fails():
     assert not ok
     ok, slope = k_witness_valid(5, 4, 2, 5)
     assert ok
+
+
+def test_witness_check_anchors_runs_at_b_m_minus_1(monkeypatch):
+    # runs raised by one everywhere would still pass (8, 1, 2, 7), with
+    # slope 1/4 instead of 1/7; the certifier's check of b_{m-1} = m(m+u)
+    # refuses them
+    assert k_witness_valid(8, 1, 2, 7) == (True, Fraction(1, 7))
+    real = tables.coefficient_valuations
+    monkeypatch.setattr(tables, "coefficient_valuations",
+                        lambda *args: tuple((j, e + 1) for j, e in real(*args)))
+    with pytest.raises(ArithmeticError, match=r"p = 7 miss v_p\(b_\(m-1\)\)"):
+        k_witness_valid(8, 1, 2, 7)
 
 
 def test_prime_free_rows_by_direct_scan():
