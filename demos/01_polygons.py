@@ -14,11 +14,11 @@ from laguerrecert import (bruteforce_lower_hull, build_polygon, parse_poly,
 
 f = parse_poly("x^2 + 8x + 12")
 base = parse_poly("x")
-expansion = phi_expand(f, base)
+parts = phi_expand(f, base)
 print(f"f = {f}")
-print("parts in powers of x:", [str(part) for part in expansion.parts])
+print("parts in powers of x:", [str(part) for part in parts])
 
-polygon = build_polygon(expansion, 2)
+polygon = build_polygon(parts, 2)
 print("points (leading part at abscissa 0):", polygon.points)
 print("vertices:", polygon.vertices)
 print("slopes:", [str(s) for s in polygon.slopes])
@@ -28,10 +28,10 @@ print()
 # a richer example: shifted products around x^2 - x + 17
 phi = parse_poly("x^2 - x + 17")
 g = (phi + 50) * (phi + 20) * (phi + 8)
-expansion = phi_expand(g, phi)
+parts = phi_expand(g, phi)
 print(f"g = (phi+50)(phi+20)(phi+8) over phi = {phi}")
 for p in (2, 5):
-    polygon = build_polygon(expansion, p)
+    polygon = build_polygon(parts, p)
     print(f"  p = {p}: vertices {polygon.vertices}, "
           f"slopes {[str(s) for s in polygon.slopes]}")
     brute = bruteforce_lower_hull(polygon.points)

@@ -7,7 +7,7 @@ either exhibit an exact factorization or stay silent.  Sound by design -
 with a verified witness in hand.
 """
 
-from laguerrecert import (Poly, build_instance, format_poly, oracle_verdict,
+from laguerrecert import (build_instance, format_poly, oracle_verdict,
                           parse_poly, primitive_part, search_reducible_witness,
                           verify_witness)
 

@@ -11,9 +11,9 @@ from .oracle import (DegreeSet, FactorWitness, Verdict, oracle_verdict,
                      possible_degrees, search_reducible_witness, verify_witness)
 from .polygon import (NewtonPolygon, bruteforce_lower_hull, build_polygon,
                       polygon_from_points, rightmost_slope)
-from .polyring import (DegreePattern, PhiExpansion, Poly, X, check_phi, construct_phi,
-                       content, degree_pattern, format_poly, gauss_valuation,
-                       is_irreducible_mod_p, parse_poly, phi_expand, primitive_part)
+from .polyring import (Poly, X, check_phi, construct_phi, content, degree_pattern,
+                       format_poly, gauss_valuation, is_irreducible_mod_p, parse_poly,
+                       phi_expand, primitive_part)
 from .primes import (INFINITY, factorial_valuation, factorize, is_prime,
                      largest_prime_factor, sieve_primes, vp_int, vp_rat)
 from .tables import (EXPECTED_EQUATION_SOLUTIONS, EXPECTED_PAIR_SETS,

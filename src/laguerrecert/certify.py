@@ -237,12 +237,13 @@ def certify(instance: LaguerreInstance) -> Certificate | FailureReport:
                          witnesses=tuple(witnesses))
 
 
-def exclusion_bounds(phi: Poly, multipliers, p: int,
+def exclusion_bounds(phi: Poly, a_0: Poly, lead: int, p: int,
                      polygon_at) -> tuple[int, Fraction] | None:
     """The prime-dependent hypotheses of the exclusion lemma, at p.
 
-    For f = sum f_i phi**i with multipliers a_0..a_m: None when p divides
-    the content of a_0 or the leading coefficient of a_m, else (k_lo, the
+    For f = sum f_i phi**i with multipliers a_0..a_m, of which only a_0 and
+    lead, the leading coefficient of a_m (0 when a_m is zero), are read:
+    None when a_0 is zero or p divides its content or lead, else (k_lo, the
     rightmost slope of the polygon of f at p), where f_0..f_{m-k} (at
     abscissas k..m) all have positive valuation exactly when k >= k_lo.
     The caller supplies the heights: polygon_at(p) is that polygon, leading
@@ -253,8 +254,7 @@ def exclusion_bounds(phi: Poly, multipliers, p: int,
         raise ValueError(f"{p} is not prime")
     if not is_irreducible_mod_p(phi, p):
         raise ValueError("base must be irreducible modulo p")
-    a0, am = multipliers[0], multipliers[-1]
-    if a0.is_zero or content(a0) % p == 0 or am.is_zero or am.lead % p == 0:
+    if a_0.is_zero or content(a_0) % p == 0 or lead % p == 0:
         return None
     polygon = polygon_at(p)
     k_lo = 1 + max(i for i, h in polygon.points if h < 1)
@@ -282,19 +282,20 @@ def lemma_exclusion_check(f: Poly, phi: Poly, p: int, ell: int, k: int,
         raise ValueError("expanded polynomial must be monic")
     from .polyring import phi_expand
 
-    expansion = phi_expand(f, phi)
-    m = expansion.n
+    parts = phi_expand(f, phi)
+    m = len(parts) - 1
     if not (0 <= ell < k and 2 * k <= m):
         raise ValueError("need 0 <= ell < k <= m/2")
-    if expansion.parts[0].is_zero:
+    if parts[0].is_zero:
         raise ValueError("polynomial is divisible by the base")
     multipliers = [mp if isinstance(mp, Poly) else Poly.const(mp) for mp in multipliers]
     if len(multipliers) != m + 1:
         raise ValueError(f"expected {m + 1} multipliers")
     degrees_ok = all(mult.is_zero or mult.degree < phi.degree - max(part.degree, 0)
-                     for mult, part in zip(multipliers, expansion.parts))
-    bounds = exclusion_bounds(phi, multipliers, p,
-                              lambda q: build_polygon(expansion, q))
+                     for mult, part in zip(multipliers, parts))
+    a_m = multipliers[-1]
+    bounds = exclusion_bounds(phi, multipliers[0], 0 if a_m.is_zero else a_m.lead, p,
+                              lambda q: build_polygon(parts, q))
     return (degrees_ok and bounds is not None
             and bounds[0] <= ell + 1 and bounds[1] < Fraction(1, k))
 
@@ -373,7 +374,7 @@ def verify_certificate(cert: Certificate, instance: LaguerreInstance) -> bool:
             return False
 
         m, u, v = instance.m, instance.u, instance.v
-        multipliers = instance.a_parts + (Poly.const(v ** m * instance.a_m),)
+        lead = v ** m * instance.a_m
         polygons: dict[int, NewtonPolygon] = {}
 
         def polygon_at(p):
@@ -390,7 +391,8 @@ def verify_certificate(cert: Certificate, instance: LaguerreInstance) -> bool:
             if not (w.divisibility_checked and open_degrees >> k * n & 1):
                 return False
             if p not in per_prime:
-                bounds = exclusion_bounds(instance.phi, multipliers, p, polygon_at)
+                bounds = exclusion_bounds(instance.phi, instance.a_parts[0], lead, p,
+                                          polygon_at)
                 per_prime[p] = None if bounds is None else (
                     bounds[0], bounds[1].numerator, bounds[1].denominator)
             if per_prime[p] is None:

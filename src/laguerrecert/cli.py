@@ -163,8 +163,7 @@ def _cmd_polygon(args) -> int:
     if not is_prime(args.p):
         raise _Refusal(f"{args.p} is not prime")
     try:
-        expansion = phi_expand(args.f, args.phi)
-        polygon = build_polygon(expansion, args.p)
+        polygon = build_polygon(phi_expand(args.f, args.phi), args.p)
     except ValueError as exc:
         raise _Refusal(f"cannot build polygon: {exc}") from exc
     if args.json:

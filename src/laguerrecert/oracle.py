@@ -18,8 +18,8 @@ from functools import reduce
 from itertools import product as _cartesian
 
 from .laguerre import LaguerreInstance, build_instance, parameter
-from .polyring import (Poly, content, degree_pattern, degree_range, degrees_of, phi_expand,
-                       primitive_part, subset_sums)
+from .polyring import (Poly, content, degree_pattern, degree_range, degrees_of, format_poly,
+                       phi_expand, primitive_part, subset_sums)
 from .primes import factorize, sieve_primes
 
 _DIVISOR_CAP = 4096
@@ -35,7 +35,7 @@ class DegreeSet:
 
     @property
     def low_confidence(self) -> bool:
-        """No usable prime narrowed the degrees."""
+        """No prime narrowed the degrees."""
         return not self.primes_used
 
 
@@ -56,10 +56,12 @@ class Verdict:
 
 
 def possible_degrees(f: Poly, prime_budget: int) -> DegreeSet:
-    """Degrees a factor could have, intersected over usable prime patterns.
+    """Degrees a factor could have, intersected over the factor degrees of
+    f mod each prime p in budget where f is squarefree.
 
-    Always contains 0 and deg f.  With no usable prime in budget the full
-    range is returned, flagged low confidence.
+    A prime whose degree_pattern is None (f mod p not squarefree) says
+    nothing and is not used.  Always contains 0 and deg f.  With no used
+    prime in budget the full range is returned, flagged low confidence.
     """
     if f.is_zero or f.degree < 1:
         raise ValueError("need a nonconstant polynomial")
@@ -71,11 +73,11 @@ def possible_degrees(f: Poly, prime_budget: int) -> DegreeSet:
     for p in sieve_primes(prime_budget):
         if f.lead % p == 0:
             continue
-        pat = degree_pattern(f, p)
-        if not pat.usable:
+        degrees = degree_pattern(f, p)
+        if degrees is None:
             continue
         used.append(p)
-        mask &= subset_sums(pat.degrees, n)
+        mask &= subset_sums(degrees, n)
         if not mask & degree_range(1, n // 2 + 1):
             break
     return DegreeSet(possible=frozenset(degrees_of(mask)), primes_used=tuple(used))
@@ -199,8 +201,6 @@ def oracle_verdict(f: Poly, prime_budget: int = 200) -> Verdict:
 
 
 def verdict_to_jsonable(verdict: Verdict) -> dict:
-    from .polyring import format_poly
-
     out = {
         "verdict": verdict.kind,
         "primes_used": list(verdict.degree_set.primes_used),
@@ -225,10 +225,10 @@ def _base_power_factor(f: Poly, phi: Poly, max_level: int) -> FactorWitness | No
     filtered by divisibility of evaluations at x = 2."""
     if max_level < 1:
         return None
-    expansion = phi_expand(f, phi)
-    if not expansion.parts or expansion.parts[0].is_zero:
+    parts = phi_expand(f, phi)
+    if not parts or parts[0].is_zero:
         return None
-    bound = 1 + max((abs(c) for part in expansion.parts[:-1] for c in part.coeffs), default=1)
+    bound = 1 + max((abs(c) for part in parts[:-1] for c in part.coeffs), default=1)
     f2 = f(2)
     phi2 = phi(2)
     for level in range(1, max_level + 1):

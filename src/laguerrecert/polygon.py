@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polyring import PhiExpansion, gauss_valuation
+from .polyring import Poly, gauss_valuation
 from .primes import _require_prime
 
 Point = tuple[int, int]
@@ -43,15 +43,9 @@ class NewtonPolygon:
     vertices: tuple[Point, ...]
 
     @property
-    def edges(self) -> tuple[tuple[Point, Point, Fraction], ...]:
-        out = []
-        for (i0, h0), (i1, h1) in zip(self.vertices, self.vertices[1:]):
-            out.append(((i0, h0), (i1, h1), Fraction(h1 - h0, i1 - i0)))
-        return tuple(out)
-
-    @property
     def slopes(self) -> tuple[Fraction, ...]:
-        return tuple(e[2] for e in self.edges)
+        return tuple(Fraction(h1 - h0, i1 - i0) for (i0, h0), (i1, h1)
+                     in zip(self.vertices, self.vertices[1:]))
 
     def to_jsonable(self) -> dict:
         return {
@@ -125,22 +119,22 @@ def confirm_vertex_heights(polygon: NewtonPolygon, p: int, anchors) -> None:
             raise ArithmeticError(f"height {h} at abscissa {i} disagrees with its anchor")
 
 
-def build_polygon(expansion: PhiExpansion, p: int) -> NewtonPolygon:
-    """Polygon of an expansion with respect to p, leading part at abscissa 0.
+def build_polygon(parts: tuple[Poly, ...], p: int) -> NewtonPolygon:
+    """Polygon of the parts of an expansion (phi_expand) with respect to p,
+    leading part at abscissa 0.
 
     Requires both the constant part and the leading part to be nonzero;
     a zero constant part means the base polynomial divides the target and
     must be stripped first.
     """
     _require_prime(p)
-    parts = expansion.parts
     if not parts or parts[-1].is_zero:
         raise ValueError("expansion must have a nonzero leading part")
     if parts[0].is_zero:
         raise ValueError(
             "constant part is zero: the target is divisible by the base; "
             "strip that factor before building the polygon")
-    n = expansion.n
+    n = len(parts) - 1
     points = []
     for i in range(n + 1):
         part = parts[n - i]

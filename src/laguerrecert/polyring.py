@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
@@ -197,9 +196,11 @@ def _as_poly(value) -> Poly:
 # text format: descending terms like "3x^2 - x + 17"; input order is free and
 # the printed form parses back bit-exactly.  Numbers pass through Decimal,
 # whose conversions are exact and, unlike int(str) and str(int), not bound by
-# the interpreter's int/str digit limit (4,300 digits by default).
+# the interpreter's int/str digit limit (4,300 digits by default).  Digits
+# are ASCII 0-9 only: \d would also match other scripts' digits, which no
+# other reader here (JSON numbers, certificate slopes) accepts.
 
-_TERM_RE = re.compile(r"([+-]?)(\d+(?:/\d+)?)?(x(?:\^(\d+))?)?")
+_TERM_RE = re.compile(r"([+-]?)([0-9]+(?:/[0-9]+)?)?(x(?:\^([0-9]+))?)?")
 
 # The parsed polynomial is dense, so its cost grows with the largest
 # exponent, not with the length of the text: "x^99999999999" alone would ask
@@ -233,7 +234,7 @@ def format_poly(f: Poly) -> str:
 
 
 def parse_poly(text: str) -> Poly:
-    if re.search(r"\d[ \t]+\d", text):
+    if re.search(r"[0-9][ \t]+[0-9]", text):
         raise ValueError(f"whitespace between digits in {text!r}")
     s = text.replace(" ", "").replace("\t", "")
     if not s:
@@ -294,19 +295,9 @@ def gauss_valuation(p: int, f: Poly) -> int | float:
 # ---------------------------------------------------------------------------
 # expansion in powers of a monic polynomial
 
-@dataclass(frozen=True)
-class PhiExpansion:
-    """f = sum parts[i] * phi**i with deg parts[i] < deg phi, parts[-1] != 0."""
-
-    phi: Poly
-    parts: tuple[Poly, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.parts) - 1
-
-
-def phi_expand(f: Poly, phi: Poly) -> PhiExpansion:
+def phi_expand(f: Poly, phi: Poly) -> tuple[Poly, ...]:
+    """The parts of f = sum parts[i] * phi**i, deg parts[i] < deg phi and
+    parts[-1] != 0; the zero polynomial has none."""
     if not (phi.is_monic and phi.degree >= 1):
         raise ValueError("expansion base must be monic of degree >= 1")
     parts = []
@@ -316,7 +307,7 @@ def phi_expand(f: Poly, phi: Poly) -> PhiExpansion:
         parts.append(rem)
     while parts and parts[-1].is_zero:
         parts.pop()
-    return PhiExpansion(phi=phi, parts=tuple(parts))
+    return tuple(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -493,16 +484,10 @@ def degrees_of(mask: int):
         mask &= mask - 1
 
 
-@dataclass(frozen=True)
-class DegreePattern:
-    p: int
-    degrees: tuple[int, ...]
-    usable: bool
-
-
-def degree_pattern(f: Poly, p: int) -> DegreePattern:
-    """Multiset of irreducible-factor degrees of f mod p by distinct-degree
-    splitting; unusable (no degrees) when the reduction is not squarefree.
+def degree_pattern(f: Poly, p: int) -> tuple[int, ...] | None:
+    """Irreducible-factor degrees of f mod p, ascending, by distinct-degree
+    splitting; None when the reduction is not squarefree (a unit's degrees
+    are (), so read None with ``is None``).
 
     With n = deg(f) and h = n // 2, the leaves are w_d - x for d = 1..h,
     w_d = x**(p**d) mod f, whose gcd with f is the product of the degree-d
@@ -531,10 +516,10 @@ def degree_pattern(f: Poly, p: int) -> DegreePattern:
     fp = _fp_from_poly(f, p)
     deriv = _fp_trim([i * c % p for i, c in enumerate(fp)][1:])
     if _fp_gcd(fp[:], deriv, p) != [1]:
-        return DegreePattern(p=p, degrees=(), usable=False)
+        return None
     n = len(fp) - 1
     if n < 2:  # a unit has no factors, a linear polynomial is irreducible
-        return DegreePattern(p=p, degrees=(1,) if n else (), usable=True)
+        return (1,) if n else ()
     inv = pow(fp[-1], -1, p)
     mod = [c * inv % p for c in fp]
     ring = _PackedRing(mod, p)
@@ -580,7 +565,7 @@ def degree_pattern(f: Poly, p: int) -> DegreePattern:
             if rem:
                 raise ArithmeticError("distinct-degree part does not divide")
             parts += [(lo, mid, g_left), (mid, hi, g_right)]
-    return DegreePattern(p=p, degrees=tuple(sorted(degrees)), usable=True)
+    return tuple(sorted(degrees))
 
 
 @lru_cache(maxsize=1 << 14)
@@ -592,7 +577,7 @@ def is_irreducible_mod_p(phi: Poly, p: int) -> bool:
         raise ValueError("irreducibility test requires a monic polynomial")
     if phi.degree < 1:
         raise ValueError("degree must be at least 1")
-    return degree_pattern(phi, p).degrees == (phi.degree,)
+    return degree_pattern(phi, p) == (phi.degree,)
 
 
 def check_phi(phi: Poly, bound: int) -> bool:

@@ -16,11 +16,9 @@ from laguerrecert.certify import (Certificate, FailureReport, certify,
 from laguerrecert.laguerre import build_instance, laguerre_coefficients
 from laguerrecert.oracle import (FactorWitness, oracle_verdict,
                                  search_reducible_witness, verify_witness)
-from laguerrecert.polygon import (PhiExpansion, bruteforce_lower_hull,
-                                  build_polygon, polygon_from_points,
-                                  rightmost_slope)
-from laguerrecert.polyring import (Poly, X, check_phi, construct_phi,
-                                   parse_poly, phi_expand, primitive_part)
+from laguerrecert.polygon import bruteforce_lower_hull, build_polygon, rightmost_slope
+from laguerrecert.polyring import (Poly, X, check_phi, construct_phi, parse_poly,
+                                   primitive_part)
 from laguerrecert.primes import factorial_valuation, sieve_primes, vp_rat
 from laguerrecert.tables import (EXPECTED_EQUATION_SOLUTIONS, EXPECTED_PAIR_SETS,
                                  K1_QUOTED_SETS, WITNESS_PRIME_TABLE, Report,
@@ -190,7 +188,6 @@ def test_criterion_08_polygon_property_suite():
                             "brute force, slopes increase, points stay "
                             "above, rightmost equals the chord maximum"):
         rng = random.Random(1008)
-        base = X**2 + X + 1
         for _ in range(1000):
             p = rng.choice([2, 3, 5, 7])
             n = rng.randrange(1, 31)
@@ -202,8 +199,7 @@ def test_criterion_08_polygon_property_suite():
                 height = rng.randrange(0, 21)
                 unit = Poly([rng.randrange(1, p), rng.randrange(0, p)])
                 parts.append(unit * p**height)
-            expansion = PhiExpansion(phi=base, parts=tuple(parts))
-            polygon = build_polygon(expansion, p)
+            polygon = build_polygon(tuple(parts), p)
             if len(polygon.points) >= 2:
                 brute = bruteforce_lower_hull(polygon.points)
                 assert brute.vertices == polygon.vertices

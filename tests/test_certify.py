@@ -24,7 +24,7 @@ from laguerrecert.laguerre import (HypothesisViolation, LaguerreInstance, build_
                                    cleared_from_definition, laguerre_coefficients,
                                    ratio_identity_parts)
 from laguerrecert.polygon import breakpoint_polygon, build_polygon, confirm_vertex_heights
-from laguerrecert.polyring import (PhiExpansion, Poly, construct_phi, content, format_poly,
+from laguerrecert.polyring import (Poly, construct_phi, content, format_poly,
                                    X, is_irreducible_mod_p, parse_poly, phi_expand)
 from laguerrecert.primes import sieve_primes, vp_int, vp_rat
 from laguerrecert.tables import k_witness_valid
@@ -488,6 +488,12 @@ def test_lemma_exclusion_on_monic_model(phi17):
     assert not lemma_exclusion_check(g, phi17, 7, 1, 2,
                                      bad) or bad[0].coeffs[0] % 7 != 0
     assert not lemma_exclusion_check(g, phi17, 2, 1, 2, bad)
+    # a zero a_0, a zero a_m, and a_m = 7 with p = 7 dividing its leading
+    # coefficient each break a multiplier hypothesis: False, never a raise
+    # (a zero a_m has no leading coefficient to read)
+    for bad in ([Poly()] + multipliers[1:], multipliers[:-1] + [Poly()],
+                multipliers[:-1] + [Poly.const(7)]):
+        assert not lemma_exclusion_check(g, phi17, 7, 1, 2, bad)
 
 
 def test_lemma_exclusion_range_violations(phi17):
@@ -539,22 +545,24 @@ def test_lemma_agrees_with_certifier_witnesses():
 
 def test_exclusion_bounds_gates(phi17):
     g = phi17**2 + 8 * phi17 + 12  # parts 12, 8, 1: valuations 2, 3, 0 at 2; 1, 0, 0 at 3
-    expansion = phi_expand(g, phi17)
+    parts = phi_expand(g, phi17)
     built = []
 
     def polygon_at(p):
         built.append(p)
-        return build_polygon(expansion, p)
+        return build_polygon(parts, p)
 
-    ones3 = [Poly.const(1)] * 3
-    assert exclusion_bounds(phi17, ones3, 2, polygon_at) == (1, Fraction(1))
-    assert exclusion_bounds(phi17, ones3, 3, polygon_at) == (2, Fraction(1))
-    assert exclusion_bounds(phi17, [Poly.const(6)] + ones3[1:], 2, polygon_at) is None
-    assert exclusion_bounds(phi17, ones3[:2] + [Poly.const(4)], 2, polygon_at) is None
+    one = Poly.const(1)
+    assert exclusion_bounds(phi17, one, 1, 2, polygon_at) == (1, Fraction(1))
+    assert exclusion_bounds(phi17, one, 1, 3, polygon_at) == (2, Fraction(1))
+    assert exclusion_bounds(phi17, Poly.const(6), 1, 2, polygon_at) is None
+    assert exclusion_bounds(phi17, Poly(), 1, 2, polygon_at) is None
+    assert exclusion_bounds(phi17, one, 4, 2, polygon_at) is None
+    assert exclusion_bounds(phi17, one, 0, 2, polygon_at) is None  # a_m = 0
     with pytest.raises(ValueError):
-        exclusion_bounds(phi17, ones3, 4, polygon_at)  # not prime
+        exclusion_bounds(phi17, one, 1, 4, polygon_at)  # not prime
     with pytest.raises(ValueError):
-        exclusion_bounds(phi17, ones3, 17, polygon_at)  # x^2 - x + 17 = x(x - 1) mod 17
+        exclusion_bounds(phi17, one, 1, 17, polygon_at)  # x^2 - x + 17 = x(x - 1) mod 17
     assert built == [2, 3]  # the heights are read only once every gate passed
 
 
@@ -564,8 +572,7 @@ def _big_integer_polygon_at(inst):
     """The big-integer route: gauss valuations of the explicit monic model
     phi**m + sum (v**m b_j) phi**j, every part valued on its own."""
     parts = tuple(Poly.const(c) for c in inst.cleared) + (Poly.const(1),)
-    expansion = PhiExpansion(phi=inst.phi, parts=parts)
-    return lambda p: build_polygon(expansion, p)
+    return lambda p: build_polygon(parts, p)
 
 
 def _telescoped_polygon_at(inst):
@@ -583,8 +590,11 @@ def _all_ones_grid():
                 yield ones(construct_phi(2, v * m + u), m, Fraction(u, v))
 
 
-def _verifier_multipliers(inst):
-    return inst.a_parts + (Poly.const(inst.v ** inst.m * inst.a_m),)
+def _verifier_bounds(inst, p, polygon_at):
+    """exclusion_bounds on the verifier's gates: a_0 and the leading
+    multiplier v**m a_m of the monic model."""
+    return exclusion_bounds(inst.phi, inst.a_parts[0], inst.v ** inst.m * inst.a_m, p,
+                            polygon_at)
 
 
 def test_telescoped_heights_match_big_integer_route():
@@ -597,13 +607,12 @@ def test_telescoped_heights_match_big_integer_route():
         m, u, v = inst.m, inst.u, inst.v
         telescoped = _telescoped_polygon_at(inst)
         big = _big_integer_polygon_at(inst)
-        multipliers = _verifier_multipliers(inst)
         parts = ratio_identity_parts(inst.cleared, m, u, v)
         for p in sieve_primes(inst.prime_bound):
             if v % p == 0:
                 with pytest.raises(ValueError, match="prime to v"):
                     telescoped(p)
-                assert exclusion_bounds(inst.phi, multipliers, p, big) is None
+                assert _verifier_bounds(inst, p, big) is None
                 continue
             if not is_irreducible_mod_p(inst.phi, p):
                 continue
@@ -613,8 +622,8 @@ def test_telescoped_heights_match_big_integer_route():
             anchors = vertex_anchors(m, u, v, polygon)
             assert all(c == parts[m - i] for i, c in anchors.items()), (m, u, v, p)
             confirm_vertex_heights(polygon, p, anchors)
-            assert (exclusion_bounds(inst.phi, multipliers, p, telescoped)
-                    == exclusion_bounds(inst.phi, multipliers, p, big)), (m, u, v, p)
+            assert (_verifier_bounds(inst, p, telescoped)
+                    == _verifier_bounds(inst, p, big)), (m, u, v, p)
             primes_checked += 1
         instances += 1
     assert (instances, primes_checked) == (780, 12880)
@@ -624,13 +633,12 @@ def test_telescoped_heights_spot_checks_at_m800():
     inst = ones(construct_phi(2, 802), 800, 2)
     telescoped = _telescoped_polygon_at(inst)
     big = _big_integer_polygon_at(inst)
-    multipliers = _verifier_multipliers(inst)
     for p in (2, 3, 7, 797):
         polygon, full = telescoped(p), big(p)
         assert interpolate_breakpoints(polygon.points) == full.points, p
         assert polygon.vertices == full.vertices, p
-        bounds = exclusion_bounds(inst.phi, multipliers, p, telescoped)
-        assert bounds is not None and bounds == exclusion_bounds(inst.phi, multipliers, p, big)
+        bounds = _verifier_bounds(inst, p, telescoped)
+        assert bounds is not None and bounds == _verifier_bounds(inst, p, big)
 
 
 def test_valuation_routes_call_vp_int_only_at_events(monkeypatch):
@@ -1256,12 +1264,11 @@ def test_verify_refuses_slope_times_k_equal_to_one():
         cert = certify(inst)
         if not isinstance(cert, Certificate):
             continue
-        multipliers = _verifier_multipliers(inst)
         hit = None
         for p in sieve_primes(inst.prime_bound):
             if inst.v % p == 0 or not is_irreducible_mod_p(inst.phi, p):
                 continue
-            bounds = exclusion_bounds(inst.phi, multipliers, p, _telescoped_polygon_at(inst))
+            bounds = _verifier_bounds(inst, p, _telescoped_polygon_at(inst))
             if bounds and bounds[1].numerator == 1 and \
                     max(bounds[0] + 1, 2) <= bounds[1].denominator <= m // 2:
                 hit = p, bounds[1]

@@ -66,6 +66,14 @@ def test_missing_phi_is_usage_error(capsys):
     assert exc.value.code == 4
 
 
+def test_non_ascii_digits_are_a_usage_error(capsys):
+    # Arabic-Indic "x^2 + 1": polynomial text reads ASCII digits only
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--f", "x^\u0662 + \u0661"])
+    assert exc.value.code == 4
+    assert "argument --f: cannot parse polynomial" in capsys.readouterr().err
+
+
 def test_polygon_command(capsys):
     code, out, _ = run(capsys, "polygon", "--f", "x^2+8x+12", "--phi", "x",
                        "-p", "2")
@@ -434,6 +442,16 @@ def test_file_refusal_lines_name_the_path(tmp_path, capsys):
     target = str(tmp_path / "missing" / "c.json")
     assert run(capsys, "certify", *_INSTANCE, "--out", target) == (
         4, "", f"cannot write certificate: [Errno 2] No such file or directory: {target!r}\n")
+
+
+def test_certificate_phi_with_non_ascii_digits_is_invalid(tmp_path, capsys):
+    # phi written with Arabic-Indic 17, which the text format does not read
+    argv = _verify_argv(tmp_path, edit=lambda d: d.update(
+        phi=d["phi"].replace("17", "\u0661\u0667")))
+    capsys.readouterr()
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (4, "")
+    assert err.startswith("invalid certificate file: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("edit, result", [

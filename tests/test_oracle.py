@@ -8,7 +8,7 @@ from laguerrecert.laguerre import HypothesisViolation, build_instance
 from laguerrecert.oracle import (FactorWitness, _rational_root_witness, _signed_divisors,
                                  degree_pattern, oracle_verdict, possible_degrees,
                                  search_reducible_witness, verify_witness)
-from laguerrecert.polyring import DegreePattern, Poly, X, parse_poly, primitive_part
+from laguerrecert.polyring import Poly, X, parse_poly, primitive_part
 
 
 def const_parts(*values):
@@ -18,9 +18,9 @@ def const_parts(*values):
 # -- degree patterns -------------------------------------------------------------
 
 def test_pattern_examples():
-    assert degree_pattern(X**2 + 1, 3) == DegreePattern(3, (2,), True)
-    assert degree_pattern(X**2 - 1, 5) == DegreePattern(5, (1, 1), True)
-    assert degree_pattern(X**2, 3).usable is False
+    assert degree_pattern(X**2 + 1, 3) == (2,)
+    assert degree_pattern(X**2 - 1, 5) == (1, 1)
+    assert degree_pattern(X**2, 3) is None
     with pytest.raises(ValueError):
         degree_pattern(3 * X**2 + 1, 3)
 
@@ -31,16 +31,33 @@ def test_pattern_sums_to_degree(rng):
         coeffs.append(1)
         f = Poly(coeffs)
         for p in (3, 5, 7):
-            pat = degree_pattern(f, p)
-            if pat.usable:
-                assert sum(pat.degrees) == f.degree
+            degrees = degree_pattern(f, p)
+            if degrees is not None:
+                assert sum(degrees) == f.degree
 
 
 def test_pattern_quartic(phi17):
     f = (phi17 + 2) * (phi17 + 6)
-    assert degree_pattern(f, 5).usable is False  # discriminant vanishes mod 5
-    pat = degree_pattern(f, 11)
-    assert pat.usable and sorted(pat.degrees) == [2, 2]
+    assert degree_pattern(f, 5) is None  # discriminant vanishes mod 5
+    assert degree_pattern(f, 11) == (2, 2)
+
+
+@pytest.mark.parametrize("text, p", [
+    ("x^4 + x^2 + 1", 2),  # (x^2 + x + 1)^2, f' = 0 mod 2
+    ("x^6 + x^3 + 1", 3),  # (x - 1)^6, f' = 0 mod 3
+    ("x^3 + 2", 3),  # (x - 1)^3, f' = 0 mod 3
+    ("x^5 + 3x^4 + 2x^3 + 6x^2 + x + 3", 5),  # (x^2 + 1)^2 (x + 3), f' != 0 mod 5
+])
+def test_pattern_is_none_off_the_squarefree_gate(text, p):
+    # both branches of the gate: f' = 0 mod p, and a repeated factor with
+    # f' != 0; None, never (), and the oracle leaves that prime unused
+    sympy = pytest.importorskip("sympy")
+    f = parse_poly(text)
+    x = sympy.Symbol("x")
+    _, factors = sympy.Poly(list(reversed(f.coeffs)), x, modulus=p).factor_list()
+    assert any(e > 1 for _, e in factors)
+    assert degree_pattern(f, p) is None
+    assert p not in possible_degrees(f, 10).primes_used
 
 
 def test_pattern_matches_constructed_factorizations(rng):
@@ -72,9 +89,7 @@ def test_pattern_matches_constructed_factorizations(rng):
         f = Poly((1,))
         for g in factors:
             f = Poly([c % p for c in (f * g).coeffs])
-        pat = degree_pattern(f, p)
-        assert pat.usable
-        assert sorted(pat.degrees) == sorted(degrees), (p, degrees)
+        assert degree_pattern(f, p) == tuple(sorted(degrees)), (p, degrees)
 
 
 def test_degree_set_closed_under_complement(phi17, rng):
@@ -250,10 +265,10 @@ def test_pattern_subset_sums_contain_witnessed_degrees(phi17):
     for p in sieve_primes(60):
         if f.lead % p == 0:
             continue
-        pat = degree_pattern(f, p)
-        if not pat.usable:
+        degrees = degree_pattern(f, p)
+        if degrees is None:
             continue
-        sums = subset_sums(pat.degrees, f.degree)
+        sums = subset_sums(degrees, f.degree)
         assert sums >> 2 & 1, f"degree 2 missing from pattern at p={p}"
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from laguerrecert.polygon import (breakpoint_polygon, bruteforce_lower_hull,
                                   build_polygon, confirm_vertex_heights,
                                   polygon_from_points, rightmost_slope)
-from laguerrecert.polyring import Poly, X, phi_expand
+from laguerrecert.polyring import X, phi_expand
 
 
 def test_single_edge_quadratic():
