@@ -12,6 +12,7 @@ factorization, and anything else is "inconclusive".
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -55,6 +56,29 @@ class Verdict:
     degree_set: DegreeSet
 
 
+def _primes_up_to(budget: int):
+    """Yield the primes <= budget, ascending, read from sieves that double
+    in reach from min(64, budget), so a caller that stops after a few
+    primes never sieves the whole budget.
+
+    A budget no sieve could hold is still refused at once, as its sieve
+    always was: past sys.maxsize no length can index it, and from 2**47
+    flags on it exceeds the address space of a usual 64-bit process
+    (128 TiB).
+    """
+    if budget > sys.maxsize:
+        raise OverflowError("cannot fit 'int' into an index-sized integer")
+    if budget >= 1 << 47:
+        raise MemoryError
+    reach, seen = min(64, budget), 0
+    while True:
+        primes = sieve_primes(reach)
+        yield from primes[seen:]
+        if reach >= budget:
+            return
+        reach, seen = min(2 * reach, budget), len(primes)
+
+
 def possible_degrees(f: Poly, prime_budget: int) -> DegreeSet:
     """Degrees a factor could have, intersected over the factor degrees of
     f mod each prime p in budget where f is squarefree.
@@ -62,6 +86,8 @@ def possible_degrees(f: Poly, prime_budget: int) -> DegreeSet:
     A prime whose degree_pattern is None (f mod p not squarefree) says
     nothing and is not used.  Always contains 0 and deg f.  With no used
     prime in budget the full range is returned, flagged low confidence.
+    The primes are sieved on demand: the loop stops once no proper factor
+    degree is left.
     """
     if f.is_zero or f.degree < 1:
         raise ValueError("need a nonconstant polynomial")
@@ -70,7 +96,7 @@ def possible_degrees(f: Poly, prime_budget: int) -> DegreeSet:
     n = f.degree
     mask = degree_range(0, n + 1)
     used = []
-    for p in sieve_primes(prime_budget):
+    for p in _primes_up_to(prime_budget):
         if f.lead % p == 0:
             continue
         degrees = degree_pattern(f, p)

@@ -9,12 +9,14 @@ which also decides irreducibility mod p.
 The splitting runs in F_p[x]/(f) with every element packed into one
 integer, one residue per fixed-width slot (``_PackedRing``): a product is
 one big-integer multiplication, reduced modulo f by polynomial Barrett and
-modulo p in every slot at once by integer Barrett.  The Frobenius map
-a -> a**p, linear over the p-element field, is one matrix modulo f whose
-rows x**(i*p) are built once per (f, p), so x**(p**d) costs one
+modulo p in every slot at once by integer Barrett, at each stage of the
+product, so a slot holds about twice the bits of n(p-1)**2.  The Frobenius
+map a -> a**p, linear over the p-element field, is one matrix modulo f
+whose rows x**(i*p) are built once per (f, p), so x**(p**d) costs one
 combination of rows per degree.  A product tree over x**(p**d) - x for
 d <= deg(f)/2 then splits f by degree range with one gcd per visited node;
-gcds and exact divisions run on lists of residues.
+gcds and exact divisions run on lists of residues, two quotient terms per
+pass over the divisor.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from __future__ import annotations
 import math
 import operator
 import re
-from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 
@@ -194,11 +195,12 @@ def _as_poly(value) -> Poly:
 
 # ---------------------------------------------------------------------------
 # text format: descending terms like "3x^2 - x + 17"; input order is free and
-# the printed form parses back bit-exactly.  Numbers pass through Decimal,
-# whose conversions are exact and, unlike int(str) and str(int), not bound by
-# the interpreter's int/str digit limit (4,300 digits by default).  Digits
-# are ASCII 0-9 only: \d would also match other scripts' digits, which no
-# other reader here (JSON numbers, certificate slopes) accepts.
+# the printed form parses back bit-exactly.  Numbers are read and written by
+# halves, the lower half zero-padded, down to pieces of at most 640 digits:
+# the least int/str digit limit an interpreter accepts, so int() and str()
+# take every piece and the limit (4,300 digits by default) never applies.
+# Digits are ASCII 0-9 only: \d would also match other scripts' digits,
+# which no other reader here (JSON numbers, certificate slopes) accepts.
 
 _TERM_RE = re.compile(r"([+-]?)([0-9]+(?:/[0-9]+)?)?(x(?:\^([0-9]+))?)?")
 
@@ -207,6 +209,32 @@ _TERM_RE = re.compile(r"([+-]?)([0-9]+(?:/[0-9]+)?)?(x(?:\^([0-9]+))?)?")
 # for 10^11 coefficient slots.  Every polynomial this library builds or
 # checks has degree m * deg(phi), far below this bound.
 MAX_PARSED_DEGREE = 100_000
+
+_PIECE_DIGITS = 640
+_PIECE_BOUND = 10**_PIECE_DIGITS
+
+
+@lru_cache(maxsize=32)
+def _ten_to(k: int) -> int:
+    return 10**k
+
+
+def _read_int(digits: str) -> int:
+    """int(digits) for a string of ASCII digits of any length."""
+    if len(digits) <= _PIECE_DIGITS:
+        return int(digits)
+    k = len(digits) // 2
+    return _read_int(digits[:-k]) * _ten_to(k) + _read_int(digits[-k:])
+
+
+def _int_text(n: int) -> str:
+    """str(n) for an int n >= 0 of any size."""
+    if n < _PIECE_BOUND:
+        return str(n)
+    # about half the digits; 10**k <= n, as n >= 2**(bits-1) > 10**(0.3 * (bits-1))
+    k = n.bit_length() * 3 // 20
+    high, low = divmod(n, _ten_to(k))
+    return _int_text(high) + _int_text(low).zfill(k)
 
 
 def format_poly(f: Poly) -> str:
@@ -220,7 +248,7 @@ def format_poly(f: Poly) -> str:
         sign = "-" if c < 0 else "+"
         mag = -c if c < 0 else c
         body = "" if (mag == 1 and e > 0) else "/".join(
-            str(Decimal(n)) for n in (mag.as_integer_ratio() if mag.denominator > 1 else (mag,)))
+            map(_int_text, mag.as_integer_ratio() if mag.denominator > 1 else (mag,)))
         if e == 1:
             body += "x"
         elif e > 1:
@@ -249,7 +277,7 @@ def parse_poly(text: str) -> Poly:
         if (num is None and xpart is None) or (pos and not sign):  # terms join by + or -
             raise ValueError(f"cannot parse polynomial near {s[pos:]!r}")
         try:
-            c = Fraction(*(int(Decimal(n)) for n in num.split("/"))) if num else Fraction(1)
+            c = Fraction(*map(_read_int, num.split("/"))) if num else Fraction(1)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {num!r}") from None
         if sign == "-":
@@ -328,20 +356,38 @@ def _fp_from_poly(f: Poly, p: int) -> list[int]:
 
 
 def _fp_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of a by b != 0; consumes a."""
+    """Quotient and remainder of a by b != 0; consumes a.
+
+    The quotient's terms go two at a time: q_k from the top coefficient,
+    q_(k-1) from the one below it less q_k's share, then one pass over b
+    subtracts (q_k x + q_(k-1)) x**(k-1) b, so a quotient of degree one (the
+    usual Euclid step) takes one pass.  An odd last term goes alone.
+    """
     if not b:
         raise ZeroDivisionError
     top = len(b) - 1
     inv = pow(b[-1], -1, p)
+    if not top:
+        return [c * inv % p for c in a], []
     q = [0] * max(0, len(a) - top)
-    for shift in range(len(a) - 1 - top, -1, -1):
-        # only the leading coefficient is reduced before it is read; the
-        # one it cancels is never read again
-        c = a[shift + top] * inv % p
-        if c:
-            q[shift] = c
-            for i in range(top):
-                a[shift + i] -= c * b[i]
+    second = b[-2]
+    # only the coefficients a pass reads are reduced; the ones it cancels
+    # are never read again
+    k = len(q) - 1
+    while k > 0:
+        hi = q[k] = a[k + top] * inv % p
+        lo = q[k - 1] = (a[k + top - 1] - hi * second) * inv % p
+        below = 0  # b[i-1], which q_k meets where q_(k-1) meets b[i]
+        j = k - 1
+        for u in b:
+            a[j] -= lo * u + hi * below
+            below = u
+            j += 1
+        k -= 2
+    if not k:
+        c = q[0] = a[top] * inv % p
+        for j in range(top):
+            a[j] -= c * b[j]
     return q, _fp_trim([c % p for c in a[:top]])
 
 
@@ -361,43 +407,47 @@ class _PackedRing:
     An element a_0 + a_1 x + ... + a_{n-1} x**(n-1), residues 0 <= a_j < p,
     is the int sum_j a_j * 2**(slot*j) (Kronecker substitution), so a
     product of two elements is one big-integer multiplication.  A product
-    c = a*b has degree <= 2n-2 and is reduced in two steps:
+    c = a*b has degree <= 2n-2 and is reduced by two Barrett reductions,
+    with every slot reduced mod p at each of their stages:
 
     - modulo f by polynomial Barrett: with mu = floor(x**(2n-2) / f), of
       degree n-2 and built once, the quotient is
       q = floor(floor(c / x**n) * mu / x**(n-2)) exactly, and the remainder
-      is c - q*f = (c mod x**n) + q * (-f mod p) mod x**n, as f is monic;
+      c - q*f is c + q * (-f mod p), whose slots n and above are 0 mod p;
     - every slot modulo p at once by integer Barrett: with 2**t > B*(p-1)
       and magic = ceil(2**t / p) = (2**t + e) / p, 0 <= e < p, any
       0 <= v <= B has floor(v * magic / 2**t) = floor(v / p), because
       v * magic / 2**t = v/p + v*e / (p * 2**t) and v*e < 2**t.
 
-    Why the quotient is exact: write c = h * x**n + l with deg l < n and
-    x**(2n-2) = mu*f + r with deg r < n.  Then c/f = h*mu / x**(n-2) +
-    h*r / (f * x**(n-2)) + l/f, and the last two terms have only negative
-    powers of x (deg h <= n-2), so their polynomial part is 0.
+    So a product reduces c = a*b mod p, then the quotient q (h*mu after
+    its shift), then the remainder.  Why the quotient is exact: write
+    c = h * x**n + l with deg l < n and x**(2n-2) = mu*f + r with
+    deg r < n.  Then c/f = h*mu / x**(n-2) + h*r / (f * x**(n-2)) + l/f,
+    and the last two terms have only negative powers of x (deg h <= n-2),
+    so their polynomial part is 0.  This holds over the p-element field,
+    so c, h and q may be taken mod p at any stage.
 
-    The slot bound: nothing is reduced mod p before the last step, so with
-    every residue at most p-1, a slot holds at most
+    The slot bound: with every residue at most p-1, a slot before a
+    reduction holds at most
     - n(p-1)**2 in c = a*b (at most n products per slot);
-    - (n-1) * n(p-1)**2 * (p-1) in h*mu (h and mu have n-1 slots each);
-    - (n-1) * n(n-1)(p-1)**3 * (p-1) in q * (-f mod p) (q has n-1 slots);
-    so any slot before reduction is at most
-    B = n(n-1)**2 (p-1)**4 + n(p-1)**2.  A row combination
-    sum_i c_i * row_i with c_i < p holds at most n(p-1)**2 <= B.  The slot
-    width holds B * magic, so no slot ever carries into the next, the
+    - (n-1)(p-1)**2 in h*mu (h and mu have n-1 slots each);
+    - (p-1) + (n-1)(p-1)**2 in c + q * (-f mod p) (q has n-1 slots);
+    so any slot before a reduction is at most B = n(p-1)**2.  A row
+    combination sum_i c_i * row_i with c_i < p holds at most B too.  The
+    slot width holds B * magic, so no slot ever carries into the next, the
     integer arithmetic is the polynomial arithmetic over Z slot by slot,
     and after the shift by t slot j keeps floor(v_j * magic / 2**t) in its
     low slot - t bits (slot > t, as B >= p), under the low bits of slot
-    j+1, for a mask to cut.
+    j+1, for a mask to cut.  A slot is about 2 log2(B) bits: 34 at n = 30
+    and p = 59, 62 at n = 1024 and p = 1031.
     """
 
-    __slots__ = ("n", "p", "slot", "_mu", "_neg_f", "_high", "_q_shift", "_low",
+    __slots__ = ("n", "p", "slot", "_mu", "_neg_f", "_high", "_q_shift",
                  "_t", "_magic", "_q_mask")
 
     def __init__(self, mod: list[int], p: int):
         n = len(mod) - 1
-        bound = n * (n - 1) ** 2 * (p - 1) ** 4 + n * (p - 1) ** 2
+        bound = n * (p - 1) ** 2
         self._t = (bound * (p - 1)).bit_length()
         self._magic = -(-(1 << self._t) // p)
         self.slot = (bound * self._magic).bit_length()
@@ -410,11 +460,11 @@ class _PackedRing:
         for k in range(1, n - 1):
             mu.append(-sum(map(operator.mul, top[:k], reversed(mu))) % p)
         self._mu = self.pack(mu[::-1])
-        self._neg_f = self.pack([-c % p for c in mod[:n]])
+        self._neg_f = self.pack([-c % p for c in mod])
         self._high = self.slot * n
         self._q_shift = self.slot * (n - 2)
-        self._low = (1 << self._high) - 1
-        self._q_mask = self.pack([(1 << self.slot - self._t) - 1] * n)
+        # one mask for every reduction: a product's 2n-1 slots at most
+        self._q_mask = self.pack([(1 << self.slot - self._t) - 1] * (2 * n - 1))
 
     def pack(self, residues: list[int]) -> int:
         acc = 0
@@ -432,9 +482,14 @@ class _PackedRing:
         return acc - self.p * (acc * self._magic >> self._t & self._q_mask)
 
     def mul(self, a: int, b: int) -> int:
+        # _residues three times over, inlined: this is the ring's hot loop
+        p, magic, t, mask = self.p, self._magic, self._t, self._q_mask
         c = a * b
+        c -= p * (c * magic >> t & mask)
         q = (c >> self._high) * self._mu >> self._q_shift
-        return self._residues((c & self._low) + (q * self._neg_f & self._low))
+        q -= p * (q * magic >> t & mask)
+        c += q * self._neg_f
+        return c - p * (c * magic >> t & mask)
 
     def combine(self, coeffs: list[int], rows: list[int]) -> int:
         """sum_i coeffs[i] * rows[i] for residues coeffs and elements rows."""
@@ -447,12 +502,14 @@ class _PackedRing:
     def frobenius_rows(self) -> list[int]:
         """rows[i] = x**(i*p) for i < n: x**p by left-to-right
         square-and-multiply, then row i = row i-1 times x**p."""
-        x = 1 << self.slot
-        xp = x
+        xp = 1 << self.slot
         for bit in bin(self.p)[3:]:
             xp = self.mul(xp, xp)
             if bit == "1":
-                xp = self.mul(xp, x)
+                # times x: the quotient by f is the top slot h, and
+                # c + h * (-f mod p) has slots at most (p-1) + (p-1)**2 <= B
+                c = xp << self.slot
+                xp = self._residues(c + (c >> self._high) * self._neg_f)
         rows = [1, xp]
         while len(rows) < self.n:
             rows.append(self.mul(rows[-1], xp))
@@ -501,13 +558,13 @@ def degree_pattern(f: Poly, p: int) -> tuple[int, ...] | None:
     degree d, k = deg G / d, and a part of degree below twice its range's
     least degree is one factor.  Costs, all but the gcds and divisions in
     one packed ring (``_PackedRing``) built once per (f, p):
-    - x**p by about log2(p) squarings, and n - 2 row products for the
-      Frobenius rows x**(i*p) mod f;
+    - x**p by about log2(p) squarings and a shift per set bit of p, and
+      n - 2 row products for the Frobenius rows x**(i*p) mod f;
     - h - 1 row combinations w_d = sum_i w_{d-1}[i] * row_i (w_1 is row 1);
     - h - 1 products for the tree's inner nodes;
     - one gcd on residue lists per visited node (the root, and every inner
       node whose part may hold two factors), plus an exact division at each
-      such inner node.
+      such inner node, each Euclid step one pass per two quotient terms.
     So f irreducible mod p costs the squarefree gate and one gcd.
     """
     _require_prime(p)
@@ -586,15 +643,16 @@ def check_phi(phi: Poly, bound: int) -> bool:
 
 
 def _first_irreducible_mod_p(d: int, p: int) -> list[int]:
-    """First monic irreducible of degree d over F_p, lower coefficients
-    enumerated as base-p digits of 0, 1, 2, ... (constant digit first)."""
+    """First monic irreducible of degree d >= 2 over F_p, lower coefficients
+    enumerated as base-p digits of 0, 1, 2, ... (constant digit first).  A
+    zero constant term means x divides the candidate, so it is not tested."""
     for n in range(p**d):
         lower = []
         rest = n
         for _ in range(d):
             rest, digit = divmod(rest, p)
             lower.append(digit)
-        if is_irreducible_mod_p(Poly(lower + [1]), p):
+        if lower[0] and is_irreducible_mod_p(Poly(lower + [1]), p):
             return lower
     raise AssertionError("irreducibles of every degree exist over F_p")  # pragma: no cover
 

@@ -8,7 +8,9 @@ from laguerrecert.laguerre import HypothesisViolation, build_instance
 from laguerrecert.oracle import (FactorWitness, _rational_root_witness, _signed_divisors,
                                  degree_pattern, oracle_verdict, possible_degrees,
                                  search_reducible_witness, verify_witness)
-from laguerrecert.polyring import Poly, X, parse_poly, primitive_part
+from laguerrecert import oracle
+from laguerrecert.polyring import Poly, X, parse_poly, primitive_part, subset_sums
+from laguerrecert.primes import sieve_primes
 
 
 def const_parts(*values):
@@ -122,6 +124,77 @@ def test_possible_degrees_linear():
 def test_possible_degrees_low_confidence():
     degs = possible_degrees(X**2, 50)  # never squarefree mod p
     assert degs.low_confidence and degs.possible == {0, 1, 2}
+
+
+def test_possible_degrees_pinned(phi17):
+    # (f, budget, possible, number of primes used, the first few, the last):
+    # one prime decides phi17 at any budget; a product of two quadratics
+    # reads every prime of the budget, across several sieve reaches
+    cases = [(phi17, 10**7, {0, 2}, 1, (2,), 2),
+             ((phi17 + 2) * (phi17 + 6), 1000, {0, 2, 4}, 163, (11, 17, 19, 23), 997),
+             (phi17 * (X**3 + X + 1), 300, {0, 2, 3, 5}, 58, (2, 3, 5, 7), 293),
+             (X**5 + X + 3, 200, {0, 5}, 4, (2, 3, 5, 7), 7),
+             (X**6 + 3 * X**3 + 7 * X + 1, 5000, {0, 6}, 2, (3, 5), 5)]
+    for f, budget, possible, count, first, last in cases:
+        degs = possible_degrees(f, budget)
+        used = degs.primes_used
+        assert (degs.possible, len(used), used[:len(first)], used[-1]) == \
+            (possible, count, first, last), (f, budget)
+
+
+def test_possible_degrees_matches_one_sieve_over_the_budget(rng):
+    # the reference sieves the whole budget at once; budgets on either side
+    # of each sieve reach, products that never settle (every prime read)
+    # and polynomials that settle early
+    def reference(f, budget):
+        n, mask, used = f.degree, (1 << f.degree + 1) - 1, []
+        for p in sieve_primes(budget):
+            degrees = None if f.lead % p == 0 else degree_pattern(f, p)
+            if degrees is None:
+                continue
+            used.append(p)
+            mask &= subset_sums(degrees, n)
+            if not mask >> 1 & (1 << n // 2) - 1:
+                break
+        return {d for d in range(n + 1) if mask >> d & 1}, tuple(used)
+
+    for _ in range(40):
+        g, h = (Poly([rng.randrange(-9, 10) for _ in range(rng.randrange(1, 4))] + [1])
+                for _ in range(2))
+        f = primitive_part(g * h if rng.random() < 0.5 else g * h + 1)
+        if f.degree < 1:
+            continue
+        for budget in (1, 2, 63, 64, 65, 128, 129, 300):
+            degs = possible_degrees(f, budget)
+            assert (degs.possible, degs.primes_used) == reference(f, budget), (f, budget)
+
+
+def test_possible_degrees_sieves_on_demand(monkeypatch, phi17):
+    # primes come from sieves that double in reach from min(64, budget): one
+    # prime decides phi17, so a budget of 10**7 sieves to 64 and no further
+    reaches = []
+
+    def spy(bound):
+        reaches.append(bound)
+        return sieve_primes(bound)
+
+    monkeypatch.setattr(oracle, "sieve_primes", spy)
+    assert possible_degrees(phi17, 10**7).primes_used == (2,)
+    assert reaches == [64]
+    reaches.clear()
+    assert possible_degrees(phi17, 60).primes_used == (2,)
+    assert reaches == [60]
+    reaches.clear()
+    possible_degrees((phi17 + 2) * (phi17 + 6), 1000)
+    assert reaches == [64, 128, 256, 512, 1000]
+    # a budget no sieve could hold is refused before any sieve runs
+    reaches.clear()
+    assert possible_degrees(phi17, (1 << 47) - 1).primes_used == (2,)
+    with pytest.raises(MemoryError):
+        possible_degrees(phi17, 1 << 47)
+    with pytest.raises(OverflowError, match="index-sized"):
+        possible_degrees(phi17, 10**20)
+    assert reaches == [64]
 
 
 def test_possible_degrees_requires_primitive():

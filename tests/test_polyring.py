@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from laguerrecert.polyring import (MAX_PARSED_DEGREE, Poly, X,
+from laguerrecert.polyring import (MAX_PARSED_DEGREE, Poly, X, _fp_divmod, _fp_gcd,
                                    _PackedRing, check_phi, construct_phi, content,
                                    degree_pattern, degree_range, degrees_of,
                                    format_poly, gauss_valuation, is_irreducible_mod_p,
@@ -130,6 +130,36 @@ def test_text_round_trip_past_the_int_digit_limit():
     sys.set_int_max_str_digits(4300)
     assert parse_poly(format_poly(phi)) == phi
     assert parse_poly(format_poly(rational)) == rational
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="the interpreter has no int/str digit limit")
+def test_number_text_matches_int_and_str_under_the_least_digit_limit():
+    # numbers are read and written by halves down to 640-digit pieces, the
+    # least digit limit an interpreter accepts; every length that puts a
+    # split or the limit on a boundary, leading zeros, and zero runs across
+    # the halves (10**k, 10**k + 7), against int() and str() without a limit
+    rng = random.Random(640)
+    texts = []
+    for length in (1, 639, 640, 641, 4_299, 4_300, 4_301, 25_000):
+        texts.append(str(rng.randrange(1, 10))
+                     + "".join(rng.choice("0123456789") for _ in range(length - 1)))
+        texts.append("0" * rng.randrange(1, 700) + texts[-1])
+        if length > 1:
+            texts += ["1" + "0" * (length - 1), "1" + "0" * (length - 2) + "7"]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = [(text, int(text), str(int(text))) for text in texts]
+        sys.set_int_max_str_digits(640)
+        for text, n, printed in expected:
+            assert parse_poly(text) == Poly.const(n), len(text)
+            assert parse_poly(f"-{text}x^2 + {text}/7") == Poly((Fraction(n, 7), 0, -n))
+            assert format_poly(Poly.const(n)) == printed, len(text)
+            ratio = Poly.const(Fraction(-n, 7**800))
+            assert parse_poly(format_poly(ratio)) == ratio, len(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # -- content / valuations ----------------------------------------------------
@@ -361,6 +391,57 @@ def test_degree_pattern_of_products_with_repeated_degrees():
     assert multi_split > 20
 
 
+def _residue_pairs():
+    """(a, b, p): residue lists, ascending with a nonzero top, for division
+    of a by b over the p-element field.  Quotients of degree 0, 1 and 2 and
+    of odd lengths 3, 5 and 7 (one term left after the pairs), exact
+    products (zero remainders), a constant divisor, and dividends shorter
+    than the divisor, the empty one among them; each at p = 2, 3, 7, 59
+    and 65537."""
+    rng = random.Random(4493)
+
+    def residues(length, p):
+        return [rng.randrange(p) for _ in range(length - 1)] + [rng.randrange(1, p)] \
+            if length else []
+
+    for p in (2, 3, 7, 59, 65537):
+        for _ in range(30):
+            b = residues(rng.randrange(1, 10), p)
+            for quotient_len in (1, 2, 3, 5, 7):
+                yield residues(len(b) - 1 + quotient_len, p), b, p
+            c = residues(rng.randrange(1, 6), p)
+            yield _mod_p(Poly(b) * Poly(c), p).coeffs, b, p
+            yield residues(rng.randrange(0, len(b)), p), b, p
+            yield residues(rng.randrange(1, 8), p), [rng.randrange(1, p)], p
+
+
+def test_fp_divmod_matches_sympy():
+    gf = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+    zero_remainders = 0
+    for a, b, p in _residue_pairs():
+        a, b = list(a), list(b)
+        q, r = _fp_divmod(a[:], b, p)
+        expected_q, expected_r = gf.gf_div(a[::-1], b[::-1], p, ZZ)
+        assert (q, r) == (expected_q[::-1], expected_r[::-1]), (a, b, p)
+        zero_remainders += len(b) > 1 and len(a) >= len(b) and not r
+    assert zero_remainders >= 100
+
+
+def test_fp_gcd_matches_sympy():
+    # pairs with a random common factor, so the gcd is rarely 1, and with
+    # the zero polynomial on either side
+    gf = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+    rng = random.Random(4494)
+    for a, b, p in _residue_pairs():
+        common = Poly([rng.randrange(p) for _ in range(rng.randrange(0, 4))] + [1])
+        a, b = (list(_mod_p(Poly(list(g)) * common, p).coeffs) for g in (a, b))
+        for left, right in ((a, b), (b, a), (a, []), ([], b)):
+            expected = gf.gf_gcd(left[::-1], right[::-1], p, ZZ)[::-1]
+            assert _fp_gcd(left[:], right[:], p) == expected, (left, right, p)
+
+
 def _mod_p(f, p):
     return Poly([c % p for c in f.coeffs])
 
@@ -379,18 +460,29 @@ def _x_power_mod(e, mod, p):
 
 def _packed_ring_cases():
     """(mod, p, a, b): random monic mod of degree 2..30 and random operands at
-    small primes and at 1009 and 65537, then all-(p-1) operands at n = 30,
-    which put every slot at its bound before reduction."""
+    small primes and at 1009 and 65537, then all-(p-1) operands at n = 2, 3,
+    30 and 64 and p up to 2**31 - 1, which put the slots of the product, of
+    its quotient by mod and of a row combination at their bound before
+    reduction."""
     rng = random.Random(7309)
     for _ in range(60):
         p = rng.choice(_SMALL_PRIMES[:12] + [1009, 65537])
         n = rng.randrange(2, 31)
         mod = [rng.randrange(p) for _ in range(n)] + [1]
         yield mod, p, [rng.randrange(p) for _ in range(n)], [rng.randrange(p) for _ in range(n)]
-    for p in (2, 3, 59, 1009, 65537):
-        top = [p - 1] * 30
-        for mod in ([1] * 30 + [1], top + [1]):
-            yield mod, p, top, top
+    for p in (2, 3, 59, 1009, 65537, 2**31 - 1):
+        for n in (2, 3, 30, 64):
+            top = [p - 1] * n
+            for mod in ([1] * n + [1], top + [1]):
+                yield mod, p, top, top
+
+
+def _slot_width(n, p):
+    """The slot width the bound B = n(p-1)**2 gives: B * ceil(2**t / p) for
+    the least t with 2**t > B * (p-1)."""
+    bound = n * (p - 1) ** 2
+    t = (bound * (p - 1)).bit_length()
+    return (bound * -(-(1 << t) // p)).bit_length()
 
 
 def test_packed_ring_matches_poly_arithmetic():
@@ -398,17 +490,28 @@ def test_packed_ring_matches_poly_arithmetic():
     # against Poly arithmetic reduced mod p
     for mod, p, a, b in _packed_ring_cases():
         ring, f = _PackedRing(mod, p), Poly(mod)
+        assert ring.slot == _slot_width(len(a), p)
         assert ring.unpack(ring.pack(a)) == a
         product = ring.mul(ring.pack(a), ring.pack(b))
         assert Poly(ring.unpack(product)) == _mod_p(Poly(a) * Poly(b) % f, p), (mod, p)
         rows = ring.frobenius_rows()
         assert len(rows) == len(a)
-        for i in sorted({1, len(a) // 2, len(a) - 1}):
-            assert Poly(ring.unpack(rows[i])) == _x_power_mod(i * p, f, p), (mod, p, i)
+        # row i is row i-1 times x**p, checked at every i
+        expected = [Poly((1,)), _x_power_mod(p, f, p)]
+        while len(expected) < len(a):
+            expected.append(_mod_p(expected[-1] * expected[1] % f, p))
+        assert [Poly(ring.unpack(row)) for row in rows] == expected, (mod, p)
         # a row combination by a is a evaluated at x**p
         combined = Poly(ring.unpack(ring.combine(a, rows)))
-        assert combined == _mod_p(sum((c * _x_power_mod(i * p, f, p)
-                                       for i, c in enumerate(a)), Poly()) % f, p)
+        assert combined == _mod_p(sum((c * row for c, row in zip(a, expected)), Poly()) % f, p)
+
+
+def test_packed_ring_slot_width():
+    # every slot is reduced mod p at each stage of a product, so a slot
+    # holds n(p-1)**2 before a reduction and B * magic in all: 34 bits at
+    # n = 30, p = 59 and 62 at n = 1024, p = 1031 (built only, no rows)
+    assert _PackedRing([1] * 31, 59).slot == 34
+    assert _PackedRing([1] * 1025, 1031).slot == 62
 
 
 def test_degree_pattern_tree_cases_match_sympy():
