@@ -24,9 +24,9 @@ Three valuation routes meet here:
 - The verifier's heights, telescoped down the coefficient ratio from
   c_m = v**m, with small-integer valuations only at the ratio's events
   (p | m-j, p | j+1, p | v(j+1)+u) and no big-integer valuation.  Between
-  the events the heights are linear, so each polygon is built once, on
-  its O(m/p) breakpoints, and every later reading of it (k_lo, the
-  rightmost slope) works on them too.
+  the events the heights are flat, so each polygon is built once, on the
+  low end of each of its O(m/p) steps, and every later reading of it
+  (k_lo, the rightmost slope) works on those points too.
 - Anchors built from the definition, c_j = C(m, j) v**j prod_{i>j}(vi+u),
   by laguerre.cleared_from_definition only at the union of the polygons'
   vertex abscissas, where they confirm every vertex height.  That sweep
@@ -44,8 +44,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .laguerre import HypothesisViolation, LaguerreInstance, cleared_from_definition
-from .polygon import (NewtonPolygon, breakpoint_polygon, build_polygon,
-                      confirm_vertex_heights, rightmost_slope)
+from .polygon import (NewtonPolygon, build_polygon, confirm_vertex_heights,
+                      rightmost_slope, step_polygon)
 from .polyring import (Poly, content, degree_range, degrees_of, format_poly,
                        is_irreducible_mod_p, parse_poly)
 from .primes import factorize, is_prime, sieve_primes, vp_int
@@ -301,7 +301,8 @@ def lemma_exclusion_check(f: Poly, phi: Poly, p: int, ell: int, k: int,
 
 
 def _telescoped_polygon(m: int, u: int, v: int, p: int) -> NewtonPolygon:
-    """Polygon at p of the monic model's parts c_0..c_m, on its breakpoints.
+    """Polygon at p of the monic model's parts c_0..c_m, on the low end of
+    each step of their heights.
 
     Abscissa i carries c_{m-i}, leading part at 0.  p must not divide v
     (ValueError): exclusion_bounds refuses every p | v, which divides the
@@ -311,29 +312,23 @@ def _telescoped_polygon(m: int, u: int, v: int, p: int) -> NewtonPolygon:
     h_j = h_{j+1} - v_p(m-j) + v_p(j+1) + v_p(v(j+1)+u).
     The step from abscissa a to a+1 (j = m-1-a) is 0 except at its events,
     the j with p | m-j, p | j+1 or p | v(j+1)+u, at most 3(m/p + 1) of them,
-    so vp_int runs only there.  With -delta_a the step at an event abscissa
-    a, h(i) = -(sum of delta_a over a < i) is flat between the breakpoints
-    0, m and a, a+1 of every event.  The polygon holds the heights at the
-    breakpoints only (see breakpoint_polygon for why they suffice); they
-    are claims until confirm_vertex_heights has checked every vertex, c_0's
-    at abscissa m among them, against cleared_from_definition.
+    so vp_int runs only there, and step_polygon keeps 0, m and the low end
+    of each nonzero step, at most 3(m/p + 1) + 2 points (see step_polygon
+    for why they suffice).  The heights are claims until
+    confirm_vertex_heights has checked every vertex, c_0's at abscissa m
+    among them, against cleared_from_definition.
     """
     if v % p == 0:
         raise ValueError(f"the telescoped heights need p = {p} prime to v = {v}")
-    deltas: dict[int, int] = {}  # abscissa a -> delta_a
+    steps: dict[int, int] = {}  # abscissa a -> h(a+1) - h(a)
     for n in range(p, m + 1, p):  # n = m-j, then n = j+1: the same valuations
         e = vp_int(p, n)
-        deltas[n - 1] = deltas.get(n - 1, 0) + e
-        deltas[m - n] = deltas.get(m - n, 0) - e
+        steps[n - 1] = steps.get(n - 1, 0) - e
+        steps[m - n] = steps.get(m - n, 0) + e
     for j in range((-u * pow(v, -1, p) - 1) % p, m, p):  # p | v(j+1)+u
         a = m - 1 - j
-        deltas[a] = deltas.get(a, 0) - vp_int(p, v * (j + 1) + u)
-    points = []
-    shift = 0  # sum of delta_a over the a left of the current breakpoint
-    for i in sorted({0, m, *deltas, *(a + 1 for a in deltas)}):
-        points.append((i, -shift))
-        shift += deltas.get(i, 0)
-    return breakpoint_polygon(points)
+        steps[a] = steps.get(a, 0) + vp_int(p, v * (j + 1) + u)
+    return step_polygon(steps, m)
 
 
 def verify_certificate(cert: Certificate, instance: LaguerreInstance) -> bool:

@@ -19,8 +19,12 @@ from functools import reduce
 from itertools import product as _cartesian
 
 from .laguerre import LaguerreInstance, build_instance, parameter
-from .polyring import (Poly, content, degree_pattern, degree_range, degrees_of, format_poly,
-                       phi_expand, primitive_part, subset_sums)
+from .polyring import (Poly, content, degree_range, degrees_of, format_poly, phi_expand,
+                       primitive_part, subset_sums)
+# polyring.degree_pattern's body, without its checks: possible_degrees
+# makes them once per f.  It is bound to the public name because the
+# benchmark tracer's per-prime span (oracle.degree_pattern) wraps that name.
+from .polyring import _degree_pattern as degree_pattern
 from .primes import factorize, sieve_primes
 
 _DIVISOR_CAP = 4096
@@ -87,7 +91,9 @@ def possible_degrees(f: Poly, prime_budget: int) -> DegreeSet:
     nothing and is not used.  Always contains 0 and deg f.  With no used
     prime in budget the full range is returned, flagged low confidence.
     The primes are sieved on demand: the loop stops once no proper factor
-    degree is left.
+    degree is left.  f is checked once, not per prime: content refuses
+    every non-integer coefficient, the sieve yields only primes, and a
+    prime dividing the leading coefficient is skipped.
     """
     if f.is_zero or f.degree < 1:
         raise ValueError("need a nonconstant polynomial")

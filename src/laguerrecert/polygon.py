@@ -7,12 +7,12 @@ in this package uses this one.  Floating point is forbidden here: slopes
 and tie detection are exact Fractions.
 
 build_polygon values every part of an expansion.  The verifier's heights
-are piecewise linear in the abscissa with O(m/p) breakpoints, and
-breakpoint_polygon builds its polygon on those breakpoints alone: its
-vertices, the largest abscissa of height below 1 and the rightmost slope's
-chord maximum are those of all the points.  confirm_vertex_heights then
-checks the claimed heights at the vertices only, against integers the
-caller builds by another route.
+are a step function of the abscissa with O(m/p) steps, and step_polygon
+builds its polygon on the low end of each step alone: its vertices, the
+largest abscissa of height below 1 and the rightmost slope's chord maximum
+are those of all the points.  confirm_vertex_heights then checks the
+claimed heights at the vertices only, against integers the caller builds
+by another route.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ Point = tuple[int, int]
 class NewtonPolygon:
     """Materialized points plus the vertices of their lower boundary.
 
-    The points are every valued part (build_polygon), or only the
-    breakpoints of a piecewise-linear height function (breakpoint_polygon).
+    The points are every valued part (build_polygon), or only the ends,
+    and the low end of each step, of a step function (step_polygon).
 
     Vertices obey the construction rule: from each vertex, move along the
     chord of minimal slope, and among chords of equal minimal slope take
@@ -82,23 +82,43 @@ def polygon_from_points(points) -> NewtonPolygon:
     return NewtonPolygon(points=tuple(pts), vertices=tuple(vertices))
 
 
-def breakpoint_polygon(points) -> NewtonPolygon:
-    """Polygon of the breakpoints (i, h) of a piecewise-linear height function.
+def step_polygon(steps, end: int) -> NewtonPolygon:
+    """Polygon of a step function's heights on 0..end, on the low end of each
+    step only.
 
-    The points are the breakpoints of a height function on the integers
-    between the first and the last of them, linear with a non-positive
-    slope between consecutive breakpoints.  The polygon keeps only them,
-    and the readers of its points see the same answers as on every point:
-    - A point between two breakpoints lies on a straight segment, so it is
-      never a vertex, and the lower boundary of a subset holding every
-      vertex is the boundary of all the points.
-    - On a segment the height does not increase, so the largest i with
-      h < 1 (exclusion_bounds' k_lo) is a segment's right end.
-    - The chord slope (h_N - h)/(i_N - i) to the last point is monotone
-      along a segment (constant on the last one), so the chord maximum
-      that rightmost_slope cross-checks is reached at a breakpoint.
-    The heights are claims until confirm_vertex_heights has checked them.
+    The height is 0 at abscissa 0 and rises by steps[a] from a to a+1 (a
+    negative value drops), so it is flat between the abscissas a in 0..end-1
+    that steps holds with a nonzero value.  The polygon keeps 0, end and the
+    low end of each such step: the foot a of a rise, a+1 after a drop, each
+    abscissa once; at most len(steps) + 2 points.  No other point can matter:
+    - A point i kept by no step is a weak local maximum: the step into it is
+      a rise or flat (a drop would keep i) and the step out of it is a drop
+      or flat (a rise would keep i).  A vertex needs the slope into it below
+      the slope out of it, and here the first is >= 0 >= the second, so i is
+      never a vertex, and the boundary of a subset holding every vertex is
+      the boundary of all the points.
+    - The largest i with h < 1 (exclusion_bounds' k_lo) is end, or the next
+      height is at least 1, so the step at i is a rise and i its foot.
+    - The chord slope (h_end - h)/(end - i) to the last point is largest at
+      the last edge's left vertex, so the maximum that rightmost_slope
+      cross-checks is the same on the kept points.
+    polygon_from_points builds the hull, and the heights are claims until
+    confirm_vertex_heights has checked them.
     """
+    order = sorted(steps)
+    if order and not 0 <= order[0] <= order[-1] < end:
+        raise ValueError(f"step abscissas must lie in 0..{end - 1}")
+    points = [(0, 0)]
+    h = 0
+    for a in order:
+        step = steps[a]
+        if step > 0 and points[-1][0] != a:
+            points.append((a, h))
+        h += step
+        if step < 0:
+            points.append((a + 1, h))
+    if points[-1][0] != end:
+        points.append((end, h))
     return polygon_from_points(points)
 
 
@@ -174,9 +194,9 @@ def rightmost_slope(polygon: NewtonPolygon) -> Fraction:
 
     The final edge slope equals the maximum over all earlier points of the
     chord slope to the last vertex; both are compared by integer cross
-    multiplication and must agree.  On a polygon of breakpoints the chord
-    slope is monotone between two of them, so the maximum over the
-    breakpoints is the maximum over every point (see breakpoint_polygon).
+    multiplication and must agree.  The maximum is reached at the final
+    edge's left vertex, so a polygon that keeps every vertex of a larger
+    point set, as step_polygon's does, has that set's maximum.
     """
     vertices = polygon.vertices
     if len(vertices) < 2:

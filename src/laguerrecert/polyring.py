@@ -349,12 +349,6 @@ def _fp_trim(a: list[int]) -> list[int]:
     return a
 
 
-def _fp_from_poly(f: Poly, p: int) -> list[int]:
-    if not f.is_integral:
-        raise ValueError("reduction requires integer coefficients")
-    return _fp_trim([c % p for c in f.coeffs])
-
-
 def _fp_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
     """Quotient and remainder of a by b != 0; consumes a.
 
@@ -570,7 +564,15 @@ def degree_pattern(f: Poly, p: int) -> tuple[int, ...] | None:
     _require_prime(p)
     if f.lead % p == 0:
         raise ValueError("p must not divide the leading coefficient")
-    fp = _fp_from_poly(f, p)
+    if not f.is_integral:
+        raise ValueError("reduction requires integer coefficients")
+    return _degree_pattern(f, p)
+
+
+def _degree_pattern(f: Poly, p: int) -> tuple[int, ...] | None:
+    """degree_pattern's body, for a caller that has made its checks: p
+    prime, f integral and p not dividing its leading coefficient."""
+    fp = [c % p for c in f.coeffs]
     deriv = _fp_trim([i * c % p for i, c in enumerate(fp)][1:])
     if _fp_gcd(fp[:], deriv, p) != [1]:
         return None

@@ -23,14 +23,14 @@ from laguerrecert.certify import (Certificate, ExclusionWitness, FailureReport,
 from laguerrecert.laguerre import (HypothesisViolation, LaguerreInstance, build_instance,
                                    cleared_from_definition, laguerre_coefficients,
                                    ratio_identity_parts)
-from laguerrecert.polygon import breakpoint_polygon, build_polygon, confirm_vertex_heights
+from laguerrecert.polygon import build_polygon, confirm_vertex_heights, polygon_from_points
 from laguerrecert.polyring import (Poly, construct_phi, content, format_poly,
                                    X, is_irreducible_mod_p, parse_poly, phi_expand)
 from laguerrecert.primes import sieve_primes, vp_int, vp_rat
 from laguerrecert.tables import k_witness_valid
 
 from test_laguerre import expand_runs
-from test_polygon import interpolate_breakpoints
+from test_polygon import assert_matches_dense
 
 # the package re-exports the function certify, which shadows the module name
 cm = importlib.import_module("laguerrecert.certify")
@@ -599,9 +599,10 @@ def _verifier_bounds(inst, p, polygon_at):
 
 def test_telescoped_heights_match_big_integer_route():
     # the 780-instance all-ones grid, every prime p <= vm+u with p prime to v
-    # and phi irreducible modulo p: the breakpoints interpolate to every
-    # point, same vertices, same (k_lo, slope) or None; a prime dividing v
-    # is refused, as exclusion_bounds never asks for its polygon
+    # and phi irreducible modulo p: each kept point is the big-integer
+    # route's, at most 3(m/p + 1) + 2 of them, same vertices, k_lo and chord
+    # maximum, same (k_lo, slope) or None; a prime dividing v is refused, as
+    # exclusion_bounds never asks for its polygon
     instances = primes_checked = 0
     for inst in _all_ones_grid():
         m, u, v = inst.m, inst.u, inst.v
@@ -617,8 +618,7 @@ def test_telescoped_heights_match_big_integer_route():
             if not is_irreducible_mod_p(inst.phi, p):
                 continue
             polygon, full = telescoped(p), big(p)
-            assert interpolate_breakpoints(polygon.points) == full.points, (m, u, v, p)
-            assert polygon.vertices == full.vertices, (m, u, v, p)
+            assert_matches_dense(polygon, full, 3 * (m // p + 1) + 2, (m, u, v, p))
             anchors = vertex_anchors(m, u, v, polygon)
             assert all(c == parts[m - i] for i, c in anchors.items()), (m, u, v, p)
             confirm_vertex_heights(polygon, p, anchors)
@@ -635,8 +635,7 @@ def test_telescoped_heights_spot_checks_at_m800():
     big = _big_integer_polygon_at(inst)
     for p in (2, 3, 7, 797):
         polygon, full = telescoped(p), big(p)
-        assert interpolate_breakpoints(polygon.points) == full.points, p
-        assert polygon.vertices == full.vertices, p
+        assert_matches_dense(polygon, full, 3 * (800 // p + 1) + 2, p)
         bounds = _verifier_bounds(inst, p, telescoped)
         assert bounds is not None and bounds == _verifier_bounds(inst, p, big)
 
@@ -644,9 +643,10 @@ def test_telescoped_heights_spot_checks_at_m800():
 def test_valuation_routes_call_vp_int_only_at_events(monkeypatch):
     # the producer values no b_j with vp_int: its runs come from closed
     # forms, so its one call values the leading multiplier a_m.  At m = 800
-    # and p = 401 the verifier has a handful of events; a return to dense
-    # heights would keep all m+1 points.  The vertex anchors are built and
-    # confirmed without vp_int, c_0 (abscissa m) among them.
+    # and p = 401 the verifier has a handful of events and keeps at most
+    # 3(m/p + 1) + 2 points; a return to dense heights would keep all m+1.
+    # The vertex anchors are built and confirmed without vp_int, c_0
+    # (abscissa m) among them.
     calls = []
 
     def counting(p, n):
@@ -674,9 +674,8 @@ def test_valuation_routes_call_vp_int_only_at_events(monkeypatch):
     confirm_vertex_heights(polygon, p, anchors)
     assert len(calls) == events
     assert sorted(anchors) == [i for i, _ in polygon.vertices] and polygon.vertices[-1][0] == m
-    assert len(polygon.points) <= 2 * 3 * (m // p + 1) + 2
-    assert interpolate_breakpoints(polygon.points) == tuple(
-        (i, vp_int(p, parts[m - i])) for i in range(m + 1))
+    dense = polygon_from_points([(i, vp_int(p, parts[m - i])) for i in range(m + 1)])
+    assert_matches_dense(polygon, dense, 3 * (m // p + 1) + 2)
 
 
 def test_certify_values_few_run_starts(monkeypatch):
@@ -733,7 +732,7 @@ def test_ratio_identity_rejects_changed_cleared_coefficient():
 
 
 def _confirmed_polygon(points, p, anchors):
-    polygon = breakpoint_polygon(points)
+    polygon = polygon_from_points(points)
     confirm_vertex_heights(polygon, p, anchors)
     return polygon
 
@@ -762,14 +761,13 @@ def test_height_disagreeing_with_its_anchor_is_refused(monkeypatch):
     inst = ones(construct_phi(2, 42), 40, 2)
     cert = certify(inst)
     assert verify_certificate(cert, inst)
-    real = cm.breakpoint_polygon
+    real = cm.step_polygon
 
-    def off_by_one(points):
-        (i, h), points = points[-1], list(points[:-1])
-        points.append((i, h + 1))  # the rightmost point, always a vertex
-        return real(points)
+    def off_by_one(steps, end):
+        # one more at the last step raises the rightmost point, always a vertex
+        return real({**steps, end - 1: steps.get(end - 1, 0) + 1}, end)
 
-    monkeypatch.setattr(cm, "breakpoint_polygon", off_by_one)
+    monkeypatch.setattr(cm, "step_polygon", off_by_one)
     polygon = _telescoped_polygon(inst.m, inst.u, inst.v, 7)
     anchors = vertex_anchors(inst.m, inst.u, inst.v, polygon)
     with pytest.raises(ArithmeticError, match="anchor"):
@@ -888,9 +886,9 @@ try:
 except ArithmeticError:
     print("wrong binomial raises")
 lm.comb = real_comb
-real_hull = cm.breakpoint_polygon
-cm.breakpoint_polygon = lambda points: real_hull(
-    list(points[:-1]) + [(points[-1][0], points[-1][1] + 1)])
+real_hull = cm.step_polygon
+cm.step_polygon = lambda steps, end: real_hull(
+    {**steps, end - 1: steps.get(end - 1, 0) + 1}, end)
 # the bumped height also moves the slope, so the raise itself is pinned
 polygon = cm._telescoped_polygon(12, 2, 1, 7)
 try:
@@ -899,7 +897,7 @@ try:
     print("bad anchor accepted")
 except ArithmeticError:
     print("bad anchor", cm.verify_certificate(cert, inst))
-cm.breakpoint_polygon = real_hull
+cm.step_polygon = real_hull
 # a stray point far below makes the chord maximum miss the last edge; the
 # explicit cross-check in rightmost_slope trips and the verifier says False
 real = cm._telescoped_polygon

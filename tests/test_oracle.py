@@ -6,10 +6,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from laguerrecert.laguerre import HypothesisViolation, build_instance
 from laguerrecert.oracle import (FactorWitness, _rational_root_witness, _signed_divisors,
-                                 degree_pattern, oracle_verdict, possible_degrees,
+                                 oracle_verdict, possible_degrees,
                                  search_reducible_witness, verify_witness)
 from laguerrecert import oracle
-from laguerrecert.polyring import Poly, X, parse_poly, primitive_part, subset_sums
+from laguerrecert.polyring import (Poly, X, degree_pattern, parse_poly, primitive_part,
+                                   subset_sums)
 from laguerrecert.primes import sieve_primes
 
 
@@ -200,6 +201,10 @@ def test_possible_degrees_sieves_on_demand(monkeypatch, phi17):
 def test_possible_degrees_requires_primitive():
     with pytest.raises(ValueError):
         possible_degrees(2 * X**2 + 2, 50)
+    # f is checked once, before any prime: x^2 + 7/2 would read as x^2 + 1
+    # mod 5 if a per-prime reduction truncated it
+    with pytest.raises(ValueError, match="integer coefficients"):
+        possible_degrees(Poly((Fraction(7, 2), 0, 1)), 50)
 
 
 # -- verdicts ------------------------------------------------------------------------

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from laguerrecert.polygon import (breakpoint_polygon, bruteforce_lower_hull,
-                                  build_polygon, confirm_vertex_heights,
-                                  polygon_from_points, rightmost_slope)
+from laguerrecert.polygon import (bruteforce_lower_hull, build_polygon,
+                                  confirm_vertex_heights, polygon_from_points,
+                                  rightmost_slope, step_polygon)
 from laguerrecert.polyring import X, phi_expand
 
 
@@ -171,17 +171,6 @@ def test_single_point_polygon():
     assert polygon.vertices == ((5, -3),) and polygon.slopes == ()
 
 
-def interpolate_breakpoints(points):
-    """Every integer point from the first breakpoint to the last, on the
-    straight segments between consecutive breakpoints (heights as exact
-    Fractions, so a segment that misses the integers shows)."""
-    out = [points[0]]
-    for (i0, h0), (i1, h1) in zip(points, points[1:]):
-        out.extend((i, h0 + Fraction((h1 - h0) * (i - i0), i1 - i0))
-                   for i in range(i0 + 1, i1 + 1))
-    return tuple(out)
-
-
 def _k_lo(points):
     return 1 + max((i for i, h in points if h < 1), default=-2)
 
@@ -191,6 +180,28 @@ def _chord_max(points):
     return max(Fraction(hN - h, iN - i) for i, h in points if i < iN)
 
 
+def assert_matches_dense(polygon, dense, max_points, label=None):
+    """A polygon on some of a height function's points against the dense
+    polygon on all of them: every kept point is a dense point, the vertices,
+    k_lo and (with two points or more) the chord maximum are equal, and at
+    most max_points points are kept."""
+    heights = dict(dense.points)
+    assert all(heights.get(i) == h for i, h in polygon.points), label
+    assert polygon.vertices == dense.vertices, label
+    assert _k_lo(polygon.points) == _k_lo(dense.points), label
+    if len(dense.points) >= 2:
+        assert _chord_max(polygon.points) == _chord_max(dense.points), label
+    assert len(polygon.points) <= max_points, label
+
+
+def _dense_heights(steps, end):
+    """h(0) = 0, h(a+1) = h(a) + steps[a]: every point of the step function."""
+    heights = [0]
+    for a in range(end):
+        heights.append(heights[-1] + steps.get(a, 0))
+    return tuple(enumerate(heights))
+
+
 _flat_runs = st.lists(st.tuples(st.integers(0, 5), st.integers(1, 40)),
                       min_size=1, max_size=40)
 
@@ -198,52 +209,76 @@ _flat_runs = st.lists(st.tuples(st.integers(0, 5), st.integers(1, 40)),
 @settings(max_examples=60, deadline=None)
 @given(_flat_runs)
 def test_anchored_polygon_on_flat_runs_matches_all_points(runs):
-    # the hull is built on the two ends of each flat run only; its vertices,
-    # final slope and k_lo must be those of all the points.  The part at i
-    # is 3 * 2**h, so every anchor holds.
-    heights = [h for h, length in runs for _ in range(length)][:300]
+    # the heights start at 0, as the verifier's do, and the hull is built on
+    # the low end of each step only; its vertices, final slope and k_lo must
+    # be those of all the points.  The part at i is 3 * 2**h, so every
+    # anchor holds.
+    heights = [0] + [h for h, length in runs for _ in range(length)][:299]
     last = len(heights) - 1
-    starts = [i for i in range(1, last + 1) if heights[i] != heights[i - 1]]
-    ends = sorted({0, last, *starts, *(i - 1 for i in starts)})
-    polygon = breakpoint_polygon([(i, heights[i]) for i in ends])
+    steps = {i - 1: heights[i] - heights[i - 1] for i in range(1, last + 1)
+             if heights[i] != heights[i - 1]}
+    polygon = step_polygon(steps, last)
     confirm_vertex_heights(polygon, 2, [3 * 2 ** h for h in heights])
     every = tuple(enumerate(heights))
-    assert interpolate_breakpoints(polygon.points) == every
     full = polygon_from_points(every)
-    assert polygon.vertices == full.vertices
-    assert _k_lo(polygon.points) == _k_lo(every)
-    if len(heights) >= 2:
+    assert_matches_dense(polygon, full, len(steps) + 2)
+    if last >= 1:
         assert polygon.vertices == bruteforce_lower_hull(every).vertices
         assert rightmost_slope(polygon) == rightmost_slope(full) == _chord_max(every)
-        assert _chord_max(polygon.points) == _chord_max(every)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(1, 120), st.integers(0, 3),
-       st.lists(st.tuples(st.integers(0, 119), st.integers(-6, 6)), max_size=30))
-def test_anchored_polygon_on_sheared_breakpoints_matches_all_points(m, shear, events):
-    # the step between abscissas a and a+1 is -shear plus an event's delta,
-    # so the heights run along straight segments between the breakpoints 0,
-    # m, a, a+1 (shear 0 is the verifier's own shape: flat between events);
-    # they are lifted until none is negative, and the part at i is 2**h
-    deltas = {}
+@st.composite
+def _step_maps(draw):
+    """(steps, end): events summed per abscissa, among them rises and drops
+    that cancel at one abscissa (a zero entry), runs of consecutive events,
+    and events at 0 and at end - 1."""
+    end = draw(st.integers(1, 120))
+    events = draw(st.lists(st.tuples(st.integers(0, end - 1), st.integers(-6, 6)),
+                           max_size=30))
+    for a, d in draw(st.lists(st.tuples(st.integers(0, end - 1), st.integers(1, 6)),
+                              max_size=4)):
+        events += [(a, d), (a, -d)]
+    start = draw(st.integers(0, end - 1))
+    events += [(a, draw(st.integers(-6, 6)))
+               for a in range(start, min(end, start + draw(st.integers(0, 8))))]
+    events += [(a, draw(st.integers(-6, 6)))
+               for a in {0, end - 1} if draw(st.booleans())]
+    steps = {}
     for a, d in events:
-        if a < m:
-            deltas[a] = deltas.get(a, 0) + d
-    heights = [m * shear]
-    for a in range(m):
-        heights.append(heights[-1] - shear - deltas.get(a, 0))
-    lift = max(0, -min(heights))
-    heights = [h + lift for h in heights]
-    every = tuple(enumerate(heights))
-    breaks = sorted({0, m, *deltas, *(a + 1 for a in deltas)})
-    polygon = breakpoint_polygon([(i, heights[i]) for i in breaks])
-    confirm_vertex_heights(polygon, 2, [2 ** h for h in heights])
-    assert len(polygon.points) <= 2 * len(deltas) + 2
-    assert interpolate_breakpoints(polygon.points) == every
-    assert polygon.vertices == bruteforce_lower_hull(every).vertices
-    assert _k_lo(polygon.points) == _k_lo(every)
-    assert _chord_max(polygon.points) == _chord_max(every) == rightmost_slope(polygon)
+        steps[a] = steps.get(a, 0) + d
+    return steps, end
+
+
+@settings(max_examples=200, deadline=None)
+@given(_step_maps())
+def test_step_polygon_on_random_steps_matches_all_points(drawn):
+    # the verifier's shape: flat between events, heights of either sign;
+    # the kept points hold no abscissa twice and every vertex of all points
+    steps, end = drawn
+    polygon = step_polygon(steps, end)
+    every = _dense_heights(steps, end)
+    assert_matches_dense(polygon, bruteforce_lower_hull(every), len(steps) + 2)
+    assert polygon.vertices == polygon_from_points(every).vertices
+    assert rightmost_slope(polygon) == _chord_max(every)
+
+
+def test_step_polygon_keeps_the_low_end_of_each_step():
+    # heights 0 2 -1 -1 0 0 0 -1 1: a rise at 0 (foot 0), a drop at 1 (low
+    # end 2), a rise at 3 (foot 3), a cancelled step at 4, a drop at 6 (low
+    # end 7) and a rise at 7 (foot 7, kept once), so 8 is kept only as end
+    steps = {0: 2, 1: -3, 3: 1, 4: 0, 6: -1, 7: 2}
+    polygon = step_polygon(steps, 8)
+    assert polygon.points == ((0, 0), (2, -1), (3, -1), (7, -1), (8, 1))
+    assert polygon.vertices == ((0, 0), (2, -1), (7, -1), (8, 1))
+    # a drop into the last abscissa keeps it once, a rise at the last step
+    # keeps its foot and the end, and no step keeps the two ends alone
+    assert step_polygon({2: -1}, 3).points == ((0, 0), (3, -1))
+    assert step_polygon({2: 4}, 3).vertices == ((0, 0), (2, 0), (3, 4))
+    assert step_polygon({}, 5).points == ((0, 0), (5, 0))
+    assert step_polygon({1: 0}, 5).points == ((0, 0), (5, 0))
+    for a in (-1, 5):
+        with pytest.raises(ValueError, match=r"must lie in 0\.\.4"):
+            step_polygon({a: 1}, 5)
 
 
 class _CountedAnchor(int):
