@@ -21,8 +21,9 @@ from itertools import product as _cartesian
 from .laguerre import LaguerreInstance, build_instance, parameter
 from .polyring import (Poly, content, degree_range, degrees_of, format_poly, phi_expand,
                        primitive_part, subset_sums)
-# polyring.degree_pattern's body, without its checks: possible_degrees
-# makes them once per f.  It is bound to the public name because the
+# polyring.degree_pattern's body, without the prime and integrality checks:
+# possible_degrees makes them once per f (the body itself refuses a prime
+# dividing the leading coefficient).  It is bound to the public name because the
 # benchmark tracer's per-prime span (oracle.degree_pattern) wraps that name.
 from .polyring import _degree_pattern as degree_pattern
 from .primes import factorize, sieve_primes

@@ -6,17 +6,19 @@ format, expansion in powers of a monic polynomial, and the factor degrees
 of a polynomial over the p-element field by distinct-degree splitting,
 which also decides irreducibility mod p.
 
-The splitting runs in F_p[x]/(f) with every element packed into one
+The splitting runs in F_p[x]/(f) with every polynomial packed into one
 integer, one residue per fixed-width slot (``_PackedRing``): a product is
 one big-integer multiplication, reduced modulo f by polynomial Barrett and
 modulo p in every slot at once by integer Barrett, at each stage of the
-product, so a slot holds about twice the bits of n(p-1)**2.  The Frobenius
-map a -> a**p, linear over the p-element field, is one matrix modulo f
-whose rows x**(i*p) are built once per (f, p), so x**(p**d) costs one
-combination of rows per degree.  A product tree over x**(p**d) - x for
-d <= deg(f)/2 then splits f by degree range with one gcd per visited node;
-gcds and exact divisions run on lists of residues, two quotient terms per
-pass over the divisor.
+product, so a slot holds about twice the bits of max(n, 3)(p-1)**2.  The
+Frobenius map a -> a**p, linear over the p-element field, is one matrix
+modulo f whose rows x**(i*p) are built once per (f, p), so x**(p**d) costs
+one combination of rows per degree.  A product tree over x**(p**d) - x for
+d <= deg(f)/2 then splits f by degree range with one gcd per visited node.
+The squarefree gate, the gcds and the exact divisions run by Euclid on the
+same packed integers, two quotient terms per multiply-add and one integer
+Barrett reduction per pass; the slot layout comes before the gate, so only
+a squarefree f pays for fixing f as the modulus.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ from .primes import INFINITY, _require_prime, sieve_primes, vp_int, vp_rat
 
 
 def _canon(c):
+    if type(c) is int:
+        return c
     if isinstance(c, Fraction) and c.denominator == 1:
         return int(c)
     if isinstance(c, bool):
@@ -339,70 +343,22 @@ def phi_expand(f: Poly, phi: Poly) -> tuple[Poly, ...]:
 
 
 # ---------------------------------------------------------------------------
-# arithmetic over the p-element field (dense int lists, ascending).  The
-# kernels reduce late: they accumulate plain ints and take one % p per
-# output coefficient, never one per product.
-
-def _fp_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _fp_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of a by b != 0; consumes a.
-
-    The quotient's terms go two at a time: q_k from the top coefficient,
-    q_(k-1) from the one below it less q_k's share, then one pass over b
-    subtracts (q_k x + q_(k-1)) x**(k-1) b, so a quotient of degree one (the
-    usual Euclid step) takes one pass.  An odd last term goes alone.
-    """
-    if not b:
-        raise ZeroDivisionError
-    top = len(b) - 1
-    inv = pow(b[-1], -1, p)
-    if not top:
-        return [c * inv % p for c in a], []
-    q = [0] * max(0, len(a) - top)
-    second = b[-2]
-    # only the coefficients a pass reads are reduced; the ones it cancels
-    # are never read again
-    k = len(q) - 1
-    while k > 0:
-        hi = q[k] = a[k + top] * inv % p
-        lo = q[k - 1] = (a[k + top - 1] - hi * second) * inv % p
-        below = 0  # b[i-1], which q_k meets where q_(k-1) meets b[i]
-        j = k - 1
-        for u in b:
-            a[j] -= lo * u + hi * below
-            below = u
-            j += 1
-        k -= 2
-    if not k:
-        c = q[0] = a[top] * inv % p
-        for j in range(top):
-            a[j] -= c * b[j]
-    return q, _fp_trim([c % p for c in a[:top]])
-
-
-def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    """Monic gcd by Euclid's remainders; consumes a."""
-    while b:
-        a, b = b, _fp_divmod(a, b, p)[1]
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [c * inv % p for c in a]
-    return a
-
+# arithmetic over the p-element field, every polynomial one packed int
 
 class _PackedRing:
-    """F_p[x]/(f) for a monic f of degree n >= 2, every element one int.
+    """F_p[x]/(f) for a monic f of degree n >= 2, every element one int, and
+    Euclid on polynomials of degree at most n in the same slot layout.
 
-    An element a_0 + a_1 x + ... + a_{n-1} x**(n-1), residues 0 <= a_j < p,
-    is the int sum_j a_j * 2**(slot*j) (Kronecker substitution), so a
-    product of two elements is one big-integer multiplication.  A product
-    c = a*b has degree <= 2n-2 and is reduced by two Barrett reductions,
-    with every slot reduced mod p at each of their stages:
+    A polynomial a_0 + a_1 x + ... + a_d x**d, residues 0 <= a_j < p, is the
+    int sum_j a_j * 2**(slot*j) (Kronecker substitution), so a product of
+    two elements is one big-integer multiplication, and a nonzero
+    polynomial's degree is its bit length // slot (its top residue has
+    fewer than slot bits).  The layout (slot width, Barrett shift and magic,
+    mask) depends on n and p only and is built first, so the squarefree gate
+    runs before f is fixed; ``set_modulus`` then builds mu and -f.  A
+    product c = a*b of two elements has degree <= 2n-2 and is reduced by two
+    Barrett reductions, with every slot reduced mod p at each of their
+    stages:
 
     - modulo f by polynomial Barrett: with mu = floor(x**(2n-2) / f), of
       degree n-2 and built once, the quotient is
@@ -421,31 +377,55 @@ class _PackedRing:
     so their polynomial part is 0.  This holds over the p-element field,
     so c, h and q may be taken mod p at any stage.
 
+    Euclid divides a by b (``divmod``) two quotient terms per pass: with
+    d = deg a, k = d - deg b and u = 1/lead(b), q_k = a_d * u and
+    q_(k-1) = (a_(d-1) - q_k * b_(deg b - 1)) * u, then one multiply-add
+    a += ((p - q_k) x + (-q_(k-1) mod p)) * x**(k-1) * b clears slots d
+    and d-1 mod p and one integer Barrett reduction brings every slot back
+    below p; a last odd term goes alone, and the degree is read again after
+    each pass, so a pass that clears more than two slots shortens the rest.
+
     The slot bound: with every residue at most p-1, a slot before a
     reduction holds at most
     - n(p-1)**2 in c = a*b (at most n products per slot);
     - (n-1)(p-1)**2 in h*mu (h and mu have n-1 slots each);
     - (p-1) + (n-1)(p-1)**2 in c + q * (-f mod p) (q has n-1 slots);
-    so any slot before a reduction is at most B = n(p-1)**2.  A row
-    combination sum_i c_i * row_i with c_i < p holds at most B too.  The
-    slot width holds B * magic, so no slot ever carries into the next, the
-    integer arithmetic is the polynomial arithmetic over Z slot by slot,
-    and after the shift by t slot j keeps floor(v_j * magic / 2**t) in its
-    low slot - t bits (slot > t, as B >= p), under the low bits of slot
-    j+1, for a mask to cut.  A slot is about 2 log2(B) bits: 34 at n = 30
-    and p = 59, 62 at n = 1024 and p = 1031.
+    - (p-1) + 2(p-1)**2 after a two-term Euclid pass (a slot of a plus at
+      most two products, as the multiplier has two slots), and
+      (p-1) + (p-1)**2 after a one-term pass;
+    - (p-1)**2 when a gcd is made monic, one product per slot;
+    and (p-1) <= (p-1)**2, so any slot before a reduction is at most
+    B = max(n, 3)(p-1)**2.  Only the Euclid pass needs the 3: at n = 2 it
+    can exceed n(p-1)**2.  A row combination sum_i c_i * row_i with c_i < p
+    holds at most B too.  The slot width holds B * magic, so no slot ever
+    carries into the next, the integer arithmetic is the polynomial
+    arithmetic over Z slot by slot, and after the shift by t slot j keeps
+    floor(v_j * magic / 2**t) in its low slot - t bits (slot > t, as
+    B >= p), under the low bits of slot j+1, for a mask to cut.  A slot is
+    about 2 log2(B) bits: 34 at n = 30 and p = 59, 62 at n = 1024 and
+    p = 1031.
     """
 
-    __slots__ = ("n", "p", "slot", "_mu", "_neg_f", "_high", "_q_shift",
-                 "_t", "_magic", "_q_mask")
+    __slots__ = ("n", "p", "slot", "_slot_mask", "_t", "_magic", "_q_mask",
+                 "_high", "_q_shift", "_mu", "_neg_f")
 
-    def __init__(self, mod: list[int], p: int):
-        n = len(mod) - 1
-        bound = n * (p - 1) ** 2
+    def __init__(self, n: int, p: int):
+        bound = max(n, 3) * (p - 1) ** 2
         self._t = (bound * (p - 1)).bit_length()
         self._magic = -(-(1 << self._t) // p)
-        self.slot = (bound * self._magic).bit_length()
+        self.slot = slot = (bound * self._magic).bit_length()
         self.n, self.p = n, p
+        self._slot_mask = (1 << slot) - 1
+        # one mask for every reduction: a product's 2n-1 slots at most (a
+        # polynomial Euclid divides has n+1); ones has a 1 in each slot
+        ones = ((1 << slot * (2 * n - 1)) - 1) // self._slot_mask
+        self._q_mask = ones * ((1 << slot - self._t) - 1)
+        self._high = slot * n
+        self._q_shift = slot * (n - 2)
+
+    def set_modulus(self, mod: list[int]) -> None:
+        """Fix the monic f (residues, constant term first) for mul."""
+        n, p = self.n, self.p
         # x**(2n-2) = mu*f + r read backwards is 1 = rev(mu) rev(f) + y**(n-1)
         # rev(r), so rev(mu) is 1/rev(f) to n-1 terms: one dot product per
         # coefficient, where a division would loop over n per coefficient
@@ -455,10 +435,6 @@ class _PackedRing:
             mu.append(-sum(map(operator.mul, top[:k], reversed(mu))) % p)
         self._mu = self.pack(mu[::-1])
         self._neg_f = self.pack([-c % p for c in mod])
-        self._high = self.slot * n
-        self._q_shift = self.slot * (n - 2)
-        # one mask for every reduction: a product's 2n-1 slots at most
-        self._q_mask = self.pack([(1 << self.slot - self._t) - 1] * (2 * n - 1))
 
     def pack(self, residues: list[int]) -> int:
         acc = 0
@@ -468,7 +444,7 @@ class _PackedRing:
 
     def unpack(self, a: int) -> list[int]:
         """The n residues of an element, constant term first."""
-        slot, mask = self.slot, (1 << self.slot) - 1
+        slot, mask = self.slot, self._slot_mask
         return [a >> slot * j & mask for j in range(self.n)]
 
     def _residues(self, acc: int) -> int:
@@ -508,6 +484,39 @@ class _PackedRing:
         while len(rows) < self.n:
             rows.append(self.mul(rows[-1], xp))
         return rows
+
+    def divmod(self, a: int, b: int) -> tuple[int, int]:
+        """Quotient and remainder of a by b != 0, polynomials of degree at
+        most n, two quotient terms per pass."""
+        p, slot, magic, t, mask = self.p, self.slot, self._magic, self._t, self._q_mask
+        top = b.bit_length() // slot
+        inv = pow(b >> slot * top, -1, p)
+        second = b >> slot * (top - 1) & self._slot_mask if top else 0
+        q = 0
+        d = a.bit_length() // slot
+        while a and d >= top:
+            hi = (a >> slot * d) * inv % p
+            if d > top:
+                lo = ((a >> slot * (d - 1) & self._slot_mask) - hi * second) * inv % p
+                shift = slot * (d - top - 1)
+                a += ((p - hi) << slot | -lo % p) * b << shift
+                q |= (hi << slot | lo) << shift
+            else:
+                a += (p - hi) * b
+                q |= hi
+            a -= p * (a * magic >> t & mask)
+            d = a.bit_length() // slot
+        return q, a
+
+    def gcd(self, a: int, b: int) -> int:
+        """Monic gcd of polynomials of degree at most n by Euclid's
+        remainders; 0 when both are 0."""
+        while b:
+            a, b = b, self.divmod(a, b)[1]
+        if a:
+            lead = a >> self.slot * (a.bit_length() // self.slot)
+            a = self._residues(a * pow(lead, -1, self.p))
+        return a
 
 
 # ---------------------------------------------------------------------------
@@ -550,20 +559,20 @@ def degree_pattern(f: Poly, p: int) -> tuple[int, ...] | None:
     splits G: the left child's part is gcd(left product mod G, G) and the
     right child's the exact quotient.  A leaf's part is k factors of its
     degree d, k = deg G / d, and a part of degree below twice its range's
-    least degree is one factor.  Costs, all but the gcds and divisions in
-    one packed ring (``_PackedRing``) built once per (f, p):
+    least degree is one factor.  Every cost runs in one packed ring
+    (``_PackedRing``) per (f, p), whose slot layout is built before the
+    squarefree gate:
+    - the gate, gcd(f mod p, f'), by Euclid on packed ints;
     - x**p by about log2(p) squarings and a shift per set bit of p, and
       n - 2 row products for the Frobenius rows x**(i*p) mod f;
     - h - 1 row combinations w_d = sum_i w_{d-1}[i] * row_i (w_1 is row 1);
     - h - 1 products for the tree's inner nodes;
-    - one gcd on residue lists per visited node (the root, and every inner
-      node whose part may hold two factors), plus an exact division at each
-      such inner node, each Euclid step one pass per two quotient terms.
+    - one gcd per visited node (the root, and every inner node whose part
+      may hold two factors), plus an exact division at each such inner
+      node, each Euclid pass one multiply-add per two quotient terms.
     So f irreducible mod p costs the squarefree gate and one gcd.
     """
     _require_prime(p)
-    if f.lead % p == 0:
-        raise ValueError("p must not divide the leading coefficient")
     if not f.is_integral:
         raise ValueError("reduction requires integer coefficients")
     return _degree_pattern(f, p)
@@ -571,19 +580,26 @@ def degree_pattern(f: Poly, p: int) -> tuple[int, ...] | None:
 
 def _degree_pattern(f: Poly, p: int) -> tuple[int, ...] | None:
     """degree_pattern's body, for a caller that has made its checks: p
-    prime, f integral and p not dividing its leading coefficient."""
+    prime and f integral.  A p that divides the leading coefficient is
+    refused here, as the gate alone would not notice it (3x**2 + 1 is 1
+    with derivative 0 mod 3, whose gcd is 1)."""
     fp = [c % p for c in f.coeffs]
-    deriv = _fp_trim([i * c % p for i, c in enumerate(fp)][1:])
-    if _fp_gcd(fp[:], deriv, p) != [1]:
-        return None
+    if not fp:
+        raise ValueError("zero polynomial has no leading coefficient")
+    if not fp[-1]:
+        raise ValueError("p must not divide the leading coefficient")
     n = len(fp) - 1
     if n < 2:  # a unit has no factors, a linear polynomial is irreducible
         return (1,) if n else ()
+    ring = _PackedRing(n, p)
+    if ring.gcd(ring.pack(fp), ring.pack([i * c % p for i, c in enumerate(fp)][1:])) != 1:
+        return None
     inv = pow(fp[-1], -1, p)
     mod = [c * inv % p for c in fp]
-    ring = _PackedRing(mod, p)
+    ring.set_modulus(mod)
     rows = ring.frobenius_rows()
-    x = 1 << ring.slot
+    slot = ring.slot
+    x = 1 << slot
     half = n // 2
     # products[lo, hi] = leaves lo .. hi-1 multiplied mod f; leaf d-1 is
     # w_d - x, w_1 = x**p and w_d the combination of the rows by w_{d-1}
@@ -605,22 +621,24 @@ def _degree_pattern(f: Poly, p: int) -> tuple[int, ...] | None:
         if hi - lo > 1:
             mid = (lo + hi) // 2
             products[lo, hi] = ring.mul(products[lo, mid], products[mid, hi])
-    g = _fp_gcd(_fp_trim(ring.unpack(products[0, half])), mod[:], p)
-    degrees = [n - (len(g) - 1)] if len(g) - 1 < n else []
+    g = ring.gcd(products[0, half], ring.pack(mod))
+    size = g.bit_length() // slot
+    degrees = [n - size] if size < n else []
     # (lo, hi, g): g (monic) is the product of the factors of degree lo+1 .. hi
     parts = [(0, half, g)]
     while parts:
         lo, hi, g = parts.pop()
-        if len(g) == 1:
+        size = g.bit_length() // slot
+        if not size:
             continue
         if hi - lo == 1:
-            degrees += [hi] * ((len(g) - 1) // hi)
-        elif len(g) - 1 < 2 * (lo + 1):  # too small for two such factors
-            degrees.append(len(g) - 1)
+            degrees += [hi] * (size // hi)
+        elif size < 2 * (lo + 1):  # too small for two such factors
+            degrees.append(size)
         else:
             mid = (lo + hi) // 2
-            g_left = _fp_gcd(_fp_trim(ring.unpack(products[lo, mid])), g[:], p)
-            g_right, rem = _fp_divmod(g, g_left, p)
+            g_left = ring.gcd(products[lo, mid], g)
+            g_right, rem = ring.divmod(g, g_left)
             if rem:
                 raise ArithmeticError("distinct-degree part does not divide")
             parts += [(lo, mid, g_left), (mid, hi, g_right)]

@@ -28,6 +28,19 @@ def test_pattern_examples():
         degree_pattern(3 * X**2 + 1, 3)
 
 
+@pytest.mark.parametrize("pattern", [degree_pattern, oracle.degree_pattern])
+@pytest.mark.parametrize("f, p", [
+    (3 * X**2 + 1, 3),  # 1 with derivative 0 mod 3: the gate alone passes it
+    (5 * X**3 + X + 1, 5),
+    (2 * X + 1, 2),
+    (Poly.const(7), 7),
+])
+def test_pattern_refuses_a_prime_dividing_the_lead(pattern, f, p):
+    # the public checked name and the oracle's unchecked body alike
+    with pytest.raises(ValueError, match="must not divide the leading coefficient"):
+        pattern(f, p)
+
+
 def test_pattern_sums_to_degree(rng):
     for _ in range(100):
         coeffs = [rng.randrange(-9, 10) for _ in range(rng.randrange(2, 9))]

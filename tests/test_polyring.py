@@ -6,11 +6,11 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from laguerrecert.polyring import (MAX_PARSED_DEGREE, Poly, X, _fp_divmod, _fp_gcd,
-                                   _PackedRing, check_phi, construct_phi, content,
-                                   degree_pattern, degree_range, degrees_of,
-                                   format_poly, gauss_valuation, is_irreducible_mod_p,
-                                   parse_poly, phi_expand, primitive_part, subset_sums)
+from laguerrecert.polyring import (MAX_PARSED_DEGREE, Poly, X, _PackedRing, check_phi,
+                                   construct_phi, content, degree_pattern, degree_range,
+                                   degrees_of, format_poly, gauss_valuation,
+                                   is_irreducible_mod_p, parse_poly, phi_expand,
+                                   primitive_part, subset_sums)
 from laguerrecert.primes import INFINITY
 
 
@@ -397,7 +397,11 @@ def _residue_pairs():
     of odd lengths 3, 5 and 7 (one term left after the pairs), exact
     products (zero remainders), a constant divisor, and dividends shorter
     than the divisor, the empty one among them; each at p = 2, 3, 7, 59
-    and 65537."""
+    and 65537.  Then operands of degree 2 at p = 3, 59 and 2**31 - 1, the
+    layout of n = 2: all p-1, and a = (p-1) x**2 + (p-2) x + (p-1) by
+    b = (p-1) x + (p-1), whose quotient terms are both 1, so the two-term
+    pass adds (p-1) x * b + (p-1) * b and a slot reaches
+    (p-2) + 2(p-1)**2 > 2(p-1)**2."""
     rng = random.Random(4493)
 
     def residues(length, p):
@@ -413,33 +417,81 @@ def _residue_pairs():
             yield _mod_p(Poly(b) * Poly(c), p).coeffs, b, p
             yield residues(rng.randrange(0, len(b)), p), b, p
             yield residues(rng.randrange(1, 8), p), [rng.randrange(1, p)], p
+    for p in (3, 59, 2**31 - 1):
+        top = [p - 1] * 3
+        for b in (top[:1], top[:2], top):
+            yield top, b, p
+        yield [p - 1, p - 2, p - 1], top[:2], p
+
+
+def _layout(p, *operands):
+    """The packed layout for polynomials of degree at most that of the
+    longest operand (and at least 2, the least a ring is built for)."""
+    return _PackedRing(max(2, *(len(a) - 1 for a in operands)), p)
 
 
 def test_fp_divmod_matches_sympy():
+    # packed quotient and remainder against sympy's, compared as packed ints,
+    # so a slot left unreduced or a nonzero slot above the degree fails too
     gf = pytest.importorskip("sympy.polys.galoistools")
     from sympy.polys.domains import ZZ
     zero_remainders = 0
     for a, b, p in _residue_pairs():
         a, b = list(a), list(b)
-        q, r = _fp_divmod(a[:], b, p)
+        ring = _layout(p, a, b)
+        q, r = ring.divmod(ring.pack(a), ring.pack(b))
         expected_q, expected_r = gf.gf_div(a[::-1], b[::-1], p, ZZ)
-        assert (q, r) == (expected_q[::-1], expected_r[::-1]), (a, b, p)
+        assert (q, r) == (ring.pack(expected_q[::-1]), ring.pack(expected_r[::-1])), (a, b, p)
         zero_remainders += len(b) > 1 and len(a) >= len(b) and not r
     assert zero_remainders >= 100
 
 
 def test_fp_gcd_matches_sympy():
     # pairs with a random common factor, so the gcd is rarely 1, and with
-    # the zero polynomial on either side
+    # the zero polynomial on either side; the packed gcd is monic
     gf = pytest.importorskip("sympy.polys.galoistools")
     from sympy.polys.domains import ZZ
     rng = random.Random(4494)
     for a, b, p in _residue_pairs():
         common = Poly([rng.randrange(p) for _ in range(rng.randrange(0, 4))] + [1])
         a, b = (list(_mod_p(Poly(list(g)) * common, p).coeffs) for g in (a, b))
+        ring = _layout(p, a, b)
         for left, right in ((a, b), (b, a), (a, []), ([], b)):
             expected = gf.gf_gcd(left[::-1], right[::-1], p, ZZ)[::-1]
-            assert _fp_gcd(left[:], right[:], p) == expected, (left, right, p)
+            assert ring.gcd(ring.pack(left), ring.pack(right)) == ring.pack(expected), \
+                (left, right, p)
+
+
+def test_squarefree_gate_matches_sympy():
+    # degree_pattern is None exactly when f mod p is not squarefree:
+    # against gf_sqf_p on seeded products with and without squared factors,
+    # p-th powers (f' = 0 mod p) at p = 2 and 3, constants and degree 1
+    gf = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+    rng = random.Random(5081)
+    cases = []
+    for _ in range(400):
+        p = rng.choice(_SMALL_PRIMES[:10] + [1009, 65537])
+        f = Poly([rng.randrange(1, p)])
+        for _ in range(rng.randrange(0, 4)):
+            g = Poly([rng.randrange(p) for _ in range(rng.randrange(1, 4))] + [1])
+            f = f * g ** rng.choice((1, 1, 2, 3))
+        cases.append((Poly([c + p * rng.randrange(-3, 4) for c in f.coeffs[:-1]]
+                           + [f.coeffs[-1]]), p))
+    for p in (2, 3):
+        for _ in range(40):
+            g = Poly([rng.randrange(-9, 10) for _ in range(rng.randrange(1, 6))] + [1])
+            cases.append((g ** p, p))
+    for p in (2, 3, 59):
+        cases += [(Poly.const(c), p) for c in (1, p - 1, p + 1)]
+        cases += [(Poly((r, c)), p) for r in (0, 1, p - 1) for c in (1, p - 1)]
+    not_squarefree = 0
+    for f, p in cases:
+        fp = [c % p for c in reversed(f.coeffs)]
+        squarefree = gf.gf_sqf_p(fp, p, ZZ)
+        assert (degree_pattern(f, p) is not None) == squarefree, (f, p)
+        not_squarefree += not squarefree
+    assert not_squarefree > 150 and len(cases) - not_squarefree > 150
 
 
 def _mod_p(f, p):
@@ -478,9 +530,9 @@ def _packed_ring_cases():
 
 
 def _slot_width(n, p):
-    """The slot width the bound B = n(p-1)**2 gives: B * ceil(2**t / p) for
-    the least t with 2**t > B * (p-1)."""
-    bound = n * (p - 1) ** 2
+    """The slot width the bound B = max(n, 3)(p-1)**2 gives:
+    B * ceil(2**t / p) for the least t with 2**t > B * (p-1)."""
+    bound = max(n, 3) * (p - 1) ** 2
     t = (bound * (p - 1)).bit_length()
     return (bound * -(-(1 << t) // p)).bit_length()
 
@@ -489,7 +541,8 @@ def test_packed_ring_matches_poly_arithmetic():
     # products, combinations of the rows and the rows x**(i*p) themselves,
     # against Poly arithmetic reduced mod p
     for mod, p, a, b in _packed_ring_cases():
-        ring, f = _PackedRing(mod, p), Poly(mod)
+        ring, f = _PackedRing(len(mod) - 1, p), Poly(mod)
+        ring.set_modulus(mod)
         assert ring.slot == _slot_width(len(a), p)
         assert ring.unpack(ring.pack(a)) == a
         product = ring.mul(ring.pack(a), ring.pack(b))
@@ -507,11 +560,12 @@ def test_packed_ring_matches_poly_arithmetic():
 
 
 def test_packed_ring_slot_width():
-    # every slot is reduced mod p at each stage of a product, so a slot
-    # holds n(p-1)**2 before a reduction and B * magic in all: 34 bits at
-    # n = 30, p = 59 and 62 at n = 1024, p = 1031 (built only, no rows)
-    assert _PackedRing([1] * 31, 59).slot == 34
-    assert _PackedRing([1] * 1025, 1031).slot == 62
+    # every slot is reduced mod p at each stage of a product and after each
+    # Euclid pass, so a slot holds max(n, 3)(p-1)**2 before a reduction and
+    # B * magic in all: 34 bits at n = 30, p = 59 and 62 at n = 1024,
+    # p = 1031 (the layout only, no modulus)
+    assert _PackedRing(30, 59).slot == 34
+    assert _PackedRing(1024, 1031).slot == 62
 
 
 def test_degree_pattern_tree_cases_match_sympy():
