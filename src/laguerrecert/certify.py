@@ -48,7 +48,7 @@ from .polygon import (NewtonPolygon, build_polygon, confirm_vertex_heights,
                       rightmost_slope, step_polygon)
 from .polyring import (Poly, content, degree_range, degrees_of, format_poly,
                        is_irreducible_mod_p, parse_poly)
-from .primes import factorize, is_prime, sieve_primes, vp_int
+from .primes import _require_prime, _vp_int, factorize, is_prime, sieve_primes, vp_int
 
 
 class NoSmallDegreePrime(Exception):
@@ -312,7 +312,8 @@ def _telescoped_polygon(m: int, u: int, v: int, p: int) -> NewtonPolygon:
     h_j = h_{j+1} - v_p(m-j) + v_p(j+1) + v_p(v(j+1)+u).
     The step from abscissa a to a+1 (j = m-1-a) is 0 except at its events,
     the j with p | m-j, p | j+1 or p | v(j+1)+u, at most 3(m/p + 1) of them,
-    so vp_int runs only there, and step_polygon keeps 0, m and the low end
+    so a valuation runs only there (p is checked prime once per polygon,
+    not per event), and step_polygon keeps 0, m and the low end
     of each nonzero step, at most 3(m/p + 1) + 2 points (see step_polygon
     for why they suffice).  The heights are claims until
     confirm_vertex_heights has checked every vertex, c_0's at abscissa m
@@ -320,14 +321,15 @@ def _telescoped_polygon(m: int, u: int, v: int, p: int) -> NewtonPolygon:
     """
     if v % p == 0:
         raise ValueError(f"the telescoped heights need p = {p} prime to v = {v}")
+    _require_prime(p)
     steps: dict[int, int] = {}  # abscissa a -> h(a+1) - h(a)
     for n in range(p, m + 1, p):  # n = m-j, then n = j+1: the same valuations
-        e = vp_int(p, n)
+        e = _vp_int(p, n)
         steps[n - 1] = steps.get(n - 1, 0) - e
         steps[m - n] = steps.get(m - n, 0) + e
     for j in range((-u * pow(v, -1, p) - 1) % p, m, p):  # p | v(j+1)+u
         a = m - 1 - j
-        steps[a] = steps.get(a, 0) + vp_int(p, v * (j + 1) + u)
+        steps[a] = steps.get(a, 0) + _vp_int(p, v * (j + 1) + u)
     return step_polygon(steps, m)
 
 

@@ -24,6 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
 from math import comb, prod
+from operator import add
 
 from .polyring import Poly, content, format_poly, is_irreducible_mod_p
 from .primes import is_prime, sieve_primes, vp_int
@@ -239,13 +240,27 @@ class LaguerreInstance:
         """v**m times the assembled polynomial; integer coefficients.
 
         Its expansion parts in powers of phi are exactly cleared[j] * a_j,
-        with cleared[j] = v**m * b_j.
+        with cleared[j] = v**m * b_j.  Assembled by Horner in phi,
+        acc = acc * phi + cleared[j] * a_j from acc = v**m a_m down to
+        j = 0, on plain int lists, and made a Poly once at the end.
         """
         if self._f is None:
-            acc = Poly.const(self.v ** self.m * self.a_m)
-            for j in range(self.m - 1, -1, -1):
-                acc = acc * self.phi + self.cleared[j] * self.a_parts[j]
-            self._f = acc
+            lower = self.phi.coeffs[:-1]
+            acc = [self.v ** self.m * self.a_m]
+            for c, part in zip(reversed(self.cleared), reversed(self.a_parts)):
+                # acc * phi: acc shifted up by deg phi (phi is monic), plus
+                # acc times each lower coefficient of phi
+                size = len(acc)
+                nxt = [0] * len(lower) + acc
+                for i, b in enumerate(lower):
+                    if b:
+                        nxt[i:i + size] = map(add, nxt[i:i + size], [b * a for a in acc])
+                # a relaxed instance's a_j may reach above acc * phi
+                nxt += [0] * (len(part.coeffs) - len(nxt))
+                for i, a in enumerate(part.coeffs):
+                    nxt[i] += c * a
+                acc = nxt
+            self._f = Poly(acc)
         return self._f
 
     @property

@@ -18,13 +18,13 @@ d <= deg(f)/2 then splits f by degree range with one gcd per visited node.
 The squarefree gate, the gcds and the exact divisions run by Euclid on the
 same packed integers, two quotient terms per multiply-add and one integer
 Barrett reduction per pass; the slot layout comes before the gate, so only
-a squarefree f pays for fixing f as the modulus.
+a squarefree f pays for fixing f as the modulus, and f is packed once per
+(f, p): the monic f, -f and mu are derived from the int the gate read.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -271,7 +271,7 @@ def parse_poly(text: str) -> Poly:
     s = text.replace(" ", "").replace("\t", "")
     if not s:
         raise ValueError("empty polynomial text")
-    coeffs: dict[int, Fraction] = {}
+    coeffs: dict[int, int | Fraction] = {}
     pos = 0
     while pos < len(s):
         m = _TERM_RE.match(s, pos)
@@ -280,10 +280,15 @@ def parse_poly(text: str) -> Poly:
         sign, num, xpart, exp = m.groups()
         if (num is None and xpart is None) or (pos and not sign):  # terms join by + or -
             raise ValueError(f"cannot parse polynomial near {s[pos:]!r}")
-        try:
-            c = Fraction(*map(_read_int, num.split("/"))) if num else Fraction(1)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {num!r}") from None
+        if not num:
+            c = 1
+        elif "/" in num:  # only a rational term builds a Fraction
+            try:
+                c = Fraction(*map(_read_int, num.split("/")))
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {num!r}") from None
+        else:
+            c = _read_int(num)
         if sign == "-":
             c = -c
         e = 0
@@ -292,7 +297,7 @@ def parse_poly(text: str) -> Poly:
             if e > MAX_PARSED_DEGREE:
                 raise ValueError(f"exponent {e} exceeds the largest accepted degree "
                                  f"{MAX_PARSED_DEGREE}")
-        coeffs[e] = coeffs.get(e, Fraction(0)) + c
+        coeffs[e] = coeffs.get(e, 0) + c
         pos = m.end()
     top = max(coeffs)
     return Poly(coeffs.get(i, 0) for i in range(top + 1))
@@ -347,7 +352,8 @@ def phi_expand(f: Poly, phi: Poly) -> tuple[Poly, ...]:
 
 class _PackedRing:
     """F_p[x]/(f) for a monic f of degree n >= 2, every element one int, and
-    Euclid on polynomials of degree at most n in the same slot layout.
+    Euclid on polynomials of degree at most n (and on x**(2n-2), for mu) in
+    the same slot layout.
 
     A polynomial a_0 + a_1 x + ... + a_d x**d, residues 0 <= a_j < p, is the
     int sum_j a_j * 2**(slot*j) (Kronecker substitution), so a product of
@@ -355,10 +361,13 @@ class _PackedRing:
     polynomial's degree is its bit length // slot (its top residue has
     fewer than slot bits).  The layout (slot width, Barrett shift and magic,
     mask) depends on n and p only and is built first, so the squarefree gate
-    runs before f is fixed; ``set_modulus`` then builds mu and -f.  A
-    product c = a*b of two elements has degree <= 2n-2 and is reduced by two
-    Barrett reductions, with every slot reduced mod p at each of their
-    stages:
+    runs before f is fixed.  ``set_modulus`` then takes f mod p as the one
+    packed int the gate read and derives the rest from it: the monic f, one
+    scalar product by 1/lead(f) and one integer Barrett reduction; -f mod p,
+    p in each of its n+1 slots minus the monic f, and one reduction (a slot
+    of p becomes 0); and mu by ``divmod``.  A product c = a*b of two
+    elements has degree <= 2n-2 and is reduced by two Barrett reductions,
+    with every slot reduced mod p at each of their stages:
 
     - modulo f by polynomial Barrett: with mu = floor(x**(2n-2) / f), of
       degree n-2 and built once, the quotient is
@@ -384,6 +393,9 @@ class _PackedRing:
     and d-1 mod p and one integer Barrett reduction brings every slot back
     below p; a last odd term goes alone, and the degree is read again after
     each pass, so a pass that clears more than two slots shortens the rest.
+    One pass kernel serves both readers: ``divmod`` collects the quotient
+    terms (for mu, and the descent's exact division), ``gcd`` only the
+    remainders, and builds no quotient.
 
     The slot bound: with every residue at most p-1, a slot before a
     reduction holds at most
@@ -392,8 +404,12 @@ class _PackedRing:
     - (p-1) + (n-1)(p-1)**2 in c + q * (-f mod p) (q has n-1 slots);
     - (p-1) + 2(p-1)**2 after a two-term Euclid pass (a slot of a plus at
       most two products, as the multiplier has two slots), and
-      (p-1) + (p-1)**2 after a one-term pass;
-    - (p-1)**2 when a gcd is made monic, one product per slot;
+      (p-1) + (p-1)**2 after a one-term pass; the division of x**(2n-2)
+      by the monic f that gives mu is such a pass on 2n-1 slots, and the
+      multiplier times f reaches no slot above the one it clears, so it
+      stays within the mask's 2n-1 slots;
+    - (p-1)**2 when a gcd or f itself is made monic, one product per slot;
+    - p in -f before its reduction (p minus a residue, at most p);
     and (p-1) <= (p-1)**2, so any slot before a reduction is at most
     B = max(n, 3)(p-1)**2.  Only the Euclid pass needs the 3: at n = 2 it
     can exceed n(p-1)**2.  A row combination sum_i c_i * row_i with c_i < p
@@ -406,7 +422,7 @@ class _PackedRing:
     p = 1031.
     """
 
-    __slots__ = ("n", "p", "slot", "_slot_mask", "_t", "_magic", "_q_mask",
+    __slots__ = ("n", "p", "slot", "_slot_mask", "_t", "_magic", "_ones", "_q_mask",
                  "_high", "_q_shift", "_mu", "_neg_f")
 
     def __init__(self, n: int, p: int):
@@ -417,24 +433,20 @@ class _PackedRing:
         self.n, self.p = n, p
         self._slot_mask = (1 << slot) - 1
         # one mask for every reduction: a product's 2n-1 slots at most (a
-        # polynomial Euclid divides has n+1); ones has a 1 in each slot
-        ones = ((1 << slot * (2 * n - 1)) - 1) // self._slot_mask
+        # polynomial Euclid divides has n+1, but x**(2n-2) for mu has 2n-1);
+        # ones has a 1 in each slot
+        self._ones = ones = ((1 << slot * (2 * n - 1)) - 1) // self._slot_mask
         self._q_mask = ones * ((1 << slot - self._t) - 1)
         self._high = slot * n
         self._q_shift = slot * (n - 2)
 
-    def set_modulus(self, mod: list[int]) -> None:
-        """Fix the monic f (residues, constant term first) for mul."""
-        n, p = self.n, self.p
-        # x**(2n-2) = mu*f + r read backwards is 1 = rev(mu) rev(f) + y**(n-1)
-        # rev(r), so rev(mu) is 1/rev(f) to n-1 terms: one dot product per
-        # coefficient, where a division would loop over n per coefficient
-        top = mod[-2::-1]
-        mu = [1]
-        for k in range(1, n - 1):
-            mu.append(-sum(map(operator.mul, top[:k], reversed(mu))) % p)
-        self._mu = self.pack(mu[::-1])
-        self._neg_f = self.pack([-c % p for c in mod])
+    def set_modulus(self, f: int) -> int:
+        """Fix f mod p (packed, degree n) as the modulus for mul; returns
+        the monic f."""
+        monic = self.monic(f)
+        self._neg_f = self._residues(self.p * (self._ones >> self.slot * (self.n - 2)) - monic)
+        self._mu = self.divmod(1 << self.slot * (2 * self.n - 2), monic)[0]
+        return monic
 
     def pack(self, residues: list[int]) -> int:
         acc = 0
@@ -485,9 +497,15 @@ class _PackedRing:
             rows.append(self.mul(rows[-1], xp))
         return rows
 
-    def divmod(self, a: int, b: int) -> tuple[int, int]:
+    def monic(self, a: int) -> int:
+        """A nonzero polynomial divided by its leading residue."""
+        lead = a >> self.slot * (a.bit_length() // self.slot)
+        return self._residues(a * pow(lead, -1, self.p))
+
+    def divmod(self, a: int, b: int, quotient: bool = True) -> tuple[int, int]:
         """Quotient and remainder of a by b != 0, polynomials of degree at
-        most n, two quotient terms per pass."""
+        most n, two quotient terms per pass; the quotient is 0, and never
+        built, when not asked for."""
         p, slot, magic, t, mask = self.p, self.slot, self._magic, self._t, self._q_mask
         top = b.bit_length() // slot
         inv = pow(b >> slot * top, -1, p)
@@ -500,10 +518,12 @@ class _PackedRing:
                 lo = ((a >> slot * (d - 1) & self._slot_mask) - hi * second) * inv % p
                 shift = slot * (d - top - 1)
                 a += ((p - hi) << slot | -lo % p) * b << shift
-                q |= (hi << slot | lo) << shift
+                if quotient:
+                    q |= (hi << slot | lo) << shift
             else:
                 a += (p - hi) * b
-                q |= hi
+                if quotient:
+                    q |= hi
             a -= p * (a * magic >> t & mask)
             d = a.bit_length() // slot
         return q, a
@@ -512,11 +532,8 @@ class _PackedRing:
         """Monic gcd of polynomials of degree at most n by Euclid's
         remainders; 0 when both are 0."""
         while b:
-            a, b = b, self.divmod(a, b)[1]
-        if a:
-            lead = a >> self.slot * (a.bit_length() // self.slot)
-            a = self._residues(a * pow(lead, -1, self.p))
-        return a
+            a, b = b, self.divmod(a, b, False)[1]
+        return self.monic(a) if a else 0
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +579,10 @@ def degree_pattern(f: Poly, p: int) -> tuple[int, ...] | None:
     least degree is one factor.  Every cost runs in one packed ring
     (``_PackedRing``) per (f, p), whose slot layout is built before the
     squarefree gate:
-    - the gate, gcd(f mod p, f'), by Euclid on packed ints;
+    - the gate, gcd(f mod p, f'), by Euclid on packed ints, f mod p
+      packed once: the monic f (which the root gcd reads), -f and mu are
+      derived from that int (``_PackedRing.set_modulus``), mu by one
+      division of x**(2n-2) by the monic f;
     - x**p by about log2(p) squarings and a shift per set bit of p, and
       n - 2 row products for the Frobenius rows x**(i*p) mod f;
     - h - 1 row combinations w_d = sum_i w_{d-1}[i] * row_i (w_1 is row 1);
@@ -592,11 +612,10 @@ def _degree_pattern(f: Poly, p: int) -> tuple[int, ...] | None:
     if n < 2:  # a unit has no factors, a linear polynomial is irreducible
         return (1,) if n else ()
     ring = _PackedRing(n, p)
-    if ring.gcd(ring.pack(fp), ring.pack([i * c % p for i, c in enumerate(fp)][1:])) != 1:
+    packed = ring.pack(fp)
+    if ring.gcd(packed, ring.pack([i * c % p for i, c in enumerate(fp)][1:])) != 1:
         return None
-    inv = pow(fp[-1], -1, p)
-    mod = [c * inv % p for c in fp]
-    ring.set_modulus(mod)
+    monic = ring.set_modulus(packed)
     rows = ring.frobenius_rows()
     slot = ring.slot
     x = 1 << slot
@@ -621,7 +640,7 @@ def _degree_pattern(f: Poly, p: int) -> tuple[int, ...] | None:
         if hi - lo > 1:
             mid = (lo + hi) // 2
             products[lo, hi] = ring.mul(products[lo, mid], products[mid, hi])
-    g = ring.gcd(products[0, half], ring.pack(mod))
+    g = ring.gcd(products[0, half], monic)
     size = g.bit_length() // slot
     degrees = [n - size] if size < n else []
     # (lo, hi, g): g (monic) is the product of the factors of degree lo+1 .. hi

@@ -80,6 +80,11 @@ def vp_int(p: int, n: int) -> int | float:
     """Largest e with p**e dividing n (sign ignored); inf for n == 0.
     One divmod by p per unit of e, so the cost grows linearly with e."""
     _require_prime(p)
+    return _vp_int(p, n)
+
+
+def _vp_int(p: int, n: int) -> int | float:
+    """vp_int's body, for a caller that has checked once that p is prime."""
     if n == 0:
         return INFINITY
     e = 0

@@ -193,6 +193,40 @@ def test_expansion_parts_match_coefficients(phi17, rng):
         assert reassembled(parts, phi17) == inst.f
 
 
+def _poly_horner(inst):
+    """f by Horner in phi on Poly arithmetic: acc * phi + cleared[j] * a_j
+    from acc = v**m a_m down to j = 0."""
+    acc = Poly.const(inst.v ** inst.m * inst.a_m)
+    for j in range(inst.m - 1, -1, -1):
+        acc = acc * inst.phi + inst.cleared[j] * inst.a_parts[j]
+    return acc
+
+
+def test_f_matches_poly_horner(rng):
+    # the int-list Horner against the Poly one on seeded instances: integer
+    # and rational parameters (negative non-integers among them), zero
+    # multipliers, a negative a_m, bases of degree 1 to 3, and multipliers
+    # of degree up to deg phi + 2, which a relaxed instance accepts
+    alphas = [0, 1, 4, Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3),
+              Fraction(-7, 5), Fraction(-2, 3)]
+    bases = [Poly((3, 1)), parse_poly("x^2 - x + 17"), parse_poly("x^2 + 1"),
+             parse_poly("x^3 - x + 1"), parse_poly("x^3 + 2x^2 - 5")]
+    for m in range(1, 13):
+        for alpha in alphas:
+            phi = rng.choice(bases)
+            a_m = rng.choice([-7, -1, 1, 3])
+            parts = []
+            for _ in range(m):
+                if rng.random() < 0.2:
+                    parts.append(Poly())
+                else:
+                    top = phi.degree + (2 if rng.random() < 0.1 else 0)
+                    parts.append(Poly([rng.randint(-9, 9) for _ in range(top)]))
+            inst = LaguerreInstance(m, alpha, a_m, parts, phi)
+            assert inst.f == _poly_horner(inst), (m, alpha, a_m, parts, phi)
+            assert inst.f.is_integral
+
+
 def test_valuation_vector_examples(phi17):
     inst = build_instance(8, 1, 1, const_parts(*[1] * 8), phi17)
     vec = expand_runs(inst.valuation_vector(7), 9)

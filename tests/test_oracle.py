@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,8 +11,8 @@ from laguerrecert.oracle import (FactorWitness, _rational_root_witness, _signed_
                                  oracle_verdict, possible_degrees,
                                  search_reducible_witness, verify_witness)
 from laguerrecert import oracle
-from laguerrecert.polyring import (Poly, X, degree_pattern, parse_poly, primitive_part,
-                                   subset_sums)
+from laguerrecert.polyring import (Poly, X, construct_phi, degree_pattern, parse_poly,
+                                   primitive_part, subset_sums)
 from laguerrecert.primes import sieve_primes
 
 
@@ -403,3 +405,41 @@ def test_oracle_certifier_agreement_sample(phi17, rng):
             assert verdict.kind != "reducible", (m, u, a_m, parts)
         if verdict.kind == "reducible":
             assert verify_witness(primitive_part(inst.f), verdict.witness)
+
+
+# -- output guard ------------------------------------------------------------------------
+
+def _sweep_style_instances(seed, count):
+    """count seeded instances in the style of the benchmark's sweep: m in
+    1..10, integer and rational parameters, multipliers of degree below the
+    base with coefficients in -9..9 (or in -1..1, for some reducible and
+    inconclusive verdicts), bases x^2 - x + 17 and CRT-glued ones of degree
+    2 and 3 (built relaxed, so no hypothesis needs to hold)."""
+    rng = random.Random(seed)
+    parameters = [(0, 1), (1, 1), (2, 1), (3, 1), (4, 1),
+                  (1, 2), (3, 2), (-1, 2), (1, 3), (2, 3)]
+    bases = [parse_poly("x^2 - x + 17")] + [construct_phi(d, b) for d in (2, 3) for b in (13, 34)]
+    for _ in range(count):
+        m = rng.randint(1, 10)
+        phi = rng.choice(bases)
+        a_m = rng.choice([c for c in range(-9, 10) if c])
+        bound = rng.choice([1, 9])
+        parts = [Poly([rng.randint(-bound, bound) for _ in range(phi.degree)])
+                 for _ in range(m)]
+        yield build_instance(m, rng.choice(parameters), a_m, parts, phi, relaxed=True)
+
+
+def test_oracle_verdicts_pinned_on_sweep_style_instances():
+    # verdict kind, primes used and possible degrees of 200 instances (192
+    # irreducible, 6 inconclusive, 2 reducible), as one digest recorded
+    # before the packed ring derived the monic f, -f and mu from one packing
+    # of f: a change to any of them fails here, where the benchmark's digest
+    # hashes only the kind
+    digest = hashlib.sha256()
+    for inst in _sweep_style_instances(3701, 200):
+        verdict = oracle_verdict(primitive_part(inst.f), 60)
+        record = (verdict.kind, verdict.degree_set.primes_used,
+                  sorted(verdict.degree_set.possible))
+        digest.update(repr(record).encode())
+    assert digest.hexdigest() == \
+        "bf0c8ff4120578fa7f405022ab7aa1ade03b1e47ec6cd65dcc846158cda09046"

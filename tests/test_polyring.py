@@ -92,6 +92,21 @@ def test_parse_accepts_any_term_order(phi17):
     assert parse_poly("x ^ 2") == Poly((0, 0, 1))
 
 
+def test_parse_keeps_integer_terms_as_ints():
+    # only an a/b term builds a Fraction; the Poly coefficients are ints
+    # where integral and Fractions otherwise, however the text was written
+    cases = {
+        "3x^2 - x + 17": [int, int, int],
+        "1/2x^2 + 3/4": [Fraction, int, Fraction],
+        "1/2x^2 + 3x - 4/2": [int, int, Fraction],
+        "1/2x + 1/2x + 7": [int, int],
+        "x - 1/3x": [int, Fraction],
+    }
+    for text, types in cases.items():
+        assert [type(c) for c in parse_poly(text).coeffs] == types, text
+    assert parse_poly("1/2x^2 + 3x - 4/2") == Poly((-2, 3, Fraction(1, 2)))
+
+
 def test_parse_rejects_garbage():
     # every term after the first joins by + or -, and no whitespace splits a number
     for bad in ("", "x^-2", "y+1", "3*x", "x^", "1/0x", f"x^{MAX_PARSED_DEGREE + 1}",
@@ -542,7 +557,7 @@ def test_packed_ring_matches_poly_arithmetic():
     # against Poly arithmetic reduced mod p
     for mod, p, a, b in _packed_ring_cases():
         ring, f = _PackedRing(len(mod) - 1, p), Poly(mod)
-        ring.set_modulus(mod)
+        ring.set_modulus(ring.pack(mod))
         assert ring.slot == _slot_width(len(a), p)
         assert ring.unpack(ring.pack(a)) == a
         product = ring.mul(ring.pack(a), ring.pack(b))
@@ -557,6 +572,31 @@ def test_packed_ring_matches_poly_arithmetic():
         # a row combination by a is a evaluated at x**p
         combined = Poly(ring.unpack(ring.combine(a, rows)))
         assert combined == _mod_p(sum((c * row for c, row in zip(a, expected)), Poly()) % f, p)
+
+
+def test_set_modulus_derives_monic_negation_and_mu():
+    # set_modulus reads f mod p packed once and derives the monic f (one
+    # scalar product), -f (p minus each slot) and mu = floor(x**(2n-2) / f)
+    # (one division); each against its residue-list definition, compared as
+    # packed ints, so a slot left unreduced or shifted fails too.  All-(p-1)
+    # operands put the slots at their bound; zeros put p in slots of -f.
+    for p in (2, 3, 59, 1009, 2**31 - 1):
+        for n in (2, 3, 30, 64):
+            for f in ([p - 1] * (n + 1), [0] * n + [p - 1], [1] * n + [p - 1]):
+                ring = _PackedRing(n, p)
+                monic = ring.set_modulus(ring.pack(f))
+                inv = pow(f[-1], -1, p)
+                mod = [c * inv % p for c in f]
+                assert monic == ring.pack(mod), (f, p)
+                assert ring._neg_f == ring.pack([-c % p for c in mod]), (f, p)
+                # long division of x**(2n-2) by mod, one quotient term at a time
+                rest = [0] * (2 * n - 2) + [1]
+                mu = [0] * (n - 1)
+                for k in range(n - 2, -1, -1):
+                    mu[k] = c = rest[k + n]
+                    for i, b in enumerate(mod):
+                        rest[k + i] = (rest[k + i] - c * b) % p
+                assert ring._mu == ring.pack(mu), (f, p)
 
 
 def test_packed_ring_slot_width():
