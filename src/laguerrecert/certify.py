@@ -40,8 +40,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .laguerre import HypothesisViolation, LaguerreInstance, cleared_from_definition
 from .polygon import (NewtonPolygon, build_polygon, confirm_vertex_heights,
@@ -55,16 +55,14 @@ class NoSmallDegreePrime(Exception):
     """vm+u has no prime divisor usable for the small-degree exclusion."""
 
 
-@dataclass(frozen=True)
-class ExclusionWitness:
+class ExclusionWitness(NamedTuple):
     k: int
     p: int
     slope: Fraction
     divisibility_checked: bool = True
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     m: int
     u: int
     v: int
@@ -74,8 +72,7 @@ class Certificate:
     conclusion: str = "irreducible-over-Q"  # the one claim the verifier accepts
 
 
-@dataclass(frozen=True)
-class FailureReport:
+class FailureReport(NamedTuple):
     """Uncovered degree intervals; never a claim of reducibility."""
 
     m: int

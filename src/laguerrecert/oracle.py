@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import product as _cartesian
+from typing import NamedTuple
 
 from .laguerre import LaguerreInstance, build_instance, parameter
 from .polyring import (Poly, content, degree_range, degrees_of, format_poly, phi_expand,
@@ -34,8 +34,7 @@ _PAIR_CAP = 60_000
 _TRIPLE_CAP = 400_000
 
 
-@dataclass(frozen=True)
-class DegreeSet:
+class DegreeSet(NamedTuple):
     possible: frozenset[int]
     primes_used: tuple[int, ...]
 
@@ -45,8 +44,7 @@ class DegreeSet:
         return not self.primes_used
 
 
-@dataclass(frozen=True)
-class FactorWitness:
+class FactorWitness(NamedTuple):
     """c * g * h reproduces the target exactly; both factors nonconstant."""
 
     g: Poly
@@ -54,8 +52,7 @@ class FactorWitness:
     c: Fraction
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     kind: str  # "irreducible" | "reducible" | "inconclusive"
     witness: FactorWitness | None
     degree_set: DegreeSet

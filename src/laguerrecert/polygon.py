@@ -17,8 +17,8 @@ by another route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .polyring import Poly, gauss_valuation
 from .primes import _require_prime
@@ -26,8 +26,7 @@ from .primes import _require_prime
 Point = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+class NewtonPolygon(NamedTuple):
     """Materialized points plus the vertices of their lower boundary.
 
     The points are every valued part (build_polygon), or only the ends,

@@ -505,7 +505,9 @@ class _PackedRing:
     def divmod(self, a: int, b: int, quotient: bool = True) -> tuple[int, int]:
         """Quotient and remainder of a by b != 0, polynomials of degree at
         most n, two quotient terms per pass; the quotient is 0, and never
-        built, when not asked for."""
+        built, when not asked for.  Every pass lowers the degree, so there
+        are at most deg a - deg b + 1 of them; ArithmeticError on a pass
+        that does not, which only wrong arithmetic in the ring can cause."""
         p, slot, magic, t, mask = self.p, self.slot, self._magic, self._t, self._q_mask
         top = b.bit_length() // slot
         inv = pow(b >> slot * top, -1, p)
@@ -525,7 +527,12 @@ class _PackedRing:
                 if quotient:
                     q |= hi
             a -= p * (a * magic >> t & mask)
-            d = a.bit_length() // slot
+            # a pass that keeps the degree would repeat forever; this check
+            # bounds the passes more cheaply than a range() over them
+            e = a.bit_length() // slot
+            if e >= d and a:
+                raise ArithmeticError("a Euclid pass did not lower the degree")
+            d = e
         return q, a
 
     def gcd(self, a: int, b: int) -> int:
@@ -667,13 +674,26 @@ def _degree_pattern(f: Poly, p: int) -> tuple[int, ...] | None:
 @lru_cache(maxsize=1 << 14)
 def is_irreducible_mod_p(phi: Poly, p: int) -> bool:
     """Irreducibility of a monic polynomial over the p-element field: its
-    factor-degree pattern is the single degree deg phi (squarefree)."""
+    factor-degree pattern is the single degree deg phi (squarefree).
+
+    Cached by (phi, p), the key every instance build asks for at every
+    prime up to vm+u; a miss reduces phi mod p and asks the cache of
+    decisions by residues, so polynomials congruent mod p share one."""
     _require_prime(p)
     if not phi.is_monic:
         raise ValueError("irreducibility test requires a monic polynomial")
     if phi.degree < 1:
         raise ValueError("degree must be at least 1")
-    return degree_pattern(phi, p) == (phi.degree,)
+    if not phi.is_integral:
+        raise ValueError("reduction requires integer coefficients")
+    return _irreducible_residues(tuple(c % p for c in phi.coeffs), p)
+
+
+@lru_cache(maxsize=1 << 14)
+def _irreducible_residues(residues: tuple[int, ...], p: int) -> bool:
+    """is_irreducible_mod_p's decision for the monic polynomial with these
+    residues mod the prime p, constant term first."""
+    return _degree_pattern(Poly(residues), p) == (len(residues) - 1,)
 
 
 def check_phi(phi: Poly, bound: int) -> bool:
@@ -684,14 +704,16 @@ def check_phi(phi: Poly, bound: int) -> bool:
 def _first_irreducible_mod_p(d: int, p: int) -> list[int]:
     """First monic irreducible of degree d >= 2 over F_p, lower coefficients
     enumerated as base-p digits of 0, 1, 2, ... (constant digit first).  A
-    zero constant term means x divides the candidate, so it is not tested."""
+    zero constant term means x divides the candidate, so it is not tested.
+    Each decision lands in the residue cache, where construct_phi's check
+    of the glued polynomial at p finds it."""
     for n in range(p**d):
         lower = []
         rest = n
         for _ in range(d):
             rest, digit = divmod(rest, p)
             lower.append(digit)
-        if lower[0] and is_irreducible_mod_p(Poly(lower + [1]), p):
+        if lower[0] and _irreducible_residues((*lower, 1), p):
             return lower
     raise AssertionError("irreducibles of every degree exist over F_p")  # pragma: no cover
 

@@ -11,10 +11,10 @@ in their detail; nothing claims completeness beyond its bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
+from typing import NamedTuple
 
 from .certify import anchored_witness_range
 from .laguerre import build_instance, coefficient_valuations
@@ -123,8 +123,7 @@ STANDARD_BASE = parse_poly("x^2 - x + 17")
 # ---------------------------------------------------------------------------
 # report plumbing
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     check_id: str
     passed: bool
     detail: str = ""
@@ -135,9 +134,19 @@ class Check:
         return f"{status} {self.check_id}{suffix}"
 
 
-@dataclass
 class Report:
-    checks: list[Check] = field(default_factory=list)
+    """The checks run so far, in order."""
+
+    def __init__(self, checks: list[Check] | None = None):
+        self.checks = [] if checks is None else checks
+
+    def __repr__(self) -> str:
+        return f"Report(checks={self.checks!r})"
+
+    def __eq__(self, other):
+        if type(other) is not Report:
+            return NotImplemented
+        return self.checks == other.checks
 
     def add(self, check_id: str, passed: bool, detail: str = "") -> None:
         self.checks.append(Check(check_id, bool(passed), detail))

@@ -7,7 +7,6 @@ import random
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -800,7 +799,7 @@ def test_witness_dividing_v_is_rejected(phi17, monkeypatch):
                         lambda m, u, v, p: asked.append(p) or real(m, u, v, p))
     w0 = cert.witnesses[0]
     for slope in (w0.slope, Fraction(0)):
-        forged = replace(cert, witnesses=(replace(w0, p=2, slope=slope),) + cert.witnesses[1:])
+        forged = cert._replace(witnesses=(w0._replace(p=2, slope=slope),) + cert.witnesses[1:])
         assert not verify_certificate(forged, inst)
     assert 2 not in asked
 
@@ -813,22 +812,22 @@ def test_verify_rejects_mistyped_fields(phi17):
     assert verify_certificate(cert, inst)
     w0 = cert.witnesses[0]
     bad_fields = [{"m": "5"}, {"small_degree_prime": 7.0}, {"small_degree_prime": 2.5},
-                  {"witnesses": (replace(w0, p=float(w0.p)),) + cert.witnesses[1:]},
-                  {"witnesses": (replace(w0, p=2.5),) + cert.witnesses[1:]},
-                  {"witnesses": (replace(w0, p=str(w0.p)),) + cert.witnesses[1:]},
-                  {"witnesses": (replace(w0, k=True),) + cert.witnesses[1:]},
-                  {"witnesses": (replace(w0, slope=float(w0.slope)),) + cert.witnesses[1:]},
+                  {"witnesses": (w0._replace(p=float(w0.p)),) + cert.witnesses[1:]},
+                  {"witnesses": (w0._replace(p=2.5),) + cert.witnesses[1:]},
+                  {"witnesses": (w0._replace(p=str(w0.p)),) + cert.witnesses[1:]},
+                  {"witnesses": (w0._replace(k=True),) + cert.witnesses[1:]},
+                  {"witnesses": (w0._replace(slope=float(w0.slope)),) + cert.witnesses[1:]},
                   {"witnesses": None}, {"witnesses": (None,)},
                   # a certificate claims irreducibility or nothing
                   {"conclusion": "reducible"}, {"conclusion": None}]
     for fields in bad_fields:
-        assert not verify_certificate(replace(cert, **fields), inst), fields
+        assert not verify_certificate(cert._replace(**fields), inst), fields
     # a float equal to the true slope 3/4: only the type check refuses it
     inst, cert = ones(phi17, 6, 1), certify(ones(phi17, 6, 1))
     w0 = cert.witnesses[0]
     assert verify_certificate(cert, inst) and float(w0.slope) == w0.slope
-    exact_float = (replace(w0, slope=float(w0.slope)),) + cert.witnesses[1:]
-    assert not verify_certificate(replace(cert, witnesses=exact_float), inst)
+    exact_float = (w0._replace(slope=float(w0.slope)),) + cert.witnesses[1:]
+    assert not verify_certificate(cert._replace(witnesses=exact_float), inst)
 
 
 def test_verify_rejects_tampered_slope(phi17):
@@ -846,7 +845,6 @@ def test_verify_rejects_tampered_slope(phi17):
 
 _OPTIMIZED_ROUND_TRIP = """
 import importlib
-from dataclasses import replace
 from fractions import Fraction
 from laguerrecert.polygon import NewtonPolygon
 from laguerrecert.polyring import Poly, parse_poly
@@ -866,10 +864,10 @@ tampered = cm.Certificate(
                     for w in cert.witnesses))
 print("tampered", cm.verify_certificate(tampered, inst))
 # coverage is one degree mask, which needs every k of 1..m//2 exactly once
-print("missing k", cm.verify_certificate(replace(cert, witnesses=cert.witnesses[:-1]), inst))
+print("missing k", cm.verify_certificate(cert._replace(witnesses=cert.witnesses[:-1]), inst))
 print("repeated k", cm.verify_certificate(
-    replace(cert, witnesses=cert.witnesses + cert.witnesses[:1]), inst))
-print("wrong conclusion", cm.verify_certificate(replace(cert, conclusion="reducible"), inst))
+    cert._replace(witnesses=cert.witnesses + cert.witnesses[:1]), inst))
+print("wrong conclusion", cm.verify_certificate(cert._replace(conclusion="reducible"), inst))
 # the vertex anchors are confirmed by explicit raises: anchors times q
 # (every prime up to vm+u = 14) raise each vertex valuation
 q = 2 * 3 * 5 * 7 * 11 * 13
@@ -1023,11 +1021,11 @@ def test_verify_rejects_missing_k(phi17):
         first = cert.witnesses[0]
         cases = {"missing": cert.witnesses[:-1],
                  "repeated": cert.witnesses + cert.witnesses[:1],
-                 "k = 0": cert.witnesses + (replace(first, k=0),),
-                 "k = -1": cert.witnesses + (replace(first, k=-1),),
+                 "k = 0": cert.witnesses + (first._replace(k=0),),
+                 "k = -1": cert.witnesses + (first._replace(k=-1),),
                  "k = m//2 + 1": cert.witnesses + (_witness_beyond_half(inst),)}
         for case, witnesses in cases.items():
-            forged = replace(cert, witnesses=witnesses)
+            forged = cert._replace(witnesses=witnesses)
             assert not verify_certificate(forged, inst), (format_poly(phi), m, case)
 
 
@@ -1064,14 +1062,14 @@ def test_coverage_mask_matches_set_rule():
             inst = ones(phi, m, 2)
             cert = certify(inst)
             first = cert.witnesses[0]
-            extras = [replace(first, k=0), replace(first, k=-1), _witness_beyond_half(inst)]
+            extras = [first._replace(k=0), first._replace(k=-1), _witness_beyond_half(inst)]
             verdicts = []
             for _ in range(40):
                 witnesses = [w for w in cert.witnesses if rng.random() < 0.9]
                 if rng.random() < 0.3:
                     witnesses.append(rng.choice(list(cert.witnesses) + extras))
                 rng.shuffle(witnesses)
-                verdict = verify_certificate(replace(cert, witnesses=tuple(witnesses)), inst)
+                verdict = verify_certificate(cert._replace(witnesses=tuple(witnesses)), inst)
                 assert verdict == _set_coverage(m, deg_phi, [w.k for w in witnesses]), (
                     deg_phi, m, [w.k for w in witnesses])
                 verdicts.append(verdict)
@@ -1278,7 +1276,7 @@ def test_verify_refuses_slope_times_k_equal_to_one():
     k = slope.denominator
 
     def with_witness(j):
-        return replace(cert, witnesses=tuple(ExclusionWitness(k=j, p=p, slope=slope)
+        return cert._replace(witnesses=tuple(ExclusionWitness(k=j, p=p, slope=slope)
                                              if w.k == j else w for w in cert.witnesses))
 
     assert verify_certificate(cert, inst)

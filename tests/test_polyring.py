@@ -1,4 +1,6 @@
+import hashlib
 import random
+import signal
 import sys
 from fractions import Fraction
 from itertools import product
@@ -6,6 +8,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from laguerrecert import polyring
 from laguerrecert.polyring import (MAX_PARSED_DEGREE, Poly, X, _PackedRing, check_phi,
                                    construct_phi, content, degree_pattern, degree_range,
                                    degrees_of, format_poly, gauss_valuation,
@@ -461,6 +464,30 @@ def test_fp_divmod_matches_sympy():
     assert zero_remainders >= 100
 
 
+def test_fp_divmod_raises_when_a_pass_keeps_the_degree(monkeypatch):
+    # a wrong inverse of the divisor's leading residue leaves the top slot
+    # of every pass nonzero, so no pass lowers the degree; the division
+    # must raise, not loop forever
+    def expire(signum, frame):
+        raise TimeoutError("the division did not stop")
+
+    ring = _PackedRing(6, 7)
+    a, b = ring.pack([3, 1, 4, 1, 5, 2, 6]), ring.pack([2, 0, 1, 1])
+    monkeypatch.setattr(polyring, "pow", lambda base, e, mod: 2 * pow(base, e, mod) % mod,
+                        raising=False)
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(10)
+    try:
+        for quotient in (True, False):
+            with pytest.raises(ArithmeticError, match="did not lower the degree"):
+                ring.divmod(a, b, quotient)
+        with pytest.raises(ArithmeticError, match="did not lower the degree"):
+            ring.gcd(a, b)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_fp_gcd_matches_sympy():
     # pairs with a random common factor, so the gcd is rarely 1, and with
     # the zero polynomial on either side; the packed gcd is monic
@@ -679,6 +706,73 @@ def test_construct_phi_rejects_linear_with_primes():
         construct_phi(1, 2)
     with pytest.raises(ValueError):
         construct_phi(0, 5)
+
+
+@pytest.mark.parametrize("d, bound, digest", [
+    (2, 1190, "f43e7784a94ae11ba398147680011f27d23fa7806b6ebf48fe98d18a0821699f"),
+    (3, 34, "2df6ae0799533d5ff4f1798b14680ffd9d6458dd8bc0082192091b2fcd49d509"),
+    (2, 13, "9f1226f4975293e29ae067ab8693024acb112887e0b256e3e579f76e9a36a74c"),
+])
+def test_construct_phi_output_is_pinned(d, bound, digest):
+    # sha256 of format_poly's text, as construct_phi built it when every
+    # prime's check ran its own degree_pattern
+    text = format_poly(construct_phi(d, bound))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _count_patterns(monkeypatch):
+    """Empty both irreducibility caches and count the factor-degree runs."""
+    is_irreducible_mod_p.cache_clear()
+    polyring._irreducible_residues.cache_clear()
+    runs = []
+    real = polyring._degree_pattern
+    monkeypatch.setattr(polyring, "_degree_pattern",
+                        lambda f, p: runs.append((f, p)) or real(f, p))
+    return runs
+
+
+def test_construct_phi_check_reuses_the_search_decisions(monkeypatch):
+    runs = _count_patterns(monkeypatch)
+    in_check = []
+    real_check = polyring.check_phi
+
+    def counted_check(phi, bound):
+        before = len(runs)
+        result = real_check(phi, bound)
+        in_check.append(len(runs) - before)
+        return result
+
+    monkeypatch.setattr(polyring, "check_phi", counted_check)
+    phi = construct_phi(3, 40)
+    assert runs and in_check == [0] and real_check(phi, 40)
+
+
+def test_congruent_polynomials_share_one_decision(monkeypatch):
+    runs = _count_patterns(monkeypatch)
+    phi = parse_poly("x^3 + x + 1")
+    congruent = phi + 7 * X**2 - 14 * X + 21
+    assert is_irreducible_mod_p(phi, 7) and len(runs) == 1
+    assert is_irreducible_mod_p(congruent, 7) and len(runs) == 1
+    assert not is_irreducible_mod_p(phi + X**2, 7) and len(runs) == 2
+    info = is_irreducible_mod_p.cache_info()
+    assert (info.hits, info.misses) == (0, 3)
+    assert is_irreducible_mod_p(congruent, 7)
+    assert is_irreducible_mod_p.cache_info().hits == 1 and len(runs) == 2
+
+
+@pytest.mark.parametrize("phi, p, message", [
+    (X**2 + 1, 4, "4 is not prime"),
+    (X**2 + 1, 1, "1 is not prime"),
+    (X**2 + 1, -3, "-3 is not prime"),
+    (2 * X**2 + 1, 3, "irreducibility test requires a monic polynomial"),
+    (Poly(()), 3, "irreducibility test requires a monic polynomial"),
+    (Poly((1,)), 3, "degree must be at least 1"),
+    (Poly((Fraction(7, 2), 0, 1)), 5, "reduction requires integer coefficients"),
+])
+def test_irreducible_mod_p_refusals(phi, p, message):
+    with pytest.raises(ValueError) as caught:
+        is_irreducible_mod_p(phi, p)
+    assert str(caught.value) == message
 
 
 def mask_of(degrees):
